@@ -312,8 +312,11 @@ def evans_locate(
 ) -> list[complex]:
     """Eigenvalues of nu * Lap + A inside a rectangle (re_lo, re_hi, im_lo, im_hi).
 
-    Winding number of the determinant along the boundary (argument principle),
-    then complex secant refinement of each zero.
+    Winding number w of the determinant along the boundary (argument
+    principle); the zeros' power sums s_p, p <= w, from the log-derivative
+    moments on the same boundary; the polynomial with those power sums
+    (Newton's identities) for starting points; complex secant refinement of
+    each zero.  A multiple zero is returned once per multiplicity.
     """
     pts = _rect_boundary(region, n_per_side)
     vals = np.array([evans_det(A, lam, nu, x_far) for lam in pts])
@@ -330,27 +333,34 @@ def evans_locate(
     if winding == 0:
         return []
 
-    # zero centroid from the first log-derivative moment, then secant polish
+    # zeros from the log-derivative moments s_p = sum z_j^p (Delves-Lyness),
+    # trapezoid of lam^p * d log det over the boundary, then secant polish
     closed_pts = np.append(pts, pts[0])
-    # trapezoid of lam * d log det over the boundary
     ratio = np.diff(np.log(np.abs(closed))) + 1j * dphi
-    centroid = np.sum(0.5 * (closed_pts[1:] + closed_pts[:-1]) * ratio) / (2j * np.pi * winding)
+    mid = 0.5 * (closed_pts[1:] + closed_pts[:-1])
+    moments = [np.sum(mid**p * ratio) / (2j * np.pi) for p in range(1, winding + 1)]
+    starts = moments  # one zero: s_1 is the zero itself
+    if winding > 1:
+        # Newton's identities: e_k = (1/k) sum_{i<=k} (-1)^{i-1} e_{k-i} s_i
+        e = [1.0 + 0j]
+        for k in range(1, winding + 1):
+            e.append(sum((-1) ** (i - 1) * e[k - i] * moments[i - 1]
+                         for i in range(1, k + 1)) / k)
+        starts = np.roots([(-1) ** k * e[k] for k in range(winding + 1)])
 
     zeros = []
-    z0 = centroid
-    z1 = centroid * (1 + 1e-4) + 1e-6
-    f0 = evans_det(A, z0, nu, x_far)
-    f1 = evans_det(A, z1, nu, x_far)
-    for _ in range(60):
-        if f1 == f0:
-            break
-        z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
-        z0, f0, z1 = z1, f1, z2
+    for z in starts:
+        z0 = z
+        z1 = z * (1 + 1e-4) + 1e-6
+        f0 = evans_det(A, z0, nu, x_far)
         f1 = evans_det(A, z1, nu, x_far)
-        if abs(z1 - z0) < newton_tol:
-            break
-    zeros.append(complex(z1))
-    if winding > 1:
-        # multiplicity or clustered zeros: report the refined root once per count
-        zeros = zeros * winding
+        for _ in range(60):
+            if f1 == f0:
+                break
+            z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
+            z0, f0, z1 = z1, f1, z2
+            f1 = evans_det(A, z1, nu, x_far)
+            if abs(z1 - z0) < newton_tol:
+                break
+        zeros.append(complex(z1))
     return zeros

@@ -103,9 +103,8 @@ def _refine_eigenpair(A, B, c, phi, scale, iters=2):
             lu = scipy.linalg.lu_factor(K)
             x = scipy.linalg.lu_solve(lu, B @ phi)
             v = x / np.linalg.norm(x)
-            w = scipy.linalg.lu_solve(
-                scipy.linalg.lu_factor(K.conj().T), B.conj().T @ v
-            )
+            # the adjoint solve K^H w = B^H v reuses the factorization of K
+            w = scipy.linalg.lu_solve(lu, B.conj().T @ v, trans=2)
         except (scipy.linalg.LinAlgError, ValueError, FloatingPointError):
             break
         if not np.all(np.isfinite(v)) or not np.all(np.isfinite(w)):

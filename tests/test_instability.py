@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
@@ -9,6 +11,8 @@ from shearstab.errors import (
     WindowError,
 )
 from shearstab.instability import (
+    _gen_eval,
+    _gen_tables,
     _riccati_formula,
     duhamel_term,
     euler_series,
@@ -245,6 +249,46 @@ class TestHopfMajorant:
         series = hopf_series(COS, 1.0, 6)
         with pytest.raises(WindowError):
             hopf_majorant(series, eta0=-1.0, t_max=0.1)
+
+    def test_M0_closed_form_cos(self, report):
+        # every derivative of cos z has sup 1, so Gen(u_1)(eta0) = sum eta0^m/m!
+        series, rep = report
+        exact = sum(0.25**m / math.factorial(m) for m in range(series.order))
+        assert rep["M0"] == pytest.approx(exact, rel=1e-15)
+
+    def test_early_exit_path(self, report):
+        # the innermost characteristic leaves through z = 0 before t = T_c;
+        # its crossing step is not recorded and the outer ones run to the end
+        _, rep = report
+        paths = rep["characteristics"]
+        assert len(paths[0]) < 401
+        assert np.all(paths[0][:, 1] >= 0.0)
+        assert len(paths[-1]) == 401
+        np.testing.assert_array_equal(paths[0][:, 0], paths[-1][: len(paths[0]), 0])
+
+    def test_fields_match_scalar_double_sum(self, report):
+        series, _ = report
+        gens = series.majorant
+        table, table_t, table_z = _gen_tables(gens)
+        for t, z in [(0.0, 0.0), (0.0, 0.25), (0.01, 0.1), (0.03, 0.2), (0.05, 0.25)]:
+            G, G_t, G_z = _scalar_fields(gens, t, z)
+            assert _gen_eval(table, t, z) == pytest.approx(G, rel=1e-13)
+            assert _gen_eval(table_t, t, z) == pytest.approx(G_t, rel=1e-13)
+            assert _gen_eval(table_z, t, z) == pytest.approx(G_z, rel=1e-13)
+
+
+def _scalar_fields(gens, t, z):
+    """G, G_t and G_z of the truncated generator as scalar double sums over
+    the terms k and the derivative orders m: the reference for ``_gen_eval``."""
+
+    def poly(coef, z):
+        return sum(c * z**m / math.factorial(m) for m, c in enumerate(coef))
+
+    N = len(gens)
+    G = sum(t ** (k - 1) * poly(gens[k - 1], z) for k in range(1, N + 1))
+    G_t = sum((k - 1) * t ** (k - 2) * poly(gens[k - 1], z) for k in range(2, N + 1))
+    G_z = sum(t ** (k - 1) * poly(gens[k - 1][1:], z) for k in range(1, N + 1))
+    return G, G_t, G_z
 
 
 @pytest.fixture(scope="module")

@@ -149,6 +149,16 @@ class TestEvansLocate:
         assert len(zeros) == 1
         assert abs(zeros[0] - 1.0) < 1e-6
 
+    def test_distinct_roots_6sech2(self):
+        # 6 sech^2 = l(l+1) sech^2 with l = 2 has the eigenvalues 4 and 1;
+        # winding number 2 must give both, not one root twice
+        pot = lambda s: 6.0 / np.cosh(s) ** 2
+        zeros = evans_locate(pot, (0.5, 4.5, -0.4, 0.4), nu=1.0, x_far=10.0, n_per_side=12)
+        assert len(zeros) == 2
+        low, high = sorted(zeros, key=lambda z: z.real)
+        assert abs(low - 1.0) < 1e-6
+        assert abs(high - 4.0) < 1e-6
+
     def test_empty_region(self):
         nu = 1.0
         pot = lambda s: 2 * nu / np.cosh(s) ** 2
