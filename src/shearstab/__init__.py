@@ -30,9 +30,8 @@ from .resolvent import (
     heat_green,
     parabolic_green,
     semigroup_apply,
-    three_segment_contour,
 )
-from .spectral import SpectralDiscretization, apply_bc, build_grid, diff_matrices
+from .spectral import SpectralDiscretization, apply_bc, build_grid
 from .stability import (
     EigenSolution,
     NeutralBranch,
@@ -60,7 +59,6 @@ __all__ = [
     "bl_norm",
     "blasius_solve",
     "build_grid",
-    "diff_matrices",
     "divfree_bilinear",
     "elliptic_gen_estimate",
     "euler_series",
@@ -84,7 +82,6 @@ __all__ = [
     "rayleigh_spectrum",
     "riccati_exact",
     "semigroup_apply",
-    "three_segment_contour",
 ]
 
 __version__ = "0.1.0"

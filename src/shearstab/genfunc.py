@@ -86,8 +86,10 @@ def sample_grid(delta: float, y_max: float = 40.0, refine: int = 0, max_step: fl
 def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
     """Weighted sup norm sup_y phi(y)^ell |f(y)| (optionally layer-damped).
 
-    ``f`` is either a callable (sampled on refining geometric grids until the
-    sup is stable to 1e-6 relative) or a pair (y, values).
+    ``f`` is either a callable or a pair (y, values).  A callable is sampled
+    on up to four refining geometric grids; the sup returns as soon as two
+    grids agree to 1e-6 relative, and otherwise the fourth grid's sup is
+    returned without an error.
     """
     if flavor not in (WITH_BL, WITHOUT_BL):
         raise ConfigurationError(f"unknown norm flavor {flavor!r}")
@@ -249,11 +251,6 @@ def product_bound(a: GenSeries, b: GenSeries) -> GenSeries:
         for k in range(l + 1):
             out[:, l] += binoms[k] * np.convolve(a.coeffs[:, k], b.coeffs[:, l - k])
     return GenSeries(out, GEN_DELTA if GEN_DELTA in (a.flavor, b.flavor) else GEN0)
-
-
-def series_ops(a: GenSeries, b: GenSeries) -> dict:
-    """Product bound of (a, b) plus the exact z1/z2 derivative shifts of a."""
-    return {"product": product_bound(a, b), "dz1": a.dz1(), "dz2": a.dz2()}
 
 
 # ---------------------------------------------------------------------------

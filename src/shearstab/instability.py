@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.polynomial import legendre
 from scipy.integrate import solve_ivp
 
 from .errors import (
@@ -34,12 +33,11 @@ from .errors import (
     InputError,
     NonconvergenceError,
     NotUnstableError,
-    QuadratureError,
     ResonanceError,
     WindowError,
 )
 from .profiles import TORUS, ShearProfile
-from .resolvent import default_contour_for, semigroup_apply
+from .resolvent import TOL, _gauss_nodes, _refine, default_contour_for, semigroup_apply
 
 __all__ = [
     "BootstrapResult",
@@ -93,34 +91,27 @@ def duhamel_term(
     A: np.ndarray,
     forcing: Callable[[float], np.ndarray],
     t: float,
-    tol: float = 1e-10,
-    contour=None,
-    max_nodes: int = 512,
 ) -> np.ndarray:
     """Evaluate int_0^t e^{A(t-tau)} forcing(tau) dtau.
 
-    Gauss-Legendre nodes on [0, t] are doubled until two successive values
-    agree to ``tol``; the propagator is evaluated by resolvent contour
-    quadrature (``semigroup_apply``).
+    Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 in
+    ``resolvent._refine`` until two successive values agree to 1e-10
+    relative; the propagator is evaluated by resolvent contour quadrature
+    (``semigroup_apply``) on one contour computed for A.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if t == 0.0:
         return np.zeros(A.shape[0], dtype=complex)
-    if contour is None:
-        contour = default_contour_for(A)
-    n, prev = 8, None
-    while n <= max_nodes:
-        x, w = legendre.leggauss(n)
-        tau = 0.5 * t * (x + 1.0)
-        wt = 0.5 * t * w
-        val = sum(
+    contour = default_contour_for(A)
+
+    def one_pass(n):
+        tau, wt = _gauss_nodes(0.0, t, n)
+        return sum(
             wi * semigroup_apply(A, forcing(ti), t - ti, contour=contour)
             for ti, wi in zip(tau, wt)
         )
-        if prev is not None and np.max(np.abs(val - prev)) <= tol * (1.0 + np.max(np.abs(val))):
-            return val
-        prev, n = val, 2 * n
-    raise QuadratureError("Duhamel quadrature did not converge to tol=%g" % tol)
+
+    return _refine(one_pass, 8, TOL, "Duhamel quadrature", max_passes=7)[0]
 
 
 def ode_bootstrap(

@@ -129,7 +129,7 @@ def make_profile(kind: str, **params) -> ShearProfile:
     return _spline_profile("custom", domain, z_tab, u_tab)
 
 
-def _spline_profile(kind, domain, z_tab, u_tab, extra_params=None, d2_exact=None):
+def _spline_profile(kind, domain, z_tab, u_tab):
     order = np.argsort(z_tab)
     z_tab, u_tab = z_tab[order], u_tab[order]
     spl = CubicSpline(z_tab, u_tab)
@@ -147,21 +147,12 @@ def _spline_profile(kind, domain, z_tab, u_tab, extra_params=None, d2_exact=None
         z = np.asarray(z, dtype=float)
         return np.where(z >= z_hi, 0.0, d1(np.clip(z, z_lo, z_hi)))
 
-    d2_fun = d2_exact if d2_exact is not None else d2
-
     def d2Uf(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z >= z_hi, 0.0, d2_fun(np.clip(z, z_lo, z_hi)))
+        return np.where(z >= z_hi, 0.0, d2(np.clip(z, z_lo, z_hi)))
 
-    return ShearProfile(
-        kind,
-        domain,
-        U,
-        dU,
-        d2Uf,
-        params=dict(extra_params or {}),
-        lower_accuracy=(d2_exact is None),
-    )
+    # U'' of a cubic spline is only piecewise linear
+    return ShearProfile(kind, domain, U, dU, d2Uf, lower_accuracy=True)
 
 
 def _blasius_rhs(eta, f):

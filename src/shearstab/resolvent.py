@@ -1,16 +1,24 @@
 """Contour-integral semigroups, heat-kernel Green functions, Evans functions.
 
 The semigroup of a matrix is evaluated as (1/2 pi i) * integral over a
-contour right of the spectrum of exp(lambda t) (lambda - A)^{-1} x0, with
-a three-segment contour (two 45-degree rays joined by a vertical segment).
-The heat temporal Green function uses the parabola-shaped contour
+contour right of the spectrum of exp(lambda t) (lambda - A)^{-1} x0.  The
+contour ``ContourSpec(P, B)`` has three segments: two 45-degree rays joined
+by the vertical segment Re lambda = P, |Im lambda| <= B.  At t = 0 the rays
+do not close at infinity and a circle enclosing the spectrum is used
+instead.  The heat temporal Green function uses the parabola-shaped contour
 lambda = nu (a + i k)^2 with a = |x - z| / (2 nu t), on which the integrand
 collapses to a Gaussian-damped real integral.
+
+Every quadrature of this layer (and ``instability.duhamel_term``) doubles
+its Gauss-Legendre nodes in ``_refine`` until two passes agree, on the rule
+cached by ``_gauss_nodes``; a semigroup pass solves the resolvent systems of
+all its nodes in one stacked solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,82 +32,84 @@ from .errors import (
     RegionError,
 )
 
-THREE_SEGMENT = "three_segment"
-HEAT_PARABOLA = "heat_parabola"
+N_NODES = 32         # initial Gauss-Legendre nodes per semigroup segment
+TOL = 1e-10          # agreement of two successive passes, relative to 1 + max|value|
+MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """A parametrized integration contour in the complex spectral plane."""
+    """Three-segment contour right of the spectrum."""
 
-    kind: str
-    P: float = 1.0            # real offset of the vertical segment
-    B: float = 10.0           # corner height
-    a: float = 0.0            # heat parabola: |x-z| / (2 nu t)
-    k_max: float = 10.0       # heat parabola: k truncation
-    n_nodes: int = 32         # initial Gauss-Legendre nodes per segment
-    tol: float = 1e-10
-    max_doublings: int = 10
-    params: dict = field(default_factory=dict)
+    P: float              # real offset of the vertical segment
+    B: float              # corner height
 
 
-def three_segment_contour(P: float, B: float, **kw) -> ContourSpec:
-    return ContourSpec(THREE_SEGMENT, P=P, B=B, **kw)
-
-
-def default_contour_for(A: np.ndarray, margin: float = 1.0) -> ContourSpec:
+def default_contour_for(A: np.ndarray) -> ContourSpec:
     """Contour just right of the spectrum of A.
 
     P is kept tight: the integrand magnitude is e^{P t}, so an oversized P
     amplifies quadrature cancellation error by that factor.
     """
     eig = np.linalg.eigvals(np.atleast_2d(np.asarray(A, dtype=complex)))
-    P = float(np.max(eig.real)) + margin
-    B = float(np.max(np.abs(eig.imag))) + abs(P) + margin
-    return three_segment_contour(P, B)
+    P = float(np.max(eig.real)) + 1.0
+    B = float(np.max(np.abs(eig.imag))) + abs(P) + 1.0
+    return ContourSpec(P, B)
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _gauss_nodes(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _resolvent_sum(A, x0, t, lam_nodes, dlam, weights):
-    n = A.shape[0]
-    ident = np.eye(n)
-    acc = np.zeros(n, dtype=complex)
-    for lam, dl, w in zip(lam_nodes, dlam, weights):
-        try:
-            r = np.linalg.solve(lam * ident - A, x0)
-        except np.linalg.LinAlgError as exc:
-            raise ContourCrossesSpectrumError(f"(lambda - A) singular at lambda={lam}") from exc
-        acc += w * np.exp(lam * t) * dl * r
-    return acc / (2j * np.pi)
+def _refine(one_pass, n0, tol, what, floor=0.0, max_passes=MAX_PASSES):
+    """Evaluate one_pass(n) for n = n0, 2 n0, ... until two passes agree.
+
+    Agreement is max|val - prev| < tol (1 + max|val|) + floor.  Returns the
+    last value and that change; raises QuadratureError after max_passes.
+    """
+    prev, change, n = None, np.inf, n0
+    for _ in range(max_passes):
+        val = one_pass(n)
+        if prev is not None:
+            change = np.max(np.abs(val - prev))
+            if change < tol * (1 + np.max(np.abs(val))) + floor:
+                return val, change
+        prev, n = val, 2 * n
+    raise QuadratureError(f"{what} did not converge (last change {change:.3e})")
 
 
-def _three_segment_value(A, x0, t, P, B, ray_len, n):
-    """One quadrature pass over the three segments at n nodes each."""
-    total = np.zeros(A.shape[0], dtype=complex)
+def _resolvent_sum(A, x0, t, lam, dlam, weights):
+    """(1/2 pi i) sum_j w_j e^{lam_j t} dlam_j (lam_j - A)^{-1} x0."""
+    M = lam[:, None, None] * np.eye(A.shape[0]) - A
+    try:
+        R = np.linalg.solve(M, x0)
+    except np.linalg.LinAlgError as exc:
+        bad = lam[np.argmin(np.abs(np.linalg.det(M)))]
+        raise ContourCrossesSpectrumError(f"(lambda - A) singular at lambda={bad}") from exc
+    return (weights * np.exp(lam * t) * dlam) @ R / (2j * np.pi)
+
+
+def _three_segment_nodes(P, B, ray_len, n):
+    """Nodes, dlambda/ds and weights of one pass, n per segment."""
     # Gamma_1: (1+i) R_- + P - iB, from the far end toward the corner
-    s, w = _gauss_nodes(-ray_len, 0.0, n)
-    lam = (1 + 1j) * s + P - 1j * B
-    total += _resolvent_sum(A, x0, t, lam, np.full(n, 1 + 1j), w)
+    s1, w1 = _gauss_nodes(-ray_len, 0.0, n)
     # Gamma_2: P + i[-B, B]
-    s, w = _gauss_nodes(-B, B, n)
-    lam = P + 1j * s
-    total += _resolvent_sum(A, x0, t, lam, np.full(n, 1j), w)
+    s2, w2 = _gauss_nodes(-B, B, n)
     # Gamma_3: (-1+i) R_+ + P + iB
-    s, w = _gauss_nodes(0.0, ray_len, n)
-    lam = (-1 + 1j) * s + P + 1j * B
-    total += _resolvent_sum(A, x0, t, lam, np.full(n, -1 + 1j), w)
-    return total
-
-
-def _closed_circle_value(A, x0, t, center, radius, n):
-    s, w = _gauss_nodes(0.0, 2.0 * np.pi, n)
-    lam = center + radius * np.exp(1j * s)
-    dlam = 1j * radius * np.exp(1j * s)
-    return _resolvent_sum(A, x0, t, lam, dlam, w)
+    s3, w3 = _gauss_nodes(0.0, ray_len, n)
+    lam = np.concatenate([(1 + 1j) * s1 + P - 1j * B, P + 1j * s2, (-1 + 1j) * s3 + P + 1j * B])
+    dlam = np.repeat([1 + 1j, 1j, -1 + 1j], n)
+    return lam, dlam, np.concatenate([w1, w2, w3])
 
 
 def semigroup_apply(
@@ -110,9 +120,12 @@ def semigroup_apply(
 ) -> np.ndarray:
     """Evaluate exp(A t) x0 by resolvent contour quadrature.
 
-    Node counts are doubled until successive values agree to contour.tol.
-    At t = 0 the open rays do not close at infinity, so a closed circle
-    enclosing the spectrum is used instead.
+    ``contour`` defaults to ``default_contour_for(A)``.  Nodes are doubled
+    from 32 per segment until two passes agree to 1e-10 relative, plus the
+    cancellation floor below.  At t = 0 the open rays do not close at
+    infinity, so a circle enclosing the spectrum (Gershgorin radius + 1) is
+    used instead.  A contour through an eigenvalue raises
+    ContourCrossesSpectrumError naming the node.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     x0 = np.asarray(x0, dtype=complex)
@@ -120,43 +133,28 @@ def semigroup_apply(
         raise ConfigurationError("t must be nonnegative")
     if contour is None:
         contour = default_contour_for(A)
-    if contour.kind != THREE_SEGMENT:
-        raise ConfigurationError("semigroup_apply expects a three_segment contour")
 
     if t == 0.0:
         radii = np.sum(np.abs(A), axis=1) - np.abs(np.diag(A))
         radius = float(np.max(np.abs(np.diag(A)) + radii)) + 1.0
-        prev = None
-        n = contour.n_nodes
-        for _ in range(contour.max_doublings):
-            val = _closed_circle_value(A, x0, t, 0.0, radius, n)
-            if prev is not None and np.max(np.abs(val - prev)) < contour.tol * (1 + np.max(np.abs(val))):
-                return val.real if np.isrealobj(x0) and np.max(np.abs(val.imag)) < 1e-8 else val
-            prev, n = val, 2 * n
-        raise QuadratureError("closed-contour quadrature did not converge at t=0")
+
+        def circle_pass(n):
+            s, w = _gauss_nodes(0.0, 2.0 * np.pi, n)
+            lam = radius * np.exp(1j * s)
+            return _resolvent_sum(A, x0, t, lam, 1j * lam, w)
+
+        return _refine(circle_pass, N_NODES, TOL, "closed-contour quadrature at t=0")[0]
 
     # e^{Re lambda t} along the rays decays like e^{(P - s) t}
     ray_len = 40.0 / t + contour.B
-    prev = None
-    n = contour.n_nodes
     # cancellation floor: the integrand reaches e^{P t}, and summing it to a
     # value of order 1 cannot beat that magnitude times machine epsilon
     floor = 100.0 * np.finfo(float).eps * np.exp(max(contour.P, 0.0) * t) * (1 + np.linalg.norm(x0))
-    for _ in range(contour.max_doublings):
-        val = _three_segment_value(A, x0, t, contour.P, contour.B, ray_len, n)
-        if prev is not None and np.max(np.abs(val - prev)) < contour.tol * (1 + np.max(np.abs(val))) + floor:
-            return val
-        prev, n = val, 2 * n
-    raise QuadratureError(
-        f"three-segment quadrature did not converge (last change "
-        f"{np.max(np.abs(val - prev)):.3e})"
-    )
 
+    def segment_pass(n):
+        return _resolvent_sum(A, x0, t, *_three_segment_nodes(contour.P, contour.B, ray_len, n))
 
-def heat_parabola_contour(t: float, dx: float, nu: float, tol: float = 1e-10) -> ContourSpec:
-    a = abs(dx) / (2.0 * nu * t)
-    k_max = np.sqrt(37.0 / (nu * t))  # e^{-k^2 nu t} < 1e-16 beyond
-    return ContourSpec(HEAT_PARABOLA, a=a, k_max=float(k_max), tol=tol)
+    return _refine(segment_pass, N_NODES, TOL, "three-segment quadrature", floor)[0]
 
 
 def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = False):
@@ -164,13 +162,17 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
 
     The contour lambda = nu (a + i k)^2, a = |x-z|/(2 nu t), turns the
     resolvent kernel integral into (1/2 pi) * int exp(nu t (a+ik)^2 - d (a+ik)) dk
-    with d = |x - z|.  The value matches the classical Gaussian kernel.
+    with d = |x - z|, truncated to |k| <= sqrt(37 / (nu t)).  Nodes are
+    doubled from 64 until two passes agree to 1e-10 relative, and the
+    truncated tail is checked explicitly.  The value matches the classical
+    Gaussian kernel; ``full_output`` also returns the imaginary residue and
+    the last change between passes.
     """
     if t <= 0 or nu <= 0:
         raise ConfigurationError("t and nu must be positive")
     d = abs(x - z)
-    spec = heat_parabola_contour(t, d, nu)
-    a, K = spec.a, spec.k_max
+    a = d / (2.0 * nu * t)
+    K = np.sqrt(37.0 / (nu * t))  # e^{-k^2 nu t} < 1e-16 beyond
 
     def one_pass(n):
         k, w = _gauss_nodes(-K, K, n)
@@ -178,22 +180,13 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
         integrand = np.exp(nu * t * s**2 - d * s)
         return np.sum(w * integrand) / (2.0 * np.pi)
 
-    prev = None
-    n = 64
-    val = None
-    for _ in range(spec.max_doublings):
-        val = one_pass(n)
-        if prev is not None and abs(val - prev) < spec.tol * (1 + abs(val)):
-            break
-        prev, n = val, 2 * n
-    else:
-        raise QuadratureError("heat-parabola quadrature did not converge")
+    val, change = _refine(one_pass, 64, TOL, "heat-parabola quadrature")
     # explicit tail bound of the integrand
     tail = np.exp(nu * t * (a**2 - K**2) - d * a) / (2.0 * np.pi)
     if tail > 1e-12 * (1 + abs(val)):
         raise QuadratureError(f"tail estimate {tail:.3e} above tolerance")
     if full_output:
-        return val.real, val.imag, abs(val - prev)
+        return val.real, val.imag, change
     return val.real
 
 
@@ -202,19 +195,23 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-def _decaying_solutions(A, mu, nu, lam, x_far, dense=True):
+def _decaying_solutions(A, mu, nu, lam, x_far, x_match=None):
     """psi+ (decays at +inf) and psi- (decays at -inf) by inward integration.
 
     Initialized with the constant-coefficient asymptotics exp(-/+ x mu),
     normalized to 1 at the starting endpoint.  nu psi'' = (lam - A) psi.
+    Without ``x_match`` both cover the whole line with dense output; with it
+    each stops at x_match, where sol.y[:, -1] holds (psi, psi').
     """
 
     def rhs(x, y):
         return [y[1], (lam - A(x)) / nu * y[0]]
 
-    sol_p = solve_ivp(rhs, (x_far, -x_far), [1.0 + 0j, -mu], method="DOP853",
+    dense = x_match is None
+    end_p, end_m = (-x_far, x_far) if dense else (x_match, x_match)
+    sol_p = solve_ivp(rhs, (x_far, end_p), [1.0 + 0j, -mu], method="DOP853",
                       rtol=1e-11, atol=1e-13, dense_output=dense)
-    sol_m = solve_ivp(rhs, (-x_far, x_far), [1.0 + 0j, mu], method="DOP853",
+    sol_m = solve_ivp(rhs, (-x_far, end_m), [1.0 + 0j, mu], method="DOP853",
                       rtol=1e-11, atol=1e-13, dense_output=dense)
     if not (sol_p.success and sol_m.success):
         raise NumericalError("decaying-solution integration failed")
@@ -274,18 +271,18 @@ def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0, x_match: fl
     the essential spectrum.
     """
     mu = _check_decay_parameter(lam, nu)
-    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far)
-    pp, dp = sol_p.sol(x_match)
-    pm, dm = sol_m.sol(x_match)
+    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far, x_match)
+    pp, dp = sol_p.y[:, -1]
+    pm, dm = sol_m.y[:, -1]
     return complex(pp * dm - pm * dp)
 
 
 def evans_condition(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> float:
     """Diagnostic ||M^{-1}|| of the 2x2 matching matrix (large near eigenvalues)."""
     mu = _check_decay_parameter(lam, nu)
-    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far)
-    pp, dp = sol_p.sol(0.0)
-    pm, dm = sol_m.sol(0.0)
+    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far, 0.0)
+    pp, dp = sol_p.y[:, -1]
+    pm, dm = sol_m.y[:, -1]
     M = np.array([[pp, pm], [dp, dm]])
     return float(np.linalg.norm(np.linalg.inv(M), 2))
 

@@ -86,11 +86,6 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
     return SpectralDiscretization(N, domain, map_scale, xi, nodes, D1, D2, D4, Dc)
 
 
-def diff_matrices(grid: SpectralDiscretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (D1, D2, D4) in physical coordinates, map factors folded in."""
-    return grid.D1, grid.D2, grid.D4
-
-
 def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray]]:
     """Constraint rows (row index, row vector) for a boundary-condition spec.
 

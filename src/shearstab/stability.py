@@ -170,6 +170,30 @@ def _install_bc(A, B, grid, bc):
     return A, B
 
 
+def _pencil_spectrum(profile, alpha, grid, eps, bc, param):
+    """Accepted eigenpairs of (U - c)(D2 - a^2) phi - U'' phi = eps (D2 - a^2)^2 phi.
+
+    eps = 0 is the Rayleigh pencil: the fourth-order term is then not formed.
+    ``bc`` names the boundary rows; ``param`` labels solver failures.
+    Returns (eigenvalues, modes, residuals, n_rejected).
+    """
+    if grid.domain != profile.domain:
+        raise ConfigurationError(
+            f"grid domain {grid.domain!r} does not match profile domain {profile.domain!r}"
+        )
+    U, d2U = _profile_diagonals(profile, grid)
+    ident = np.eye(grid.n_nodes)
+    M = grid.D2 - alpha**2 * ident
+    A = U[:, None] * M - np.diag(d2U)
+    if eps:
+        A = A - eps * (grid.D4 - 2.0 * alpha**2 * grid.D2 + alpha**4 * ident)
+    A = A.astype(complex)
+    B = M.astype(complex)
+    _install_bc(A, B, grid, bc)
+    scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
+    return _solve_pencil(A, B, alpha, param, scale)
+
+
 def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscretization) -> EigenSolution:
     """Discrete spectrum of (U - c)(D2 - alpha^2) phi = U'' phi.
 
@@ -178,18 +202,8 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    if grid.domain != profile.domain:
-        raise ConfigurationError(
-            f"grid domain {grid.domain!r} does not match profile domain {profile.domain!r}"
-        )
-    U, d2U = _profile_diagonals(profile, grid)
-    M = grid.D2 - alpha**2 * np.eye(grid.n_nodes)
-    A = (U[:, None] * M - np.diag(d2U)).astype(complex)
-    B = M.astype(complex)
-    _install_bc(A, B, grid, "dirichlet")
-    scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
-    eigenvalues, modes, residuals, nrej = _solve_pencil(A, B, alpha, "inviscid", scale)
-    return EigenSolution(alpha, np.inf, eigenvalues, modes, residuals, nrej)
+    found = _pencil_spectrum(profile, alpha, grid, 0.0, "dirichlet", "inviscid")
+    return EigenSolution(alpha, np.inf, *found)
 
 
 def rayleigh_resolvent(
@@ -238,10 +252,6 @@ def os_spectrum(
     """
     if alpha <= 0 or Re <= 0:
         raise ConfigurationError("alpha and Re must be positive")
-    if grid.domain != profile.domain:
-        raise ConfigurationError(
-            f"grid domain {grid.domain!r} does not match profile domain {profile.domain!r}"
-        )
     n_guide = 4.0 * Re**0.25
     if grid.N < n_guide:
         warnings.warn(
@@ -249,16 +259,8 @@ def os_spectrum(
             stacklevel=2,
         )
     eps = 1.0 / (1j * alpha * Re)
-    U, d2U = _profile_diagonals(profile, grid)
-    ident = np.eye(grid.n_nodes)
-    M = grid.D2 - alpha**2 * ident
-    biharm = grid.D4 - 2.0 * alpha**2 * grid.D2 + alpha**4 * ident
-    A = (U[:, None] * M - np.diag(d2U) - eps * biharm).astype(complex)
-    B = M.astype(complex)
-    _install_bc(A, B, grid, "clamped")
-    scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
-    eigenvalues, modes, residuals, nrej = _solve_pencil(A, B, alpha, Re, scale)
-    return EigenSolution(alpha, float(Re), eigenvalues, modes, residuals, nrej)
+    found = _pencil_spectrum(profile, alpha, grid, eps, "clamped", Re)
+    return EigenSolution(alpha, float(Re), *found)
 
 
 def _default_grid(profile: ShearProfile, Re: float, N: int | None, map_scale: float):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from shearstab.errors import EssentialSpectrumError, QuadratureError
+from shearstab.errors import ContourCrossesSpectrumError, EssentialSpectrumError, QuadratureError
 from shearstab.resolvent import (
+    ContourSpec,
+    _refine,
     evans_condition,
     evans_det,
     evans_locate,
     heat_green,
     parabolic_green,
     semigroup_apply,
-    three_segment_contour,
 )
 
 
@@ -68,13 +69,51 @@ class TestSemigroup:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((4, 4))
         P = float(np.max(np.linalg.eigvals(A).real)) + 0.5
-        contour = three_segment_contour(P, 10.0)
+        contour = ContourSpec(P, 10.0)
         x0 = rng.standard_normal(4)
         n1 = np.linalg.norm(semigroup_apply(A, x0, 1.0, contour))
         C_P = n1 / (np.exp(P) * np.linalg.norm(x0))
         for t in (2.0, 4.0):
             nt = np.linalg.norm(semigroup_apply(A, x0, t, contour))
             assert nt <= 2.0 * max(C_P, 1.0) * np.exp(P * t) * np.linalg.norm(x0)
+
+    def test_contour_through_eigenvalue(self):
+        # B = 0 collapses the vertical segment onto lambda = P = 1, an
+        # eigenvalue of A
+        A = np.diag([1.0, -1.0])
+        with pytest.raises(ContourCrossesSpectrumError, match=r"lambda=\(1\+0j\)"):
+            semigroup_apply(A, np.array([1.0, 1.0]), 1.0, ContourSpec(1.0, 0.0))
+
+
+class TestRefine:
+    def test_never_settles_raises(self):
+        calls = []
+
+        def one_pass(n):
+            calls.append(n)
+            return np.array([1.0 / np.log(n)])
+
+        with pytest.raises(QuadratureError, match="slow pass did not converge"):
+            _refine(one_pass, 8, 1e-10, "slow pass", max_passes=5)
+        assert calls == [8, 16, 32, 64, 128]
+
+    def test_returns_first_agreeing_pair(self):
+        values = {4: 1.0, 8: 0.5, 16: 0.5 + 1e-13, 32: 7.0}
+        calls = []
+
+        def one_pass(n):
+            calls.append(n)
+            return np.array([values[n]])
+
+        val, change = _refine(one_pass, 4, 1e-10, "table")
+        assert calls == [4, 8, 16]
+        assert val[0] == values[16]
+        assert change == pytest.approx(1e-13, rel=1e-3)
+
+    def test_floor_admits_change(self):
+        values = {4: 1.0, 8: 1.0 + 1e-6}
+        val, _ = _refine(lambda n: np.array([values[n]]), 4, 1e-10, "floor", floor=1e-5)
+        assert val[0] == values[8]
 
 
 class TestHeatGreen:

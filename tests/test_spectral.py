@@ -3,7 +3,7 @@ import pytest
 
 from shearstab.errors import ConfigurationError
 from shearstab.profiles import CHANNEL, HALF_LINE
-from shearstab.spectral import apply_bc, bc_rows, build_grid, diff_matrices
+from shearstab.spectral import apply_bc, bc_rows, build_grid
 
 
 class TestBuildGrid:
@@ -33,7 +33,7 @@ class TestBuildGrid:
 class TestDiffMatrices:
     def test_constant_and_coordinate(self):
         g = build_grid(32, CHANNEL)
-        D1, D2, D4 = diff_matrices(g)
+        D1 = g.D1
         N = g.N
         assert np.max(np.abs(D1 @ np.ones(N + 1))) <= 1e-12 * N**2
         assert np.max(np.abs(D1 @ g.nodes - 1.0)) <= 1e-10 * N**2
