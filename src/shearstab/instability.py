@@ -37,7 +37,7 @@ from .errors import (
     WindowError,
 )
 from .profiles import TORUS, ShearProfile
-from .resolvent import TOL, _gauss_nodes, _refine, default_contour_for, semigroup_apply
+from .resolvent import _gauss_nodes, _refine, default_contour_for, semigroup_apply
 
 __all__ = [
     "BootstrapResult",
@@ -111,7 +111,7 @@ def duhamel_term(
             for ti, wi in zip(tau, wt)
         )
 
-    return _refine(one_pass, 8, TOL, "Duhamel quadrature", max_passes=7)[0]
+    return _refine(one_pass, 8, "Duhamel quadrature", max_passes=7)[0]
 
 
 def ode_bootstrap(

@@ -12,7 +12,7 @@ collapses to a Gaussian-damped real integral.
 Every quadrature of this layer (and ``instability.duhamel_term``) doubles
 its Gauss-Legendre nodes in ``_refine`` until two passes agree, on the rule
 cached by ``_gauss_nodes``; a semigroup pass solves the resolvent systems of
-all its nodes in one stacked solve.
+all its nodes in stacked solves of at most MAX_STACK matrix entries each.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
 N_NODES = 32         # initial Gauss-Legendre nodes per semigroup segment
 TOL = 1e-10          # agreement of two successive passes, relative to 1 + max|value|
 MAX_PASSES = 10
+MAX_STACK = 2**18    # matrix entries of (lambda - A) solved in one stacked call
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,10 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _refine(one_pass, n0, tol, what, floor=0.0, max_passes=MAX_PASSES):
+def _refine(one_pass, n0, what, floor=0.0, max_passes=MAX_PASSES):
     """Evaluate one_pass(n) for n = n0, 2 n0, ... until two passes agree.
 
-    Agreement is max|val - prev| < tol (1 + max|val|) + floor.  Returns the
+    Agreement is max|val - prev| < TOL (1 + max|val|) + floor.  Returns the
     last value and that change; raises QuadratureError after max_passes.
     """
     prev, change, n = None, np.inf, n0
@@ -82,21 +83,34 @@ def _refine(one_pass, n0, tol, what, floor=0.0, max_passes=MAX_PASSES):
         val = one_pass(n)
         if prev is not None:
             change = np.max(np.abs(val - prev))
-            if change < tol * (1 + np.max(np.abs(val))) + floor:
+            if change < TOL * (1 + np.max(np.abs(val))) + floor:
                 return val, change
         prev, n = val, 2 * n
     raise QuadratureError(f"{what} did not converge (last change {change:.3e})")
 
 
 def _resolvent_sum(A, x0, t, lam, dlam, weights):
-    """(1/2 pi i) sum_j w_j e^{lam_j t} dlam_j (lam_j - A)^{-1} x0."""
-    M = lam[:, None, None] * np.eye(A.shape[0]) - A
-    try:
-        R = np.linalg.solve(M, x0)
-    except np.linalg.LinAlgError as exc:
-        bad = lam[np.argmin(np.abs(np.linalg.det(M)))]
-        raise ContourCrossesSpectrumError(f"(lambda - A) singular at lambda={bad}") from exc
-    return (weights * np.exp(lam * t) * dlam) @ R / (2j * np.pi)
+    """(1/2 pi i) sum_j w_j e^{lam_j t} dlam_j (lam_j - A)^{-1} x0.
+
+    The systems are solved stacked, at most MAX_STACK matrix entries at a
+    time, so memory stays bounded for large A and long contours.
+    """
+    dim = A.shape[0]
+    coef = weights * np.exp(lam * t) * dlam
+    # x0 as a (1, dim, 1) matrix: a 1-D right-hand side is a vector against
+    # a stack only under NumPy >= 2
+    rhs = x0[None, :, None]
+    step = max(1, MAX_STACK // dim**2)
+    total = np.zeros(dim, dtype=complex)
+    for i in range(0, lam.size, step):
+        M = lam[i:i + step, None, None] * np.eye(dim) - A
+        try:
+            R = np.linalg.solve(M, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            bad = lam[i + np.argmin(np.abs(np.linalg.det(M)))]
+            raise ContourCrossesSpectrumError(f"(lambda - A) singular at lambda={bad}") from exc
+        total += coef[i:i + step] @ R
+    return total / (2j * np.pi)
 
 
 def _three_segment_nodes(P, B, ray_len, n):
@@ -143,7 +157,7 @@ def semigroup_apply(
             lam = radius * np.exp(1j * s)
             return _resolvent_sum(A, x0, t, lam, 1j * lam, w)
 
-        return _refine(circle_pass, N_NODES, TOL, "closed-contour quadrature at t=0")[0]
+        return _refine(circle_pass, N_NODES, "closed-contour quadrature at t=0")[0]
 
     # e^{Re lambda t} along the rays decays like e^{(P - s) t}
     ray_len = 40.0 / t + contour.B
@@ -154,7 +168,7 @@ def semigroup_apply(
     def segment_pass(n):
         return _resolvent_sum(A, x0, t, *_three_segment_nodes(contour.P, contour.B, ray_len, n))
 
-    return _refine(segment_pass, N_NODES, TOL, "three-segment quadrature", floor)[0]
+    return _refine(segment_pass, N_NODES, "three-segment quadrature", floor)[0]
 
 
 def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = False):
@@ -180,7 +194,7 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
         integrand = np.exp(nu * t * s**2 - d * s)
         return np.sum(w * integrand) / (2.0 * np.pi)
 
-    val, change = _refine(one_pass, 64, TOL, "heat-parabola quadrature")
+    val, change = _refine(one_pass, 64, "heat-parabola quadrature")
     # explicit tail bound of the integrand
     tail = np.exp(nu * t * (a**2 - K**2) - d * a) / (2.0 * np.pi)
     if tail > 1e-12 * (1 + abs(val)):

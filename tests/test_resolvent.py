@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shearstab import resolvent
 from shearstab.errors import ContourCrossesSpectrumError, EssentialSpectrumError, QuadratureError
 from shearstab.resolvent import (
     ContourSpec,
@@ -84,6 +85,23 @@ class TestSemigroup:
         with pytest.raises(ContourCrossesSpectrumError, match=r"lambda=\(1\+0j\)"):
             semigroup_apply(A, np.array([1.0, 1.0]), 1.0, ContourSpec(1.0, 0.0))
 
+    def test_chunked_solve_matches_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 4))
+        x0 = rng.standard_normal(4)
+        whole = [semigroup_apply(A, x0, t) for t in (0.0, 1.0)]
+        # 7 nodes per stacked solve: every pass spans several chunks
+        monkeypatch.setattr(resolvent, "MAX_STACK", 7 * 16)
+        for t, ref in zip((0.0, 1.0), whole):
+            assert np.max(np.abs(semigroup_apply(A, x0, t) - ref)) < 1e-13
+
+    def test_contour_through_eigenvalue_chunked(self, monkeypatch):
+        # the singular node lies in a later chunk; the error must still name it
+        monkeypatch.setattr(resolvent, "MAX_STACK", 5 * 4)
+        A = np.diag([1.0, -1.0])
+        with pytest.raises(ContourCrossesSpectrumError, match=r"lambda=\(1\+0j\)"):
+            semigroup_apply(A, np.array([1.0, 1.0]), 1.0, ContourSpec(1.0, 0.0))
+
 
 class TestRefine:
     def test_never_settles_raises(self):
@@ -94,7 +112,7 @@ class TestRefine:
             return np.array([1.0 / np.log(n)])
 
         with pytest.raises(QuadratureError, match="slow pass did not converge"):
-            _refine(one_pass, 8, 1e-10, "slow pass", max_passes=5)
+            _refine(one_pass, 8, "slow pass", max_passes=5)
         assert calls == [8, 16, 32, 64, 128]
 
     def test_returns_first_agreeing_pair(self):
@@ -105,14 +123,14 @@ class TestRefine:
             calls.append(n)
             return np.array([values[n]])
 
-        val, change = _refine(one_pass, 4, 1e-10, "table")
+        val, change = _refine(one_pass, 4, "table")
         assert calls == [4, 8, 16]
         assert val[0] == values[16]
         assert change == pytest.approx(1e-13, rel=1e-3)
 
     def test_floor_admits_change(self):
         values = {4: 1.0, 8: 1.0 + 1e-6}
-        val, _ = _refine(lambda n: np.array([values[n]]), 4, 1e-10, "floor", floor=1e-5)
+        val, _ = _refine(lambda n: np.array([values[n]]), 4, "floor", floor=1e-5)
         assert val[0] == values[8]
 
 
