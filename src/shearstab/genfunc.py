@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 import sympy as sp
 
-from .errors import ConfigurationError, InputError, RegionError
+from .errors import ConfigurationError, InputError, QuadratureError, RegionError
 
 Y = sp.Symbol("y", real=True, nonnegative=True)
 
@@ -87,9 +87,9 @@ def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
     """Weighted sup norm sup_y phi(y)^ell |f(y)| (optionally layer-damped).
 
     ``f`` is either a callable or a pair (y, values).  A callable is sampled
-    on up to four refining geometric grids; the sup returns as soon as two
-    grids agree to 1e-6 relative, and otherwise the fourth grid's sup is
-    returned without an error.
+    on up to eight refining geometric grids; the sup returns as soon as two
+    successive grids agree to 1e-6 relative, and QuadratureError is raised
+    when no two do.
     """
     if flavor not in (WITH_BL, WITHOUT_BL):
         raise ConfigurationError(f"unknown norm flavor {flavor!r}")
@@ -104,15 +104,20 @@ def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
 
     if callable(f):
         prev = None
-        for refine in range(4):
+        for refine in range(8):
             y = sample_grid(params.delta, refine=refine)
             cur = sup_on(y, np.asarray(f(y)))
-            # purely relative criterion: refinement decisions are invariant
-            # under scaling f, keeping norm identities exactly homogeneous
-            if prev is not None and abs(cur - prev) <= 1e-6 * max(cur, 1e-300):
-                return cur
+            if prev is not None:
+                change = abs(cur - prev)
+                # purely relative criterion: refinement decisions are invariant
+                # under scaling f, keeping norm identities exactly homogeneous
+                if change <= 1e-6 * max(cur, 1e-300):
+                    return cur
             prev = cur
-        return cur
+        raise QuadratureError(
+            "weighted sup did not settle on 8 grids "
+            f"(last relative change {change / max(cur, 1e-300):.3e})"
+        )
     y, vals = np.asarray(f[0], dtype=float), np.asarray(f[1])
     if y.size == 0:
         raise InputError("empty sample")
@@ -468,28 +473,15 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
 
     zs = [(z1, z2) for z1 in (0.0, 0.25, 0.5) for z2 in (0.1, 0.25, 0.5)]
 
-    def a_of(s):
-        return lambda p: s(*p) + s.dz1()(*p) + s.dz2()(*p)
-
     lhs_dy = [G_vdyg(*p) for p in zs]
     rhs_dy = [(G0_v(*p) + G0_u.dz1()(*p)) * Gd_g.dz2()(*p) for p in zs]
     C_dy = _ratio_sup(lhs_dy, rhs_dy)
 
-    A_t = a_of(Gd_t)
-    A_g = a_of(Gd_g)
-
-    def B(p):
-        return G0_u(*p) + G0_v(*p) + G0_u.dz1()(*p) + A_g(p)
-
-    def dB(p, which):
-        if which == 1:
-            return (G0_u.dz1()(*p) + G0_v.dz1()(*p) + G0_u.dz1().dz1()(*p)
-                    + Gd_g.dz1()(*p) + Gd_g.dz1().dz1()(*p) + Gd_g.dz2().dz1()(*p))
-        return (G0_u.dz2()(*p) + G0_v.dz2()(*p) + G0_u.dz1().dz2()(*p)
-                + Gd_g.dz2()(*p) + Gd_g.dz1().dz2()(*p) + Gd_g.dz2().dz2()(*p))
-
-    lhs_t = [A_t(p) for p in zs]
-    rhs_t = [B(p) * dB(p, 1) + B(p) * dB(p, 2) for p in zs]
+    A_t = Gd_t + Gd_t.dz1() + Gd_t.dz2()
+    B = G0_u + G0_v + G0_u.dz1() + Gd_g + Gd_g.dz1() + Gd_g.dz2()
+    B_1, B_2 = B.dz1(), B.dz2()
+    lhs_t = [A_t(*p) for p in zs]
+    rhs_t = [B(*p) * B_1(*p) + B(*p) * B_2(*p) for p in zs]
     C_transport = _ratio_sup(lhs_t, rhs_t)
 
     return {

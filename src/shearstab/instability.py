@@ -6,23 +6,27 @@ small amplitude epsilon whose terms grow like e^{n lambda t}:
 - ``ode_bootstrap``: the approximate solution phi_app = sum phi_i of a
   quadratic ODE  phi' = A phi + Q(phi, phi)  started on an unstable
   eigenvector, with measured iteration constants, an amplitude-floor escape
-  time, and the truncation residual.
+  time, and the truncation residual.  All terms come from one dense-output
+  integration, sampled once per time grid.
 - ``riccati_exact``: the closed-form solution of the scalar model
   phi' = eps phi + alpha phi^2, including its blow-up time (alpha > 0) and
   saturation limit (alpha < 0).
 - ``hopf_series`` / ``hopf_majorant``: the instability series of the scalar
   conservation-type equation  u_t + u u_z = alpha u  built by an exact Fourier
-  recurrence, together with a truncated generator-function majorant
+  recurrence on one coefficient table (term x mode, products by
+  ``np.convolve``), together with a truncated generator-function majorant
   G_N(t, z) = sum_k Gen(u_k)(z) t^{k-1} verified to satisfy the differential
   inequality  alpha dG/dt - G dG/dz <= 0  and traced along characteristics.
 - ``euler_series``: the truncated instability series of the 2D Euler
   equations about a periodic shear flow (Kolmogorov type), with each term
-  obtained from a block-diagonal Fourier-Galerkin solve.
+  obtained from one stacked solve over the x-wavenumber blocks of a
+  Fourier-Galerkin discretization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -196,20 +200,21 @@ def ode_bootstrap(
     if not sol.success:
         raise NonconvergenceError("bootstrap term integration failed: " + sol.message)
 
-    def psi_at(t):
-        """psi_1..psi_N at a single time t, as a list of length-d arrays."""
-        return [psi1(t)] + unpack(sol.sol(t))
+    def psi_on(ts):
+        """psi_1..psi_N at the times ts, as an (N, nt, d) array, from one
+        dense-output call."""
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((N, ts.size, d), dtype=complex)
+        out[0] = psi1(ts[:, None])
+        out[1:] = sol.sol(ts).reshape(n_extra, d, ts.size).transpose(0, 2, 1)
+        return out
 
-    nt = t_grid.size
-    psi_terms = [np.empty((nt, d), dtype=complex) for _ in range(N)]
-    for a, t in enumerate(t_grid):
-        for i, p in enumerate(psi_at(t)):
-            psi_terms[i][a] = p
+    psis = psi_on(t_grid)
 
     # measured iteration constants (in psi scale they are epsilon-free)
     decay = np.exp(-lam.real * t_grid)
     C = tuple(
-        float(np.max(np.max(np.abs(psi_terms[i]), axis=1) * decay ** (i + 1)))
+        float(np.max(np.max(np.abs(psis[i]), axis=1) * decay ** (i + 1)))
         for i in range(N)
     )
 
@@ -224,18 +229,18 @@ def ode_bootstrap(
     T1 = -np.log(epsilon) / lam.real - sigma
 
     eps_pow = epsilon ** np.arange(1, N + 1)
-    terms = tuple(eps_pow[i] * psi_terms[i] for i in range(N))
-    approx = np.sum(np.stack(terms), axis=0)
+    phis = eps_pow[:, None, None] * psis
+    terms = tuple(phis)
+    approx = np.sum(phis, axis=0)
 
     # truncation residual: the dropped quadratic interactions with j+k > N
-    residual = np.empty(nt)
-    for a, t in enumerate(t_grid):
-        psis = psi_at(t)
+    residual = np.empty(t_grid.size)
+    for a in range(t_grid.size):
         r = np.zeros(d, dtype=complex)
         for j in range(1, N + 1):
             for k in range(max(1, N + 1 - j), N + 1):
                 r = r + eps_pow[j - 1] * eps_pow[k - 1] * np.asarray(
-                    Q(psis[j - 1], psis[k - 1]), dtype=complex
+                    Q(psis[j - 1, a], psis[k - 1, a]), dtype=complex
                 )
         residual[a] = np.max(np.abs(r))
 
@@ -252,14 +257,12 @@ def ode_bootstrap(
         slope = float("nan")
 
     # observed escape time: first crossing of the amplitude floor sigma0
-    def amp_at(t):
-        return float(np.max(np.abs(np.sum(
-            [eps_pow[i] * p for i, p in enumerate(psi_at(t))], axis=0))))
+    def amp_on(ts):
+        return np.max(np.abs(np.sum(eps_pow[:, None, None] * psi_on(ts), axis=0)), axis=1)
 
     escape = float("nan")
     ts = np.linspace(0.0, t_max, 4001)
-    vals = np.array([amp_at(t) for t in ts])
-    above = vals >= sigma0
+    above = amp_on(ts) >= sigma0
     if above[0]:
         escape = 0.0
     elif np.any(above):
@@ -267,7 +270,7 @@ def ode_bootstrap(
         lo, hi = ts[b - 1], ts[b]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if amp_at(mid) >= sigma0:
+            if amp_on([mid])[0] >= sigma0:
                 hi = mid
             else:
                 lo = mid
@@ -351,55 +354,52 @@ def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> Riccat
 # Hopf toy model: exact Fourier recurrence and generator majorant
 # ----------------------------------------------------------------------------
 
-def _fourier_deriv(c: dict[int, complex]) -> dict[int, complex]:
-    return {m: 1j * m * v for m, v in c.items() if m != 0}
-
-
-def _fourier_conv(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
-    out: dict[int, complex] = {}
-    for m1, v1 in a.items():
-        for m2, v2 in b.items():
-            out[m1 + m2] = out.get(m1 + m2, 0.0) + v1 * v2
-    return out
-
-
-def _fourier_eval(c: dict[int, complex], z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape, dtype=complex)
-    for m, v in c.items():
-        out += v * np.exp(1j * m * z)
-    return out
-
-
 _Z_GRID = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
 
 
-@dataclass
+def _transport(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i d_z b_i for rows a_i, b_i of coefficient tables on the modes
+    -K..K, truncated to those modes."""
+    K = a.shape[-1] // 2
+    db = 1j * np.arange(-K, K + 1) * b
+    return sum(np.convolve(ai, bi) for ai, bi in zip(a, db))[K:3 * K + 1]
+
+
+@dataclass(frozen=True, eq=False)
 class HopfSeries:
     """Instability series u(t, z) = sum_n e^{n alpha t} u_n(z) of
-    u_t + u u_z = alpha u, with u_n a trigonometric polynomial stored as a
-    Fourier-coefficient dict.  Majorant fields are filled by
-    ``hopf_majorant``: ``majorant[k][m] = sup |d^m u_k| for m <= N-k`` (the
-    truncated generator table), ``M0 = Gen(u_1)(eta0)``, and ``phi_t`` the
-    ramp 1 - 3 M0 t / (alpha eta0)."""
+    u_t + u u_z = alpha u.  ``coeffs[n-1, K+m]`` is the coefficient of
+    e^{i m z} in u_n on the modes -K..K, K = N max|m| over the modes of u_1,
+    which holds every term exactly; ``terms`` gives the nonzero entries of
+    each row as a dict.  Grid values come from one exp(i m z) matrix on the
+    shared z-grid, built once per series."""
 
     alpha: float
-    terms: tuple[dict[int, complex], ...]
-    majorant: list[np.ndarray] | None = field(default=None)
-    M0: float | None = field(default=None)
-    eta0: float | None = field(default=None)
-    phi_t: Callable[[float], float] | None = field(default=None)
+    coeffs: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.terms)
+        return self.coeffs.shape[0]
 
-    def evaluate(self, n: int, z) -> np.ndarray:
-        """u_n at points z (real part; the series of a real u_1 is real)."""
-        return _fourier_eval(self.terms[n - 1], z).real
+    @property
+    def modes(self) -> np.ndarray:
+        K = self.coeffs.shape[1] // 2
+        return np.arange(-K, K + 1)
+
+    @property
+    def terms(self) -> tuple[dict[int, complex], ...]:
+        return tuple(
+            {int(m): complex(v) for m, v in zip(self.modes, row) if v != 0}
+            for row in self.coeffs
+        )
+
+    @cached_property
+    def _exp_grid(self) -> np.ndarray:
+        """exp(i m z) on ``_Z_GRID`` (rows) for the table's modes (columns)."""
+        return np.exp(1j * np.outer(_Z_GRID, self.modes))
 
     def sup_norm(self, n: int) -> float:
-        return float(np.max(np.abs(_fourier_eval(self.terms[n - 1], _Z_GRID))))
+        return float(np.max(np.abs(self._exp_grid @ self.coeffs[n - 1])))
 
     def sup_ratio(self, n_min: int = 5) -> float:
         """Bound R on successive sup-norm ratios; the series converges for
@@ -416,38 +416,24 @@ class HopfSeries:
 
     def recurrence_residual(self, n: int) -> float:
         """sup |(n-1) alpha u_n + sum_k u_k d_z u_{n-k}| from exact coefficients."""
-        acc = {m: (n - 1) * self.alpha * v for m, v in self.terms[n - 1].items()}
-        for k in range(1, n):
-            for m, v in _fourier_conv(
-                self.terms[k - 1], _fourier_deriv(self.terms[n - k - 1])
-            ).items():
-                acc[m] = acc.get(m, 0.0) + v
-        return float(sum(abs(v) for v in acc.values()))
-
-    def partial_sum(self, t: float, z, N: int | None = None) -> np.ndarray:
-        N = self.order if N is None else N
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape, dtype=complex)
-        for n in range(1, N + 1):
-            out += np.exp(n * self.alpha * t) * _fourier_eval(self.terms[n - 1], z)
-        return out.real
+        c = self.coeffs
+        acc = (n - 1) * self.alpha * c[n - 1] + _transport(c[:n - 1], c[n - 2::-1])
+        return float(np.sum(np.abs(acc)))
 
     def residual_sup(self, t: float, N: int | None = None) -> float:
         """sup_z of the defect of the order-N partial sum in u_t + u u_z = alpha u.
 
         Only dropped interactions j + k > N survive, so the defect is
-        sum_{j,k<=N, j+k>N} e^{(j+k) alpha t} u_j d_z u_k.
+        sum_{j,k<=N, j+k>N} e^{(j+k) alpha t} u_j d_z u_k, summed pointwise
+        on the grid.
         """
         N = self.order if N is None else N
-        acc: dict[int, complex] = {}
-        for j in range(1, N + 1):
-            for k in range(max(1, N + 1 - j), N + 1):
-                w = np.exp((j + k) * self.alpha * t)
-                for m, v in _fourier_conv(
-                    self.terms[j - 1], _fourier_deriv(self.terms[k - 1])
-                ).items():
-                    acc[m] = acc.get(m, 0.0) + w * v
-        return float(np.max(np.abs(_fourier_eval(acc, _Z_GRID))))
+        jk = np.add.outer(np.arange(1, N + 1), np.arange(1, N + 1))
+        w = np.where(jk > N, np.exp(jk * self.alpha * t), 0.0)
+        c = self.coeffs[:N]
+        u = self._exp_grid @ c.T
+        du = self._exp_grid @ (1j * self.modes * c).T
+        return float(np.max(np.abs(np.einsum("jk,zj,zk->z", w, u, du, optimize=True))))
 
 
 def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
@@ -455,40 +441,34 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
 
     ``u1`` maps Fourier mode numbers to coefficients (cos z is
     {1: 0.5, -1: 0.5}).  The arithmetic is exact on trigonometric
-    polynomials; mode support grows linearly with n.
+    polynomials; mode support grows linearly with n, so the table on
+    -N max|m|..N max|m| truncates nothing.
     """
     if not (alpha > 0):
         raise ConfigurationError("alpha must be positive")
     if N < 1:
         raise ConfigurationError("N must be at least 1")
     first = {int(m): complex(v) for m, v in dict(u1).items() if v != 0}
-    terms = [first]
+    K = N * max(map(abs, first), default=0)
+    c = np.zeros((N, 2 * K + 1), dtype=complex)
+    for m, v in first.items():
+        c[0, K + m] = v
     for n in range(2, N + 1):
-        acc: dict[int, complex] = {}
-        for k in range(1, n):
-            for m, v in _fourier_conv(
-                terms[k - 1], _fourier_deriv(terms[n - k - 1])
-            ).items():
-                acc[m] = acc.get(m, 0.0) + v
-        terms.append({m: -v / ((n - 1) * alpha) for m, v in acc.items() if v != 0})
-    return HopfSeries(alpha=float(alpha), terms=tuple(terms))
+        c[n - 1] = -_transport(c[:n - 1], c[n - 2::-1]) / ((n - 1) * alpha)
+    return HopfSeries(alpha=float(alpha), coeffs=c)
 
 
-def _gen_tables(gens: list[np.ndarray]):
-    """Coefficient tables of G_N, dG_N/dt and dG_N/dz for ``_gen_eval``.
+def _gen_tables(table: np.ndarray):
+    """Coefficient tables of dG_N/dt and dG_N/dz for ``_gen_eval``.
 
-    table[k-1, m] = gens[k-1][m] (zero beyond the row); the t-derivative
-    moves row k up by one with the factor k-1, the z-derivative moves every
-    row left by one column."""
-    N = len(gens)
-    table = np.zeros((N, N))
-    for k, row in enumerate(gens):
-        table[k, :row.size] = row
+    The t-derivative moves row k of the generator table up by one with the
+    factor k-1, the z-derivative moves every row left by one column."""
+    N = table.shape[0]
     table_t = np.zeros((N, N))
     table_t[:-1] = np.arange(1, N)[:, None] * table[1:]
     table_z = np.zeros((N, N))
     table_z[:, :-1] = table[:, 1:]
-    return table, table_t, table_z
+    return table_t, table_z
 
 
 def _gen_eval(table: np.ndarray, t, z) -> np.ndarray:
@@ -525,7 +505,8 @@ def hopf_majorant(
     window t <= alpha eta0 / (6 M0).
 
     The truncated generator is stored as one N x N upper-left triangular
-    matrix, table[k-1, m] = sup|d^m u_k| (zero for m > N-k), and G is the
+    matrix, table[k-1, m] = sup|d^m u_k| (zero for m > N-k), returned as
+    ``report["majorant"]``; the series itself is left unchanged.  G is the
     contraction t-powers . table . z-powers/m! (``_gen_eval``).  G_t and G_z
     are the same contraction of the table shifted by one row with the
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
@@ -537,20 +518,15 @@ def hopf_majorant(
     N = series.order
     alpha = series.alpha
 
-    # shared-grid derivative sup norms: gens[k-1][m] = sup |d^m u_k|, m <= N-k,
-    # from one exp(i m z) matrix per term and one product over the orders m
-    gens: list[np.ndarray] = []
-    for k in range(1, N + 1):
-        c = series.terms[k - 1]
-        row = np.zeros(N - k + 1)
-        if c:
-            modes = np.array(list(c), dtype=float)
-            coef = np.array(list(c.values()), dtype=complex)
-            dcoef = coef[:, None] * (1j * modes[:, None]) ** np.arange(N - k + 1)
-            E = np.exp(1j * np.outer(_Z_GRID, modes))
-            row = np.max(np.abs(E @ dcoef), axis=0)
-        gens.append(row)
-    table, table_t, table_z = _gen_tables(gens)
+    # shared-grid derivative sup norms: table[k-1, m] = sup |d^m u_k| for
+    # m <= N-k (zero beyond), one product with the series' exp(i m z) matrix
+    # per term
+    ikm = 1j * series.modes[:, None]
+    table = np.zeros((N, N))
+    for k in range(N):
+        dcoef = series.coeffs[k][:, None] * ikm ** np.arange(N - k)
+        table[k, :N - k] = np.max(np.abs(series._exp_grid @ dcoef), axis=0)
+    table_t, table_z = _gen_tables(table)
 
     M0 = float(_gen_eval(table, 0.0, eta0))
     if not np.isfinite(M0) or M0 <= 0:
@@ -617,11 +593,6 @@ def hopf_majorant(
     K_monotone_ok = bool(K_max_increase <= tol * (1.0 + M0))
     K_bound_ok = bool(K_max <= M0 * (1.0 + 1e-12) + tol)
 
-    series.majorant = gens
-    series.M0 = M0
-    series.eta0 = float(eta0)
-    series.phi_t = phi
-
     return {
         "order": N,
         "M0": M0,
@@ -636,6 +607,7 @@ def hopf_majorant(
         "K_monotone_ok": K_monotone_ok,
         "K_bound_ok": K_bound_ok,
         "characteristics": paths,
+        "majorant": table,
     }
 
 
@@ -649,23 +621,20 @@ def _toeplitz_conv(coef_hat: np.ndarray, m_list: np.ndarray) -> np.ndarray:
     coef_hat are fft coefficients (index = mode, modulo length); mode
     differences beyond the Nyquist range carry no coefficient and stay 0."""
     n = len(coef_hat)
-    M = np.zeros((m_list.size, m_list.size), dtype=complex)
-    for a, ma in enumerate(m_list):
-        for b, mb in enumerate(m_list):
-            diff = ma - mb
-            if -(n // 2) < diff < n // 2:
-                M[a, b] = coef_hat[diff % n]
-    return M
+    diff = np.subtract.outer(m_list, m_list)
+    return np.where(np.abs(diff) < n // 2, coef_hat[diff % n], 0.0)
 
 
-def _shear_block(U_hat, Upp_hat, kx: float, m_list: np.ndarray) -> np.ndarray:
+def _shear_block(U_hat, Upp_hat, kx, m_list: np.ndarray) -> np.ndarray:
     """Fourier-Galerkin block of the vorticity linearization at x-wavenumber kx.
 
     L w = U d_x w + v d_y Omega_s with Omega_s = -U', v = d_x psi and
     Delta psi = w, which reduces to  L = i kx (C_U + C_{U''} D),
-    D = diag(1/(kx^2 + m^2))."""
-    D = np.diag(1.0 / (kx**2 + m_list.astype(float) ** 2))
-    return 1j * kx * (_toeplitz_conv(U_hat, m_list) + _toeplitz_conv(Upp_hat, m_list) @ D)
+    D = diag(1/(kx^2 + m^2)).  An array of nonzero kx gives the stack of
+    their blocks."""
+    kx = np.asarray(kx, dtype=float)[..., None, None]
+    d = 1.0 / (kx**2 + m_list.astype(float) ** 2)
+    return 1j * kx * (_toeplitz_conv(U_hat, m_list) + _toeplitz_conv(Upp_hat, m_list) * d)
 
 
 def _unstable_eig(U_hat, Upp_hat, kx: float, m_list: np.ndarray):
@@ -692,6 +661,9 @@ def euler_series(
         (alpha n + L) omega_n = sum_{j+k=n} Q(u_j, omega_k),
     with u_j recovered from omega_j by the Biot-Savart law and
     Q(u, w) = -(u . grad) w evaluated pseudo-spectrally with 2/3 dealiasing.
+    The x-wavenumber blocks of L form one (Ng, Ng, Ng) stack; each order
+    tests all shifted blocks for resonance with one stacked SVD and solves
+    them with one stacked solve.
     """
     if profile.domain != TORUS:
         raise ConfigurationError("euler_series needs a periodic (torus) profile")
@@ -761,14 +733,10 @@ def euler_series(
         )
     eig_residual /= float(np.max(np.abs(w1)))
 
-    # per-x-wavenumber dense blocks for the shifted solves
-    blocks = {}
-    for p in px:
-        kx = kx0 * p
-        if kx == 0.0:
-            blocks[p] = np.zeros((Ng, Ng), dtype=complex)
-        else:
-            blocks[p] = _shear_block(U_hat, Upp_hat, kx, my)
+    # the stack of x-wavenumber blocks for the shifted solves (kx = 0: zero)
+    kx = kx0 * px
+    blocks = np.zeros((Ng, Ng, Ng), dtype=complex)
+    blocks[kx != 0] = _shear_block(U_hat, Upp_hat, kx[kx != 0], my)
 
     omega = [w1]
     h1_ratios = []
@@ -776,17 +744,17 @@ def euler_series(
         rhs_hat = np.zeros((Ng, Ng), dtype=complex)
         for j in range(1, n):
             rhs_hat += Q(omega[j - 1], omega[n - j - 1])
-        w_hat = np.zeros((Ng, Ng), dtype=complex)
         lam = alpha * n
-        for a, p in enumerate(px):
-            M = lam * np.eye(Ng) + blocks[p]
-            sv_min = np.min(np.linalg.svd(M, compute_uv=False))
-            if sv_min < 1e-10 * np.linalg.norm(M, np.inf):
-                raise ResonanceError(
-                    "shifted operator singular at order n=%d, x-wavenumber %g"
-                    % (n, kx0 * p)
-                )
-            w_hat[a] = np.linalg.solve(M, rhs_hat[a])
+        M = lam * np.eye(Ng) + blocks
+        sv_min = np.min(np.linalg.svd(M, compute_uv=False), axis=-1)
+        singular = sv_min < 1e-10 * np.linalg.norm(M, np.inf, axis=(-2, -1))
+        if np.any(singular):
+            raise ResonanceError(
+                "shifted operator singular at order n=%d, x-wavenumber %g"
+                % (n, kx[np.argmax(singular)])
+            )
+        # a column right-hand side reads the same under NumPy 1.x and 2.x
+        w_hat = np.linalg.solve(M, rhs_hat[..., None])[..., 0]
         omega.append(w_hat)
         nrm_f = np.linalg.norm(rhs_hat)
         h1_ratios.append(

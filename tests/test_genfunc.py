@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from shearstab.errors import ConfigurationError, InputError, RegionError
+from shearstab.errors import ConfigurationError, InputError, QuadratureError, RegionError
 from shearstab.genfunc import (
     GEN0,
     GEN_DELTA,
@@ -55,6 +55,27 @@ class TestBLNorm:
     def test_empty_sample(self, params):
         with pytest.raises(InputError):
             bl_norm((np.array([]), np.array([])), 0, params)
+
+    def test_unsettled_sup_raises(self, params):
+        # the sup grows with every grid, so no two grids ever agree
+        with pytest.raises(QuadratureError, match="did not settle"):
+            bl_norm(lambda y: np.full(y.shape, float(y.size)), 0, params, WITH_BL)
+
+    def test_layer_term_settles(self, params):
+        # the ell = 4 coefficient of test_scaling_homogeneity's G1 still moves
+        # by 2.1e-5 between the 3rd and 4th grids; the norm returns only once
+        # two successive grids agree to 1e-6
+        f = FourierMode(1, sp.diff(sp.exp(-(Y**2)), Y)).derivative(4)
+        grids = []
+
+        def recorded(y):
+            grids.append(y)
+            return f(y)
+
+        val = bl_norm(recorded, 4, params, WITH_BL)
+        prev, last = (bl_norm((y, f(y)), 4, params, WITH_BL) for y in grids[-2:])
+        assert val == last
+        assert abs(last - prev) <= 1e-6 * last
 
     def test_weight_shape(self):
         assert weight_phi(0.0) == 0.0

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.optimize import brentq
 
+from shearstab import instability
 from shearstab.errors import (
     ConfigurationError,
     InputError,
     NotUnstableError,
+    ResonanceError,
     WindowError,
 )
 from shearstab.instability import (
     _gen_eval,
     _gen_tables,
     _riccati_formula,
+    _shear_block,
+    _toeplitz_conv,
     duhamel_term,
     euler_series,
     hopf_majorant,
@@ -111,6 +116,22 @@ class TestOdeBootstrap:
         assert np.any(mask)
         assert np.max(diff[mask] / bound[sel][mask]) <= 2.0
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_escape_time_closed_form(self, eps):
+        # phi' = phi + phi^2 from eps e^t: phi_n = eps^n e^t (e^t - 1)^{n-1},
+        # so the escape time is the root of sum_{n<=5} phi_n = sigma0
+        tg = np.linspace(0.0, -np.log(eps) + 4.0, 81)
+        r = ode_bootstrap(
+            np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, eps, 5, tg
+        )
+
+        def excess(t):
+            e = np.exp(t)
+            return sum(eps**n * e * (e - 1.0) ** (n - 1) for n in range(1, 6)) - r.sigma0
+
+        root = brentq(excess, 0.0, tg[-1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(r.escape_time - root) <= 1e-12
+
     def test_bad_eigenpair(self):
         with pytest.raises(InputError):
             ode_bootstrap(
@@ -206,6 +227,45 @@ class TestHopfSeries:
         with pytest.raises(ConfigurationError):
             hopf_series(COS, -1.0, 5)
 
+    @pytest.mark.parametrize(
+        "u1, alpha, N",
+        [({1: 0.3, -1: 0.3, 2: 0.1j, -2: -0.1j}, 0.7, 10), (COS, 1.0, 20)],
+    )
+    def test_table_matches_dict_recurrence(self, u1, alpha, N):
+        s = hopf_series(u1, alpha, N)
+        for got, want in zip(s.terms, _dict_hopf_terms(u1, alpha, N)):
+            scale = max(abs(v) for v in want.values())
+            for m in set(got) | set(want):
+                assert abs(got.get(m, 0.0) - want.get(m, 0.0)) <= 1e-14 * scale
+
+    def test_cos_parity_support(self):
+        # u_n of cos z only has modes of the parity of n, exactly
+        s = hopf_series(COS, 1.0, 20)
+        for n, c in enumerate(s.terms, start=1):
+            assert all((m - n) % 2 == 0 for m in c)
+
+
+def _dict_hopf_terms(u1, alpha, N):
+    """The Hopf recurrence on Fourier-coefficient dicts, one scalar product
+    at a time: the reference for the coefficient table of ``hopf_series``."""
+
+    def conv_deriv(a, b):  # the coefficients of a d_z b
+        out = {}
+        for m1, v1 in a.items():
+            for m2, v2 in b.items():
+                if m2 != 0:
+                    out[m1 + m2] = out.get(m1 + m2, 0.0) + v1 * (1j * m2 * v2)
+        return out
+
+    terms = [{int(m): complex(v) for m, v in u1.items() if v != 0}]
+    for n in range(2, N + 1):
+        acc = {}
+        for k in range(1, n):
+            for m, v in conv_deriv(terms[k - 1], terms[n - k - 1]).items():
+                acc[m] = acc.get(m, 0.0) + v
+        terms.append({m: -v / ((n - 1) * alpha) for m, v in acc.items() if v != 0})
+    return terms
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -223,7 +283,9 @@ class TestHopfMajorant:
     def test_ramp_window(self, report):
         series, rep = report
         assert rep["phi_ok"]
-        assert series.phi_t(rep["T_ramp"]) == pytest.approx(0.5, abs=1e-12)
+        # T_ramp < t_max here, so the ramp is checked at T_c = T_ramp
+        assert rep["T_ramp"] < 0.05
+        assert rep["phi_min"] == pytest.approx(0.5, abs=1e-12)
         assert rep["T_ramp"] == pytest.approx(
             series.alpha * rep["eta0"] / (6.0 * rep["M0"])
         )
@@ -243,7 +305,7 @@ class TestHopfMajorant:
         # the t^{k-1} coefficient of G_N majorises sup|u_k|
         series, rep = report
         for k in range(1, series.order + 1):
-            assert series.majorant[k - 1][0] >= series.sup_norm(k) - 1e-12
+            assert rep["majorant"][k - 1][0] >= series.sup_norm(k) - 1e-12
 
     def test_bad_window(self):
         series = hopf_series(COS, 1.0, 6)
@@ -267,11 +329,11 @@ class TestHopfMajorant:
         np.testing.assert_array_equal(paths[0][:, 0], paths[-1][: len(paths[0]), 0])
 
     def test_fields_match_scalar_double_sum(self, report):
-        series, _ = report
-        gens = series.majorant
-        table, table_t, table_z = _gen_tables(gens)
+        _, rep = report
+        table = rep["majorant"]
+        table_t, table_z = _gen_tables(table)
         for t, z in [(0.0, 0.0), (0.0, 0.25), (0.01, 0.1), (0.03, 0.2), (0.05, 0.25)]:
-            G, G_t, G_z = _scalar_fields(gens, t, z)
+            G, G_t, G_z = _scalar_fields(table, t, z)
             assert _gen_eval(table, t, z) == pytest.approx(G, rel=1e-13)
             assert _gen_eval(table_t, t, z) == pytest.approx(G_t, rel=1e-13)
             assert _gen_eval(table_z, t, z) == pytest.approx(G_z, rel=1e-13)
@@ -279,7 +341,8 @@ class TestHopfMajorant:
 
 def _scalar_fields(gens, t, z):
     """G, G_t and G_z of the truncated generator as scalar double sums over
-    the terms k and the derivative orders m: the reference for ``_gen_eval``."""
+    the terms k and the derivative orders m: the reference for ``_gen_eval``.
+    ``gens[k-1]`` lists sup|d^m u_k| by m; zeros beyond m = N-k add nothing."""
 
     def poly(coef, z):
         return sum(c * z**m / math.factorial(m) for m, c in enumerate(coef))
@@ -328,3 +391,44 @@ class TestEulerSeries:
     def test_non_torus_rejected(self):
         with pytest.raises(ConfigurationError):
             euler_series(make_profile("poiseuille"), N=2, modes=16)
+
+    def test_resonance_names_first_wavenumber(self, euler_report, monkeypatch):
+        # make the shifted blocks at kx = 1 and kx = 1.5 singular at order 2
+        # (2 alpha + block = diag(0, 1, ..., 1)); the error names n and the
+        # first of them in fft order
+        alpha = euler_report["alpha_eig"]
+
+        def resonant(U_hat, Upp_hat, kx, m_list):
+            out = _shear_block(U_hat, Upp_hat, kx, m_list)
+            if np.ndim(kx) == 1:
+                rank_deficient = np.diag(np.r_[0.0, np.ones(m_list.size - 1)])
+                out[np.isin(kx, (1.0, 1.5))] = rank_deficient - 2 * alpha * np.eye(m_list.size)
+            return out
+
+        monkeypatch.setattr(instability, "_shear_block", resonant)
+        with pytest.raises(ResonanceError, match=r"order n=2, x-wavenumber 1$"):
+            euler_series(make_profile("kolmogorov"), N=4, modes=16)
+
+    def test_stacked_blocks_match_single(self):
+        rng = np.random.default_rng(3)
+        U_hat, Upp_hat = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+        m = np.fft.fftfreq(16, d=1.0 / 16).astype(int)
+        kx = 0.5 * np.array([1, 2, -3, -8])
+        stack = _shear_block(U_hat, Upp_hat, kx, m)
+        for block, k in zip(stack, kx):
+            np.testing.assert_array_equal(block, _shear_block(U_hat, Upp_hat, k, m))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_toeplitz_conv_matches_double_loop(n):
+    # m_list spans differences up to 2n - 2: at and beyond Nyquist the
+    # matrix entry has no coefficient and stays 0
+    rng = np.random.default_rng(n)
+    coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m_list = np.arange(-(n - 1), n)
+    ref = np.zeros((m_list.size, m_list.size), dtype=complex)
+    for a, ma in enumerate(m_list):
+        for b, mb in enumerate(m_list):
+            if -(n // 2) < ma - mb < n // 2:
+                ref[a, b] = coef[(ma - mb) % n]
+    np.testing.assert_array_equal(_toeplitz_conv(coef, m_list), ref)
