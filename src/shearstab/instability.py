@@ -455,6 +455,8 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
         c[0, K + m] = v
     for n in range(2, N + 1):
         c[n - 1] = -_transport(c[:n - 1], c[n - 2::-1]) / ((n - 1) * alpha)
+        # the transport sum is (1/2) d_z sum_k u_k u_{n-k}: its mean is zero
+        c[n - 1, K] = 0.0
     return HopfSeries(alpha=float(alpha), coeffs=c)
 
 
@@ -747,7 +749,7 @@ def euler_series(
         lam = alpha * n
         M = lam * np.eye(Ng) + blocks
         sv_min = np.min(np.linalg.svd(M, compute_uv=False), axis=-1)
-        singular = sv_min < 1e-10 * np.linalg.norm(M, np.inf, axis=(-2, -1))
+        singular = sv_min <= 1e-10 * np.linalg.norm(M, np.inf, axis=(-2, -1))
         if np.any(singular):
             raise ResonanceError(
                 "shifted operator singular at order n=%d, x-wavenumber %g"

@@ -1,9 +1,14 @@
 """Rayleigh and Orr-Sommerfeld eigenproblems and marginal-stability branches.
 
-Both problems are posed as generalized pencils A phi = c B phi with the
-boundary rows written into A (and zeroed in B), so the near-singular mass
-side is never inverted.  Spurious continuous-spectrum modes are filtered by
-an operator-scaled residual gate plus a Chebyshev-tail smoothness check.
+Both problems are posed as pencils A phi = c B phi with the boundary rows
+written into A (and zeroed in B).  One solve serves both: the boundary
+unknowns are eliminated through those rows, and the mass side B is
+inverted on the subspace of functions that meet the boundary conditions,
+where it is nonsingular.  That leaves one standard eigenproblem of order
+n - k (k boundary rows) with no infinite eigenvalues.  Spurious
+continuous-spectrum modes are filtered on the full pencil by an
+operator-scaled residual gate plus a Chebyshev-tail smoothness check, and
+the leading modes are polished by Rayleigh-quotient inverse iteration.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .spectral import SpectralDiscretization, bc_rows, build_grid
 
 RESIDUAL_GATE = 1e-6
 TAIL_GATE = 1e-3
+POLISH_FLOOR = 1e-12
 
 BRANCH_LOWER = "lower"
 BRANCH_UPPER = "upper"
@@ -69,42 +75,25 @@ def _profile_diagonals(profile: ShearProfile, grid: SpectralDiscretization):
     return U, d2U
 
 
-def _cheb_tail_fraction(phi: np.ndarray) -> float:
-    """Fraction of Chebyshev-coefficient mass in the top third of the spectrum."""
-    N = len(phi) - 1
-
-    def coeffs(v):
-        a = dct(v, type=1) / N
-        a[0] /= 2.0
-        a[-1] /= 2.0
-        return a
-
-    a = coeffs(np.ascontiguousarray(phi.real)) + 1j * coeffs(np.ascontiguousarray(phi.imag))
-    mag = np.abs(a)
-    total = mag.sum()
-    if total == 0:
-        return 1.0
-    return float(mag[2 * N // 3:].sum() / total)
-
-
-def _refine_eigenpair(A, B, c, phi, scale, iters=2):
+def _refine_eigenpair(A, B, c, phi, iters=2):
     """Rayleigh-quotient inverse iteration on the pencil.
 
-    QZ backward error grows with ||A|| and pollutes eigenvalues of large
-    ill-conditioned pencils; a couple of shift-invert steps with a two-sided
-    Rayleigh quotient restores them to the accuracy of the matrix entries.
-    Falls back to the input pair when a solve degenerates or the update
-    jumps away from the starting eigenvalue.
+    The eigensolver's backward error grows with the operator norm and
+    pollutes eigenvalues of large ill-conditioned pencils; a couple of
+    shift-invert steps with a two-sided Rayleigh quotient restores them to
+    the accuracy of the matrix entries.  Falls back to the input pair when a
+    solve degenerates or the update jumps away from the starting eigenvalue.
     """
     c0 = c
     for _ in range(iters):
-        K = A - c * B
+        K = B * -c
+        K += A
         try:
-            lu = scipy.linalg.lu_factor(K)
+            lu = scipy.linalg.lu_factor(K, overwrite_a=True)
             x = scipy.linalg.lu_solve(lu, B @ phi)
             v = x / np.linalg.norm(x)
             # the adjoint solve K^H w = B^H v reuses the factorization of K
-            w = scipy.linalg.lu_solve(lu, B.conj().T @ v, trans=2)
+            w = scipy.linalg.lu_solve(lu, (v.conj() @ B).conj(), trans=2)
         except (scipy.linalg.LinAlgError, ValueError, FloatingPointError):
             break
         if not np.all(np.isfinite(v)) or not np.all(np.isfinite(w)):
@@ -119,63 +108,103 @@ def _refine_eigenpair(A, B, c, phi, scale, iters=2):
     return c, phi
 
 
-def _solve_pencil(A, B, alpha, param, scale):
+def _residuals(A, B, c, V, scale):
+    """Operator-scaled residuals ||A v - c B v|| / (||v|| (scale + |c|)) per column."""
+    R = B @ V
+    R *= -c
+    R += A @ V
+    return np.linalg.norm(R, axis=0) / (np.linalg.norm(V, axis=0) * (scale + np.abs(c)))
+
+
+def _tail_fractions(V):
+    """Fraction of Chebyshev-coefficient mass in the top third, per column."""
+    N = V.shape[0] - 1
+    a = np.abs(dct(V, type=1, axis=0))
+    a[[0, -1]] /= 2.0
+    total = a.sum(axis=0)
+    tail = a[2 * N // 3:].sum(axis=0)
+    return np.divide(tail, total, out=np.ones_like(total), where=total > 0)
+
+
+def _reduced_eig(A, B, bc_idx, alpha, param):
+    """Finite eigenpairs of A phi = c B phi, with the boundary rows bc_idx of A
+    the constraints R phi = 0 and those rows of B zero.
+
+    The boundary unknowns are eliminated, phi_b = T phi_i with
+    T = -R_bb^{-1} R_bi, which leaves the standard problem
+    (B_r^{-1} A_r) w = c w of order n - k on the constrained subspace; the
+    eigenvectors are lifted back to phi = [w; T w].
+    """
+    n = A.shape[0]
+    b = np.asarray(bc_idx)
+    i = np.setdiff1d(np.arange(n), b)
+    T = -np.linalg.solve(A[np.ix_(b, b)], A[np.ix_(b, i)])
+
+    def reduce(M):
+        M_r = M[np.ix_(i, i)]
+        M_r += M[np.ix_(i, b)] @ T
+        return M_r
+
     try:
-        cs, V = scipy.linalg.eig(A, B)
-    except scipy.linalg.LinAlgError as exc:
+        C = np.linalg.solve(reduce(B), reduce(A))
+        cs, W = np.linalg.eig(C)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"generalized eigensolver failed at alpha={alpha}, parameter={param}; "
-            f"cond(A)~{np.linalg.cond(A):.2e}"
+            f"reduced eigensolve failed at alpha={alpha}, parameter={param}; "
+            f"cond(B_r)~{np.linalg.cond(reduce(B)):.2e}"
         ) from exc
-    accepted = []
-    n_rejected = 0
-    for k in range(len(cs)):
-        c = cs[k]
-        if not np.isfinite(c):
-            continue  # boundary-row artifacts, not physical rejections
-        phi = V[:, k]
-        nrm = np.linalg.norm(phi)
-        res = np.linalg.norm(A @ phi - c * (B @ phi)) / (nrm * (scale + abs(c)))
-        if res > RESIDUAL_GATE or _cheb_tail_fraction(phi) > TAIL_GATE:
-            n_rejected += 1
-            continue
-        accepted.append((c, phi, res))
-    accepted.sort(key=lambda t: -t[0].imag)
-    # polish the leading (least damped) modes, the ones callers consume
+    del C
+    V = np.empty((n, W.shape[1]), dtype=complex)
+    V[i] = W
+    V[b] = T @ W
+    return cs, V
+
+
+def _solve_pencil(A, B, bc_idx, alpha, param, scale):
+    cs, V = _reduced_eig(A, B, bc_idx, alpha, param)
+    res = _residuals(A, B, cs, V, scale)
+    keep = (res <= RESIDUAL_GATE) & (_tail_fractions(V) <= TAIL_GATE)
+    n_rejected = int(np.count_nonzero(~keep))
+    order = np.flatnonzero(keep)
+    order = order[np.argsort(-cs[order].imag, kind="stable")]
+    accepted = list(zip(cs[order], V[:, order].T, res[order]))
+    del V  # the full eigenvector block is not needed by the polish
+    # polish the leading (least damped) modes, the ones callers consume; the
+    # unpolished pairs are at roundoff already, so the polished pair stays
+    # unless it is worse by more than a rounding floor
     for k in range(min(3, len(accepted))):
-        c, phi, res = accepted[k]
-        c2, phi2 = _refine_eigenpair(A, B, c, phi, scale)
-        res2 = np.linalg.norm(A @ phi2 - c2 * (B @ phi2)) / (
-            np.linalg.norm(phi2) * (scale + abs(c2))
-        )
-        if res2 <= res:
-            accepted[k] = (c2, phi2, res2)
+        c, phi, r = accepted[k]
+        c2, phi2 = _refine_eigenpair(A, B, c, phi)
+        r2 = _residuals(A, B, c2, phi2[:, None], scale)[0]
+        if r2 <= min(r + POLISH_FLOOR, RESIDUAL_GATE):
+            accepted[k] = (c2, phi2, r2)
     accepted.sort(key=lambda t: -t[0].imag)
-    accepted = [(c, phi / phi[np.argmax(np.abs(phi))], res)
-                for c, phi, res in accepted]
     eigenvalues = tuple(complex(c) for c, _, _ in accepted)
-    modes = (np.stack([p for _, p, _ in accepted], axis=1)
+    modes = (np.stack([p / p[np.argmax(np.abs(p))] for _, p, _ in accepted], axis=1)
              if accepted else np.zeros((A.shape[0], 0), dtype=complex))
     residuals = tuple(float(r) for _, _, r in accepted)
     return eigenvalues, modes, residuals, n_rejected
 
 
 def _install_bc(A, B, grid, bc):
-    # constraint rows are scaled up to the operator magnitude: the QZ backward
-    # error is relative to ||A||, so small rows would be satisfied only loosely
+    """Write the constraint rows of ``bc`` into A (zeroing them in B); returns their indices."""
+    # constraint rows are scaled up to the operator magnitude: the polish and
+    # the residual gate measure errors relative to ||A||, so small rows would
+    # be satisfied only loosely
     scale = np.linalg.norm(A, np.inf)
-    for i, row in bc_rows(grid, bc):
+    rows = bc_rows(grid, bc)
+    for i, row in rows:
         A[i, :] = row * (scale / np.linalg.norm(row))
         B[i, :] = 0.0
-    return A, B
+    return [i for i, _ in rows]
 
 
-def _pencil_spectrum(profile, alpha, grid, eps, bc, param):
-    """Accepted eigenpairs of (U - c)(D2 - a^2) phi - U'' phi = eps (D2 - a^2)^2 phi.
+def _pencil(profile, alpha, grid, eps, bc):
+    """The pencil of (U - c)(D2 - a^2) phi - U'' phi = eps (D2 - a^2)^2 phi.
 
     eps = 0 is the Rayleigh pencil: the fourth-order term is then not formed.
-    ``bc`` names the boundary rows; ``param`` labels solver failures.
-    Returns (eigenvalues, modes, residuals, n_rejected).
+    ``bc`` names the boundary rows.  Returns (A, B, boundary row indices,
+    operator scale ||A|| / ||B||).
     """
     if grid.domain != profile.domain:
         raise ConfigurationError(
@@ -189,9 +218,16 @@ def _pencil_spectrum(profile, alpha, grid, eps, bc, param):
         A = A - eps * (grid.D4 - 2.0 * alpha**2 * grid.D2 + alpha**4 * ident)
     A = A.astype(complex)
     B = M.astype(complex)
-    _install_bc(A, B, grid, bc)
+    bc_idx = _install_bc(A, B, grid, bc)
     scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
-    return _solve_pencil(A, B, alpha, param, scale)
+    return A, B, bc_idx, scale
+
+
+def _pencil_spectrum(profile, alpha, grid, eps, bc, param):
+    """Accepted (eigenvalues, modes, residuals, n_rejected) of ``_pencil``;
+    ``param`` labels solver failures."""
+    A, B, bc_idx, scale = _pencil(profile, alpha, grid, eps, bc)
+    return _solve_pencil(A, B, bc_idx, alpha, param, scale)
 
 
 def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscretization) -> EigenSolution:

@@ -238,6 +238,15 @@ class TestHopfSeries:
             for m in set(got) | set(want):
                 assert abs(got.get(m, 0.0) - want.get(m, 0.0)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize(
+        "u1", [{1: 0.5, -1: 0.5, 3: 0.2, -3: 0.2}, {1: 0.3, -1: 0.3, 2: 0.1j, -2: -0.1j}]
+    )
+    def test_zero_mean_exact(self, u1):
+        # u_n, n >= 2, is a z-derivative (of -sum_k u_k u_{n-k} / (2 (n-1) alpha)),
+        # so its mean is exactly zero and mode 0 is never in its support
+        s = hopf_series(u1, 0.7, 10)
+        assert all(0 not in t for t in s.terms[1:])
+
     def test_cos_parity_support(self):
         # u_n of cos z only has modes of the parity of n, exactly
         s = hopf_series(COS, 1.0, 20)
@@ -403,6 +412,21 @@ class TestEulerSeries:
             if np.ndim(kx) == 1:
                 rank_deficient = np.diag(np.r_[0.0, np.ones(m_list.size - 1)])
                 out[np.isin(kx, (1.0, 1.5))] = rank_deficient - 2 * alpha * np.eye(m_list.size)
+            return out
+
+        monkeypatch.setattr(instability, "_shear_block", resonant)
+        with pytest.raises(ResonanceError, match=r"order n=2, x-wavenumber 1$"):
+            euler_series(make_profile("kolmogorov"), N=4, modes=16)
+
+    def test_resonance_on_exactly_zero_block(self, euler_report, monkeypatch):
+        # a block of -2 alpha I makes the shifted block at order 2 exactly
+        # zero; that is a resonance, not a numpy LinAlgError
+        alpha = euler_report["alpha_eig"]
+
+        def resonant(U_hat, Upp_hat, kx, m_list):
+            out = _shear_block(U_hat, Upp_hat, kx, m_list)
+            if np.ndim(kx) == 1:
+                out[kx == 1.0] = -2 * alpha * np.eye(m_list.size)
             return out
 
         monkeypatch.setattr(instability, "_shear_block", resonant)

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
+from scipy.fft import dct
+from scipy.optimize import brentq, minimize_scalar
 
-from shearstab.errors import ConfigurationError, CriticalLayerError, InputError, WindowError
-from shearstab.profiles import CHANNEL, HALF_LINE, ShearProfile, make_profile
+from shearstab import stability
+from shearstab.errors import (
+    ConfigurationError,
+    CriticalLayerError,
+    InputError,
+    NumericalError,
+    WindowError,
+)
+from shearstab.profiles import CHANNEL, HALF_LINE, ShearProfile, blasius_solve, make_profile
 from shearstab.spectral import build_grid
 from shearstab.stability import (
     NeutralBranch,
+    _pencil,
+    _refine_eigenpair,
+    _residuals,
+    _tail_fractions,
     fit_exponents,
+    max_growth_rate,
     neutral_curve,
     os_spectrum,
     rayleigh_resolvent,
@@ -139,6 +153,68 @@ class TestOrrSommerfeld:
     def test_resolution_warning(self):
         with pytest.warns(UserWarning, match="resolution guidance"):
             os_spectrum(make_profile("poiseuille"), 1.0, 1e8, build_grid(64, CHANNEL))
+
+    @pytest.mark.filterwarnings("ignore:N=200 below resolution guidance")
+    @pytest.mark.parametrize("N", [200, 320, 480])
+    def test_re1e7_mode_kept(self, N):
+        # the unstable Poiseuille mode at Re = 1e7, alpha = 0.25 must survive
+        # every resolution, not only the N = 200 and 320 that resolve it
+        sol = os_spectrum(make_profile("poiseuille"), 0.25, 1e7, build_grid(N, CHANNEL))
+        assert abs(sol.eigenvalues[0] - (0.0301697 + 0.00192359j)) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.175, 0.2])
+    def test_polish_kept_at_roundoff(self, alpha):
+        # the three polished Blasius modes are fixed points of the polish:
+        # two more Rayleigh-quotient steps move each by less than 1e-10 (an
+        # unpolished eigenvalue there is up to about 1e-7 away)
+        p = blasius_solve(1e-10)
+        grid = build_grid(160, HALF_LINE, map_scale=6.0)
+        Re = 400.0
+        sol = os_spectrum(p, alpha, Re, grid)
+        A, B, _, _ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        for k in range(3):
+            c, _ = _refine_eigenpair(A, B, sol.eigenvalues[k], sol.modes[:, k])
+            assert abs(c - sol.eigenvalues[k]) <= 1e-10
+
+    def test_eigensolver_failure_names_condition(self, chan, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(stability.np.linalg, "eig", fail)
+        with pytest.raises(NumericalError, match=r"cond\(B_r\)"):
+            os_spectrum(make_profile("poiseuille"), 1.0, 1e4, chan)
+
+    def test_gates_match_per_mode_loop(self, chan):
+        # the batched residuals and Chebyshev tails against one mode at a time;
+        # GEMM and GEMV round differently, so the residuals agree to 1e-10,
+        # four orders below RESIDUAL_GATE
+        A, B, _, scale = _pencil(make_profile("poiseuille"), 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        cs, V = np.linalg.eig(np.linalg.solve(B + np.eye(chan.n_nodes), A))
+        res, tail = _residuals(A, B, cs, V, scale), _tail_fractions(V)
+        N = chan.N
+        for k in range(0, chan.n_nodes, 7):
+            c, phi = cs[k], V[:, k]
+            r = np.linalg.norm(A @ phi - c * (B @ phi)) / (np.linalg.norm(phi) * (scale + abs(c)))
+            a = np.abs(dct(phi.real, type=1) + 1j * dct(phi.imag, type=1))
+            a[[0, -1]] /= 2.0
+            assert res[k] == pytest.approx(r, abs=1e-10)
+            assert tail[k] == pytest.approx(a[2 * N // 3:].sum() / a.sum(), rel=1e-13)
+
+    def test_orszag_critical_point(self):
+        # Orszag (J. Fluid Mech. 50, 1971): Re_c = 5772.22 at alpha_c = 1.02056;
+        # Brent's method on Re of the peak growth rate over alpha, at N = 80
+        p = make_profile("poiseuille")
+        grid = build_grid(80, CHANNEL)
+
+        def peak(Re):
+            opt = minimize_scalar(lambda a: -max_growth_rate(p, a, Re, grid),
+                                  bounds=(0.9, 1.1), method="bounded",
+                                  options={"xatol": 1e-7})
+            return -opt.fun, opt.x
+
+        Re_c = brentq(lambda Re: peak(Re)[0], 5000.0, 6500.0, xtol=1e-3)
+        assert Re_c == pytest.approx(5772.22, abs=0.6)
+        assert peak(Re_c)[1] == pytest.approx(1.02056, abs=1e-4)
 
     def test_inviscid_limit_tanh(self, half_grid):
         # leading viscous eigenvalue approaches the inviscid one as Re grows
