@@ -37,7 +37,7 @@ from .instability import (
     ode_bootstrap,
     riccati_exact,
 )
-from .profiles import CHANNEL, HALF_LINE, make_profile
+from .profiles import make_profile
 from .resolvent import heat_green, semigroup_apply
 from .spectral import build_grid
 from .stability import neutral_curve, os_spectrum, rayleigh_resolvent, rayleigh_spectrum
@@ -224,16 +224,6 @@ def _make_profile(params) -> "object":
     return make_profile(kind, **extra)
 
 
-def _grid_for(profile, n, map_scale):
-    if profile.domain == CHANNEL:
-        return build_grid(n, CHANNEL)
-    if profile.domain == HALF_LINE:
-        return build_grid(n, HALF_LINE, map_scale=map_scale)
-    raise ConfigurationError(
-        f"profile domain {profile.domain!r} has no collocation grid"
-    )
-
-
 # ----------------------------------------------------------------------------
 # subcommand runners
 # ----------------------------------------------------------------------------
@@ -244,7 +234,7 @@ def _run_spectrum(cfg: RunConfig):
     alphas = _grid_param(p, "alpha", "1.0")
     res = parse_range(p["re"]) if p.get("re") is not None else [None]
     n = _num(p, "n", 128)
-    grid = _grid_for(profile, n, _num(p, "map_scale", 4.0))
+    grid = build_grid(n, profile.domain, map_scale=_num(p, "map_scale", 4.0))
     rows, points = [], []
     for a in alphas:
         for re in res:
@@ -312,7 +302,7 @@ def _run_resolvent(cfg: RunConfig):
     except ValueError:
         raise InputError(f"bad phase speed {p.get('c')!r}") from None
     n = _num(p, "n", 128)
-    grid = _grid_for(profile, n, _num(p, "map_scale", 4.0))
+    grid = build_grid(n, profile.domain, map_scale=_num(p, "map_scale", 4.0))
     phi = rayleigh_resolvent(profile, alpha, c, lambda z: np.exp(-z), grid)
     rows = []
     for z, v in zip(grid.nodes, phi):

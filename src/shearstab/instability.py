@@ -31,6 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -267,14 +268,7 @@ def ode_bootstrap(
         escape = 0.0
     elif np.any(above):
         b = int(np.argmax(above))
-        lo, hi = ts[b - 1], ts[b]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if amp_on([mid])[0] >= sigma0:
-                hi = mid
-            else:
-                lo = mid
-        escape = 0.5 * (lo + hi)
+        escape = brentq(lambda t: amp_on([t])[0] - sigma0, ts[b - 1], ts[b], xtol=1e-15)
 
     return BootstrapResult(
         epsilon=float(epsilon),

@@ -176,8 +176,8 @@ def _blasius_shoot(fpp0: float, eta_max: float):
 def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfile:
     """Blasius profile U = f'(eta) from f''' + f f''/2 = 0 via shooting on f''(0).
 
-    Bisection on f''(0) with a high-order ODE integrator; converged when
-    |f'(eta_max) - 1| < tolerance.
+    Brent's method on f''(0) over [0.1, 1] with a high-order ODE integrator;
+    converged when |f'(eta_max) - 1| < tolerance.
     """
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
@@ -186,23 +186,16 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
         return _blasius_shoot(fpp0, eta_max).y[1][-1] - 1.0
 
     lo, hi = 0.1, 1.0
-    m_lo, m_hi = miss(lo), miss(hi)
-    if m_lo * m_hi > 0:
-        raise NonconvergenceError(f"shooting bracket failed: miss({lo})={m_lo}, miss({hi})={m_hi}")
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        m = miss(mid)
-        if abs(m) < tolerance and hi - lo < 1e-12:
-            break
-        if m_lo * m <= 0:
-            hi, m_hi = mid, m
-        else:
-            lo, m_lo = mid, m
-    fpp0 = 0.5 * (lo + hi)
+    try:
+        fpp0 = brentq(miss, lo, hi, xtol=1e-14)
+    except ValueError as exc:  # brentq: no sign change on the bracket
+        raise NonconvergenceError(
+            f"shooting bracket failed: miss({lo})={miss(lo)}, miss({hi})={miss(hi)}"
+        ) from exc
     sol = _blasius_shoot(fpp0, eta_max)
     if abs(sol.y[1][-1] - 1.0) >= tolerance:
         raise NonconvergenceError(
-            f"|f'(eta_max)-1|={abs(sol.y[1][-1]-1.0):.3e} above tolerance; bracket [{lo}, {hi}]"
+            f"|f'(eta_max)-1|={abs(sol.y[1][-1]-1.0):.3e} above tolerance at f''(0)={fpp0!r}"
         )
 
     eta = np.linspace(0.0, eta_max, 3001)

@@ -16,7 +16,6 @@ from .profiles import CHANNEL, HALF_LINE
 
 BC_DIRICHLET = "dirichlet"
 BC_CLAMPED = "clamped"
-BC_DECAY = "decay"
 
 
 def cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +91,6 @@ def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray
     ``dirichlet``: value = 0 at both ends (the mapped endpoint on the half line).
     ``clamped``:   value and derivative = 0 at the wall; on the half line also
                    value at infinity plus a decay constraint (d/dxi = 0 there).
-    ``decay``:     value = 0 at the mapped infinity endpoint only.
     """
     n = grid.N
     rows: list[tuple[int, np.ndarray]] = []
@@ -117,10 +115,6 @@ def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray
             rows.append((n - 1, grid.D1[n].copy()))
             rows.append((0, unit(0)))
             rows.append((1, grid.D1_cheb[0].copy()))
-    elif bc == BC_DECAY:
-        if grid.domain != HALF_LINE:
-            raise ConfigurationError("decay bc only makes sense on the half line")
-        rows.append((0, unit(0)))
     else:
         raise ConfigurationError(f"unknown bc spec {bc!r}")
     return rows

@@ -251,28 +251,28 @@ def rayleigh_resolvent(
 ) -> np.ndarray:
     """Solve (U - c)(D2 - alpha^2) phi - U'' phi = source with Dirichlet ends.
 
-    ``source`` may be a callable of z or an array on the grid nodes.
+    The operator is the Rayleigh pencil A - c B of ``rayleigh_spectrum``,
+    so a grid whose domain does not match the profile's is rejected the
+    same way.  ``source`` may be a callable of z or an array on the grid
+    nodes.
     Raises a critical-layer error when c comes within 1e-8 of U at a node.
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    U, d2U = _profile_diagonals(profile, grid)
+    A, B, bc_idx, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
+    U, _ = _profile_diagonals(profile, grid)
     finite = grid.finite_mask()
     gap = np.min(np.abs(U[finite] - c))
     if gap < 1e-8:
         raise CriticalLayerError(
             f"|U(z) - c| = {gap:.3e} at a collocation node: critical-layer degeneracy"
         )
-    M = grid.D2 - alpha**2 * np.eye(grid.n_nodes)
-    L = ((U - c)[:, None] * M - np.diag(d2U)).astype(complex)
     if callable(source):
         rhs = np.where(finite, np.asarray(source(np.where(finite, grid.nodes, 0.0)), dtype=complex), 0.0)
     else:
         rhs = np.asarray(source, dtype=complex).copy()
-    for i, row in bc_rows(grid, "dirichlet"):
-        L[i, :] = row
-        rhs[i] = 0.0
-    return np.linalg.solve(L, rhs)
+    rhs[bc_idx] = 0.0
+    return np.linalg.solve(A - c * B, rhs)
 
 
 def os_spectrum(

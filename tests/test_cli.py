@@ -58,6 +58,12 @@ class TestValidation:
         assert code == 2
         assert "nosuch" in err
 
+    def test_torus_profile_exit_2(self, capsys):
+        # the periodic Kolmogorov flow has no collocation grid
+        code, _, err = run_cli(capsys, ["spectrum", "--profile", "kolmogorov"])
+        assert code == 2
+        assert "torus" in err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["nosuch-command"]) == 2
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from shearstab import genfunc
 from shearstab.errors import ConfigurationError, InputError, QuadratureError, RegionError
 from shearstab.genfunc import (
     GEN0,
@@ -12,6 +13,7 @@ from shearstab.genfunc import (
     FourierMode,
     GenSeries,
     Y,
+    _mode_product,
     bl_norm,
     divfree_bilinear,
     elliptic_gen_estimate,
@@ -65,7 +67,8 @@ class TestBLNorm:
         # the ell = 4 coefficient of test_scaling_homogeneity's G1 still moves
         # by 2.1e-5 between the 3rd and 4th grids; the norm returns only once
         # two successive grids agree to 1e-6
-        f = FourierMode(1, sp.diff(sp.exp(-(Y**2)), Y)).derivative(4)
+        mode = FourierMode(1, sp.diff(sp.exp(-(Y**2)), Y))
+        f = lambda y: mode.derivatives(y, 4)[4]  # noqa: E731
         grids = []
 
         def recorded(y):
@@ -87,12 +90,67 @@ class TestBLNorm:
     def test_bad_params(self):
         with pytest.raises(ConfigurationError):
             BLNormParams(delta=-1.0)
-        with pytest.raises(ConfigurationError):
-            BLNormParams(delta=1.0, beta=-0.5)
 
     def test_from_viscosity(self):
         p = BLNormParams.from_viscosity(nu=1e-4, gamma0=2.0)
         assert p.delta == pytest.approx(2.0 * 1e-1)
+
+
+def _per_order_derivative(expr, ell, y):
+    """The per-order path the derivative table replaced: one sp.diff to order
+    ell and one lambdify per order, broadcast to the sample shape."""
+    fn = sp.lambdify(Y, sp.diff(expr, Y, ell), "numpy")
+    return np.broadcast_to(np.asarray(fn(y), dtype=complex), y.shape)
+
+
+class TestDerivativeTable:
+    def test_matches_per_order_path(self, params):
+        y = sample_grid(params.delta)
+        product = _mode_product([FourierMode(1, sp.exp(-Y))],
+                                [FourierMode(2, sp.Float(0.6) * sp.exp(-(Y**2)))], 4)[0]
+        exprs = [
+            sp.Float(1.3) * sp.exp(-sp.Float(0.7) * Y),
+            sp.Float(0.4) * sp.exp(-sp.Float(1.7) * Y**2),
+            product.expr,
+            sp.sin(Y) * sp.exp(-Y),
+            sp.Rational(3, 2),
+            sp.Integer(0),
+        ]
+        for expr in exprs:
+            tab = FourierMode(1, expr).derivatives(y, 10)
+            assert tab.shape == (11, y.size) and tab.dtype == complex
+            for ell in range(11):
+                ref = _per_order_derivative(expr, ell, y)
+                assert np.max(np.abs(tab[ell] - ref)) <= 1e-13 * np.max(np.abs(ref)), (expr, ell)
+
+    def test_compiled_once_per_extension(self, monkeypatch):
+        calls = {"diff": 0, "lambdify": 0}
+        diff, lambdify = sp.diff, sp.lambdify
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(genfunc.sp, "diff", counting("diff", diff))
+        monkeypatch.setattr(genfunc.sp, "lambdify", counting("lambdify", lambdify))
+        mode = FourierMode(1, sp.exp(-(Y**2)))
+        y = np.linspace(0.0, 3.0, 7)
+        low = mode.derivatives(y, 3)
+        high = mode.derivatives(y, 10)
+        again = mode.derivatives(y, 5)
+        # successive orders: one diff per new order, one lambdify per extension
+        assert calls == {"diff": 10, "lambdify": 2}
+        assert np.array_equal(high[:4], low) and np.array_equal(again, high[:6])
+
+    def test_supplied_derivatives(self):
+        mode = FourierMode(2, derivs=(lambda y: np.exp(-y), lambda y: -1.0))
+        y = np.linspace(0.0, 1.0, 5)
+        tab = mode.derivatives(y, 1)
+        assert np.array_equal(tab, np.stack([np.exp(-y), np.full(5, -1.0)]).astype(complex))
+        with pytest.raises(InputError):
+            mode.derivatives(y, 2)
 
 
 class TestGenSeries:
@@ -105,9 +163,31 @@ class TestGenSeries:
         G = gen_series([FourierMode(2, sp.sin(Y) * sp.exp(-Y))], params, (3, 6), GEN_DELTA)
         assert np.all(G.coeffs >= 0)
 
+    def test_row_is_per_order_norm(self, params):
+        # every coefficient comes from the first grid on which its own order
+        # settles, exactly as a single-order bl_norm would return it (G1 of
+        # test_scaling_homogeneity, whose order 4 settles a grid later)
+        mode = FourierMode(1, sp.diff(sp.exp(-(Y**2)), Y))
+        G = gen_series([mode], params, (3, 6), GEN_DELTA)
+        for ell in range(7):
+            single = bl_norm(lambda y: mode.derivatives(y, 6)[ell], ell, params, WITH_BL)
+            assert G.coeffs[1, ell] == single
+
+    def test_array_call_matches_scalar(self, params):
+        G = gen_series([FourierMode(1, sp.exp(-Y)), FourierMode(2, sp.exp(-(Y**2)))],
+                       params, (3, 6), GEN_DELTA)
+        z1, z2 = np.meshgrid([0.0, 0.1, 0.25, 0.5], [0.0, 0.05, 0.3, 0.5, 0.7])
+        vals = G(z1, z2)
+        assert vals.shape == z1.shape
+        for a, b, v in zip(z1.ravel(), z2.ravel(), vals.ravel()):
+            scalar = G(float(a), float(b))
+            assert isinstance(scalar, float)
+            assert scalar == v
+        assert np.array_equal(G(0.25, z2[:, 0]), vals[:, 2])
+
     def test_negative_coefficients_rejected(self):
         with pytest.raises(InputError):
-            GenSeries(np.array([[1.0, -0.5]]), GEN0)
+            GenSeries(np.array([[1.0, -0.5]]))
 
     def test_monotone_evaluation(self, params):
         G = gen_series([FourierMode(1, sp.exp(-Y**2))], params, (2, 6), GEN_DELTA)
@@ -147,7 +227,7 @@ class TestSeriesOps:
         assert np.allclose(G.dz1().coeffs[0], 0.0)
 
     def test_unit_element_product(self, params):
-        one = GenSeries(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), GEN0)
+        one = GenSeries(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
         G = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), GEN_DELTA)
         prod = product_bound(one, G)
         assert np.allclose(prod.coeffs[: G.coeffs.shape[0]], G.coeffs)

@@ -118,6 +118,13 @@ class TestRayleighResolvent:
         phic = rayleigh_resolvent(p, 1.0, np.conj(c), lambda z: np.conj(src(z)), half_grid)
         assert np.max(np.abs(phic - np.conj(phi))) < 1e-10
 
+    def test_domain_mismatch(self):
+        # a half-line profile on a channel grid is rejected as rayleigh_spectrum
+        # rejects it, not solved on the wrong domain
+        with pytest.raises(ConfigurationError, match="domain"):
+            rayleigh_resolvent(make_profile("exponential"), 1.0, 0.5 + 0.1j,
+                               lambda z: np.exp(-z), build_grid(64, CHANNEL))
+
 
 @pytest.fixture(scope="module")
 def chan():
