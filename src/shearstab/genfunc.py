@@ -452,19 +452,21 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
     Gen_delta(v d_y g) against (Gen_0(v) + dz1 Gen_0(u)) dz2 Gen_delta(g),
     and the first-order transport bundle against C B dz1 B + C B dz2 B.
     """
+    N_alpha, N_ell = truncation
     yc = sample_grid(params.delta)     # yc[0] = 0 is the wall
     u_by_alpha = {m.alpha: m for m in u_modes}
+    # the orders gen_series needs below, so each mode is compiled once
+    L = max(N_ell, 1)
     for mv in v_modes:
-        v, dv = mv.derivatives(yc, 1)
+        v, dv = mv.derivatives(yc, L)[:2]
         mu = u_by_alpha.get(mv.alpha)
-        target = -1j * mv.alpha * mu.derivatives(yc, 0)[0] if mu else 0.0
+        target = -1j * mv.alpha * mu.derivatives(yc, L)[0] if mu else 0.0
         scale = 1.0 + np.max(np.abs(dv))
         if np.max(np.abs(dv - target)) > 1e-10 * scale:
             raise InputError(f"divergence residual above tolerance for alpha={mv.alpha}")
         if abs(v[0]) > 1e-10:
             raise InputError(f"v_alpha(0) != 0 for alpha={mv.alpha}")
 
-    N_alpha, N_ell = truncation
     dyg = [FourierMode(m.alpha, sp.diff(m.expr, Y)) for m in g_modes]
     dxg = [FourierMode(m.alpha, sp.I * m.alpha * m.expr) for m in g_modes]
     v_dyg = _mode_product(v_modes, dyg, N_alpha)

@@ -7,7 +7,9 @@ small amplitude epsilon whose terms grow like e^{n lambda t}:
   quadratic ODE  phi' = A phi + Q(phi, phi)  started on an unstable
   eigenvector, with measured iteration constants, an amplitude-floor escape
   time, and the truncation residual.  All terms come from one dense-output
-  integration, sampled once per time grid.
+  integration, sampled once per time grid.  ``Q`` acts on the last axis and
+  is called on stacked ``(..., d)`` arrays: once per right-hand side for
+  every pair (j, k), and once for the whole residual.
 - ``riccati_exact``: the closed-form solution of the scalar model
   phi' = eps phi + alpha phi^2, including its blow-up time (alpha > 0) and
   saturation limit (alpha < 0).
@@ -137,6 +139,12 @@ def ode_bootstrap(
     linear system  phi_i' = A phi_i + sum_{j+k=i} Q(phi_j, phi_k)  at tight
     tolerance; the rescaling psi_i = phi_i eps^{-i} removes the amplitude so
     a single integration serves every epsilon.
+
+    ``Q`` is bilinear and acts on the last axis: given two arrays of shape
+    (..., d) it returns Q of each pair of rows, of the same shape (an
+    elementwise ``lambda a, b: a * b`` qualifies).  Each right-hand-side
+    evaluation makes one call on all pairs j + k = i <= N, and the
+    truncation residual one call on all pairs j + k > N at all times.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
@@ -175,19 +183,16 @@ def ode_bootstrap(
         return v0 * np.exp(lam * t)
 
     n_extra = N - 1  # orders 2..N are integrated
-
-    def unpack(y):
-        return [y[i * d:(i + 1) * d] for i in range(n_extra)]
+    # every pair (j, k) with j + k = i as 0-based term indices, grouped by
+    # i = 2..N; the pairs of order i start at row starts[i - 2]
+    pj = np.concatenate([np.arange(i - 1) for i in range(2, N + 1)])
+    pk = np.concatenate([np.arange(i - 2, -1, -1) for i in range(2, N + 1)])
+    starts = np.cumsum(np.arange(N - 1))
 
     def rhs(t, y):
-        psis = [psi1(t)] + unpack(y)
-        out = np.empty(n_extra * d, dtype=complex)
-        for i in range(2, N + 1):
-            f = A @ psis[i - 1]
-            for j in range(1, i):
-                f = f + np.asarray(Q(psis[j - 1], psis[i - j - 1]), dtype=complex)
-            out[(i - 2) * d:(i - 1) * d] = f
-        return out
+        psis = np.concatenate([psi1(t)[None], y.reshape(n_extra, d)])
+        q = np.asarray(Q(psis[pj], psis[pk]), dtype=complex)
+        return (psis[1:] @ A.T + np.add.reduceat(q, starts, axis=0)).ravel()
 
     sol = solve_ivp(
         rhs,
@@ -234,16 +239,12 @@ def ode_bootstrap(
     terms = tuple(phis)
     approx = np.sum(phis, axis=0)
 
-    # truncation residual: the dropped quadratic interactions with j+k > N
-    residual = np.empty(t_grid.size)
-    for a in range(t_grid.size):
-        r = np.zeros(d, dtype=complex)
-        for j in range(1, N + 1):
-            for k in range(max(1, N + 1 - j), N + 1):
-                r = r + eps_pow[j - 1] * eps_pow[k - 1] * np.asarray(
-                    Q(psis[j - 1, a], psis[k - 1, a]), dtype=complex
-                )
-        residual[a] = np.max(np.abs(r))
+    # truncation residual: the dropped quadratic interactions with j+k > N,
+    # all pairs at all times in one call of Q
+    rj, rk = np.nonzero(np.add.outer(np.arange(N), np.arange(N)) >= N - 1)
+    q = np.asarray(Q(psis[rj], psis[rk]), dtype=complex)
+    r = np.sum((eps_pow[rj] * eps_pow[rk])[:, None, None] * q, axis=0)
+    residual = np.max(np.abs(r), axis=1)
 
     amp = np.max(np.abs(approx), axis=1)
     window = (amp <= 0.1) & (residual > 0)

@@ -13,6 +13,13 @@ Every quadrature of this layer (and ``instability.duhamel_term``) doubles
 its Gauss-Legendre nodes in ``_refine`` until two passes agree, on the rule
 cached by ``_gauss_nodes``; a semigroup pass solves the resolvent systems of
 all its nodes in stacked solves of at most MAX_STACK matrix entries each.
+
+The Evans function and the parabolic Green function are built from the
+decaying solutions of nu psi'' = (lambda - A(x)) psi, integrated inward from
++-x_far.  ``_decaying_solutions`` integrates them for an array of spectral
+parameters at once, one ``solve_ivp`` per direction, so that an
+``evans_locate`` pass evaluates its whole rectangle boundary in two
+integrations; a single determinant is the one-parameter case.
 """
 
 from __future__ import annotations
@@ -209,36 +216,63 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-def _decaying_solutions(A, mu, nu, lam, x_far, x_match=None):
-    """psi+ (decays at +inf) and psi- (decays at -inf) by inward integration.
+def _check_decay_parameter(lam, nu):
+    """mu = sqrt(lam / nu) for every spectral parameter in lam; raises
+    EssentialSpectrumError, naming the first offending lam, where Re mu vanishes."""
+    mu = np.sqrt(lam / nu + 0j)
+    bad = np.flatnonzero(mu.real < 1e-8)
+    if bad.size:
+        i = bad[0]
+        raise EssentialSpectrumError(
+            f"Re sqrt(lambda/nu) = {mu.real[i]:.3e} at lambda = {lam[i]}: "
+            "spectral parameter in the essential spectrum"
+        )
+    return mu
 
-    Initialized with the constant-coefficient asymptotics exp(-/+ x mu),
-    normalized to 1 at the starting endpoint.  nu psi'' = (lam - A) psi.
-    Without ``x_match`` both cover the whole line with dense output; with it
-    each stops at x_match, where sol.y[:, -1] holds (psi, psi').
+
+def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
+    """psi+ (decays at +inf) and psi- (decays at -inf) for every spectral
+    parameter in the 1-D array lam, by inward integration to x_match.
+
+    Each starts from the constant-coefficient asymptotics exp(-/+ x mu),
+    normalized to 1 at its endpoint, and solves nu psi'' = (lam - A) psi.
+    All K parameters share one integration per direction: the state is
+    (psi, psi') of shape (2, K), flattened, and A(x) is evaluated once per
+    right-hand side for all of them.  sol.y[:, -1].reshape(2, K) holds
+    (psi, psi') at x_match; with ``dense`` each solution can also be read
+    between its starting endpoint and x_match.
     """
+    mu = _check_decay_parameter(lam, nu)
+    K = lam.size
+    lam_nu = lam / nu
 
     def rhs(x, y):
-        return [y[1], (lam - A(x)) / nu * y[0]]
+        out = np.empty_like(y)
+        out[:K] = y[K:]
+        np.multiply(lam_nu - A(x) / nu, y[:K], out=out[K:])
+        return out
 
-    dense = x_match is None
-    end_p, end_m = (-x_far, x_far) if dense else (x_match, x_match)
-    sol_p = solve_ivp(rhs, (x_far, end_p), [1.0 + 0j, -mu], method="DOP853",
+    ones = np.ones(K, dtype=complex)
+    sol_p = solve_ivp(rhs, (x_far, x_match), np.concatenate([ones, -mu]), method="DOP853",
                       rtol=1e-11, atol=1e-13, dense_output=dense)
-    sol_m = solve_ivp(rhs, (-x_far, end_m), [1.0 + 0j, mu], method="DOP853",
+    sol_m = solve_ivp(rhs, (-x_far, x_match), np.concatenate([ones, mu]), method="DOP853",
                       rtol=1e-11, atol=1e-13, dense_output=dense)
     if not (sol_p.success and sol_m.success):
         raise NumericalError("decaying-solution integration failed")
     return sol_p, sol_m
 
 
-def _check_decay_parameter(lam, nu):
-    mu = np.sqrt(lam / nu + 0j)
-    if mu.real < 1e-8:
-        raise EssentialSpectrumError(
-            f"Re sqrt(lambda/nu) = {mu.real:.3e}: spectral parameter in the essential spectrum"
-        )
-    return mu
+def _matching_matrices(A, lam, nu, x_far, x_match):
+    """M = [[psi+, psi-], [psi+', psi-']] at x_match for each lam, shape (K, 2, 2)."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    sol_p, sol_m = _decaying_solutions(A, lam, nu, x_far, x_match)
+    cols = [sol.y[:, -1].reshape(2, lam.size) for sol in (sol_p, sol_m)]
+    return np.stack(cols, axis=-1).transpose(1, 0, 2)
+
+
+def _det2(M):
+    """Determinants of a stack of 2x2 matrices, entry by entry."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def parabolic_green(
@@ -254,16 +288,16 @@ def parabolic_green(
     lambda = i tau.
 
     Built from decaying solutions psi+- matched at the source point: the
-    value is continuous there and the derivative jumps by 1/nu.
+    value is continuous there and the derivative jumps by 1/nu.  Each is
+    integrated from its end of the line to the source point y only, since
+    psi+ is read at points >= y and psi- at points <= y.
     """
-    lam = 1j * tau
-    mu = _check_decay_parameter(lam, nu)
     if max(np.abs([A(x_far), A(-x_far)])) > 1e-10:
         raise ConfigurationError("potential does not decay below 1e-10 at x_far")
-    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far)
+    sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, x_far, y, dense=True)
 
-    pp, dp = sol_p.sol(y)
-    pm, dm = sol_m.sol(y)
+    pp, dp = sol_p.y[:, -1]
+    pm, dm = sol_m.y[:, -1]
     # G = a psi-  (x < y),  b psi+  (x > y); continuity and derivative jump 1/nu
     M = np.array([[pm, -pp], [-dm, dp]])
     try:
@@ -271,10 +305,8 @@ def parabolic_green(
     except np.linalg.LinAlgError as exc:
         raise NumericalError("matching system singular") from exc
     if x < y:
-        val, _ = sol_m.sol(x)
-        return complex(a * val)
-    val, _ = sol_p.sol(x)
-    return complex(b * val)
+        return complex(a * sol_m.sol(x)[0])
+    return complex(b * sol_p.sol(x)[0])
 
 
 def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0, x_match: float = 0.0) -> complex:
@@ -284,20 +316,12 @@ def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0, x_match: fl
     +-x_far is analytic in lambda, so the determinant is analytic right of
     the essential spectrum.
     """
-    mu = _check_decay_parameter(lam, nu)
-    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far, x_match)
-    pp, dp = sol_p.y[:, -1]
-    pm, dm = sol_m.y[:, -1]
-    return complex(pp * dm - pm * dp)
+    return complex(_det2(_matching_matrices(A, lam, nu, x_far, x_match))[0])
 
 
 def evans_condition(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> float:
     """Diagnostic ||M^{-1}|| of the 2x2 matching matrix (large near eigenvalues)."""
-    mu = _check_decay_parameter(lam, nu)
-    sol_p, sol_m = _decaying_solutions(A, mu, nu, lam, x_far, 0.0)
-    pp, dp = sol_p.y[:, -1]
-    pm, dm = sol_m.y[:, -1]
-    M = np.array([[pp, pm], [dp, dm]])
+    M = _matching_matrices(A, lam, nu, x_far, 0.0)[0]
     return float(np.linalg.norm(np.linalg.inv(M), 2))
 
 
@@ -327,12 +351,22 @@ def evans_locate(
     principle); the zeros' power sums s_p, p <= w, from the log-derivative
     moments on the same boundary; the polynomial with those power sums
     (Newton's identities) for starting points; complex secant refinement of
-    each zero.  A multiple zero is returned once per multiplicity.
+    each zero.  A multiple zero is returned once per multiplicity.  The
+    boundary is evaluated in one stacked integration per direction; a
+    boundary point in the essential spectrum raises EssentialSpectrumError
+    and one on a zero RegionError, each naming the point.
     """
     pts = _rect_boundary(region, n_per_side)
-    vals = np.array([evans_det(A, lam, nu, x_far) for lam in pts])
-    if np.min(np.abs(vals)) < 1e-10:
-        raise RegionError("boundary too close to a zero of the determinant; perturb the rectangle")
+    M = _matching_matrices(A, pts, nu, x_far, 0.0)
+    vals = _det2(M)
+    # |det| over the column norms is the sine of the angle between psi+ and
+    # psi-: it vanishes on a zero whatever the scale e^{2 Re(mu) x_far} of |det|
+    sines = np.abs(vals) / np.prod(np.linalg.norm(M, axis=1), axis=1)
+    if np.min(sines) < 1e-10:
+        raise RegionError(
+            f"boundary point lambda={pts[np.argmin(sines)]} too close to a zero of the "
+            "determinant; perturb the rectangle"
+        )
 
     closed = np.append(vals, vals[0])
     dphi = np.angle(closed[1:] / closed[:-1])

@@ -361,6 +361,33 @@ class TestDivFreeBilinear:
         assert r2["C_dy"] == pytest.approx(r1["C_dy"], rel=0.2)
         assert r2["C_transport"] == pytest.approx(r1["C_transport"], rel=0.3)
 
+    def test_each_fresh_mode_compiled_once(self, params, monkeypatch):
+        def modes():
+            return ([FourierMode(1, sp.exp(-Y))], [FourierMode(1, -sp.I * (1 - sp.exp(-Y)))],
+                    [FourierMode(1, sp.exp(-(Y**2)))])
+
+        # the order the divergence check used to compile the u and v modes in
+        u, v, g = modes()
+        y = sample_grid(params.delta)
+        u[0].derivatives(y, 0)
+        v[0].derivatives(y, 1)
+        before = divfree_bilinear(u, v, g, params, truncation=(3, 5))
+
+        compiled = []
+        lambdify = sp.lambdify
+
+        def counting(args, exprs, *rest, **kwargs):
+            compiled.append(exprs)
+            return lambdify(args, exprs, *rest, **kwargs)
+
+        monkeypatch.setattr(genfunc.sp, "lambdify", counting)
+        rep = divfree_bilinear(*modes(), params, truncation=(3, 5))
+        # u, v, g, the product v d_y g and the transport sum (alpha = 2);
+        # each mode's expression list is compiled by one call
+        assert len(compiled) == 5
+        assert len({id(exprs) for exprs in compiled}) == len(compiled)
+        assert rep["C_dy"] == before["C_dy"] and rep["C_transport"] == before["C_transport"]
+
     def test_divergence_residual_rejected(self, params):
         u = [FourierMode(1, sp.exp(-Y))]
         v_bad = [FourierMode(1, -sp.I * (1 - sp.exp(-2 * Y)))]  # d_y v != -i alpha u

@@ -132,6 +132,56 @@ class TestOdeBootstrap:
         root = brentq(excess, 0.0, tg[-1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
         assert abs(r.escape_time - root) <= 1e-12
 
+    def test_non_elementwise_Q_matches_per_pair_reference(self, monkeypatch):
+        # Q mixes the components, so a Q applied to the wrong axis or to
+        # mismatched pairs shows; the reference calls Q once per pair
+        A = np.array([[1.0, 0.3], [0.0, -0.5]])
+        v0 = np.array([1.0, 0.0])
+        eps, N = 1e-3, 4
+        tg = np.linspace(0.0, 5.0, 51)
+        n_calls = []
+
+        def Q(a, b):
+            n_calls.append(1)
+            return a[..., ::-1] * b
+
+        nfev = []
+        solve_ivp_ = instability.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = solve_ivp_(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(instability, "solve_ivp", recording)
+        r = ode_bootstrap(A, Q, v0, 1.0, eps, N, tg)
+        # one call per right-hand-side evaluation, one for the residual
+        assert len(n_calls) == nfev[0] + 1
+
+        def ref_rhs(t, y):
+            psis = [v0 * np.exp(t)] + [y[2 * i:2 * i + 2] for i in range(N - 1)]
+            out = []
+            for i in range(2, N + 1):
+                f = A @ psis[i - 1]
+                for j in range(1, i):
+                    f = f + psis[j - 1][::-1] * psis[i - j - 1]
+                out.append(f)
+            return np.concatenate(out)
+
+        ref = solve_ivp(ref_rhs, (0.0, tg[-1]), np.zeros(2 * (N - 1), dtype=complex),
+                        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=tg)
+        psis = [v0 * np.exp(tg)[:, None]] + [ref.y[2 * i:2 * i + 2].T for i in range(N - 1)]
+        for i in range(N):
+            want = eps ** (i + 1) * psis[i]
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(r.terms[i] - want)) <= 1e-9 * scale
+        residual = np.zeros((tg.size, 2), dtype=complex)
+        for j in range(N):
+            for k in range(N):
+                if j + k >= N - 1:
+                    residual += r.terms[j][:, ::-1] * r.terms[k]
+        assert np.allclose(r.residual, np.max(np.abs(residual), axis=1), rtol=1e-12, atol=0.0)
+
     def test_bad_eigenpair(self):
         with pytest.raises(InputError):
             ode_bootstrap(

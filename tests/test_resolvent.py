@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from shearstab import resolvent
-from shearstab.errors import ContourCrossesSpectrumError, EssentialSpectrumError, QuadratureError
+from shearstab.errors import (
+    ContourCrossesSpectrumError,
+    EssentialSpectrumError,
+    QuadratureError,
+    RegionError,
+)
 from shearstab.resolvent import (
     ContourSpec,
     _refine,
@@ -197,6 +202,23 @@ class TestParabolicGreen:
             # lam = i tau = -1 (inside the essential spectrum of nu Lap)
             parabolic_green(lambda s: 0.0, 1.0j, 0.0, 0.0, 1.0)
 
+    def test_integrates_to_the_source_point_only(self, monkeypatch):
+        spans = []
+        solve_ivp = resolvent.solve_ivp
+
+        def recording(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "solve_ivp", recording)
+        tau, nu = -2.0j, 1.0
+        for x, y in [(0.5, -0.3), (-1.0, 1.2)]:
+            spans.clear()
+            g = parabolic_green(lambda s: 0.0, tau, x, y, nu)
+            exact = -np.exp(-abs(x - y) * np.sqrt(2.0)) / (2 * np.sqrt(2.0))
+            assert abs(g - exact) < 1e-8
+            assert spans == [(15.0, y), (-15.0, y)]
+
 
 class TestEvansLocate:
     def test_sech_eigenvalue(self):
@@ -234,3 +256,44 @@ class TestEvansLocate:
         near = evans_condition(pot, 1.0 + 1e-4, nu=nu)
         far = evans_condition(pot, 2.0, nu=nu)
         assert near > 10 * far
+
+
+# the two rectangles of the benchmark's Evans tasks
+BENCH_RECTANGLES = [(2.0, (0.5, 1.5, -0.4, 0.4)), (6.0, (0.5, 4.5, -0.4, 0.4))]
+
+
+class TestStackedBoundary:
+    @pytest.mark.parametrize("amp, region", BENCH_RECTANGLES)
+    def test_matches_per_point_determinants(self, amp, region):
+        # solve_ivp's error norm is an RMS over the whole stacked state, so
+        # the accuracy of each boundary point is checked one by one
+        pot = lambda s: amp / np.cosh(s) ** 2
+        pts = resolvent._rect_boundary(region, 12)
+        stacked = resolvent._det2(resolvent._matching_matrices(pot, pts, 1.0, 10.0, 0.0))
+        single = np.array([evans_det(pot, lam, 1.0, 10.0) for lam in pts])
+        assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-9
+
+    def test_one_integration_per_direction(self, monkeypatch):
+        calls = []
+        solve_ivp = resolvent.solve_ivp
+
+        def counting(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            calls.append(sol.y.shape[0])
+            return sol
+
+        monkeypatch.setattr(resolvent, "solve_ivp", counting)
+        # no zero inside, so the boundary pass is the only integration
+        assert evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0, n_per_side=12) == []
+        assert calls == [2 * 48, 2 * 48]
+
+    def test_boundary_through_zero_raises(self):
+        # the left side of the rectangle contains the eigenvalue 1 exactly
+        pot = lambda s: 2.0 / np.cosh(s) ** 2
+        with pytest.raises(RegionError, match=r"lambda=\(1\+0j\)"):
+            evans_locate(pot, (1.0, 1.5, -0.4, 0.4), nu=1.0)
+
+    def test_essential_spectrum_names_lambda(self):
+        pot = lambda s: 2.0 / np.cosh(s) ** 2
+        with pytest.raises(EssentialSpectrumError, match=r"lambda = \(-0\.5\+0j\)"):
+            evans_locate(pot, (-0.5, 1.5, -0.4, 0.4), nu=1.0)
