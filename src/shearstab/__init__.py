@@ -31,7 +31,7 @@ from .resolvent import (
     parabolic_green,
     semigroup_apply,
 )
-from .spectral import SpectralDiscretization, apply_bc, build_grid
+from .spectral import SpectralDiscretization, build_grid
 from .stability import (
     EigenSolution,
     NeutralBranch,
@@ -55,7 +55,6 @@ __all__ = [
     "RiccatiValue",
     "ShearProfile",
     "SpectralDiscretization",
-    "apply_bc",
     "bl_norm",
     "blasius_solve",
     "build_grid",

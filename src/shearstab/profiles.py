@@ -208,16 +208,19 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
         z = np.asarray(z, dtype=float)
         return np.where(z >= eta_max, 1.0, spl_fp(np.clip(z, 0.0, eta_max)))
 
-    def dU(z):
+    def fpp(zc):
         # f'' > 0 everywhere; clamp sub-roundoff spline wiggle in the far field
+        return np.maximum(spl_fpp(zc), 0.0)
+
+    def dU(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z >= eta_max, 0.0, np.maximum(spl_fpp(np.clip(z, 0.0, eta_max)), 0.0))
+        return np.where(z >= eta_max, 0.0, fpp(np.clip(z, 0.0, eta_max)))
 
     def d2U(z):
         # U'' = f''' = -f f''/2, exactly from the similarity equation
         z = np.asarray(z, dtype=float)
         zc = np.clip(z, 0.0, eta_max)
-        return np.where(z >= eta_max, 0.0, -0.5 * spl_f(zc) * spl_fpp(zc))
+        return np.where(z >= eta_max, 0.0, -0.5 * spl_f(zc) * fpp(zc))
 
     return ShearProfile(
         "blasius",
@@ -235,22 +238,17 @@ def inflection_points(
     n_scan: int = 2000,
     refine_tol: float = 1e-10,
 ) -> list[float]:
-    """All z where U'' changes sign, refined by bisection.
+    """All z where U'' changes sign, refined by Brent's method to ``refine_tol``.
 
-    An empty list means the necessary inviscid-instability condition fails.
+    The brackets are the intervals of an ``n_scan``-point grid on which U''
+    changes sign; a grid point where U'' is exactly zero counts when its two
+    neighbours have opposite signs.  An empty list means the necessary
+    inviscid-instability condition fails.
     """
     z_lo, z_hi = profile.z_range(z_max)
     z = np.linspace(z_lo, z_hi, n_scan)
     w = profile.d2U(z)
-    roots: list[float] = []
-    for i in range(len(z) - 1):
-        if w[i] == 0.0 and (i == 0 or w[i - 1] * (w[i + 1] if i + 1 < len(w) else 0) < 0):
-            roots.append(z[i])
-        elif w[i] * w[i + 1] < 0:
-            roots.append(brentq(lambda s: float(profile.d2U(s)), z[i], z[i + 1], xtol=refine_tol))
-    # dedupe near-coincident roots
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 10 * refine_tol:
-            out.append(float(r))
-    return out
+    exact = 1 + np.flatnonzero((w[1:-1] == 0.0) & (w[:-2] * w[2:] < 0))
+    refined = [brentq(lambda s: float(profile.d2U(s)), z[i], z[i + 1], xtol=refine_tol)
+               for i in np.flatnonzero(w[:-1] * w[1:] < 0)]
+    return sorted(z[exact].tolist() + refined)

@@ -19,7 +19,9 @@ decaying solutions of nu psi'' = (lambda - A(x)) psi, integrated inward from
 +-x_far.  ``_decaying_solutions`` integrates them for an array of spectral
 parameters at once, one ``solve_ivp`` per direction, so that an
 ``evans_locate`` pass evaluates its whole rectangle boundary in two
-integrations; a single determinant is the one-parameter case.
+integrations, and each step of its secant, which refines all the zeros
+inside from their Hankel-eigenvalue seeds together, in two more; a single
+determinant is the one-parameter case.
 """
 
 from __future__ import annotations
@@ -309,14 +311,15 @@ def parabolic_green(
     return complex(b * sol_p.sol(x)[0])
 
 
-def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0, x_match: float = 0.0) -> complex:
-    """det of the jacobian of decaying solutions at the matching point.
+def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> complex:
+    """det of the jacobian of decaying solutions at the matching point x = 0.
 
     Zeros in lambda are eigenvalues of nu * Lap + A.  The normalization at
     +-x_far is analytic in lambda, so the determinant is analytic right of
-    the essential spectrum.
+    the essential spectrum.  It is the Wronskian of psi+ and psi-, so any
+    matching point gives the same value.
     """
-    return complex(_det2(_matching_matrices(A, lam, nu, x_far, x_match))[0])
+    return complex(_det2(_matching_matrices(A, lam, nu, x_far, 0.0))[0])
 
 
 def evans_condition(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> float:
@@ -348,14 +351,19 @@ def evans_locate(
     """Eigenvalues of nu * Lap + A inside a rectangle (re_lo, re_hi, im_lo, im_hi).
 
     Winding number w of the determinant along the boundary (argument
-    principle); the zeros' power sums s_p, p <= w, from the log-derivative
-    moments on the same boundary; the polynomial with those power sums
-    (Newton's identities) for starting points; complex secant refinement of
-    each zero.  A multiple zero is returned once per multiplicity.  The
-    boundary is evaluated in one stacked integration per direction; a
+    principle); the log-derivative moments s_p = sum z_j^p, p < 2w, on the
+    same boundary (Delves-Lyness); starting points from the eigenvalues of
+    the Hankel pencil ([s_{i+j+1}], [s_{i+j}]); one complex secant that
+    refines all w zeros together, each step one stacked integration per
+    direction.  The seeds assume simple zeros, as for a real potential: a
+    multiple zero makes the Hankel matrix [s_{i+j}] singular.  A rectangle
+    with re_lo >= re_hi or im_lo >= im_hi raises ConfigurationError; a
     boundary point in the essential spectrum raises EssentialSpectrumError
     and one on a zero RegionError, each naming the point.
     """
+    re_lo, re_hi, im_lo, im_hi = region
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
     pts = _rect_boundary(region, n_per_side)
     M = _matching_matrices(A, pts, nu, x_far, 0.0)
     vals = _det2(M)
@@ -378,34 +386,27 @@ def evans_locate(
     if winding == 0:
         return []
 
-    # zeros from the log-derivative moments s_p = sum z_j^p (Delves-Lyness),
-    # trapezoid of lam^p * d log det over the boundary, then secant polish
+    # moments s_p, trapezoid of lam^p * d log det over the boundary; s_0 is w
     closed_pts = np.append(pts, pts[0])
     ratio = np.diff(np.log(np.abs(closed))) + 1j * dphi
     mid = 0.5 * (closed_pts[1:] + closed_pts[:-1])
-    moments = [np.sum(mid**p * ratio) / (2j * np.pi) for p in range(1, winding + 1)]
-    starts = moments  # one zero: s_1 is the zero itself
-    if winding > 1:
-        # Newton's identities: e_k = (1/k) sum_{i<=k} (-1)^{i-1} e_{k-i} s_i
-        e = [1.0 + 0j]
-        for k in range(1, winding + 1):
-            e.append(sum((-1) ** (i - 1) * e[k - i] * moments[i - 1]
-                         for i in range(1, k + 1)) / k)
-        starts = np.roots([(-1) ** k * e[k] for k in range(winding + 1)])
+    s = mid ** np.arange(2 * winding)[:, None] @ ratio / (2j * np.pi)
+    s[0] = winding
+    hankel = np.add.outer(np.arange(winding), np.arange(winding))
+    z0 = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
 
-    zeros = []
-    for z in starts:
-        z0 = z
-        z1 = z * (1 + 1e-4) + 1e-6
-        f0 = evans_det(A, z0, nu, x_far)
-        f1 = evans_det(A, z1, nu, x_far)
-        for _ in range(60):
-            if f1 == f0:
-                break
-            z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
-            z0, f0, z1 = z1, f1, z2
-            f1 = evans_det(A, z1, nu, x_far)
-            if abs(z1 - z0) < newton_tol:
-                break
-        zeros.append(complex(z1))
-    return zeros
+    def det(z):
+        return _det2(_matching_matrices(A, z, nu, x_far, 0.0))
+
+    z1 = z0 * (1 + 1e-4) + 1e-6
+    f0, f1 = np.split(det(np.concatenate([z0, z1])), 2)
+    active = np.ones(winding, dtype=bool)
+    for _ in range(60):
+        active &= f1 != f0
+        if not active.any():
+            break
+        i = np.flatnonzero(active)
+        z0[i], f0[i], z1[i] = z1[i], f1[i], z1[i] - f1[i] * (z1[i] - z0[i]) / (f1[i] - f0[i])
+        f1[i] = det(z1[i])
+        active[i] = np.abs(z1[i] - z0[i]) >= newton_tol
+    return [complex(z) for z in z1]

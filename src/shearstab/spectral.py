@@ -119,13 +119,3 @@ def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray
         raise ConfigurationError(f"unknown bc spec {bc!r}")
     return rows
 
-
-def apply_bc(operator: np.ndarray, bc: str, grid: SpectralDiscretization) -> np.ndarray:
-    """Replace boundary rows of a dense operator by constraint rows."""
-    op = np.array(operator, copy=True)
-    rows = bc_rows(grid, bc)
-    if len(rows) > op.shape[0]:
-        raise ConfigurationError("more bc rows than operator order")
-    for i, row in rows:
-        op[i, :] = row
-    return op

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.fft import dct
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -223,13 +224,6 @@ def _pencil(profile, alpha, grid, eps, bc):
     return A, B, bc_idx, scale
 
 
-def _pencil_spectrum(profile, alpha, grid, eps, bc, param):
-    """Accepted (eigenvalues, modes, residuals, n_rejected) of ``_pencil``;
-    ``param`` labels solver failures."""
-    A, B, bc_idx, scale = _pencil(profile, alpha, grid, eps, bc)
-    return _solve_pencil(A, B, bc_idx, alpha, param, scale)
-
-
 def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscretization) -> EigenSolution:
     """Discrete spectrum of (U - c)(D2 - alpha^2) phi = U'' phi.
 
@@ -238,8 +232,8 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    found = _pencil_spectrum(profile, alpha, grid, 0.0, "dirichlet", "inviscid")
-    return EigenSolution(alpha, np.inf, *found)
+    A, B, bc_idx, scale = _pencil(profile, alpha, grid, 0.0, "dirichlet")
+    return EigenSolution(alpha, np.inf, *_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale))
 
 
 def rayleigh_resolvent(
@@ -295,8 +289,8 @@ def os_spectrum(
             stacklevel=2,
         )
     eps = 1.0 / (1j * alpha * Re)
-    found = _pencil_spectrum(profile, alpha, grid, eps, "clamped", Re)
-    return EigenSolution(alpha, float(Re), *found)
+    A, B, bc_idx, scale = _pencil(profile, alpha, grid, eps, "clamped")
+    return EigenSolution(alpha, float(Re), *_solve_pencil(A, B, bc_idx, alpha, Re, scale))
 
 
 def _default_grid(profile: ShearProfile, Re: float, N: int | None, map_scale: float):
@@ -321,11 +315,13 @@ def neutral_curve(
     n_scan: int = 16,
     alpha_tol: float = 1e-4,
 ) -> tuple[NeutralBranch, NeutralBranch]:
-    """Lower/upper marginal branches alpha(Re) by bisection on max Im(c).
+    """Lower/upper marginal branches alpha(Re) where max Im(c) crosses zero.
 
-    Each Re in ``Re_list`` is scanned over ``alpha_window``; when an unstable
-    band is found its edges are bisected to ``alpha_tol``.  Re values with no
-    unstable alpha are recorded on the branches as below criticality.
+    Each Re in ``Re_list`` is scanned over ``alpha_window`` at ``n_scan``
+    points; when an unstable band is found, each edge is found by Brent's
+    method on the scan bracket around it, to within ``alpha_tol / 2`` of the
+    crossing.  Re values with no unstable alpha are recorded on the branches
+    as below criticality.
     """
     Re_list = [float(r) for r in Re_list]
     if sorted(Re_list) != Re_list:
@@ -351,21 +347,17 @@ def neutral_curve(
                 f"scan trace: {list(zip(alphas.tolist(), g.tolist()))}"
             )
         kpos = np.flatnonzero(g > 0)
-        lo_bracket = (alphas[kpos[0] - 1], alphas[kpos[0]])
-        up_bracket = (alphas[kpos[-1]], alphas[kpos[-1] + 1])
+        scanned = dict(zip(alphas.tolist(), g.tolist()))
 
-        def bisect(a, b, rising):
-            while b - a > alpha_tol:
-                m = 0.5 * (a + b)
-                gm = max_growth_rate(profile, m, Re, grid)
-                if (gm > 0) == rising:
-                    b = m
-                else:
-                    a = m
-            return 0.5 * (a + b)
+        def growth(a):
+            # brentq starts from both bracket ends, which the scan has evaluated
+            return scanned[a] if a in scanned else max_growth_rate(profile, a, Re, grid)
 
-        lower.points.append((Re, bisect(*lo_bracket, rising=True)))
-        upper.points.append((Re, bisect(*up_bracket, rising=False)))
+        def edge(k):
+            return brentq(growth, alphas[k], alphas[k + 1], xtol=alpha_tol / 2)
+
+        lower.points.append((Re, edge(kpos[0] - 1)))
+        upper.points.append((Re, edge(kpos[-1])))
     return lower, upper
 
 

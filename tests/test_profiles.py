@@ -97,6 +97,14 @@ class TestInflectionPoints:
         assert len(pts) == 1
         assert pts[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_kolmogorov_two(self):
+        pts = inflection_points(make_profile("kolmogorov"))
+        assert pts == pytest.approx([np.pi / 2, 3 * np.pi / 2], abs=1e-9)
+
+    def test_blasius_none(self, blasius):
+        # U'' = -f f''/2 < 0 for eta > 0 and touches zero only at the wall
+        assert inflection_points(blasius) == []
+
     def test_grid_refinement_invariance(self):
         p = make_profile("tanh", z0=1.0)
         a = inflection_points(p, n_scan=2000)

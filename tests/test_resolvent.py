@@ -3,6 +3,7 @@ import pytest
 
 from shearstab import resolvent
 from shearstab.errors import (
+    ConfigurationError,
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
     QuadratureError,
@@ -238,6 +239,23 @@ class TestEvansLocate:
         assert abs(low - 1.0) < 1e-6
         assert abs(high - 4.0) < 1e-6
 
+    def test_three_roots_12sech2(self):
+        # 12 sech^2 = l(l+1) sech^2 with l = 3 has the eigenvalues 9, 4 and 1
+        pot = lambda s: 12.0 / np.cosh(s) ** 2
+        zeros = evans_locate(pot, (0.5, 9.5, -0.4, 0.4), nu=1.0, x_far=10.0)
+        assert len(zeros) == 3
+        assert np.allclose(sorted(zeros, key=lambda z: z.real), [1.0, 4.0, 9.0], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("region", [(1.5, 0.5, -0.4, 0.4), (0.5, 1.5, 0.4, -0.4)])
+    def test_reversed_rectangle_raises(self, region, monkeypatch):
+        # the rectangle holds the eigenvalue 1, which a negative winding would lose
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the region")
+
+        monkeypatch.setattr(resolvent, "solve_ivp", no_integration)
+        with pytest.raises(ConfigurationError, match=r"region"):
+            evans_locate(lambda s: 2.0 / np.cosh(s) ** 2, region, nu=1.0)
+
     def test_empty_region(self):
         nu = 1.0
         pot = lambda s: 2 * nu / np.cosh(s) ** 2
@@ -286,6 +304,20 @@ class TestStackedBoundary:
         # no zero inside, so the boundary pass is the only integration
         assert evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0, n_per_side=12) == []
         assert calls == [2 * 48, 2 * 48]
+
+    def test_secant_polishes_all_roots_together(self, monkeypatch):
+        calls = []
+        solve_ivp = resolvent.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "solve_ivp", counting)
+        amp, region = BENCH_RECTANGLES[1]
+        zeros = evans_locate(lambda s: amp / np.cosh(s) ** 2, region, nu=1.0, x_far=10.0, n_per_side=12)
+        assert len(zeros) == 2
+        assert len(calls) <= 20
 
     def test_boundary_through_zero_raises(self):
         # the left side of the rectangle contains the eigenvalue 1 exactly

@@ -3,7 +3,7 @@ import pytest
 
 from shearstab.errors import ConfigurationError
 from shearstab.profiles import CHANNEL, HALF_LINE
-from shearstab.spectral import apply_bc, bc_rows, build_grid
+from shearstab.spectral import bc_rows, build_grid
 
 
 class TestBuildGrid:
@@ -66,21 +66,7 @@ class TestDiffMatrices:
         assert np.max(np.abs(df[mask] + f[mask])) <= 1e-8
 
 
-class TestApplyBC:
-    def test_dirichlet_half_line_helmholtz(self):
-        # (d^2/dy^2 - 1) phi = -2 e^{-y},  phi = y e^{-y},  phi(0)=0, decay
-        g = build_grid(96, HALF_LINE, map_scale=4.0)
-        y = g.nodes
-        op = g.D2 - np.eye(g.n_nodes)
-        op = apply_bc(op, "dirichlet", g)
-        rhs = np.where(np.isfinite(y), -2.0 * np.exp(-np.where(np.isfinite(y), y, 0.0)), 0.0)
-        rhs[0] = 0.0
-        rhs[-1] = 0.0
-        phi = np.linalg.solve(op, rhs)
-        exact = np.where(np.isfinite(y), y * np.exp(-np.where(np.isfinite(y), y, 0.0)), 0.0)
-        exact[0] = 0.0
-        assert np.max(np.abs(phi - exact)) < 1e-8
-
+class TestBCRows:
     def test_clamped_rows(self):
         g = build_grid(16, HALF_LINE, map_scale=2.0)
         rows = bc_rows(g, "clamped")
@@ -88,10 +74,3 @@ class TestApplyBC:
         assert g.N in idx and g.N - 1 in idx  # value + derivative at the wall
         wall_deriv = dict(rows)[g.N - 1]
         assert np.allclose(wall_deriv, g.D1[g.N])
-
-    def test_idempotent(self):
-        g = build_grid(16, CHANNEL)
-        op = g.D2 - np.eye(g.n_nodes)
-        a = apply_bc(op, "dirichlet", g)
-        b = apply_bc(a, "dirichlet", g)
-        assert np.array_equal(a, b)

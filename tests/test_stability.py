@@ -267,6 +267,16 @@ class TestNeutralCurve:
             res = [re for re, _ in br.points]
             assert res == sorted(res)
 
+    def test_edges_within_alpha_tol(self, branches):
+        # the default alpha_tol is 1e-4; each edge is within half of it of the crossing
+        grid = build_grid(96, CHANNEL)
+        p = make_profile("poiseuille")
+        for br in branches:
+            for re, a in br.points:
+                below = max_growth_rate(p, a - 0.5e-4, re, grid)
+                above = max_growth_rate(p, a + 0.5e-4, re, grid)
+                assert (below > 0) != (above > 0), (br.side, re, a)
+
     def test_window_too_narrow(self):
         p = make_profile("poiseuille")
         with pytest.raises(WindowError):
