@@ -1,11 +1,14 @@
 """Command-line entry point exposing every solver as a subcommand.
 
 Subcommands: spectrum, neutral-curve, resolvent, heat-kernel, semigroup,
-genfunc-check, instability.  Parameters come from flags, optionally seeded
-from a flat ``key=value`` config file (flags win).  Sweep parameters accept
-the range syntax ``a:b:n`` (inclusive endpoints, n points; prefix ``log:``
-for geometric spacing) or a plain value.  Output is a header-first CSV or a
-single JSON document, written to ``--out`` or stdout.
+genfunc-check, instability.  ``COMMANDS`` names each with its runner and the
+defaults of its flags; ``_FLAGS`` gives each flag its type, so argparse
+converts every value, whether it comes from a flag, a default or a flat
+``key=value`` config file (keys must be flags of the subcommand; flags win).
+Sweep parameters accept the range syntax ``a:b:n`` (inclusive endpoints, n
+points; prefix ``log:`` for geometric spacing) or a plain value.  Output is
+a header-first CSV or a single JSON document, with non-finite numbers as
+``null``, written to ``--out`` or stdout.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
@@ -41,27 +43,6 @@ from .profiles import make_profile
 from .resolvent import heat_green, semigroup_apply
 from .spectral import build_grid
 from .stability import neutral_curve, os_spectrum, rayleigh_resolvent, rayleigh_spectrum
-
-SUBCOMMANDS = (
-    "spectrum",
-    "neutral-curve",
-    "resolvent",
-    "heat-kernel",
-    "semigroup",
-    "genfunc-check",
-    "instability",
-)
-
-
-@dataclass
-class RunConfig:
-    """A validated run: subcommand plus its resolved parameters."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "csv"
-    seed: int = 0
 
 
 # ----------------------------------------------------------------------------
@@ -117,126 +98,74 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_FLAG_HELP = {
-    "profile": "profile kind (poiseuille, exponential, tanh, kolmogorov, blasius)",
-    "n": "resolution (collocation points / Fourier grid size)",
-    "map_scale": "half-line map scale L",
-    "alpha": "wavenumber value, range, or window",
-    "re": "Reynolds number value or range",
-    "nu": "viscosity",
-    "t": "time value or range",
-    "dx": "spatial offset value or range",
-    "tol": "tolerance",
-    "order": "series / truncation order",
-    "c": "complex phase speed, e.g. 0.3+0.1j",
-    "mode": "instability mode: bootstrap, riccati, hopf, euler",
-    "epsilon": "initial amplitude",
-    "phi0": "initial value of the scalar model",
-    "eta0": "majorant window size",
-    "z0": "tanh profile shift",
+# flag -> (type, help); argparse applies the type to flags, string defaults
+# and config values alike
+_FLAGS = {
+    "profile": (str, "profile kind (poiseuille, exponential, tanh, kolmogorov, blasius)"),
+    "n": (int, "resolution (collocation points / Fourier grid size)"),
+    "map_scale": (float, "half-line map scale L"),
+    "alpha": (parse_range, "wavenumber value, range, or window"),
+    "re": (parse_range, "Reynolds number value or range"),
+    "nu": (float, "viscosity"),
+    "t": (parse_range, "time value or range"),
+    "dx": (parse_range, "spatial offset value or range"),
+    "tol": (float, "tolerance"),
+    "order": (int, "series / truncation order"),
+    "c": (complex, "complex phase speed, e.g. 0.3+0.1j"),
+    "mode": (str, "instability mode: bootstrap, riccati, hopf, euler"),
+    "epsilon": (float, "initial amplitude"),
+    "phi0": (float, "initial value of the scalar model"),
+    "eta0": (float, "majorant window size"),
+    "z0": (float, "tanh profile shift"),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="shearstab", description="shear-flow stability toolkit"
-    )
-    sub = parser.add_subparsers(dest="subcommand")
-    per_command = {
-        "spectrum": ("profile", "n", "map_scale", "alpha", "re", "z0"),
-        "neutral-curve": ("profile", "n", "map_scale", "alpha", "re", "tol", "z0"),
-        "resolvent": ("profile", "n", "map_scale", "alpha", "c", "z0"),
-        "heat-kernel": ("t", "nu", "dx"),
-        "semigroup": ("n", "t", "tol"),
-        "genfunc-check": ("nu", "order", "tol"),
-        "instability": ("mode", "alpha", "epsilon", "phi0", "order", "n", "t", "eta0"),
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        for flag in per_command[name]:
-            p.add_argument("--" + flag.replace("_", "-"), help=_FLAG_HELP[flag])
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--seed", help="seed for randomized corpora")
-        p.add_argument("--config", help="key=value config file (flags override)")
-    return parser
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items() if k not in ("subcommand",)}
-    if params.get("config"):
-        defaults = _read_config_file(params["config"])
-        for key, val in defaults.items():
-            if params.get(key) is None and key in params:
-                params[key] = val
-    params.pop("config", None)
-    out = params.pop("out", None)
-    fmt = params.pop("format", None) or "csv"
-    seed_text = params.pop("seed", None)
-    try:
-        seed = int(seed_text) if seed_text is not None else 0
-    except ValueError:
-        raise InputError(f"bad seed {seed_text!r}") from None
-    return RunConfig(args.subcommand, params, out, fmt, seed)
-
-
-def _num(params, key, default):
-    """A scalar parameter with a default."""
-    val = params.get(key)
-    if val is None:
-        return default
-    try:
-        return type(default)(val) if default is not None else float(val)
-    except (TypeError, ValueError):
-        raise InputError(f"bad value for --{key.replace('_', '-')}: {val!r}") from None
-
-
-def _grid_param(params, key, default):
-    val = params.get(key)
-    return parse_range(str(default) if val is None else val)
 
 
 def _fl(x) -> str:
     return "%.17g" % float(x)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[list], jdoc: dict) -> None:
-    if cfg.format == "json":
-        text = json.dumps(jdoc, indent=2, sort_keys=True) + "\n"
+def _finite(doc):
+    """``doc`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    if isinstance(doc, float) and not np.isfinite(doc):
+        return None
+    return doc
+
+
+def _emit(args, header: list[str], rows: list[list], jdoc: dict) -> None:
+    if args.format == "json":
+        text = json.dumps(_finite(jdoc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
         lines += [",".join(str(c) for c in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _make_profile(params) -> "object":
-    kind = params.get("profile")
-    if not kind:
+def _make_profile(args) -> "object":
+    if not args.profile:
         raise InputError("--profile is required")
-    extra = {}
-    if params.get("z0") is not None:
-        extra["z0"] = float(params["z0"])
-    return make_profile(kind, **extra)
+    extra = {} if args.z0 is None else {"z0": args.z0}
+    return make_profile(args.profile, **extra)
 
 
 # ----------------------------------------------------------------------------
 # subcommand runners
 # ----------------------------------------------------------------------------
 
-def _run_spectrum(cfg: RunConfig):
-    p = cfg.params
-    profile = _make_profile(p)
-    alphas = _grid_param(p, "alpha", "1.0")
-    res = parse_range(p["re"]) if p.get("re") is not None else [None]
-    n = _num(p, "n", 128)
-    grid = build_grid(n, profile.domain, map_scale=_num(p, "map_scale", 4.0))
+def _run_spectrum(args):
+    profile = _make_profile(args)
+    res = [None] if args.re is None else args.re
+    grid = build_grid(args.n, profile.domain, map_scale=args.map_scale)
     rows, points = [], []
-    for a in alphas:
+    for a in args.alpha:
         for re in res:
             if re is None:
                 sol = rayleigh_spectrum(profile, float(a), grid)
@@ -245,123 +174,91 @@ def _run_spectrum(cfg: RunConfig):
             re_out = "nan" if re is None else _fl(re)
             for c, r in zip(sol.eigenvalues, sol.residuals):
                 rows.append([_fl(a), re_out, _fl(c.real), _fl(c.imag), _fl(r)])
-            points.append(
-                {
-                    "alpha": float(a),
-                    "Re": None if re is None else float(re),
-                    "eigenvalues": [[c.real, c.imag] for c in sol.eigenvalues],
-                    "residuals": [float(r) for r in sol.residuals],
-                    "n_rejected": sol.n_rejected,
-                }
-            )
+            points.append({"alpha": float(a), "Re": None if re is None else float(re),
+                           "eigenvalues": [[c.real, c.imag] for c in sol.eigenvalues],
+                           "residuals": [float(r) for r in sol.residuals],
+                           "n_rejected": sol.n_rejected})
     header = ["alpha", "Re", "c_real", "c_imag", "residual"]
     jdoc = {"subcommand": "spectrum", "profile": profile.kind, "points": points}
-    _emit(cfg, header, rows, jdoc)
+    _emit(args, header, rows, jdoc)
 
 
-def _run_neutral_curve(cfg: RunConfig):
-    p = cfg.params
-    profile = _make_profile(p)
-    if p.get("re") is None:
+def _run_neutral_curve(args):
+    profile = _make_profile(args)
+    if args.re is None:
         raise InputError("--re range is required for neutral-curve")
-    res = parse_range(p["re"])
-    window_vals = _grid_param(p, "alpha", "0.5:1.5")
-    window = (float(np.min(window_vals)), float(np.max(window_vals)))
-    n = _num(p, "n", 96)
-    tol = _num(p, "tol", 1e-4)
+    window = (float(np.min(args.alpha)), float(np.max(args.alpha)))
     lower, upper = neutral_curve(
-        profile, [float(r) for r in res], window, N=n,
-        map_scale=_num(p, "map_scale", 4.0), alpha_tol=tol,
+        profile, [float(r) for r in args.re], window, N=args.n,
+        map_scale=args.map_scale, alpha_tol=args.tol,
     )
     low, up = dict(lower.points), dict(upper.points)
     rows, points = [], []
-    for re in res:
-        re = float(re)
-        if re in low:
-            rows.append([_fl(re), _fl(low[re]), _fl(up[re]), "unstable"])
-            points.append(
-                {"Re": re, "alpha_low": low[re], "alpha_up": up[re],
-                 "status": "unstable"}
-            )
-        else:
-            rows.append([_fl(re), "nan", "nan", "stable"])
-            points.append(
-                {"Re": re, "alpha_low": None, "alpha_up": None, "status": "stable"}
-            )
+    for re in map(float, args.re):
+        a_low, a_up = low.get(re, np.nan), up.get(re, np.nan)
+        status = "unstable" if re in low else "stable"
+        rows.append([_fl(re), _fl(a_low), _fl(a_up), status])
+        points.append({"Re": re, "alpha_low": a_low, "alpha_up": a_up, "status": status})
     header = ["Re", "alpha_low", "alpha_up", "status"]
     jdoc = {"subcommand": "neutral-curve", "profile": profile.kind, "points": points}
-    _emit(cfg, header, rows, jdoc)
+    _emit(args, header, rows, jdoc)
 
 
-def _run_resolvent(cfg: RunConfig):
-    p = cfg.params
-    profile = _make_profile(p)
-    alpha = float(_grid_param(p, "alpha", "1.0")[0])
-    try:
-        c = complex(p.get("c") or "0.5+0.1j")
-    except ValueError:
-        raise InputError(f"bad phase speed {p.get('c')!r}") from None
-    n = _num(p, "n", 128)
-    grid = build_grid(n, profile.domain, map_scale=_num(p, "map_scale", 4.0))
+def _run_resolvent(args):
+    profile = _make_profile(args)
+    alpha, c = float(args.alpha[0]), args.c
+    grid = build_grid(args.n, profile.domain, map_scale=args.map_scale)
     phi = rayleigh_resolvent(profile, alpha, c, lambda z: np.exp(-z), grid)
     rows = []
     for z, v in zip(grid.nodes, phi):
-        rows.append([_fl(z) if np.isfinite(z) else "inf", _fl(v.real), _fl(v.imag)])
+        rows.append([_fl(z), _fl(v.real), _fl(v.imag)])
     jdoc = {
         "subcommand": "resolvent",
         "profile": profile.kind,
         "alpha": alpha,
         "c": [c.real, c.imag],
-        "z": [float(z) if np.isfinite(z) else None for z in grid.nodes],
+        "z": [float(z) for z in grid.nodes],
         "phi": [[v.real, v.imag] for v in phi],
     }
-    _emit(cfg, ["z", "phi_real", "phi_imag"], rows, jdoc)
+    _emit(args, ["z", "phi_real", "phi_imag"], rows, jdoc)
 
 
-def _run_heat_kernel(cfg: RunConfig):
-    p = cfg.params
-    ts = _grid_param(p, "t", "1.0")
-    dxs = _grid_param(p, "dx", "0.0")
-    nu = _num(p, "nu", 1.0)
+def _run_heat_kernel(args):
     rows, points = [], []
-    for t in ts:
-        for dx in dxs:
-            val = heat_green(float(t), float(dx), 0.0, nu)
-            rows.append([_fl(t), _fl(nu), _fl(dx), _fl(val)])
-            points.append({"t": float(t), "nu": nu, "dx": float(dx),
+    for t in args.t:
+        for dx in args.dx:
+            val = heat_green(float(t), float(dx), 0.0, args.nu)
+            rows.append([_fl(t), _fl(args.nu), _fl(dx), _fl(val)])
+            points.append({"t": float(t), "nu": args.nu, "dx": float(dx),
                            "value": float(val)})
     jdoc = {"subcommand": "heat-kernel", "points": points}
-    _emit(cfg, ["t", "nu", "dx", "value"], rows, jdoc)
+    _emit(args, ["t", "nu", "dx", "value"], rows, jdoc)
 
 
-def _run_semigroup(cfg: RunConfig):
-    p = cfg.params
-    dim = _num(p, "n", 4)
-    ts = _grid_param(p, "t", "1.0")
-    tol = _num(p, "tol", 1e-8)
-    rng = np.random.default_rng(cfg.seed)
+def _run_semigroup(args):
+    dim, tol = args.n, args.tol
+    if dim < 1:
+        raise InputError(f"--n must be at least 1, got {dim}")
+    rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((dim, dim)) / np.sqrt(dim)
     x0 = rng.standard_normal(dim)
     rows, points = [], []
-    for t in ts:
+    for t in args.t:
         val = semigroup_apply(A, x0, float(t))
         oracle = expm(A * float(t)) @ x0
         err = float(np.max(np.abs(val - oracle)))
         ok = err <= tol
         rows.append([_fl(t), _fl(err), str(ok).lower()])
         points.append({"t": float(t), "error": err, "pass": ok})
-    jdoc = {"subcommand": "semigroup", "seed": cfg.seed, "dim": dim,
+    jdoc = {"subcommand": "semigroup", "seed": args.seed, "dim": dim,
             "tol": tol, "points": points}
-    _emit(cfg, ["t", "error", "pass"], rows, jdoc)
+    _emit(args, ["t", "error", "pass"], rows, jdoc)
 
 
-def _run_genfunc_check(cfg: RunConfig):
-    p = cfg.params
-    nu = _num(p, "nu", 1e-4)
-    order = _num(p, "order", 4)
-    tol = _num(p, "tol", 1e-10)
+def _run_genfunc_check(args):
+    nu, order, tol = args.nu, args.order, args.tol
     params = BLNormParams.from_viscosity(nu, 1.0)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     truncation = (order, 2 * order)
     rows, checks = [], []
 
@@ -412,18 +309,18 @@ def _run_genfunc_check(cfg: RunConfig):
     spread = max(ratios) / min(ratios)
     record("laplace_bundle_spread", spread, spread < 20.0)
 
-    jdoc = {"subcommand": "genfunc-check", "seed": cfg.seed, "nu": nu,
+    jdoc = {"subcommand": "genfunc-check", "seed": args.seed, "nu": nu,
             "order": order, "checks": checks}
-    _emit(cfg, ["check", "value", "pass"], rows, jdoc)
+    _emit(args, ["check", "value", "pass"], rows, jdoc)
 
 
-def _run_instability(cfg: RunConfig):
-    p = cfg.params
-    mode = p.get("mode")
+def _run_instability(args):
+    # epsilon, order and t have per-mode defaults, so the table leaves them None
+    mode, alpha = args.mode, float(args.alpha[0])
     if mode == "bootstrap":
-        eps = _num(p, "epsilon", 1e-3)
-        order = _num(p, "order", 5)
-        t_max = float(_grid_param(p, "t", _fl(-np.log(eps) + 4.0))[-1])
+        eps = 1e-3 if args.epsilon is None else args.epsilon
+        order = 5 if args.order is None else args.order
+        t_max = -np.log(eps) + 4.0 if args.t is None else float(args.t[-1])
         t_grid = np.linspace(0.0, t_max, 81)
         r = ode_bootstrap(
             np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0,
@@ -442,32 +339,24 @@ def _run_instability(cfg: RunConfig):
             "escape_time": r.escape_time, "residual_slope": r.residual_slope,
             "C": list(r.C),
         }
-        _emit(cfg, ["quantity", "value"], rows, jdoc)
+        _emit(args, ["quantity", "value"], rows, jdoc)
     elif mode == "riccati":
-        eps = _num(p, "epsilon", 0.1)
-        alpha = float(_grid_param(p, "alpha", "1.0")[0])
-        phi0 = _num(p, "phi0", 0.01)
-        ts = _grid_param(p, "t", "0:20:11")
+        eps = 0.1 if args.epsilon is None else args.epsilon
+        ts = np.linspace(0.0, 20.0, 11) if args.t is None else args.t
         rows, points = [], []
         for t in ts:
-            r = riccati_exact(eps, alpha, phi0, float(t))
+            r = riccati_exact(eps, alpha, args.phi0, float(t))
             rows.append([_fl(t), _fl(r.value), str(r.blown_up).lower()])
-            points.append({
-                "t": float(t),
-                "value": r.value if np.isfinite(r.value) else None,
-                "blown_up": r.blown_up,
-            })
+            points.append({"t": float(t), "value": r.value, "blown_up": r.blown_up})
         jdoc = {"subcommand": "instability", "mode": "riccati",
-                "epsilon": eps, "alpha": alpha, "phi0": phi0,
-                "t_star": riccati_exact(eps, alpha, phi0, 0.0).t_star,
+                "epsilon": eps, "alpha": alpha, "phi0": args.phi0,
+                "t_star": riccati_exact(eps, alpha, args.phi0, 0.0).t_star,
                 "points": points}
-        _emit(cfg, ["t", "value", "blown_up"], rows, jdoc)
+        _emit(args, ["t", "value", "blown_up"], rows, jdoc)
     elif mode == "hopf":
-        alpha = float(_grid_param(p, "alpha", "1.0")[0])
-        order = _num(p, "order", 12)
-        eta0 = _num(p, "eta0", 0.25)
+        order = 12 if args.order is None else args.order
         series = hopf_series({1: 0.5, -1: 0.5}, alpha, order)
-        report = hopf_majorant(series, eta0=eta0, t_max=0.05)
+        report = hopf_majorant(series, eta0=args.eta0, t_max=0.05)
         rows = [
             [str(n), _fl(series.sup_norm(n)),
              _fl(series.recurrence_residual(n)) if n >= 2 else "0"]
@@ -484,11 +373,10 @@ def _run_instability(cfg: RunConfig):
                           "K_bound_ok")
             },
         }
-        _emit(cfg, ["n", "sup_norm", "recurrence_residual"], rows, jdoc)
+        _emit(args, ["n", "sup_norm", "recurrence_residual"], rows, jdoc)
     elif mode == "euler":
-        order = _num(p, "order", 4)
-        modes = _num(p, "n", 16)
-        rep = euler_series(make_profile("kolmogorov"), N=order, modes=modes)
+        order = 4 if args.order is None else args.order
+        rep = euler_series(make_profile("kolmogorov"), N=order, modes=args.n)
         rows = [
             ["alpha_real", _fl(rep["alpha_eig"].real)],
             ["alpha_imag", _fl(rep["alpha_eig"].imag)],
@@ -500,7 +388,7 @@ def _run_instability(cfg: RunConfig):
         rows += [[f"h1_ratio_{n + 2}", _fl(r)] for n, r in enumerate(rep["h1_ratios"])]
         jdoc = {
             "subcommand": "instability", "mode": "euler", "order": order,
-            "modes": modes,
+            "modes": args.n,
             "alpha_eig": [rep["alpha_eig"].real, rep["alpha_eig"].imag],
             "alpha_gap": rep["alpha_gap"],
             "eigen_residual": rep["eigen_residual"],
@@ -508,7 +396,7 @@ def _run_instability(cfg: RunConfig):
             "h1_ratios": rep["h1_ratios"],
             "partial_sum_change": rep["partial_sum_change"],
         }
-        _emit(cfg, ["quantity", "value"], rows, jdoc)
+        _emit(args, ["quantity", "value"], rows, jdoc)
     else:
         raise InputError(
             f"unknown instability mode {mode!r}; expected bootstrap, riccati, "
@@ -516,43 +404,73 @@ def _run_instability(cfg: RunConfig):
         )
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "neutral-curve": _run_neutral_curve,
-    "resolvent": _run_resolvent,
-    "heat-kernel": _run_heat_kernel,
-    "semigroup": _run_semigroup,
-    "genfunc-check": _run_genfunc_check,
-    "instability": _run_instability,
+# subcommand -> (runner, {flag: default}); flags appear in this order in --help
+COMMANDS = {
+    "spectrum": (_run_spectrum, {
+        "profile": None, "n": 128, "map_scale": 4.0, "alpha": "1.0", "re": None,
+        "z0": None}),
+    "neutral-curve": (_run_neutral_curve, {
+        "profile": None, "n": 96, "map_scale": 4.0, "alpha": "0.5:1.5", "re": None,
+        "tol": 1e-4, "z0": None}),
+    "resolvent": (_run_resolvent, {
+        "profile": None, "n": 128, "map_scale": 4.0, "alpha": "1.0", "c": 0.5 + 0.1j,
+        "z0": None}),
+    "heat-kernel": (_run_heat_kernel, {"t": "1.0", "nu": 1.0, "dx": "0.0"}),
+    "semigroup": (_run_semigroup, {"n": 4, "t": "1.0", "tol": 1e-8}),
+    "genfunc-check": (_run_genfunc_check, {"nu": 1e-4, "order": 4, "tol": 1e-10}),
+    "instability": (_run_instability, {
+        "mode": None, "alpha": "1.0", "epsilon": None, "phi0": 0.01, "order": None,
+        "n": 16, "t": None, "eta0": 0.25}),
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; raises toolkit errors on failure."""
-    if config.subcommand not in _RUNNERS:
-        raise InputError(f"unknown subcommand {config.subcommand!r}")
-    _RUNNERS[config.subcommand](config)
-    return 0
+def build_parser():
+    """The ``shearstab`` parser and its subparsers by name, built from COMMANDS."""
+    parser = argparse.ArgumentParser(
+        prog="shearstab", description="shear-flow stability toolkit"
+    )
+    sub = parser.add_subparsers(dest="subcommand")
+    for name, (runner, defaults) in COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, default in defaults.items():
+            kind, text = _FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=default,
+                           help=text)
+        p.add_argument("--out", help="output file (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format")
+        p.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
+        p.add_argument("--config", help="key=value config file (flags override)")
+        p.set_defaults(run=runner)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
+        # parse_range raises InputError, which argparse lets through
         args = parser.parse_args(argv)
+        if not args.subcommand:
+            parser.print_usage(sys.stderr)
+            return 2
+        if args.config:
+            values = _read_config_file(args.config)
+            flags = set(COMMANDS[args.subcommand][1]) | {"out", "format", "seed"}
+            unknown = sorted(set(values) - flags)
+            if unknown:
+                raise InputError(
+                    f"{args.config}: {unknown[0]!r} is not a flag of {args.subcommand}"
+                )
+            # config values become string defaults, converted by each flag's type
+            subparsers[args.subcommand].set_defaults(**values)
+            args = parser.parse_args(argv)
+        args.run(args)
+        return 0
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not args.subcommand:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        config = _resolve(args)
-        return run(config)
-    except (ConfigurationError, InputError) as exc:
-        print(f"shearstab: {exc}", file=sys.stderr)
-        return 2
     except ShearStabError as exc:
         print(f"shearstab: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ConfigurationError, InputError)) else 3
 
 
 if __name__ == "__main__":

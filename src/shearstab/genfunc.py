@@ -244,6 +244,8 @@ def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor:
     """Generator series of a mode family: row |alpha| accumulates the
     ell-weighted norms of the derivative table of f_alpha in the requested
     flavor, one refinement loop per mode."""
+    if flavor not in (GEN0, GEN_DELTA):
+        raise ConfigurationError(f"unknown series flavor {flavor!r}")
     N_alpha, N_ell = truncation
     if N_ell > MAX_ELL:
         raise ConfigurationError(f"N_ell capped at {MAX_ELL}")

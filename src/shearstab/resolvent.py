@@ -36,6 +36,7 @@ from .errors import (
     ConfigurationError,
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
+    InputError,
     NumericalError,
     QuadratureError,
     RegionError,
@@ -148,10 +149,16 @@ def semigroup_apply(
     cancellation floor below.  At t = 0 the open rays do not close at
     infinity, so a circle enclosing the spectrum (Gershgorin radius + 1) is
     used instead.  A contour through an eigenvalue raises
-    ContourCrossesSpectrumError naming the node.
+    ContourCrossesSpectrumError naming the node.  A must be a non-empty
+    square matrix (else ConfigurationError) and x0 a vector of its order
+    (else InputError).
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     x0 = np.asarray(x0, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ConfigurationError(f"A must be a non-empty square matrix, got shape {A.shape}")
+    if x0.shape != (A.shape[0],):
+        raise InputError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
     if t < 0:
         raise ConfigurationError("t must be nonnegative")
     if contour is None:
@@ -264,10 +271,10 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     return sol_p, sol_m
 
 
-def _matching_matrices(A, lam, nu, x_far, x_match):
-    """M = [[psi+, psi-], [psi+', psi-']] at x_match for each lam, shape (K, 2, 2)."""
+def _matching_matrices(A, lam, nu, x_far):
+    """M = [[psi+, psi-], [psi+', psi-']] at x = 0 for each lam, shape (K, 2, 2)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    sol_p, sol_m = _decaying_solutions(A, lam, nu, x_far, x_match)
+    sol_p, sol_m = _decaying_solutions(A, lam, nu, x_far, 0.0)
     cols = [sol.y[:, -1].reshape(2, lam.size) for sol in (sol_p, sol_m)]
     return np.stack(cols, axis=-1).transpose(1, 0, 2)
 
@@ -319,12 +326,12 @@ def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> complex:
     the essential spectrum.  It is the Wronskian of psi+ and psi-, so any
     matching point gives the same value.
     """
-    return complex(_det2(_matching_matrices(A, lam, nu, x_far, 0.0))[0])
+    return complex(_det2(_matching_matrices(A, lam, nu, x_far))[0])
 
 
 def evans_condition(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> float:
     """Diagnostic ||M^{-1}|| of the 2x2 matching matrix (large near eigenvalues)."""
-    M = _matching_matrices(A, lam, nu, x_far, 0.0)[0]
+    M = _matching_matrices(A, lam, nu, x_far)[0]
     return float(np.linalg.norm(np.linalg.inv(M), 2))
 
 
@@ -365,7 +372,7 @@ def evans_locate(
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
     pts = _rect_boundary(region, n_per_side)
-    M = _matching_matrices(A, pts, nu, x_far, 0.0)
+    M = _matching_matrices(A, pts, nu, x_far)
     vals = _det2(M)
     # |det| over the column norms is the sine of the angle between psi+ and
     # psi-: it vanishes on a zero whatever the scale e^{2 Re(mu) x_far} of |det|
@@ -396,7 +403,7 @@ def evans_locate(
     z0 = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
 
     def det(z):
-        return _det2(_matching_matrices(A, z, nu, x_far, 0.0))
+        return _det2(_matching_matrices(A, z, nu, x_far))
 
     z1 = z0 * (1 + 1e-4) + 1e-6
     f0, f1 = np.split(det(np.concatenate([z0, z1])), 2)

@@ -1,0 +1,70 @@
+"""CLI contracts beyond the output rows: strict JSON, config keys, input limits."""
+
+import json
+
+import pytest
+
+from shearstab.cli import main
+
+
+def run_cli(capsys, args):
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 does."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("args, key", [
+        (["instability", "--mode", "euler", "--order", "2"], "partial_sum_change"),
+        (["instability", "--mode", "bootstrap", "--t", "1"], "escape_time"),
+    ])
+    def test_non_finite_is_null(self, capsys, args, key):
+        code, out, _ = run_cli(capsys, args + ["--format", "json"])
+        assert code == 0
+        assert strict_json(out)[key] is None
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("text, key", [
+        ("T = 2\n", "'T'"),
+        # a flag of another subcommand is no flag of heat-kernel
+        ("t = 2\nprofile = tanh\n", "'profile'"),
+    ])
+    def test_unknown_key_exit_2(self, capsys, tmp_path, text, key):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, ["heat-kernel", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert key in err and str(cfg) in err
+
+    def test_common_keys_and_flag_types(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nformat = json\nn = 3\n")
+        code, out, _ = run_cli(capsys, ["semigroup", "--config", str(cfg)])
+        assert code == 0
+        doc = strict_json(out)
+        assert (doc["seed"], doc["dim"]) == (3, 3)
+
+    def test_bad_config_value_names_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = abc\n")
+        code, _, err = run_cli(capsys, ["semigroup", "--config", str(cfg)])
+        assert code == 2
+        assert "--n" in err and "'abc'" in err
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_semigroup_needs_positive_dimension(self, capsys, n):
+        code, _, err = run_cli(capsys, ["semigroup", "--n", n])
+        assert code == 2
+        assert err.startswith("shearstab:") and "--n" in err

@@ -211,6 +211,12 @@ class TestGenSeries:
         with pytest.raises(InputError):
             gen_series([mode], params, (1, 4), GEN0)
 
+    def test_unknown_flavor(self, params):
+        # WITH_BL is a bl_norm flavor, not a series flavor
+        for flavor in (WITH_BL, "gen_detla"):
+            with pytest.raises(ConfigurationError, match=flavor):
+                gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), flavor)
+
 
 class TestSeriesOps:
     def test_dz1_identity_exact(self, params):

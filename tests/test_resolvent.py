@@ -6,6 +6,7 @@ from shearstab.errors import (
     ConfigurationError,
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
+    InputError,
     QuadratureError,
     RegionError,
 )
@@ -107,6 +108,14 @@ class TestSemigroup:
         A = np.diag([1.0, -1.0])
         with pytest.raises(ContourCrossesSpectrumError, match=r"lambda=\(1\+0j\)"):
             semigroup_apply(A, np.array([1.0, 1.0]), 1.0, ContourSpec(1.0, 0.0))
+
+    def test_bad_shapes_raise_typed_errors(self):
+        with pytest.raises(ConfigurationError, match=r"\(0, 0\)"):
+            semigroup_apply(np.zeros((0, 0)), np.zeros(0), 1.0)
+        with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
+            semigroup_apply(np.ones((2, 3)), np.ones(3), 1.0)
+        with pytest.raises(InputError, match="length 2"):
+            semigroup_apply(-np.eye(2), np.ones(3), 1.0)
 
 
 class TestRefine:
@@ -287,7 +296,7 @@ class TestStackedBoundary:
         # the accuracy of each boundary point is checked one by one
         pot = lambda s: amp / np.cosh(s) ** 2
         pts = resolvent._rect_boundary(region, 12)
-        stacked = resolvent._det2(resolvent._matching_matrices(pot, pts, 1.0, 10.0, 0.0))
+        stacked = resolvent._det2(resolvent._matching_matrices(pot, pts, 1.0, 10.0))
         single = np.array([evans_det(pot, lam, 1.0, 10.0) for lam in pts])
         assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-9
 
