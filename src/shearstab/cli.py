@@ -20,14 +20,11 @@ import json
 import sys
 
 import numpy as np
-import sympy as sp
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, InputError, ShearStabError
 from .genfunc import (
     BLNormParams,
     FourierMode,
-    Y,
     gen_series,
     laplace_solve_1d,
     product_bound,
@@ -118,6 +115,9 @@ _FLAGS = {
     "eta0": (float, "majorant window size"),
     "z0": (float, "tanh profile shift"),
 }
+
+
+FORMATS = ("csv", "json")
 
 
 def _fl(x) -> str:
@@ -236,6 +236,8 @@ def _run_heat_kernel(args):
 
 
 def _run_semigroup(args):
+    from scipy.linalg import expm
+
     dim, tol = args.n, args.tol
     if dim < 1:
         raise InputError(f"--n must be at least 1, got {dim}")
@@ -256,6 +258,10 @@ def _run_semigroup(args):
 
 
 def _run_genfunc_check(args):
+    import sympy as sp
+
+    from .genfunc import Y
+
     nu, order, tol = args.nu, args.order, args.tol
     params = BLNormParams.from_viscosity(nu, 1.0)
     rng = np.random.default_rng(args.seed)
@@ -437,7 +443,7 @@ def build_parser():
             p.add_argument("--" + flag.replace("_", "-"), type=kind, default=default,
                            help=text)
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
+        p.add_argument("--format", choices=FORMATS, default="csv",
                        help="output format")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
         p.add_argument("--config", help="key=value config file (flags override)")
@@ -464,6 +470,11 @@ def main(argv=None) -> int:
             # config values become string defaults, converted by each flag's type
             subparsers[args.subcommand].set_defaults(**values)
             args = parser.parse_args(argv)
+            # argparse checks choices only on the command line, not on defaults
+            if args.format not in FORMATS:
+                raise InputError(
+                    f"{args.config}: format must be one of {FORMATS}, got {args.format!r}"
+                )
         args.run(args)
         return 0
     except SystemExit as exc:

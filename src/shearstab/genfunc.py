@@ -17,6 +17,11 @@ derivatives are monotone on the positive quadrant; the majorant inequalities
 verified here (product, x-derivative identity, elliptic gain,
 divergence-free transport) compare such evaluations, as array code over the
 sample points.
+
+Mode expressions are sympy expressions in the symbol ``Y`` (y, real and
+nonnegative).  sympy is imported only by the code that builds or
+differentiates such an expression: ``genfunc.Y`` is resolved on access by the
+module ``__getattr__``, so importing this module does not load sympy.
 """
 
 from __future__ import annotations
@@ -25,11 +30,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigurationError, InputError, QuadratureError, RegionError
-
-Y = sp.Symbol("y", real=True, nonnegative=True)
 
 GEN0 = "gen0"
 GEN_DELTA = "gen_delta"
@@ -37,6 +39,21 @@ WITH_BL = "with_bl"
 WITHOUT_BL = "without_bl"
 
 MAX_ELL = 24
+
+
+def _symbol_y():
+    """The sympy symbol y of the mode expressions; sympy caches it, so every
+    call returns the same symbol."""
+    import sympy as sp
+
+    return sp.Symbol("y", real=True, nonnegative=True)
+
+
+def __getattr__(name):
+    # ``genfunc.Y`` loads sympy only when it is asked for
+    if name == "Y":
+        return _symbol_y()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +179,11 @@ class FourierMode:
         self.alpha = int(alpha)
         if (expr is None) == (derivs is None):
             raise ConfigurationError("provide exactly one of expr / derivs")
-        self.expr = sp.sympify(expr) if expr is not None else None
+        if expr is not None:
+            import sympy as sp
+
+            expr = sp.sympify(expr)
+        self.expr = expr
         self._derivs = tuple(derivs) if derivs is not None else None
         self._exprs = [self.expr]
         self._table_fn = None
@@ -179,9 +200,12 @@ class FourierMode:
             vals = [f(y) for f in self._derivs[: L + 1]]
         else:
             if self._table_fn is None or L >= len(self._exprs):
+                import sympy as sp
+
+                y_sym = _symbol_y()
                 while len(self._exprs) <= L:
-                    self._exprs.append(sp.diff(self._exprs[-1], Y))
-                self._table_fn = sp.lambdify(Y, self._exprs, "numpy")
+                    self._exprs.append(sp.diff(self._exprs[-1], y_sym))
+                self._table_fn = sp.lambdify(y_sym, self._exprs, "numpy")
             vals = self._table_fn(y)
         out = np.empty((L + 1,) + y.shape, dtype=complex)
         for ell in range(L + 1):
@@ -436,6 +460,8 @@ def elliptic_gen_estimate(omega_modes, params: BLNormParams, z2_max: float, trun
 
 def _mode_product(f_modes, g_modes, N_alpha):
     """Symbolic Fourier modes of the pointwise product f * g, truncated."""
+    import sympy as sp
+
     out: dict[int, sp.Expr] = {}
     for mf in f_modes:
         for mg in g_modes:
@@ -454,6 +480,8 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
     Gen_delta(v d_y g) against (Gen_0(v) + dz1 Gen_0(u)) dz2 Gen_delta(g),
     and the first-order transport bundle against C B dz1 B + C B dz2 B.
     """
+    import sympy as sp
+
     N_alpha, N_ell = truncation
     yc = sample_grid(params.delta)     # yc[0] = 0 is the wall
     u_by_alpha = {m.alpha: m for m in u_modes}
@@ -469,7 +497,7 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
         if abs(v[0]) > 1e-10:
             raise InputError(f"v_alpha(0) != 0 for alpha={mv.alpha}")
 
-    dyg = [FourierMode(m.alpha, sp.diff(m.expr, Y)) for m in g_modes]
+    dyg = [FourierMode(m.alpha, sp.diff(m.expr, _symbol_y())) for m in g_modes]
     dxg = [FourierMode(m.alpha, sp.I * m.alpha * m.expr) for m in g_modes]
     v_dyg = _mode_product(v_modes, dyg, N_alpha)
     u_dxg = _mode_product(u_modes, dxg, N_alpha)

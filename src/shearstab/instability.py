@@ -32,8 +32,6 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -43,8 +41,8 @@ from .errors import (
     ResonanceError,
     WindowError,
 )
-from .profiles import TORUS, ShearProfile
-from .resolvent import _gauss_nodes, _refine, default_contour_for, semigroup_apply
+from .profiles import TORUS, ShearProfile, solve_ivp
+from .resolvent import _gauss_nodes, _refine, _square_matrix, default_contour_for, semigroup_apply
 
 __all__ = [
     "BootstrapResult",
@@ -106,7 +104,7 @@ def duhamel_term(
     relative; the propagator is evaluated by resolvent contour quadrature
     (``semigroup_apply``) on one contour computed for A.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    A = _square_matrix(A)
     if t == 0.0:
         return np.zeros(A.shape[0], dtype=complex)
     contour = default_contour_for(A)
@@ -146,6 +144,8 @@ def ode_bootstrap(
     evaluation makes one call on all pairs j + k = i <= N, and the
     truncation residual one call on all pairs j + k > N at all times.
     """
+    from scipy.optimize import brentq
+
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
     lam = complex(growth_rate)

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NonconvergenceError, UnsupportedProfileError
 
@@ -130,6 +127,8 @@ def make_profile(kind: str, **params) -> ShearProfile:
 
 
 def _spline_profile(kind, domain, z_tab, u_tab):
+    from scipy.interpolate import CubicSpline
+
     order = np.argsort(z_tab)
     z_tab, u_tab = z_tab[order], u_tab[order]
     spl = CubicSpline(z_tab, u_tab)
@@ -153,6 +152,12 @@ def _spline_profile(kind, domain, z_tab, u_tab):
 
     # U'' of a cubic spline is only piecewise linear
     return ShearProfile(kind, domain, U, dU, d2Uf, lower_accuracy=True)
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, with scipy.integrate loaded on the first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _blasius_rhs(eta, f):
@@ -179,6 +184,9 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
     Brent's method on f''(0) over [0.1, 1] with a high-order ODE integrator;
     converged when |f'(eta_max) - 1| < tolerance.
     """
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
+
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
 
@@ -245,6 +253,8 @@ def inflection_points(
     neighbours have opposite signs.  An empty list means the necessary
     inviscid-instability condition fails.
     """
+    from scipy.optimize import brentq
+
     z_lo, z_hi = profile.z_range(z_max)
     z = np.linspace(z_lo, z_hi, n_scan)
     w = profile.d2U(z)

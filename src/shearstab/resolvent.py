@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigurationError,
@@ -41,6 +40,7 @@ from .errors import (
     QuadratureError,
     RegionError,
 )
+from .profiles import solve_ivp
 
 N_NODES = 32         # initial Gauss-Legendre nodes per semigroup segment
 TOL = 1e-10          # agreement of two successive passes, relative to 1 + max|value|
@@ -136,6 +136,14 @@ def _three_segment_nodes(P, B, ray_len, n):
     return lam, dlam, np.concatenate([w1, w2, w3])
 
 
+def _square_matrix(A) -> np.ndarray:
+    """A as a complex 2-D array; ConfigurationError unless it is non-empty and square."""
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ConfigurationError(f"A must be a non-empty square matrix, got shape {A.shape}")
+    return A
+
+
 def semigroup_apply(
     A: np.ndarray,
     x0: np.ndarray,
@@ -153,10 +161,8 @@ def semigroup_apply(
     square matrix (else ConfigurationError) and x0 a vector of its order
     (else InputError).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    A = _square_matrix(A)
     x0 = np.asarray(x0, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise ConfigurationError(f"A must be a non-empty square matrix, got shape {A.shape}")
     if x0.shape != (A.shape[0],):
         raise InputError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
     if t < 0:

@@ -17,9 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.fft import dct
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -67,6 +64,13 @@ class NeutralBranch:
     subcritical_Re: list = field(default_factory=list)
 
 
+def _check_positive(**params):
+    """ConfigurationError unless every value is positive and finite (NaN fails)."""
+    for name, value in params.items():
+        if not (0 < value < np.inf):
+            raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _profile_diagonals(profile: ShearProfile, grid: SpectralDiscretization):
     y = grid.nodes
     finite = np.isfinite(y)
@@ -85,6 +89,8 @@ def _refine_eigenpair(A, B, c, phi, iters=2):
     the accuracy of the matrix entries.  Falls back to the input pair when a
     solve degenerates or the update jumps away from the starting eigenvalue.
     """
+    import scipy.linalg
+
     c0 = c
     for _ in range(iters):
         K = B * -c
@@ -119,6 +125,8 @@ def _residuals(A, B, c, V, scale):
 
 def _tail_fractions(V):
     """Fraction of Chebyshev-coefficient mass in the top third, per column."""
+    from scipy.fft import dct
+
     N = V.shape[0] - 1
     a = np.abs(dct(V, type=1, axis=0))
     a[[0, -1]] /= 2.0
@@ -230,8 +238,7 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     Dirichlet/decay conditions at both ends.  Continuous-spectrum artifacts
     (rough modes with c inside range(U)) are rejected by the smoothness gate.
     """
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
+    _check_positive(alpha=alpha)
     A, B, bc_idx, scale = _pencil(profile, alpha, grid, 0.0, "dirichlet")
     return EigenSolution(alpha, np.inf, *_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale))
 
@@ -251,8 +258,7 @@ def rayleigh_resolvent(
     nodes.
     Raises a critical-layer error when c comes within 1e-8 of U at a node.
     """
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
+    _check_positive(alpha=alpha)
     A, B, bc_idx, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
     U, _ = _profile_diagonals(profile, grid)
     finite = grid.finite_mask()
@@ -280,8 +286,7 @@ def os_spectrum(
     eps = nu / (i alpha) with nu = 1/Re; clamped/decay boundary conditions.
     Warns when N is below the critical-layer resolution guidance 4 Re^{1/4}.
     """
-    if alpha <= 0 or Re <= 0:
-        raise ConfigurationError("alpha and Re must be positive")
+    _check_positive(alpha=alpha, Re=Re)
     n_guide = 4.0 * Re**0.25
     if grid.N < n_guide:
         warnings.warn(
@@ -323,6 +328,8 @@ def neutral_curve(
     crossing.  Re values with no unstable alpha are recorded on the branches
     as below criticality.
     """
+    from scipy.optimize import brentq
+
     Re_list = [float(r) for r in Re_list]
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")

@@ -54,6 +54,15 @@ class TestConfigKeys:
         doc = strict_json(out)
         assert (doc["seed"], doc["dim"]) == (3, 3)
 
+    def test_config_format_is_checked(self, capsys, tmp_path):
+        # argparse checks ``choices`` only on the command line, not on defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run_cli(capsys, ["heat-kernel", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "'xml'" in err and str(cfg) in err
+
     def test_bad_config_value_names_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = abc\n")
@@ -68,3 +77,11 @@ class TestInputLimits:
         code, _, err = run_cli(capsys, ["semigroup", "--n", n])
         assert code == 2
         assert err.startswith("shearstab:") and "--n" in err
+
+    @pytest.mark.parametrize("flag", ["--re", "--alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_spectrum_needs_finite_parameters(self, capsys, flag, value):
+        args = ["spectrum", "--profile", "tanh", "--z0", "1", "--n", "32", flag, value]
+        code, out, err = run_cli(capsys, args)
+        assert code == 2
+        assert out == "" and err.startswith("shearstab:")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from shearstab import genfunc
 from shearstab.errors import ConfigurationError, InputError, QuadratureError, RegionError
 from shearstab.genfunc import (
     GEN0,
@@ -133,8 +132,8 @@ class TestDerivativeTable:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(genfunc.sp, "diff", counting("diff", diff))
-        monkeypatch.setattr(genfunc.sp, "lambdify", counting("lambdify", lambdify))
+        monkeypatch.setattr(sp, "diff", counting("diff", diff))
+        monkeypatch.setattr(sp, "lambdify", counting("lambdify", lambdify))
         mode = FourierMode(1, sp.exp(-(Y**2)))
         y = np.linspace(0.0, 3.0, 7)
         low = mode.derivatives(y, 3)
@@ -386,7 +385,7 @@ class TestDivFreeBilinear:
             compiled.append(exprs)
             return lambdify(args, exprs, *rest, **kwargs)
 
-        monkeypatch.setattr(genfunc.sp, "lambdify", counting)
+        monkeypatch.setattr(sp, "lambdify", counting)
         rep = divfree_bilinear(*modes(), params, truncation=(3, 5))
         # u, v, g, the product v d_y g and the transport sum (alpha = 2);
         # each mode's expression list is compiled by one call

@@ -67,6 +67,12 @@ class TestOdeBootstrap:
             exact = 1e-6 * (np.exp(2 * t) - np.exp(t))
             assert abs(v[0] - exact) < 1e-10 * (1 + exact)
 
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.zeros((0, 0))])
+    def test_duhamel_needs_square_matrix(self, A):
+        # checked before the contour is computed from the eigenvalues of A
+        with pytest.raises(ConfigurationError, match="square"):
+            duhamel_term(A, lambda t: np.ones(A.shape[1]), 1.0)
+
     def test_amplitude_floor(self, scalar_boot):
         assert scalar_boot.sigma0 == pytest.approx(0.5 * np.exp(-scalar_boot.sigma))
         assert scalar_boot.T1 == pytest.approx(

@@ -74,6 +74,29 @@ class TestRayleighSpectrum:
             rayleigh_spectrum(make_profile("poiseuille"), 1.0, half_grid)
 
 
+class TestNonFiniteParameters:
+    """NaN and inf wavenumbers and Reynolds numbers are rejected up front; they
+    used to reach the eigensolver and fail there (SVD did not converge)."""
+
+    @pytest.mark.parametrize("alpha, Re", [
+        (np.nan, 100.0), (np.inf, 100.0), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_os_spectrum(self, half_grid, alpha, Re):
+        with pytest.raises(ConfigurationError, match="finite"):
+            os_spectrum(make_profile("tanh", z0=1.0), alpha, Re, half_grid)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rayleigh_spectrum(self, half_grid, alpha):
+        with pytest.raises(ConfigurationError, match="finite"):
+            rayleigh_spectrum(make_profile("tanh", z0=1.0), alpha, half_grid)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rayleigh_resolvent(self, half_grid, alpha):
+        with pytest.raises(ConfigurationError, match="finite"):
+            rayleigh_resolvent(make_profile("exponential"), alpha, 1.5 + 0.2j,
+                               lambda z: np.exp(-z), half_grid)
+
+
 def _uniform_profile():
     """U == 1, U'' == 0 on the half line (for manufactured resolvent solves)."""
     return ShearProfile(
