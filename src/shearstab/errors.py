@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the checks that raise it."""
+
+import math
 
 
 class ShearStabError(Exception):
@@ -55,3 +57,10 @@ class WindowError(ShearStabError):
 
 class InputError(ShearStabError):
     """Malformed numerical input data (empty sample, divergence residual, ...)."""
+
+
+def check_positive(**params):
+    """ConfigurationError unless every value is positive and finite (NaN fails)."""
+    for name, value in params.items():
+        if not (0 < value < math.inf):
+            raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")

@@ -175,8 +175,9 @@ def ode_bootstrap(
             "order N too small: need 2(N+1) Re(lambda) > energy constant %.3g" % mu
         )
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise InputError("t_grid must be increasing and nonnegative")
+    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
+            or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
+        raise InputError("t_grid must be finite, increasing and nonnegative")
     t_max = float(t_grid[-1])
 
     def psi1(t):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive
 from .profiles import CHANNEL, HALF_LINE
 
 BC_DIRICHLET = "dirichlet"
@@ -63,8 +63,7 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
         raise ConfigurationError(f"N must be >= 2, got {N}")
     if domain not in (CHANNEL, HALF_LINE):
         raise ConfigurationError(f"unsupported domain {domain!r}")
-    if domain == HALF_LINE and map_scale <= 0:
-        raise ConfigurationError("half-line map scale must be positive")
+    check_positive(map_scale=map_scale)
 
     xi, Dc = cheb_matrix(N)
     if domain == CHANNEL:
@@ -117,5 +116,8 @@ def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray
             rows.append((1, grid.D1_cheb[0].copy()))
     else:
         raise ConfigurationError(f"unknown bc spec {bc!r}")
+    if n < len(rows) + 1:
+        raise ConfigurationError(
+            f"N must be >= {len(rows) + 1} for the {len(rows)} {bc} boundary rows, got {n}")
     return rows
 

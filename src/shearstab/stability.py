@@ -24,6 +24,7 @@ from .errors import (
     InputError,
     NumericalError,
     WindowError,
+    check_positive,
 )
 from .profiles import ShearProfile
 from .spectral import SpectralDiscretization, bc_rows, build_grid
@@ -62,13 +63,6 @@ class NeutralBranch:
     side: str                   # "lower" or "upper"
     fit: dict | None = None     # log-log slope/intercept metadata, set by fit_exponents
     subcritical_Re: list = field(default_factory=list)
-
-
-def _check_positive(**params):
-    """ConfigurationError unless every value is positive and finite (NaN fails)."""
-    for name, value in params.items():
-        if not (0 < value < np.inf):
-            raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _profile_diagonals(profile: ShearProfile, grid: SpectralDiscretization):
@@ -238,7 +232,7 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     Dirichlet/decay conditions at both ends.  Continuous-spectrum artifacts
     (rough modes with c inside range(U)) are rejected by the smoothness gate.
     """
-    _check_positive(alpha=alpha)
+    check_positive(alpha=alpha)
     A, B, bc_idx, scale = _pencil(profile, alpha, grid, 0.0, "dirichlet")
     return EigenSolution(alpha, np.inf, *_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale))
 
@@ -258,7 +252,7 @@ def rayleigh_resolvent(
     nodes.
     Raises a critical-layer error when c comes within 1e-8 of U at a node.
     """
-    _check_positive(alpha=alpha)
+    check_positive(alpha=alpha)
     A, B, bc_idx, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
     U, _ = _profile_diagonals(profile, grid)
     finite = grid.finite_mask()
@@ -286,7 +280,7 @@ def os_spectrum(
     eps = nu / (i alpha) with nu = 1/Re; clamped/decay boundary conditions.
     Warns when N is below the critical-layer resolution guidance 4 Re^{1/4}.
     """
-    _check_positive(alpha=alpha, Re=Re)
+    check_positive(alpha=alpha, Re=Re)
     n_guide = 4.0 * Re**0.25
     if grid.N < n_guide:
         warnings.warn(

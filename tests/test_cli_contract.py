@@ -1,8 +1,13 @@
 """CLI contracts beyond the output rows: strict JSON, config keys, input limits."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import shearstab
 
 from shearstab.cli import main
 
@@ -85,3 +90,24 @@ class TestInputLimits:
         code, out, err = run_cli(capsys, args)
         assert code == 2
         assert out == "" and err.startswith("shearstab:")
+
+    @pytest.mark.parametrize("args, name", [
+        (["spectrum", "--profile", "poiseuille", "--n", "2", "--re", "100"], "N"),
+        (["spectrum", "--profile", "exponential", "--map-scale", "nan", "--n", "32"], "map_scale"),
+    ])
+    def test_spectrum_grid_checked(self, capsys, args, name):
+        # these used to exit 1 with numpy's LinAlgError and a traceback
+        code, out, err = run_cli(capsys, args)
+        assert code == 2
+        assert out == "" and err.startswith(f"shearstab: {name} must be")
+
+    def test_bootstrap_nan_time_returns(self):
+        # this case used to integrate without end, so it runs in a child
+        # process that a timeout can stop
+        src = os.path.dirname(os.path.dirname(os.path.abspath(shearstab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shearstab.cli", "instability", "--mode", "bootstrap", "--t", "nan"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("shearstab: t_grid must be finite")

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from shearstab import genfunc
 from shearstab.errors import ConfigurationError, InputError, QuadratureError, RegionError
 from shearstab.genfunc import (
     GEN0,
@@ -96,52 +99,151 @@ class TestBLNorm:
 
 
 def _per_order_derivative(expr, ell, y):
-    """The per-order path the derivative table replaced: one sp.diff to order
-    ell and one lambdify per order, broadcast to the sample shape."""
+    """The per-order sympy path the jets replaced: one sp.diff to order ell
+    and one lambdify per order, broadcast to the sample shape."""
     fn = sp.lambdify(Y, sp.diff(expr, Y, ell), "numpy")
     return np.broadcast_to(np.asarray(fn(y), dtype=complex), y.shape)
 
 
+def _mpmath_table(expr, y, L, dps=60, radius=0.5, nodes=64):
+    """d_y^l expr for l = 0..L at the points y, in ``dps``-digit mpmath.
+
+    Cauchy's integral formula by the trapezoidal rule on a circle of radius
+    ``radius`` about each point: for a function analytic within distance R
+    of [0, y_max] the error is of order (radius / R)^nodes, below 1e-19 for
+    R >= 1, and far below 1e-40 for entire functions.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        fn = sp.lambdify(Y, expr, "mpmath")
+        w = [radius * mpmath.expjpi(mpmath.mpf(2 * m) / nodes) for m in range(nodes)]
+        inv = [[wm ** -ell for wm in w] for ell in range(L + 1)]
+        out = np.empty((L + 1, len(y)), dtype=complex)
+        for i, yi in enumerate(y):
+            vals = [fn(mpmath.mpf(float(yi)) + wm) for wm in w]
+            for ell in range(L + 1):
+                c = mpmath.fsum(v * q for v, q in zip(vals, inv[ell])) / nodes
+                out[ell, i] = complex(c * math.factorial(ell))
+    return out
+
+
+def _count_symbolic_calls(monkeypatch):
+    """Patch sp.diff and sp.lambdify to count their calls; returns the counts."""
+    calls = {"diff": 0, "lambdify": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sp, "diff", counting("diff", sp.diff))
+    monkeypatch.setattr(sp, "lambdify", counting("lambdify", sp.lambdify))
+    return calls
+
+
+def _table_cases():
+    """(sympy expression, mode) pairs of the derivative-table tests; the
+    product's mode comes from _mode_product's jet composition."""
+    f06 = sp.Float(0.6) * sp.exp(-(Y**2))
+    exprs = [
+        sp.Float(1.3) * sp.exp(-sp.Float(0.7) * Y),
+        sp.Float(0.4) * sp.exp(-sp.Float(1.7) * Y**2),
+        sp.sin(Y) * sp.exp(-Y),
+        sp.exp(-Y) * sp.cos(2 * Y) / (1 + Y) ** 2,
+        -sp.I * (1 - sp.exp(-Y)),
+        sp.Rational(3, 2),
+        sp.Integer(0),
+    ]
+    product = _mode_product([FourierMode(1, sp.exp(-Y))], [FourierMode(2, f06)], 4)[0]
+    return [(sp.exp(-Y) * f06, product)] + [(e, FourierMode(1, e)) for e in exprs]
+
+
 class TestDerivativeTable:
+    def test_matches_mpmath_reference(self, params):
+        # 60-digit reference to order 24, to 1e-13 of each order's sup.  The
+        # terms of row l of e^{-y} sin y sum to 2^l / l! for a result of
+        # 2^{l/2} / l!, so its orders 21..24 are held to 1e-12 (measured
+        # 1.6e-13 and 5.3e-13 at orders 23 and 24)
+        y = sample_grid(params.delta)[::50]
+        # rows that vanish identically hold the reference's rounding noise,
+        # about 10^-60 l! / radius^l
+        noise = np.array([1e-50 * math.factorial(ell) * 2.0**ell for ell in range(25)])
+        for expr, mode in _table_cases():
+            tab = mode.derivatives(y, 24)
+            ref = _mpmath_table(expr, y, 24)
+            err = np.max(np.abs(tab - ref), axis=1)
+            sup = np.max(np.abs(ref), axis=1)
+            tol = np.full(25, 1e-13)
+            if expr == sp.sin(Y) * sp.exp(-Y):
+                tol[21:] = 1e-12
+            assert np.all(err <= tol * sup + noise), (expr, err / np.maximum(sup, 1e-300))
+
     def test_matches_per_order_path(self, params):
+        # sympy's diff + lambdify as a second oracle up to order 10
         y = sample_grid(params.delta)
-        product = _mode_product([FourierMode(1, sp.exp(-Y))],
-                                [FourierMode(2, sp.Float(0.6) * sp.exp(-(Y**2)))], 4)[0]
-        exprs = [
-            sp.Float(1.3) * sp.exp(-sp.Float(0.7) * Y),
-            sp.Float(0.4) * sp.exp(-sp.Float(1.7) * Y**2),
-            product.expr,
-            sp.sin(Y) * sp.exp(-Y),
-            sp.Rational(3, 2),
-            sp.Integer(0),
-        ]
-        for expr in exprs:
-            tab = FourierMode(1, expr).derivatives(y, 10)
+        for expr, mode in _table_cases():
+            tab = mode.derivatives(y, 10)
             assert tab.shape == (11, y.size) and tab.dtype == complex
             for ell in range(11):
                 ref = _per_order_derivative(expr, ell, y)
                 assert np.max(np.abs(tab[ell] - ref)) <= 1e-13 * np.max(np.abs(ref)), (expr, ell)
 
-    def test_compiled_once_per_extension(self, monkeypatch):
-        calls = {"diff": 0, "lambdify": 0}
-        diff, lambdify = sp.diff, sp.lambdify
+    def test_callable_matches_sympy(self, params):
+        y = sample_grid(params.delta)
+        pairs = [
+            (lambda t: 0.4 * genfunc.exp(-1.7 * t**2),
+             sp.Float(0.4) * sp.exp(-sp.Float(1.7) * Y**2)),
+            (lambda t: genfunc.exp(-t) * genfunc.sin(t), sp.sin(Y) * sp.exp(-Y)),
+            (lambda t: -1j * (1 - genfunc.exp(-t)), -sp.I * (1 - sp.exp(-Y))),
+            (lambda t: (1 + t) ** -2 * genfunc.cos(2 * t), sp.cos(2 * Y) / (1 + Y) ** 2),
+        ]
+        # the callables take sympy's operand order, so the two agree to rounding
+        for fn, expr in pairs:
+            a = FourierMode(1, fn).derivatives(y, 24)
+            b = FourierMode(1, expr).derivatives(y, 24)
+            sup = np.max(np.abs(b), axis=1)
+            assert np.all(np.max(np.abs(a - b), axis=1) <= 1e-15 * sup), expr
+        mode = FourierMode(1, pairs[0][0])
+        assert mode.expr is pairs[0][0]
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+    def test_jet_operators(self, params):
+        # division, subtraction and reflected operators against the sympy walk,
+        # whose operand order differs: equal to a few roundings of each row
+        y = sample_grid(params.delta)
+        pairs = [
+            (lambda t: genfunc.cos(2 * t) / (1 + t) ** 2, sp.cos(2 * Y) / (1 + Y) ** 2),
+            (lambda t: 3 / (2 + t) - t / 4 + 1, 3 / (2 + Y) - Y / 4 + 1),
+            (lambda t: (t - 2) * (t * t - 1) ** 3 / (3 + genfunc.sin(t)),
+             (Y - 2) * (Y**2 - 1) ** 3 / (3 + sp.sin(Y))),
+        ]
+        for fn, expr in pairs:
+            a = FourierMode(1, fn).derivatives(y, 24)
+            b = FourierMode(1, expr).derivatives(y, 24)
+            sup = np.max(np.abs(b), axis=1)
+            assert np.all(np.max(np.abs(a - b), axis=1) <= 1e-13 * sup), expr
 
-        monkeypatch.setattr(sp, "diff", counting("diff", diff))
-        monkeypatch.setattr(sp, "lambdify", counting("lambdify", lambdify))
+    def test_no_symbolic_calls(self, monkeypatch):
+        calls = _count_symbolic_calls(monkeypatch)
         mode = FourierMode(1, sp.exp(-(Y**2)))
         y = np.linspace(0.0, 3.0, 7)
         low = mode.derivatives(y, 3)
         high = mode.derivatives(y, 10)
         again = mode.derivatives(y, 5)
-        # successive orders: one diff per new order, one lambdify per extension
-        assert calls == {"diff": 10, "lambdify": 2}
+        assert calls == {"diff": 0, "lambdify": 0}
+        # row l depends on rows 0..l only: a lower order is a prefix
         assert np.array_equal(high[:4], low) and np.array_equal(again, high[:6])
+
+    @pytest.mark.parametrize("expr, node", [
+        (sp.log(1 + Y), "log"),
+        (sp.sqrt(Y), "Pow"),
+        (sp.tanh(Y) * sp.exp(-Y), "tanh"),
+        (sp.exp(-sp.Symbol("x") * Y), "Symbol"),
+    ])
+    def test_unsupported_node(self, expr, node):
+        with pytest.raises(ConfigurationError, match=node):
+            FourierMode(1, expr)
 
     def test_supplied_derivatives(self):
         mode = FourierMode(2, derivs=(lambda y: np.exp(-y), lambda y: -1.0))
@@ -366,32 +468,46 @@ class TestDivFreeBilinear:
         assert r2["C_dy"] == pytest.approx(r1["C_dy"], rel=0.2)
         assert r2["C_transport"] == pytest.approx(r1["C_transport"], rel=0.3)
 
-    def test_each_fresh_mode_compiled_once(self, params, monkeypatch):
+    def test_fresh_call_makes_no_symbolic_calls(self, params, monkeypatch):
         def modes():
             return ([FourierMode(1, sp.exp(-Y))], [FourierMode(1, -sp.I * (1 - sp.exp(-Y)))],
                     [FourierMode(1, sp.exp(-(Y**2)))])
 
-        # the order the divergence check used to compile the u and v modes in
-        u, v, g = modes()
-        y = sample_grid(params.delta)
-        u[0].derivatives(y, 0)
-        v[0].derivatives(y, 1)
-        before = divfree_bilinear(u, v, g, params, truncation=(3, 5))
-
-        compiled = []
-        lambdify = sp.lambdify
-
-        def counting(args, exprs, *rest, **kwargs):
-            compiled.append(exprs)
-            return lambdify(args, exprs, *rest, **kwargs)
-
-        monkeypatch.setattr(sp, "lambdify", counting)
+        before = divfree_bilinear(*modes(), params, truncation=(3, 5))
+        calls = _count_symbolic_calls(monkeypatch)
         rep = divfree_bilinear(*modes(), params, truncation=(3, 5))
-        # u, v, g, the product v d_y g and the transport sum (alpha = 2);
-        # each mode's expression list is compiled by one call
-        assert len(compiled) == 5
-        assert len({id(exprs) for exprs in compiled}) == len(compiled)
+        assert calls == {"diff": 0, "lambdify": 0}
         assert rep["C_dy"] == before["C_dy"] and rep["C_transport"] == before["C_transport"]
+
+    def test_fresh_calls_keep_memory_flat(self, params):
+        # jets keep no state per expression: after two warm-up calls, six
+        # fresh seeded calls leave the traced heap within 1 MB (the
+        # symbolic path grew the process by about 3 MB per call)
+        import gc
+        import tracemalloc
+
+        rng = np.random.default_rng(7)
+
+        def fresh_call():
+            a, b, c, d = rng.uniform(0.5, 2.0, 4)
+            u = [FourierMode(1, sp.Float(a) * sp.exp(-sp.Float(b) * Y))]
+            v = [FourierMode(1, -sp.I * sp.Float(a / b) * (1 - sp.exp(-sp.Float(b) * Y)))]
+            g = [FourierMode(1, sp.Float(c) * sp.exp(-sp.Float(d) * Y**2))]
+            divfree_bilinear(u, v, g, params, truncation=(3, 5))
+
+        for _ in range(2):
+            fresh_call()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(6):
+                fresh_call()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 1_000_000, grown
 
     def test_divergence_residual_rejected(self, params):
         u = [FourierMode(1, sp.exp(-Y))]

@@ -29,6 +29,13 @@ class TestBuildGrid:
         with pytest.raises(ConfigurationError):
             build_grid(8, HALF_LINE, map_scale=-1.0)
 
+    @pytest.mark.parametrize("domain", [CHANNEL, HALF_LINE])
+    @pytest.mark.parametrize("map_scale", [np.nan, np.inf, 0.0])
+    def test_map_scale_positive_and_finite(self, domain, map_scale):
+        # a NaN scale used to reach numpy's SVD through the pencil
+        with pytest.raises(ConfigurationError, match="map_scale"):
+            build_grid(32, domain, map_scale=map_scale)
+
 
 class TestDiffMatrices:
     def test_constant_and_coordinate(self):
@@ -67,6 +74,15 @@ class TestDiffMatrices:
 
 
 class TestBCRows:
+    @pytest.mark.parametrize("domain", [CHANNEL, HALF_LINE])
+    @pytest.mark.parametrize("bc, n_rows", [("dirichlet", 2), ("clamped", 4)])
+    def test_grid_needs_more_nodes_than_rows(self, domain, bc, n_rows):
+        # N = 2 under the clamped rows used to leave a singular pencil
+        for N in range(2, n_rows + 1):
+            with pytest.raises(ConfigurationError, match=f">= {n_rows + 1}"):
+                bc_rows(build_grid(N, domain), bc)
+        assert len(bc_rows(build_grid(n_rows + 1, domain), bc)) == n_rows
+
     def test_clamped_rows(self):
         g = build_grid(16, HALF_LINE, map_scale=2.0)
         rows = bc_rows(g, "clamped")
