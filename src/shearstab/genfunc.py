@@ -6,10 +6,10 @@ y-derivatives of all modes,
 
     G(z1, z2) = sum_{alpha, l} e^{z1 |alpha|} ||d_y^l f_alpha||_l z2^l / l!,
 
-with either the plain weight phi(y)^l = (y/(1+y))^l (flavor ``gen0``) or the
-additional boundary-layer damping (1 + e^{-y/delta}/delta)^{-1} (flavor
-``gen_delta``).  Each mode is sampled once per grid as one table of its
-derivatives of orders 0..L (``FourierMode.derivatives``), and one weighted-sup
+with either the plain weight phi(y)^l = (y/(1+y))^l (flavor ``WITHOUT_BL``)
+or the additional boundary-layer damping (1 + e^{-y/delta}/delta)^{-1}
+(flavor ``WITH_BL``), for a single norm and a series alike.  Each mode is
+sampled once per grid as one table of its derivatives of orders 0..L (``FourierMode.derivatives``), and one weighted-sup
 kernel reduces a whole table to its row norms; the series, the elliptic and
 the transport estimates are all built from such tables.  All series
 coefficients are nonnegative, so evaluations and all their partial
@@ -43,12 +43,11 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, QuadratureError, RegionError
 
-GEN0 = "gen0"
-GEN_DELTA = "gen_delta"
 WITH_BL = "with_bl"
 WITHOUT_BL = "without_bl"
 
 MAX_ELL = 24
+Y_MAX = 40.0         # far end of the half-line sample grids
 
 
 def _symbol_y():
@@ -94,11 +93,11 @@ def _bl_damping(y, delta):
     return 1.0 / (np.exp(-y / delta) / delta + 1.0)
 
 
-def sample_grid(delta: float, y_max: float = 40.0, refine: int = 0, max_step: float | None = None) -> np.ndarray:
-    """Geometric half-line grid, dense (spacing delta/20) inside the layer."""
+def sample_grid(delta: float, refine: int = 0, max_step: float | None = None) -> np.ndarray:
+    """Geometric grid on [0, Y_MAX], dense (spacing delta/20) inside the layer."""
     k = 2**refine
-    near = np.linspace(0.0, min(10.0 * delta, y_max), 200 * k + 1)
-    far = np.geomspace(max(near[-1], 1e-12), y_max, 400 * k + 1)
+    near = np.linspace(0.0, min(10.0 * delta, Y_MAX), 200 * k + 1)
+    far = np.geomspace(max(near[-1], 1e-12), Y_MAX, 400 * k + 1)
     y = np.unique(np.concatenate([near, far]))
     if max_step is not None:
         pieces = [y]
@@ -108,6 +107,11 @@ def sample_grid(delta: float, y_max: float = 40.0, refine: int = 0, max_step: fl
             pieces.append(np.linspace(y[i], y[i + 1], n_extra + 1)[1:-1])
         y = np.unique(np.concatenate(pieces))
     return y
+
+
+def _check_flavor(flavor: str) -> None:
+    if flavor not in (WITH_BL, WITHOUT_BL):
+        raise ConfigurationError(f"unknown norm flavor {flavor!r}")
 
 
 def _weighted_sup(y, table, ells, params: BLNormParams, flavor: str) -> np.ndarray:
@@ -157,8 +161,7 @@ def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
     as two successive grids agree to 1e-6 relative, and QuadratureError is
     raised when no two do.
     """
-    if flavor not in (WITH_BL, WITHOUT_BL):
-        raise ConfigurationError(f"unknown norm flavor {flavor!r}")
+    _check_flavor(flavor)
     if ell < 0:
         raise ConfigurationError("ell must be nonnegative")
     if callable(f):
@@ -473,23 +476,24 @@ class GenSeries:
         return GenSeries(c)
 
 
-def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor: str = GEN_DELTA) -> GenSeries:
+def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor: str = WITH_BL) -> GenSeries:
     """Generator series of a mode family: row |alpha| accumulates the
     ell-weighted norms of the derivative table of f_alpha in the requested
-    flavor, one refinement loop per mode."""
-    if flavor not in (GEN0, GEN_DELTA):
-        raise ConfigurationError(f"unknown series flavor {flavor!r}")
+    flavor, one refinement loop per mode.  Both truncation orders must be
+    nonnegative, and N_ell at most MAX_ELL."""
+    _check_flavor(flavor)
     N_alpha, N_ell = truncation
+    if N_alpha < 0 or N_ell < 0:
+        raise ConfigurationError(f"truncation orders must be nonnegative, got {truncation}")
     if N_ell > MAX_ELL:
         raise ConfigurationError(f"N_ell capped at {MAX_ELL}")
-    bl_flavor = WITH_BL if flavor == GEN_DELTA else WITHOUT_BL
     coeffs = np.zeros((N_alpha + 1, N_ell + 1))
     for m in modes:
         w = abs(m.alpha)
         if w > N_alpha:
             continue
         coeffs[w] += _settled_sup(lambda y, m=m: m.derivatives(y, N_ell), np.arange(N_ell + 1),
-                                  params, bl_flavor)
+                                  params, flavor)
     return GenSeries(coeffs)
 
 
@@ -718,11 +722,11 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
         terms.setdefault(m.alpha, []).append(m._jet_fn)
     transport = [_mode_sum(a, fs) for a, fs in terms.items()]
 
-    G_vdyg = gen_series(v_dyg, params, truncation, GEN_DELTA)
-    G0_u = gen_series(u_modes, params, truncation, GEN0)
-    G0_v = gen_series(v_modes, params, truncation, GEN0)
-    Gd_g = gen_series(g_modes, params, truncation, GEN_DELTA)
-    Gd_t = gen_series(transport, params, truncation, GEN_DELTA)
+    G_vdyg = gen_series(v_dyg, params, truncation, WITH_BL)
+    G0_u = gen_series(u_modes, params, truncation, WITHOUT_BL)
+    G0_v = gen_series(v_modes, params, truncation, WITHOUT_BL)
+    Gd_g = gen_series(g_modes, params, truncation, WITH_BL)
+    Gd_t = gen_series(transport, params, truncation, WITH_BL)
 
     zs = [(z1, z2) for z1 in (0.0, 0.25, 0.5) for z2 in (0.1, 0.25, 0.5)]
     z1, z2 = np.array(zs).T
@@ -748,33 +752,33 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
 # ---------------------------------------------------------------------------
 
 
-def _strip_samples(rho, x_max=20.0, n_x=601, n_y=9):
-    x = np.linspace(-x_max, x_max, n_x)
-    y = np.linspace(-rho, rho, n_y)
+def _strip_samples(rho):
+    x = np.linspace(-20.0, 20.0, 601)
+    y = np.linspace(-rho, rho, 9)
     return (x[:, None] + 1j * y[None, :]).ravel()
 
 
-def _pencil_samples(sigma, r, x_max=20.0, n_x=601, n_y=9):
-    x = np.linspace(1e-6, x_max, n_x)
+def _pencil_samples(sigma, r):
+    x = np.linspace(1e-6, 20.0, 601)
     ymax = np.minimum(sigma * x, sigma * r)
-    t = np.linspace(-1.0, 1.0, n_y)
+    t = np.linspace(-1.0, 1.0, 9)
     return (x[:, None] + 1j * (ymax[:, None] * t[None, :])).ravel()
 
 
-def _sup_norm(f, z, beta):
+def _sup_norm(f, z):
     vals = np.asarray(f(z))
     if not np.all(np.isfinite(vals)):
         raise RegionError("function not finite on the sampled domain")
-    return float(np.max(np.abs(vals) * np.exp(beta * np.abs(z.real))))
+    return float(np.max(np.abs(vals)))
 
 
 def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None = None,
-                beta: float = 0.0, g=None) -> dict:
+                g=None) -> dict:
     """Sampled analytic sup norms on a strip or pencil, with Cauchy/product checks.
 
-    On the strip |Im z| <= rho: returns ||f||_rho = sup |f| e^{beta |Re z|},
-    the measured constant of ||f'||_{rho/2} <= C/(rho - rho/2) ||f||_rho, and
-    the product check ||f g||_rho <= ||f||_rho ||g||_rho (g defaults to f).
+    On the strip |Im z| <= rho: returns ||f||_rho = sup |f|, the measured
+    constant of ||f'||_{rho/2} <= C/(rho - rho/2) ||f||_rho, and the product
+    check ||f g||_rho <= ||f||_rho ||g||_rho (g defaults to f).
     On the pencil |Im z| <= min(sigma Re z, sigma r): the derivative check
     uses the weighted bound ||phi(z) f'||_{sigma'} <= C/(sigma-sigma') ||f||_sigma.
     Both share one path; only the samples, the derivative weight and the
@@ -796,12 +800,12 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
         return weight(z) * ((np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2 * h))
 
     z = samples(width)
-    norm = _sup_norm(f, z, beta)
+    norm = _sup_norm(f, z)
     inner = width / 2.0
-    d_norm = _sup_norm(weighted_dfdz, samples(inner), beta)
+    d_norm = _sup_norm(weighted_dfdz, samples(inner))
     C = d_norm * (width - inner) / norm if norm > 0 else 0.0
-    prod = _sup_norm(lambda w: np.asarray(f(w)) * np.asarray(g(w)), z, beta)
-    g_norm = _sup_norm(g, z, beta)
+    prod = _sup_norm(lambda w: np.asarray(f(w)) * np.asarray(g(w)), z)
+    g_norm = _sup_norm(g, z)
     return {
         "norm": norm,
         "derivative_bound_check": {"C": C, inner_key: inner},

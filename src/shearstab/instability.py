@@ -42,19 +42,9 @@ from .errors import (
     WindowError,
 )
 from .profiles import TORUS, ShearProfile, solve_ivp
-from .resolvent import _gauss_nodes, _refine, _square_matrix, default_contour_for, semigroup_apply
+from .resolvent import duhamel_term  # noqa: F401  (re-exported: phi_i is a Duhamel integral)
 
-__all__ = [
-    "BootstrapResult",
-    "HopfSeries",
-    "RiccatiValue",
-    "duhamel_term",
-    "euler_series",
-    "hopf_majorant",
-    "hopf_series",
-    "ode_bootstrap",
-    "riccati_exact",
-]
+MAJORANT_TOL = 1e-10       # slack of the majorant inequality and of K's monotonicity
 
 
 # ----------------------------------------------------------------------------
@@ -92,33 +82,6 @@ class BootstrapResult:
         return len(self.terms)
 
 
-def duhamel_term(
-    A: np.ndarray,
-    forcing: Callable[[float], np.ndarray],
-    t: float,
-) -> np.ndarray:
-    """Evaluate int_0^t e^{A(t-tau)} forcing(tau) dtau.
-
-    Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 in
-    ``resolvent._refine`` until two successive values agree to 1e-10
-    relative; the propagator is evaluated by resolvent contour quadrature
-    (``semigroup_apply``) on one contour computed for A.
-    """
-    A = _square_matrix(A)
-    if t == 0.0:
-        return np.zeros(A.shape[0], dtype=complex)
-    contour = default_contour_for(A)
-
-    def one_pass(n):
-        tau, wt = _gauss_nodes(0.0, t, n)
-        return sum(
-            wi * semigroup_apply(A, forcing(ti), t - ti, contour=contour)
-            for ti, wi in zip(tau, wt)
-        )
-
-    return _refine(one_pass, 8, "Duhamel quadrature", max_passes=7)[0]
-
-
 def ode_bootstrap(
     A: np.ndarray,
     Q: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -127,7 +90,6 @@ def ode_bootstrap(
     epsilon: float,
     N: int,
     t_grid,
-    rtol: float = 1e-12,
 ) -> BootstrapResult:
     """Build the order-N approximate solution started on an unstable mode.
 
@@ -200,7 +162,7 @@ def ode_bootstrap(
         (0.0, t_max),
         np.zeros(n_extra * d, dtype=complex),
         method="DOP853",
-        rtol=rtol,
+        rtol=1e-12,
         atol=1e-12,
         dense_output=True,
     )
@@ -397,13 +359,13 @@ class HopfSeries:
     def sup_norm(self, n: int) -> float:
         return float(np.max(np.abs(self._exp_grid @ self.coeffs[n - 1])))
 
-    def sup_ratio(self, n_min: int = 5) -> float:
-        """Bound R on successive sup-norm ratios; the series converges for
-        e^{alpha t} < 1/R."""
+    def sup_ratio(self) -> float:
+        """Bound R on the sup-norm ratios |u_{n+1}| / |u_n|, n >= 5; the
+        series converges for e^{alpha t} < 1/R."""
         norms = [self.sup_norm(n) for n in range(1, self.order + 1)]
         ratios = [
             norms[n] / norms[n - 1]
-            for n in range(n_min, self.order)
+            for n in range(5, self.order)
             if norms[n - 1] > 0
         ]
         if not ratios:
@@ -488,8 +450,6 @@ def hopf_majorant(
     t_max: float,
     n_characteristics: int = 20,
     n_steps: int = 400,
-    grid_shape: tuple[int, int] = (33, 33),
-    tol: float = 1e-10,
 ) -> dict:
     """Build and verify the truncated generator majorant of a Hopf series.
 
@@ -530,11 +490,11 @@ def hopf_majorant(
     if not np.isfinite(M0) or M0 <= 0:
         raise WindowError("Gen(u_1) is not finite and positive on [0, eta0]")
 
-    tg = np.linspace(0.0, t_max, grid_shape[0])[:, None]
-    zg = np.linspace(0.0, eta0, grid_shape[1])
+    tg = np.linspace(0.0, t_max, 33)[:, None]
+    zg = np.linspace(0.0, eta0, 33)
     GGz = _gen_eval(table, tg, zg) * _gen_eval(table_z, tg, zg)
     res = alpha * _gen_eval(table_t, tg, zg) - GGz
-    gate = tol * (1.0 + np.abs(GGz))
+    gate = MAJORANT_TOL * (1.0 + np.abs(GGz))
     max_residual = float(np.max(res))
     residual_ok = bool(np.all(res <= gate))
 
@@ -588,8 +548,8 @@ def hopf_majorant(
         [0.0] + [float(np.max(np.diff(p[:, 2]))) for p in paths if len(p) > 1]
     )
 
-    K_monotone_ok = bool(K_max_increase <= tol * (1.0 + M0))
-    K_bound_ok = bool(K_max <= M0 * (1.0 + 1e-12) + tol)
+    K_monotone_ok = bool(K_max_increase <= MAJORANT_TOL * (1.0 + M0))
+    K_bound_ok = bool(K_max <= M0 * (1.0 + 1e-12) + MAJORANT_TOL)
 
     return {
         "order": N,
@@ -760,7 +720,6 @@ def euler_series(
         )
 
     sup_norms = [float(np.max(np.abs(np.fft.ifft2(w).real))) for w in omega]
-    coeff_l1 = [float(np.sum(np.abs(w)) / Ng**2) for w in omega]
 
     # partial-sum stabilisation at the amplitude e^{Re(alpha) t} = 0.01
     t_check = np.log(0.01) / alpha.real
@@ -783,7 +742,6 @@ def euler_series(
         "modes": Ng,
         "omega_hat": omega,
         "sup_norms": sup_norms,
-        "coeff_l1": coeff_l1,
         "h1_ratios": h1_ratios,
         "eigen_residual": eig_residual,
         "partial_sum_change": partial_change,

@@ -7,7 +7,8 @@ Supported kinds:
 - ``tanh``:        U = tanh(z - z0) + tanh(z0) on the half line (U(0) = 0)
 - ``kolmogorov``:  U = cos(z) on the torus [0, 2*pi)
 - ``blasius``:     U = f'(eta) from the similarity equation, via shooting
-- ``custom``:      cubic-spline interpolation of a sampled (z, U) table
+- ``custom``:      cubic-spline interpolation of a sampled (z, U) table on
+                   the half line
 
 Profiles are immutable after construction and safe to share across sweeps.
 """
@@ -25,6 +26,8 @@ CHANNEL = "channel"
 HALF_LINE = "half_line"
 TORUS = "torus"
 
+ETA_MAX = 15.0       # far end of the Blasius shooting interval
+
 _KINDS = ("poiseuille", "exponential", "tanh", "blasius", "kolmogorov", "custom")
 
 
@@ -40,13 +43,13 @@ class ShearProfile:
     params: dict = field(default_factory=dict)
     lower_accuracy: bool = False
 
-    def z_range(self, z_max: float = 20.0) -> tuple[float, float]:
-        """Physical scan interval for this profile's domain."""
+    def z_range(self) -> tuple[float, float]:
+        """Physical scan interval for this profile's domain ([0, 20] on the half line)."""
         if self.domain == CHANNEL:
             return (-1.0, 1.0)
         if self.domain == TORUS:
             return (0.0, 2.0 * np.pi)
-        return (0.0, z_max)
+        return (0.0, 20.0)
 
 
 def _vec(f):
@@ -84,6 +87,8 @@ def make_profile(kind: str, **params) -> ShearProfile:
         if "z0" not in params:
             raise ConfigurationError("tanh profile requires parameter z0")
         z0 = float(params["z0"])
+        if not np.isfinite(z0):
+            raise ConfigurationError(f"z0 must be finite, got {z0!r}")
         shift = np.tanh(z0)
 
         def sech2(w):
@@ -112,25 +117,14 @@ def make_profile(kind: str, **params) -> ShearProfile:
         return blasius_solve(tolerance=float(params.get("tolerance", 1e-8)))
 
     # custom table
-    if "table" in params:
-        table = np.asarray(params["table"], dtype=float)
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ConfigurationError("custom table must be a (n, 2) array of (z, U)")
-        z_tab, u_tab = table[:, 0], table[:, 1]
-    elif "z" in params and "U" in params:
-        z_tab = np.asarray(params["z"], dtype=float)
-        u_tab = np.asarray(params["U"], dtype=float)
-    else:
-        raise ConfigurationError("custom profile requires a (z, U) table")
-    domain = params.get("domain", HALF_LINE)
-    return _spline_profile("custom", domain, z_tab, u_tab)
-
-
-def _spline_profile(kind, domain, z_tab, u_tab):
     from scipy.interpolate import CubicSpline
 
-    order = np.argsort(z_tab)
-    z_tab, u_tab = z_tab[order], u_tab[order]
+    if "table" not in params:
+        raise ConfigurationError("custom profile requires a (z, U) table")
+    table = np.asarray(params["table"], dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise ConfigurationError("custom table must be a (n, 2) array of (z, U)")
+    z_tab, u_tab = table[np.argsort(table[:, 0])].T
     spl = CubicSpline(z_tab, u_tab)
     d1 = spl.derivative(1)
     d2 = spl.derivative(2)
@@ -151,7 +145,7 @@ def _spline_profile(kind, domain, z_tab, u_tab):
         return np.where(z >= z_hi, 0.0, d2(np.clip(z, z_lo, z_hi)))
 
     # U'' of a cubic spline is only piecewise linear
-    return ShearProfile(kind, domain, U, dU, d2Uf, lower_accuracy=True)
+    return ShearProfile("custom", HALF_LINE, U, dU, d2Uf, lower_accuracy=True)
 
 
 def solve_ivp(*args, **kwargs):
@@ -165,10 +159,10 @@ def _blasius_rhs(eta, f):
     return [f[1], f[2], -0.5 * f[0] * f[2]]
 
 
-def _blasius_shoot(fpp0: float, eta_max: float):
+def _blasius_shoot(fpp0: float):
     sol = solve_ivp(
         _blasius_rhs,
-        (0.0, eta_max),
+        (0.0, ETA_MAX),
         [0.0, 0.0, fpp0],
         method="DOP853",
         rtol=1e-12,
@@ -178,11 +172,11 @@ def _blasius_shoot(fpp0: float, eta_max: float):
     return sol
 
 
-def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfile:
+def blasius_solve(tolerance: float = 1e-8) -> ShearProfile:
     """Blasius profile U = f'(eta) from f''' + f f''/2 = 0 via shooting on f''(0).
 
     Brent's method on f''(0) over [0.1, 1] with a high-order ODE integrator;
-    converged when |f'(eta_max) - 1| < tolerance.
+    converged when |f'(ETA_MAX) - 1| < tolerance.  U holds 1 beyond ETA_MAX.
     """
     from scipy.interpolate import CubicSpline
     from scipy.optimize import brentq
@@ -191,7 +185,7 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
         raise ConfigurationError("tolerance must be positive")
 
     def miss(fpp0):
-        return _blasius_shoot(fpp0, eta_max).y[1][-1] - 1.0
+        return _blasius_shoot(fpp0).y[1][-1] - 1.0
 
     lo, hi = 0.1, 1.0
     try:
@@ -200,13 +194,13 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
         raise NonconvergenceError(
             f"shooting bracket failed: miss({lo})={miss(lo)}, miss({hi})={miss(hi)}"
         ) from exc
-    sol = _blasius_shoot(fpp0, eta_max)
+    sol = _blasius_shoot(fpp0)
     if abs(sol.y[1][-1] - 1.0) >= tolerance:
         raise NonconvergenceError(
-            f"|f'(eta_max)-1|={abs(sol.y[1][-1]-1.0):.3e} above tolerance at f''(0)={fpp0!r}"
+            f"|f'({ETA_MAX:g})-1|={abs(sol.y[1][-1]-1.0):.3e} above tolerance at f''(0)={fpp0!r}"
         )
 
-    eta = np.linspace(0.0, eta_max, 3001)
+    eta = np.linspace(0.0, ETA_MAX, 3001)
     f, fp, fpp = sol.sol(eta)
     spl_fp = CubicSpline(eta, fp)     # U
     spl_fpp = CubicSpline(eta, fpp)   # U'
@@ -214,7 +208,7 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
 
     def U(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z >= eta_max, 1.0, spl_fp(np.clip(z, 0.0, eta_max)))
+        return np.where(z >= ETA_MAX, 1.0, spl_fp(np.clip(z, 0.0, ETA_MAX)))
 
     def fpp(zc):
         # f'' > 0 everywhere; clamp sub-roundoff spline wiggle in the far field
@@ -222,13 +216,13 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
 
     def dU(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z >= eta_max, 0.0, fpp(np.clip(z, 0.0, eta_max)))
+        return np.where(z >= ETA_MAX, 0.0, fpp(np.clip(z, 0.0, ETA_MAX)))
 
     def d2U(z):
         # U'' = f''' = -f f''/2, exactly from the similarity equation
         z = np.asarray(z, dtype=float)
-        zc = np.clip(z, 0.0, eta_max)
-        return np.where(z >= eta_max, 0.0, -0.5 * spl_f(zc) * fpp(zc))
+        zc = np.clip(z, 0.0, ETA_MAX)
+        return np.where(z >= ETA_MAX, 0.0, -0.5 * spl_f(zc) * fpp(zc))
 
     return ShearProfile(
         "blasius",
@@ -236,17 +230,13 @@ def blasius_solve(tolerance: float = 1e-8, eta_max: float = 15.0) -> ShearProfil
         U,
         dU,
         d2U,
-        params={"fpp0": fpp0, "eta_max": eta_max, "tolerance": tolerance},
+        params={"fpp0": fpp0, "eta_max": ETA_MAX, "tolerance": tolerance},
     )
 
 
-def inflection_points(
-    profile: ShearProfile,
-    z_max: float = 20.0,
-    n_scan: int = 2000,
-    refine_tol: float = 1e-10,
-) -> list[float]:
-    """All z where U'' changes sign, refined by Brent's method to ``refine_tol``.
+def inflection_points(profile: ShearProfile, n_scan: int = 2000) -> list[float]:
+    """All z in ``profile.z_range()`` where U'' changes sign, refined by
+    Brent's method to 1e-10.
 
     The brackets are the intervals of an ``n_scan``-point grid on which U''
     changes sign; a grid point where U'' is exactly zero counts when its two
@@ -255,10 +245,10 @@ def inflection_points(
     """
     from scipy.optimize import brentq
 
-    z_lo, z_hi = profile.z_range(z_max)
+    z_lo, z_hi = profile.z_range()
     z = np.linspace(z_lo, z_hi, n_scan)
     w = profile.d2U(z)
     exact = 1 + np.flatnonzero((w[1:-1] == 0.0) & (w[:-2] * w[2:] < 0))
-    refined = [brentq(lambda s: float(profile.d2U(s)), z[i], z[i + 1], xtol=refine_tol)
+    refined = [brentq(lambda s: float(profile.d2U(s)), z[i], z[i + 1], xtol=1e-10)
                for i in np.flatnonzero(w[:-1] * w[1:] < 0)]
     return sorted(z[exact].tolist() + refined)

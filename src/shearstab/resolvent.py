@@ -3,16 +3,17 @@
 The semigroup of a matrix is evaluated as (1/2 pi i) * integral over a
 contour right of the spectrum of exp(lambda t) (lambda - A)^{-1} x0.  The
 contour ``ContourSpec(P, B)`` has three segments: two 45-degree rays joined
-by the vertical segment Re lambda = P, |Im lambda| <= B.  At t = 0 the rays
-do not close at infinity and a circle enclosing the spectrum is used
-instead.  The heat temporal Green function uses the parabola-shaped contour
+by the vertical segment Re lambda = P, |Im lambda| <= B.  The Duhamel
+integral of a forcing is a Gauss-Legendre sum of such semigroup values.  The
+heat temporal Green function uses the parabola-shaped contour
 lambda = nu (a + i k)^2 with a = |x - z| / (2 nu t), on which the integrand
 collapses to a Gaussian-damped real integral.
 
-Every quadrature of this layer (and ``instability.duhamel_term``) doubles
-its Gauss-Legendre nodes in ``_refine`` until two passes agree, on the rule
-cached by ``_gauss_nodes``; a semigroup pass solves the resolvent systems of
-all its nodes in stacked solves of at most MAX_STACK matrix entries each.
+Every quadrature of this layer doubles its Gauss-Legendre nodes in
+``_refine`` until two passes agree, on the rule cached by ``_gauss_nodes``;
+a pass that is not finite stops the doubling at once.  A semigroup pass
+solves the resolvent systems of all its nodes in stacked solves of at most
+MAX_STACK matrix entries each.
 
 The Evans function and the parabolic Green function are built from the
 decaying solutions of nu psi'' = (lambda - A(x)) psi, integrated inward from
@@ -26,8 +27,10 @@ determinant is the one-parameter case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .errors import (
     NumericalError,
     QuadratureError,
     RegionError,
+    check_positive,
 )
 from .profiles import solve_ivp
 
@@ -86,11 +90,15 @@ def _refine(one_pass, n0, what, floor=0.0, max_passes=MAX_PASSES):
     """Evaluate one_pass(n) for n = n0, 2 n0, ... until two passes agree.
 
     Agreement is max|val - prev| < TOL (1 + max|val|) + floor.  Returns the
-    last value and that change; raises QuadratureError after max_passes.
+    last value and that change; raises QuadratureError after max_passes, or
+    at the first pass that is not finite, since no later pass can agree
+    with it.
     """
     prev, change, n = None, np.inf, n0
     for _ in range(max_passes):
         val = one_pass(n)
+        if not np.all(np.isfinite(val)):
+            raise QuadratureError(f"{what} is not finite at {n} nodes")
         if prev is not None:
             change = np.max(np.abs(val - prev))
             if change < TOL * (1 + np.max(np.abs(val))) + floor:
@@ -154,32 +162,22 @@ def semigroup_apply(
 
     ``contour`` defaults to ``default_contour_for(A)``.  Nodes are doubled
     from 32 per segment until two passes agree to 1e-10 relative, plus the
-    cancellation floor below.  At t = 0 the open rays do not close at
-    infinity, so a circle enclosing the spectrum (Gershgorin radius + 1) is
-    used instead.  A contour through an eigenvalue raises
+    cancellation floor below.  At t = 0 the value is x0 itself, returned
+    exactly.  A contour through an eigenvalue raises
     ContourCrossesSpectrumError naming the node.  A must be a non-empty
-    square matrix (else ConfigurationError) and x0 a vector of its order
-    (else InputError).
+    square matrix (else ConfigurationError), x0 a vector of its order (else
+    InputError) and t finite and nonnegative (else ConfigurationError).
     """
     A = _square_matrix(A)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (A.shape[0],):
         raise InputError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
-    if t < 0:
-        raise ConfigurationError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
+    if t == 0:
+        return x0.copy()
     if contour is None:
         contour = default_contour_for(A)
-
-    if t == 0.0:
-        radii = np.sum(np.abs(A), axis=1) - np.abs(np.diag(A))
-        radius = float(np.max(np.abs(np.diag(A)) + radii)) + 1.0
-
-        def circle_pass(n):
-            s, w = _gauss_nodes(0.0, 2.0 * np.pi, n)
-            lam = radius * np.exp(1j * s)
-            return _resolvent_sum(A, x0, t, lam, 1j * lam, w)
-
-        return _refine(circle_pass, N_NODES, "closed-contour quadrature at t=0")[0]
 
     # e^{Re lambda t} along the rays decays like e^{(P - s) t}
     ray_len = 40.0 / t + contour.B
@@ -193,6 +191,32 @@ def semigroup_apply(
     return _refine(segment_pass, N_NODES, "three-segment quadrature", floor)[0]
 
 
+def duhamel_term(
+    A: np.ndarray,
+    forcing: Callable[[float], np.ndarray],
+    t: float,
+) -> np.ndarray:
+    """Evaluate int_0^t e^{A(t-tau)} forcing(tau) dtau.
+
+    Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 until
+    two passes agree to 1e-10 relative; each propagator is a
+    ``semigroup_apply`` on one contour computed for A.
+    """
+    A = _square_matrix(A)
+    if t == 0.0:
+        return np.zeros(A.shape[0], dtype=complex)
+    contour = default_contour_for(A)
+
+    def one_pass(n):
+        tau, wt = _gauss_nodes(0.0, t, n)
+        return sum(
+            wi * semigroup_apply(A, forcing(ti), t - ti, contour=contour)
+            for ti, wi in zip(tau, wt)
+        )
+
+    return _refine(one_pass, 8, "Duhamel quadrature", max_passes=7)[0]
+
+
 def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = False):
     """Temporal Green function of the heat equation by contour quadrature.
 
@@ -202,11 +226,13 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
     doubled from 64 until two passes agree to 1e-10 relative, and the
     truncated tail is checked explicitly.  The value matches the classical
     Gaussian kernel; ``full_output`` also returns the imaginary residue and
-    the last change between passes.
+    the last change between passes.  t and nu must be positive and finite
+    and x - z finite (else ConfigurationError).
     """
-    if t <= 0 or nu <= 0:
-        raise ConfigurationError("t and nu must be positive")
+    check_positive(t=t, nu=nu)
     d = abs(x - z)
+    if not math.isfinite(d):
+        raise ConfigurationError(f"x - z must be finite, got {x - z!r}")
     a = d / (2.0 * nu * t)
     K = np.sqrt(37.0 / (nu * t))  # e^{-k^2 nu t} < 1e-16 beyond
 
@@ -353,13 +379,29 @@ def _rect_boundary(region, n_per_side):
     return pts
 
 
+def _hankel_seeds(s, region):
+    """The w zeros with power sums s_p = sum z_j^p, p < 2w: the eigenvalues
+    of the Hankel pencil ([s_{i+j+1}], [s_{i+j}]).  A multiple zero makes
+    H0 = [s_{i+j}] singular, so RegionError, naming the rectangle, when
+    sigma_min(H0) < 1e-8 sigma_max(H0)."""
+    w = s.size // 2
+    hankel = np.add.outer(np.arange(w), np.arange(w))
+    H0 = s[hankel]
+    sv = np.linalg.svd(H0, compute_uv=False)
+    if sv[-1] < 1e-8 * sv[0]:
+        raise RegionError(
+            f"region {region} holds a multiple zero or a cluster of {w} zeros "
+            f"(Hankel sigma_min/sigma_max = {sv[-1] / sv[0]:.1e}); split the rectangle"
+        )
+    return np.linalg.eigvals(np.linalg.solve(H0, s[hankel + 1]))
+
+
 def evans_locate(
     A,
     region: tuple[float, float, float, float],
     nu: float = 1.0,
     x_far: float = 15.0,
     n_per_side: int = 24,
-    newton_tol: float = 1e-10,
 ) -> list[complex]:
     """Eigenvalues of nu * Lap + A inside a rectangle (re_lo, re_hi, im_lo, im_hi).
 
@@ -369,10 +411,11 @@ def evans_locate(
     the Hankel pencil ([s_{i+j+1}], [s_{i+j}]); one complex secant that
     refines all w zeros together, each step one stacked integration per
     direction.  The seeds assume simple zeros, as for a real potential: a
-    multiple zero makes the Hankel matrix [s_{i+j}] singular.  A rectangle
-    with re_lo >= re_hi or im_lo >= im_hi raises ConfigurationError; a
-    boundary point in the essential spectrum raises EssentialSpectrumError
-    and one on a zero RegionError, each naming the point.
+    multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
+    rectangle then raises RegionError.  A rectangle with re_lo >= re_hi or
+    im_lo >= im_hi raises ConfigurationError; a boundary point in the
+    essential spectrum raises EssentialSpectrumError and one on a zero
+    RegionError, each naming the point.
     """
     re_lo, re_hi, im_lo, im_hi = region
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -394,7 +437,7 @@ def evans_locate(
     if np.max(np.abs(dphi)) > 0.8 * np.pi:
         if n_per_side > 400:
             raise RegionError("winding-number phase tracking failed; perturb the rectangle")
-        return evans_locate(A, region, nu, x_far, 2 * n_per_side, newton_tol)
+        return evans_locate(A, region, nu, x_far, 2 * n_per_side)
     winding = int(round(np.sum(dphi) / (2 * np.pi)))
     if winding == 0:
         return []
@@ -405,8 +448,7 @@ def evans_locate(
     mid = 0.5 * (closed_pts[1:] + closed_pts[:-1])
     s = mid ** np.arange(2 * winding)[:, None] @ ratio / (2j * np.pi)
     s[0] = winding
-    hankel = np.add.outer(np.arange(winding), np.arange(winding))
-    z0 = np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
+    z0 = _hankel_seeds(s, region)
 
     def det(z):
         return _det2(_matching_matrices(A, z, nu, x_far))
@@ -421,5 +463,5 @@ def evans_locate(
         i = np.flatnonzero(active)
         z0[i], f0[i], z1[i] = z1[i], f1[i], z1[i] - f1[i] * (z1[i] - z0[i]) / (f1[i] - f0[i])
         f1[i] = det(z1[i])
-        active[i] = np.abs(z1[i] - z0[i]) >= newton_tol
+        active[i] = np.abs(z1[i] - z0[i]) >= 1e-10
     return [complex(z) for z in z1]

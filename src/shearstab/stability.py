@@ -32,6 +32,7 @@ from .spectral import SpectralDiscretization, bc_rows, build_grid
 RESIDUAL_GATE = 1e-6
 TAIL_GATE = 1e-3
 POLISH_FLOOR = 1e-12
+POLISH_STEPS = 2     # Rayleigh-quotient inverse-iteration steps per polished pair
 
 BRANCH_LOWER = "lower"
 BRANCH_UPPER = "upper"
@@ -74,7 +75,7 @@ def _profile_diagonals(profile: ShearProfile, grid: SpectralDiscretization):
     return U, d2U
 
 
-def _refine_eigenpair(A, B, c, phi, iters=2):
+def _refine_eigenpair(A, B, c, phi):
     """Rayleigh-quotient inverse iteration on the pencil.
 
     The eigensolver's backward error grows with the operator norm and
@@ -86,7 +87,7 @@ def _refine_eigenpair(A, B, c, phi, iters=2):
     import scipy.linalg
 
     c0 = c
-    for _ in range(iters):
+    for _ in range(POLISH_STEPS):
         K = B * -c
         K += A
         try:
@@ -278,17 +279,18 @@ def os_spectrum(
     """Viscous spectrum of (U - c)(D2 - a^2) phi - U'' phi = eps (D2 - a^2)^2 phi.
 
     eps = nu / (i alpha) with nu = 1/Re; clamped/decay boundary conditions.
-    Warns when N is below the critical-layer resolution guidance 4 Re^{1/4}.
+    Warns when N is below the critical-layer resolution guidance 4 Re^{1/4},
+    once the pencil has accepted the grid.
     """
     check_positive(alpha=alpha, Re=Re)
+    eps = 1.0 / (1j * alpha * Re)
+    A, B, bc_idx, scale = _pencil(profile, alpha, grid, eps, "clamped")
     n_guide = 4.0 * Re**0.25
     if grid.N < n_guide:
         warnings.warn(
             f"N={grid.N} below resolution guidance {n_guide:.0f} at Re={Re:.3g}",
             stacklevel=2,
         )
-    eps = 1.0 / (1j * alpha * Re)
-    A, B, bc_idx, scale = _pencil(profile, alpha, grid, eps, "clamped")
     return EigenSolution(alpha, float(Re), *_solve_pencil(A, B, bc_idx, alpha, Re, scale))
 
 
@@ -330,6 +332,7 @@ def neutral_curve(
     a_lo, a_hi = float(alpha_window[0]), float(alpha_window[1])
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha window must be positive and increasing")
+    check_positive(alpha_tol=alpha_tol)
 
     lower = NeutralBranch([], BRANCH_LOWER)
     upper = NeutralBranch([], BRANCH_UPPER)

@@ -14,7 +14,7 @@ import sympy as sp
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from shearstab.genfunc import (
-    GEN_DELTA,
+    WITH_BL,
     WITHOUT_BL,
     BLNormParams,
     FourierMode,
@@ -245,8 +245,8 @@ def test_07_generator_inequality_suite(capsys):
     params = BLNormParams(delta=0.05)
     modes = [FourierMode(1, sp.exp(-Y)), FourierMode(3, sp.exp(-2 * Y))]
     dx_modes = [FourierMode(m.alpha, sp.I * m.alpha * m.expr) for m in modes]
-    G = gen_series(modes, params, (4, 6), GEN_DELTA)
-    Gx = gen_series(dx_modes, params, (4, 6), GEN_DELTA)
+    G = gen_series(modes, params, (4, 6), WITH_BL)
+    Gx = gen_series(dx_modes, params, (4, 6), WITH_BL)
     dz1_err = float(np.max(np.abs(Gx.coeffs - G.dz1().coeffs)))
 
     # one-derivative-gain bundle stays uniformly bounded over alpha <= 32

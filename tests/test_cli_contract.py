@@ -104,10 +104,43 @@ class TestInputLimits:
     def test_bootstrap_nan_time_returns(self):
         # this case used to integrate without end, so it runs in a child
         # process that a timeout can stop
-        src = os.path.dirname(os.path.dirname(os.path.abspath(shearstab.__file__)))
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "shearstab.cli", "instability", "--mode", "bootstrap", "--t", "nan"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_child(["instability", "--mode", "bootstrap", "--t", "nan"], timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == "" and proc.stderr.startswith("shearstab: t_grid must be finite")
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["heat-kernel", "--t", "nan"], 2, "t must be positive and finite"),
+        (["heat-kernel", "--t", "inf"], 2, "t must be positive and finite"),
+        (["heat-kernel", "--nu", "nan"], 2, "nu must be positive and finite"),
+        (["heat-kernel", "--nu", "inf"], 2, "nu must be positive and finite"),
+        (["heat-kernel", "--dx", "nan"], 2, "x - z must be finite"),
+        (["semigroup", "--t", "nan"], 2, "t must be nonnegative and finite"),
+        (["semigroup", "--t", "inf"], 2, "t must be nonnegative and finite"),
+        (["semigroup", "--t", "1e300"], 3, "three-segment quadrature is not finite"),
+    ])
+    def test_contour_inputs_return(self, args, code, message):
+        # these used to double the quadrature nodes without end, so they run
+        # in a child process that a timeout can stop
+        proc = run_child(args, timeout=30)
+        assert proc.returncode == code
+        assert proc.stdout == "" and message in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["genfunc-check", "--order", "-1"], "truncation orders must be nonnegative"),
+        (["spectrum", "--profile", "tanh", "--z0", "nan", "--n", "32"], "z0 must be finite"),
+        (["neutral-curve", "--profile", "poiseuille", "--re", "6000", "--alpha", "0.8:1.2",
+          "--n", "32", "--tol", "0"], "alpha_tol must be positive and finite"),
+    ])
+    def test_rejected_without_traceback(self, capsys, args, message):
+        # these used to exit 1 with a traceback from numpy or scipy
+        code, out, err = run_cli(capsys, args)
+        assert code == 2
+        assert out == "" and err.startswith(f"shearstab: {message}")
+
+
+def run_child(args, timeout):
+    """``shearstab.cli`` with ``args`` in a child process, on this package's source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shearstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "shearstab.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)

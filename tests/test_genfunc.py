@@ -7,8 +7,6 @@ import sympy as sp
 from shearstab import genfunc
 from shearstab.errors import ConfigurationError, InputError, QuadratureError, RegionError
 from shearstab.genfunc import (
-    GEN0,
-    GEN_DELTA,
     WITH_BL,
     WITHOUT_BL,
     BLNormParams,
@@ -257,11 +255,11 @@ class TestDerivativeTable:
 class TestGenSeries:
     def test_cos_mode_value(self, params):
         modes = [FourierMode(1, sp.exp(-Y) / 2), FourierMode(-1, sp.exp(-Y) / 2)]
-        G = gen_series(modes, params, (2, 4), GEN0)
+        G = gen_series(modes, params, (2, 4), WITHOUT_BL)
         assert G(0.0, 0.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_coefficients_nonnegative(self, params):
-        G = gen_series([FourierMode(2, sp.sin(Y) * sp.exp(-Y))], params, (3, 6), GEN_DELTA)
+        G = gen_series([FourierMode(2, sp.sin(Y) * sp.exp(-Y))], params, (3, 6), WITH_BL)
         assert np.all(G.coeffs >= 0)
 
     def test_row_is_per_order_norm(self, params):
@@ -269,14 +267,14 @@ class TestGenSeries:
         # settles, exactly as a single-order bl_norm would return it (G1 of
         # test_scaling_homogeneity, whose order 4 settles a grid later)
         mode = FourierMode(1, sp.diff(sp.exp(-(Y**2)), Y))
-        G = gen_series([mode], params, (3, 6), GEN_DELTA)
+        G = gen_series([mode], params, (3, 6), WITH_BL)
         for ell in range(7):
             single = bl_norm(lambda y: mode.derivatives(y, 6)[ell], ell, params, WITH_BL)
             assert G.coeffs[1, ell] == single
 
     def test_array_call_matches_scalar(self, params):
         G = gen_series([FourierMode(1, sp.exp(-Y)), FourierMode(2, sp.exp(-(Y**2)))],
-                       params, (3, 6), GEN_DELTA)
+                       params, (3, 6), WITH_BL)
         z1, z2 = np.meshgrid([0.0, 0.1, 0.25, 0.5], [0.0, 0.05, 0.3, 0.5, 0.7])
         vals = G(z1, z2)
         assert vals.shape == z1.shape
@@ -291,7 +289,7 @@ class TestGenSeries:
             GenSeries(np.array([[1.0, -0.5]]))
 
     def test_monotone_evaluation(self, params):
-        G = gen_series([FourierMode(1, sp.exp(-Y**2))], params, (2, 6), GEN_DELTA)
+        G = gen_series([FourierMode(1, sp.exp(-Y**2))], params, (2, 6), WITH_BL)
         zs = [0.0, 0.1, 0.3, 0.5]
         for z2 in zs:
             vals = [G(z1, z2) for z1 in zs]
@@ -301,7 +299,7 @@ class TestGenSeries:
             assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_mixed_partials_nonnegative(self, params):
-        G = gen_series([FourierMode(1, sp.exp(-Y) * sp.cos(Y))], params, (2, 8), GEN_DELTA)
+        G = gen_series([FourierMode(1, sp.exp(-Y) * sp.cos(Y))], params, (2, 8), WITH_BL)
         for s in (G.dz1(), G.dz2(), G.dz1().dz2(), G.dz2().dz2(), G.dz1().dz1()):
             for z1 in (0.1, 0.3):
                 for z2 in (0.1, 0.3):
@@ -310,13 +308,17 @@ class TestGenSeries:
     def test_derivative_order_overflow(self, params):
         mode = FourierMode(1, derivs=(lambda y: np.exp(-y), lambda y: -np.exp(-y)))
         with pytest.raises(InputError):
-            gen_series([mode], params, (1, 4), GEN0)
+            gen_series([mode], params, (1, 4), WITHOUT_BL)
+
+    @pytest.mark.parametrize("truncation", [(-1, 4), (2, -2)])
+    def test_negative_truncation_rejected(self, params, truncation):
+        with pytest.raises(ConfigurationError, match="truncation orders must be nonnegative"):
+            gen_series([FourierMode(1, sp.exp(-Y))], params, truncation)
 
     def test_unknown_flavor(self, params):
-        # WITH_BL is a bl_norm flavor, not a series flavor
-        for flavor in (WITH_BL, "gen_detla"):
-            with pytest.raises(ConfigurationError, match=flavor):
-                gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), flavor)
+        # a series takes the flavors of bl_norm, and a typo is still rejected
+        with pytest.raises(ConfigurationError, match="gen_detla"):
+            gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), "gen_detla")
 
 
 class TestSeriesOps:
@@ -324,24 +326,24 @@ class TestSeriesOps:
         # series of d_x f equals term-wise dz1 of the series of f
         modes = [FourierMode(1, sp.exp(-Y)), FourierMode(3, sp.exp(-2 * Y))]
         dx_modes = [FourierMode(m.alpha, sp.I * m.alpha * m.expr) for m in modes]
-        G = gen_series(modes, params, (4, 6), GEN_DELTA)
-        Gx = gen_series(dx_modes, params, (4, 6), GEN_DELTA)
+        G = gen_series(modes, params, (4, 6), WITH_BL)
+        Gx = gen_series(dx_modes, params, (4, 6), WITH_BL)
         assert np.max(np.abs(Gx.coeffs - G.dz1().coeffs)) < 1e-12
 
     def test_single_mode_dz1_weight(self, params):
-        G = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), GEN0)
+        G = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), WITHOUT_BL)
         assert np.allclose(G.dz1().coeffs[1], G.coeffs[1])
         assert np.allclose(G.dz1().coeffs[0], 0.0)
 
     def test_unit_element_product(self, params):
         one = GenSeries(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
-        G = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), GEN_DELTA)
+        G = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), WITH_BL)
         prod = product_bound(one, G)
         assert np.allclose(prod.coeffs[: G.coeffs.shape[0]], G.coeffs)
 
     def test_series_ops_bundle(self, params):
-        a = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), GEN0)
-        b = gen_series([FourierMode(1, sp.exp(-Y**2))], params, (2, 4), GEN_DELTA)
+        a = gen_series([FourierMode(1, sp.exp(-Y))], params, (2, 4), WITHOUT_BL)
+        b = gen_series([FourierMode(1, sp.exp(-Y**2))], params, (2, 4), WITH_BL)
         prod = product_bound(a, b)
         # at z2 = 0 only order-0 terms contribute: product is exact there
         for z1 in (0.0, 0.2, 0.5):
@@ -361,9 +363,9 @@ class TestSeriesOps:
             f = FourierMode(af, cf * sp.exp(-Y))
             g = FourierMode(ag, cg * sp.exp(-(Y**2)))
             fg = FourierMode(af + ag, f.expr * g.expr)
-            Gf = gen_series([f], params, (6, 6), GEN0)
-            Gg = gen_series([g], params, (6, 6), GEN_DELTA)
-            Gfg = gen_series([fg], params, (6, 6), GEN_DELTA)
+            Gf = gen_series([f], params, (6, 6), WITHOUT_BL)
+            Gg = gen_series([g], params, (6, 6), WITH_BL)
+            Gfg = gen_series([fg], params, (6, 6), WITH_BL)
             for z in zs:
                 assert Gfg(*z) <= Gf(*z) * Gg(*z) * (1 + 1e-9)
 
@@ -449,9 +451,9 @@ class TestDivFreeBilinear:
         g1 = [FourierMode(1, sp.exp(-(Y**2)))]
         g2 = [FourierMode(1, 2 * sp.exp(-(Y**2)))]
         G1 = gen_series([FourierMode(m.alpha, sp.diff(m.expr, Y)) for m in g1],
-                        params, (3, 6), GEN_DELTA)
+                        params, (3, 6), WITH_BL)
         G2 = gen_series([FourierMode(m.alpha, sp.diff(m.expr, Y)) for m in g2],
-                        params, (3, 6), GEN_DELTA)
+                        params, (3, 6), WITH_BL)
         assert np.allclose(G2.coeffs, 2.0 * G1.coeffs, atol=1e-12)
         r1 = divfree_bilinear(u, v, g1, params, truncation=(3, 5))
         r2 = divfree_bilinear(u, v, g2, params, truncation=(3, 5))

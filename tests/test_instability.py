@@ -265,7 +265,7 @@ class TestHopfSeries:
 
     def test_sup_ratio_bounds_growth(self):
         s = hopf_series(COS, 1.0, 20)
-        R = s.sup_ratio(n_min=5)
+        R = s.sup_ratio()
         assert 0.0 < R < 2.0
         # the measured bound really dominates the late ratios
         norms = [s.sup_norm(n) for n in range(1, 21)]

@@ -39,6 +39,16 @@ class TestMakeProfile:
         with pytest.raises(ConfigurationError):
             make_profile("tanh")
 
+    @pytest.mark.parametrize("z0", [np.nan, np.inf])
+    def test_tanh_shift_must_be_finite(self, z0):
+        with pytest.raises(ConfigurationError, match="z0 must be finite"):
+            make_profile("tanh", z0=z0)
+
+    def test_custom_needs_table(self):
+        z = np.linspace(0, 10, 40)
+        with pytest.raises(ConfigurationError, match="table"):
+            make_profile("custom", z=z, U=1 - np.exp(-z))
+
     @pytest.mark.parametrize("kind,params", [
         ("poiseuille", {}),
         ("exponential", {}),
@@ -47,7 +57,7 @@ class TestMakeProfile:
     ])
     def test_derivative_consistency(self, kind, params):
         p = make_profile(kind, **params)
-        z_lo, z_hi = p.z_range(z_max=10.0)
+        z_lo, z_hi = p.z_range()
         z = np.linspace(z_lo + 0.01, z_hi - 0.01, 1000)
         du = p.dU(z)
         err = np.abs(du - centered_diff(p.U, z))

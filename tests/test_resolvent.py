@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shearstab import resolvent
+from shearstab import instability, resolvent
 from shearstab.errors import (
     ConfigurationError,
     ContourCrossesSpectrumError,
@@ -12,6 +12,7 @@ from shearstab.errors import (
 )
 from shearstab.resolvent import (
     ContourSpec,
+    _hankel_seeds,
     _refine,
     evans_condition,
     evans_det,
@@ -49,10 +50,32 @@ class TestSemigroup:
         assert np.allclose(v, [np.e, np.exp(-2.0)], atol=1e-8)
 
     def test_t_zero(self):
+        # e^{A 0} x0 is x0 itself, returned exactly and without a quadrature
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         x0 = np.array([0.3, -0.7])
         v = semigroup_apply(A, x0, 0.0)
-        assert np.allclose(v, x0, atol=1e-8)
+        assert np.array_equal(v, x0)
+        assert v is not x0
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        with pytest.raises(ConfigurationError, match="t must be nonnegative and finite"):
+            semigroup_apply(-np.eye(2), np.ones(2), t)
+
+    def test_overflowing_time_raises_at_first_pass(self, monkeypatch):
+        # e^{lambda t} overflows on every pass; the first pass must stop it
+        calls = []
+        resolvent_sum = resolvent._resolvent_sum
+
+        def counting(*args):
+            calls.append(1)
+            return resolvent_sum(*args)
+
+        monkeypatch.setattr(resolvent, "_resolvent_sum", counting)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureError, match="not finite at 32 nodes"):
+            semigroup_apply(np.diag([1.0, -1.0]), np.ones(2), 1e300)
+        assert len(calls) == 1
 
     def test_random_matches_expm_oracle(self):
         rng = np.random.default_rng(7)
@@ -143,6 +166,17 @@ class TestRefine:
         assert val[0] == values[16]
         assert change == pytest.approx(1e-13, rel=1e-3)
 
+    def test_non_finite_pass_stops_at_once(self):
+        calls = []
+
+        def one_pass(n):
+            calls.append(n)
+            return np.array([1.0, np.nan])
+
+        with pytest.raises(QuadratureError, match="nan pass is not finite at 8 nodes"):
+            _refine(one_pass, 8, "nan pass")
+        assert calls == [8]
+
     def test_floor_admits_change(self):
         values = {4: 1.0, 8: 1.0 + 1e-6}
         val, _ = _refine(lambda n: np.array([values[n]]), 4, "floor", floor=1e-5)
@@ -172,6 +206,22 @@ class TestHeatGreen:
     def test_imag_residue_small(self):
         _, imag, _ = heat_green(0.5, 1.0, 0.0, 0.3, full_output=True)
         assert abs(imag) < 1e-10
+
+    @pytest.mark.parametrize("t, x, nu, name", [
+        (np.nan, 0.0, 1.0, "t"), (np.inf, 0.0, 1.0, "t"), (0.0, 0.0, 1.0, "t"),
+        (1.0, 0.0, np.nan, "nu"), (1.0, 0.0, np.inf, "nu"),
+        (1.0, np.nan, 1.0, "x - z"), (1.0, np.inf, 1.0, "x - z"),
+    ])
+    def test_non_finite_input_raises(self, t, x, nu, name):
+        # these used to double the nodes to 32768 without two passes agreeing
+        with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+            heat_green(t, x, 0.0, nu)
+
+
+class TestDuhamel:
+    def test_lives_next_to_the_semigroup(self):
+        # instability re-exports it, and both names must be the one function
+        assert instability.duhamel_term is resolvent.duhamel_term
 
 
 class TestParabolicGreen:
@@ -276,6 +326,21 @@ class TestEvansLocate:
         # discrete spectrum
         zeros = evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0)
         assert zeros == []
+
+    def test_double_zero_raises_naming_the_rectangle(self):
+        # the power sums of a double zero at 2 + 0.1i, plus 1e-14 of noise:
+        # H0 is singular, and the pencil would give one arbitrary seed
+        z = 2.0 + 0.1j
+        noise = 1e-14 * np.random.default_rng(4).standard_normal(4)
+        s = 2.0 * z ** np.arange(4) + noise
+        with pytest.raises(RegionError, match=r"region \(1\.5, 2\.5, -0\.5, 0\.5\)"):
+            _hankel_seeds(s, (1.5, 2.5, -0.5, 0.5))
+
+    def test_seeds_of_simple_zeros(self):
+        z = np.array([1.0, 4.0 + 0.2j, 9.0])
+        s = np.sum(z[:, None] ** np.arange(6), axis=0)
+        seeds = _hankel_seeds(s, (0.5, 9.5, -0.4, 0.4))
+        assert np.allclose(np.sort_complex(seeds), z, rtol=0, atol=1e-9)
 
     def test_condition_diagnostic_large_near_eigenvalue(self):
         nu = 1.0

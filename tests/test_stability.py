@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.fft import dct
@@ -184,6 +186,14 @@ class TestOrrSommerfeld:
         with pytest.warns(UserWarning, match="resolution guidance"):
             os_spectrum(make_profile("poiseuille"), 1.0, 1e8, build_grid(64, CHANNEL))
 
+    def test_rejected_grid_warns_nothing(self):
+        # N = 2 is below the guidance too, but the pencil rejects it first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="N must be >= 5"):
+                os_spectrum(make_profile("poiseuille"), 1.0, 100.0, build_grid(2, CHANNEL))
+        assert caught == []
+
     @pytest.mark.filterwarnings("ignore:N=200 below resolution guidance")
     @pytest.mark.parametrize("N", [200, 320, 480])
     def test_re1e7_mode_kept(self, N):
@@ -308,6 +318,12 @@ class TestNeutralCurve:
     def test_unsorted_Re_rejected(self):
         with pytest.raises(ConfigurationError):
             neutral_curve(make_profile("poiseuille"), [8000, 6000], (0.6, 1.4))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan])
+    def test_alpha_tol_checked(self, tol):
+        # brentq used to reject xtol = 0 only after the scan, as a ValueError
+        with pytest.raises(ConfigurationError, match="alpha_tol must be positive"):
+            neutral_curve(make_profile("poiseuille"), [6000], (0.8, 1.2), N=32, alpha_tol=tol)
 
 
 class TestFitExponents:
