@@ -24,7 +24,6 @@ from .instability import (
 from .profiles import ShearProfile, blasius_solve, inflection_points, make_profile
 from .resolvent import (
     ContourSpec,
-    evans_condition,
     evans_det,
     evans_locate,
     heat_green,
@@ -61,7 +60,6 @@ __all__ = [
     "divfree_bilinear",
     "elliptic_gen_estimate",
     "euler_series",
-    "evans_condition",
     "evans_det",
     "evans_locate",
     "fit_exponents",

@@ -9,9 +9,12 @@ y-derivatives of all modes,
 with either the plain weight phi(y)^l = (y/(1+y))^l (flavor ``WITHOUT_BL``)
 or the additional boundary-layer damping (1 + e^{-y/delta}/delta)^{-1}
 (flavor ``WITH_BL``), for a single norm and a series alike.  Each mode is
-sampled once per grid as one table of its derivatives of orders 0..L (``FourierMode.derivatives``), and one weighted-sup
-kernel reduces a whole table to its row norms; the series, the elliptic and
-the transport estimates are all built from such tables.  All series
+sampled once per grid as one table of its derivatives of orders 0..L
+(``FourierMode.derivatives``), and one weighted-sup kernel reduces a whole
+table to its row norms; the series, the elliptic and the transport
+estimates are all built from such tables.  A norm of a function or a
+series refines its sample grid in the package's one refinement loop,
+``spectral.refine``, each row settling on its own.  All series
 coefficients are nonnegative, so evaluations and all their partial
 derivatives are monotone on the positive quadrant; the majorant inequalities
 verified here (product, x-derivative identity, elliptic gain,
@@ -21,16 +24,17 @@ sample points.
 The derivative table of a mode is computed by truncated Taylor arithmetic
 (``Jet``): the mode is a function of a jet, evaluated on the jet of y
 itself, so every order comes from one pass of array arithmetic and no
-symbolic derivative is taken.  A mode is given either as such a function,
-built from ``+ - * /``, integer powers and this module's ``exp``, ``sin``
-and ``cos``, or as a sympy expression in the symbol ``Y`` (y, real and
-nonnegative), which is walked once into such a function; its node types are
-Add, Mul, integer Pow, exp, sin, cos and numbers.  The products, d_y and d_x
-of modes that the transport estimate needs are compositions of these
-functions.  sympy is imported only when a sympy expression is passed:
-``genfunc.Y`` is resolved on access by the module ``__getattr__``, so
-importing this module does not load sympy, and modes given as functions of
-a jet never do.
+symbolic derivative is taken.  A mode is given as such a function, built
+from ``+ - * /``, integer powers and this module's ``exp``, ``sin`` and
+``cos``; as a sympy expression in the symbol ``Y`` (y, real and
+nonnegative), which is walked once into such a function, its node types
+being Add, Mul, integer Pow, exp, sin, cos and numbers; or as a tuple of
+derivative callables, which become the rows of a jet.  Every mode thus has
+one jet function, and the products, d_y and d_x of modes that the transport
+estimate needs are compositions of these functions.  sympy is imported
+only when a sympy expression is passed: ``genfunc.Y`` is resolved on access
+by the module ``__getattr__``, so importing this module does not load
+sympy, and modes given as functions of a jet never do.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, QuadratureError, RegionError
+from .errors import ConfigurationError, InputError, RegionError, check_positive
+from .spectral import legendre_rule, refine
 
 WITH_BL = "with_bl"
 WITHOUT_BL = "without_bl"
@@ -72,14 +77,12 @@ class BLNormParams:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigurationError("delta must be positive")
+        check_positive(delta=self.delta)
 
     @classmethod
     def from_viscosity(cls, nu: float, gamma0: float) -> "BLNormParams":
         """delta = gamma0 nu^{1/4} (layer thickness of the viscous problem)."""
-        if nu <= 0 or gamma0 <= 0:
-            raise ConfigurationError("nu and gamma0 must be positive")
+        check_positive(nu=nu, gamma0=gamma0)
         return cls(delta=gamma0 * nu**0.25)
 
 
@@ -93,11 +96,11 @@ def _bl_damping(y, delta):
     return 1.0 / (np.exp(-y / delta) / delta + 1.0)
 
 
-def sample_grid(delta: float, refine: int = 0, max_step: float | None = None) -> np.ndarray:
-    """Geometric grid on [0, Y_MAX], dense (spacing delta/20) inside the layer."""
-    k = 2**refine
-    near = np.linspace(0.0, min(10.0 * delta, Y_MAX), 200 * k + 1)
-    far = np.geomspace(max(near[-1], 1e-12), Y_MAX, 400 * k + 1)
+def sample_grid(delta: float, n_layer: int = 200, max_step: float | None = None) -> np.ndarray:
+    """Grid on [0, Y_MAX]: n_layer uniform steps across the layer [0, 10 delta]
+    (spacing delta/20 at the default), 2 n_layer geometric steps beyond."""
+    near = np.linspace(0.0, min(10.0 * delta, Y_MAX), n_layer + 1)
+    far = np.geomspace(max(near[-1], 1e-12), Y_MAX, 2 * n_layer + 1)
     y = np.unique(np.concatenate([near, far]))
     if max_step is not None:
         pieces = [y]
@@ -122,34 +125,21 @@ def _weighted_sup(y, table, ells, params: BLNormParams, flavor: str) -> np.ndarr
     return np.max(w * np.abs(table), axis=-1)
 
 
-def _settled_sup(table_fn, ells, params: BLNormParams, flavor: str) -> np.ndarray:
-    """Row norms of the table ``table_fn(y)`` on refining geometric grids.
+def _rows_settled(cur, prev):
+    # purely relative: refinement decisions are invariant under scaling f,
+    # keeping norm identities exactly homogeneous
+    return np.abs(cur - prev) <= 1e-6 * np.maximum(cur, 1e-300)
 
-    Each row returns the value of its own first grid that agrees with the
-    previous grid to 1e-6 relative; QuadratureError when a row has not
-    settled after eight grids.
-    """
-    ells = np.asarray(ells)
-    out = np.empty(ells.size)
-    todo = np.ones(ells.size, dtype=bool)
-    prev = None
-    for refine in range(8):
-        y = sample_grid(params.delta, refine=refine)
-        cur = _weighted_sup(y, table_fn(y), ells, params, flavor)
-        if prev is not None:
-            # purely relative criterion: refinement decisions are invariant
-            # under scaling f, keeping norm identities exactly homogeneous
-            change = np.abs(cur - prev)
-            done = todo & (change <= 1e-6 * np.maximum(cur, 1e-300))
-            out[done] = cur[done]
-            todo &= ~done
-            if not todo.any():
-                return out
-        prev = cur
-    raise QuadratureError(
-        "weighted sup did not settle on 8 grids "
-        f"(last relative change {np.max(change[todo] / np.maximum(cur[todo], 1e-300)):.3e})"
-    )
+
+def _refined_sup(table_fn, ells, params: BLNormParams, flavor: str) -> np.ndarray:
+    """Row norms of the table ``table_fn(y)`` on grids of 200, 400, ... layer
+    steps, each row from its own first grid that agrees with the previous
+    one to 1e-6 relative (``refine``, at most eight grids)."""
+    def one_pass(n):
+        y = sample_grid(params.delta, n)
+        return _weighted_sup(y, table_fn(y), ells, params, flavor)
+
+    return refine(one_pass, 200, _rows_settled, "weighted sup", 8)
 
 
 def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
@@ -157,15 +147,15 @@ def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
 
     ``f`` is either a callable or a pair (y, values).  A callable goes
     through the same refinement loop as every series coefficient: it is
-    sampled on up to eight refining geometric grids, the sup returns as soon
-    as two successive grids agree to 1e-6 relative, and QuadratureError is
-    raised when no two do.
+    sampled on up to eight refining grids, the sup returns as soon as two
+    successive grids agree to 1e-6 relative, and QuadratureError is raised
+    when no two do or a grid's sup is not finite.
     """
     _check_flavor(flavor)
     if ell < 0:
         raise ConfigurationError("ell must be nonnegative")
     if callable(f):
-        return float(_settled_sup(lambda y: np.asarray(f(y))[None], [ell], params, flavor)[0])
+        return float(_refined_sup(lambda y: np.asarray(f(y))[None], [ell], params, flavor)[0])
     y, vals = np.asarray(f[0], dtype=float), np.asarray(f[1])
     if y.size == 0:
         raise InputError("empty sample")
@@ -357,6 +347,20 @@ def _jet_function(expr):
     return walk(expr)
 
 
+def _supplied_jet_function(derivs):
+    """The jet function of derivative callables of orders 0, 1, ...: row k is
+    d^k f / k! at the sample points, row 0 of the variable jet of y."""
+    def fn(t):
+        y, L = t.coeffs[0], len(t.coeffs) - 1
+        if L >= len(derivs):
+            raise InputError(f"derivative order {L} beyond supplied data ({len(derivs)} orders)")
+        c = np.empty(t.coeffs.shape, dtype=complex)
+        for k in range(L + 1):
+            c[k] = derivs[k](y) / math.factorial(k)
+        return Jet(c)
+    return fn
+
+
 def _dy_function(fn):
     """The jet function of d_y f from that of f: f on the variable jet one
     order higher, differentiated.  Mode functions receive the variable jet
@@ -380,43 +384,33 @@ class FourierMode:
     built from ``+ - * /``, integer powers and ``genfunc.exp``, ``sin`` and
     ``cos``.  A sympy expression is walked once, here, into such a function;
     its node types are Add, Mul, integer Pow, exp, sin, cos and numbers, and
-    any other node raises ConfigurationError.  The table of orders 0..L is
-    the function evaluated on the variable jet of y (``Jet.variable``), so
-    no symbolic derivative is taken.  ``expr`` is kept as given.
-    Alternatively a finite tuple of derivative callables (order 0, 1, ...)
-    may be supplied, in which case requesting a higher order raises an input
-    error.
+    any other node raises ConfigurationError.  ``expr`` is kept as given.
+    Alternatively a finite tuple ``derivs`` of derivative callables (order
+    0, 1, ...) becomes such a function; a higher order raises InputError.
+    The table of orders 0..L is the function evaluated on the variable jet
+    of y (``Jet.variable``), so no symbolic derivative is taken.
     """
 
     def __init__(self, alpha: int, expr=None, derivs=None):
         self.alpha = int(alpha)
         if (expr is None) == (derivs is None):
             raise ConfigurationError("provide exactly one of expr / derivs")
-        self._jet_fn = None
-        if expr is not None:
-            if callable(expr) and not _is_sympy(expr):
-                self._jet_fn = expr
-            else:
-                import sympy as sp
+        if derivs is not None:
+            self._jet_fn = _supplied_jet_function(tuple(derivs))
+        elif callable(expr) and not _is_sympy(expr):
+            self._jet_fn = expr
+        else:
+            import sympy as sp
 
-                expr = sp.sympify(expr)
-                self._jet_fn = _jet_function(expr)
+            expr = sp.sympify(expr)
+            self._jet_fn = _jet_function(expr)
         self.expr = expr
-        self._derivs = tuple(derivs) if derivs is not None else None
 
     def derivatives(self, y, L: int) -> np.ndarray:
         """d_y^l of this mode for l = 0..L on the points y, as one complex
         (L + 1,) + y.shape table."""
         y = np.asarray(y, dtype=float)
         out = np.zeros((L + 1,) + y.shape, dtype=complex)
-        if self._derivs is not None:
-            if L >= len(self._derivs):
-                raise InputError(
-                    f"derivative order {L} beyond supplied data ({len(self._derivs)} orders)"
-                )
-            for ell, f in enumerate(self._derivs[: L + 1]):
-                out[ell] = f(y)
-            return out
         val = self._jet_fn(Jet.variable(y, L))
         if isinstance(val, Jet):
             out[:] = val.coeffs * np.cumprod(np.maximum(_orders(val.coeffs), 1), axis=0, dtype=float)
@@ -492,7 +486,7 @@ def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor:
         w = abs(m.alpha)
         if w > N_alpha:
             continue
-        coeffs[w] += _settled_sup(lambda y, m=m: m.derivatives(y, N_ell), np.arange(N_ell + 1),
+        coeffs[w] += _refined_sup(lambda y, m=m: m.derivatives(y, N_ell), np.arange(N_ell + 1),
                                   params, flavor)
     return GenSeries(coeffs)
 
@@ -525,7 +519,7 @@ def _greens_solve(alpha: int, f, y: np.ndarray):
     a = abs(int(alpha))
     if a == 0:
         raise ConfigurationError("alpha must be a nonzero integer")
-    gx, gw = np.polynomial.legendre.leggauss(6)
+    gx, gw = legendre_rule(6)
     left, right = y[:-1], y[1:]
     h = right - left
     # quadrature nodes per cell, flattened
@@ -567,7 +561,7 @@ def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True,
             f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "
             "boundary-layer estimate outside its admissible range"
         )
-    y = sample_grid(params.delta, refine=refine, max_step=min(0.1, 0.5 / a) / 2**refine)
+    y = sample_grid(params.delta, 200 * 2**refine, max_step=min(0.1, 0.5 / a) / 2**refine)
     phi, dphi = _greens_solve(alpha, f, y)
     d2phi = np.asarray(f(y)) + a**2 * phi
     norms = {

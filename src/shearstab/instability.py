@@ -40,11 +40,13 @@ from .errors import (
     NotUnstableError,
     ResonanceError,
     WindowError,
+    check_positive,
 )
 from .profiles import TORUS, ShearProfile, solve_ivp
 from .resolvent import duhamel_term  # noqa: F401  (re-exported: phi_i is a Duhamel integral)
 
 MAJORANT_TOL = 1e-10       # slack of the majorant inequality and of K's monotonicity
+KX0 = 0.5                  # x-wavenumber of the unstable Euler mode: the torus is 2 pi / KX0 long
 
 
 # ----------------------------------------------------------------------------
@@ -283,11 +285,14 @@ def _riccati_formula(epsilon, alpha, phi0, t):
 
 
 def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> RiccatiValue:
-    """Exact solution phi(t) = eps phi0 e^{eps t} / (eps - alpha phi0 (e^{eps t}-1))."""
-    if not (phi0 > 0):
-        raise InputError("phi0 must be positive")
-    if epsilon == 0:
-        raise InputError("epsilon must be nonzero")
+    """Exact solution phi(t) = eps phi0 e^{eps t} / (eps - alpha phi0 (e^{eps t}-1));
+    InputError unless phi0 > 0 and epsilon != 0, all three finite, and t is a number."""
+    if not (0 < phi0 < np.inf):
+        raise InputError(f"phi0 must be positive and finite, got {phi0!r}")
+    if not (np.isfinite(epsilon) and np.isfinite(alpha)) or epsilon == 0:
+        raise InputError(f"epsilon must be nonzero and finite, alpha finite; got {epsilon!r}, {alpha!r}")
+    if np.isnan(t):
+        raise InputError("t must not be NaN")
     t_star = None
     limit = None
     if alpha > 0:
@@ -402,8 +407,7 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     polynomials; mode support grows linearly with n, so the table on
     -N max|m|..N max|m| truncates nothing.
     """
-    if not (alpha > 0):
-        raise ConfigurationError("alpha must be positive")
+    check_positive(alpha=alpha)
     if N < 1:
         raise ConfigurationError("N must be at least 1")
     first = {int(m): complex(v) for m, v in dict(u1).items() if v != 0}
@@ -607,12 +611,11 @@ def euler_series(
     profile: ShearProfile,
     N: int = 4,
     modes: int = 16,
-    kx0: float = 0.5,
 ) -> dict:
     """Truncated instability series of 2D Euler about a periodic shear flow.
 
-    The base flow (U(y), 0) lives on the torus [0, 2 pi / kx0) x [0, 2 pi).
-    The x-wavenumber-kx0 unstable eigenvalue alpha of the vorticity
+    The base flow (U(y), 0) lives on the torus [0, 2 pi / KX0) x [0, 2 pi).
+    The x-wavenumber-KX0 unstable eigenvalue alpha of the vorticity
     linearization is found by a Fourier-Galerkin eigensolve (with a
     doubled-truncation re-solve as oracle); omega_1 is the real part of the
     unstable mode and higher terms solve
@@ -636,12 +639,12 @@ def euler_series(
     # mode is excluded so the conjugate partner of the eigenvector is
     # representable), with a doubled mode range as the truncation oracle
     m_sym = np.arange(-(Ng // 2 - 1), Ng // 2)
-    alpha1, vec = _unstable_eig(U_hat, Upp_hat, kx0, m_sym)
-    alpha2, _ = _unstable_eig(U_hat, Upp_hat, kx0, np.arange(-(Ng - 2), Ng - 1))
+    alpha1, vec = _unstable_eig(U_hat, Upp_hat, KX0, m_sym)
+    alpha2, _ = _unstable_eig(U_hat, Upp_hat, KX0, np.arange(-(Ng - 2), Ng - 1))
     if alpha1.real <= 1e-8:
         raise NotUnstableError(
             "no unstable eigenvalue at x-wavenumber %.3g (max growth %.3e)"
-            % (kx0, alpha1.real)
+            % (KX0, alpha1.real)
         )
     alpha = complex(alpha1)
     alpha_gap = abs(alpha1 - alpha2)
@@ -649,7 +652,7 @@ def euler_series(
     # spectral machinery on the Ng x Ng grid (axis 0 = x, axis 1 = y)
     px = np.fft.fftfreq(Ng, d=1.0 / Ng).astype(int)
     my = np.fft.fftfreq(Ng, d=1.0 / Ng).astype(int)
-    KX = kx0 * px[:, None] * np.ones((1, Ng))
+    KX = KX0 * px[:, None] * np.ones((1, Ng))
     KY = np.ones((Ng, 1)) * my[None, :].astype(float)
     K2 = KX**2 + KY**2
     K2[0, 0] = 1.0  # the zero mode of psi is irrelevant (set to 0 below)
@@ -683,7 +686,7 @@ def euler_series(
     # truncation in which it was computed (both x-wavenumber blocks)
     slots = m_sym % Ng
     eig_residual = 0.0
-    for p, kx in ((1, kx0), (Ng - 1, -kx0)):
+    for p, kx in ((1, KX0), (Ng - 1, -KX0)):
         Lp = _shear_block(U_hat, Upp_hat, kx, m_sym)
         row = w1[p, slots]
         eig_residual = max(
@@ -692,7 +695,7 @@ def euler_series(
     eig_residual /= float(np.max(np.abs(w1)))
 
     # the stack of x-wavenumber blocks for the shifted solves (kx = 0: zero)
-    kx = kx0 * px
+    kx = KX0 * px
     blocks = np.zeros((Ng, Ng, Ng), dtype=complex)
     blocks[kx != 0] = _shear_block(U_hat, Upp_hat, kx[kx != 0], my)
 
@@ -738,7 +741,7 @@ def euler_series(
     return {
         "alpha_eig": alpha,
         "alpha_gap": float(alpha_gap),
-        "kx0": float(kx0),
+        "kx0": float(KX0),
         "modes": Ng,
         "omega_hat": omega,
         "sup_norms": sup_norms,

@@ -28,6 +28,8 @@ TORUS = "torus"
 
 ETA_MAX = 15.0       # far end of the Blasius shooting interval
 
+INFLECTION_SCAN = 2000   # grid points of the U'' sign-change scan
+
 _KINDS = ("poiseuille", "exponential", "tanh", "blasius", "kolmogorov", "custom")
 
 
@@ -234,19 +236,19 @@ def blasius_solve(tolerance: float = 1e-8) -> ShearProfile:
     )
 
 
-def inflection_points(profile: ShearProfile, n_scan: int = 2000) -> list[float]:
+def inflection_points(profile: ShearProfile) -> list[float]:
     """All z in ``profile.z_range()`` where U'' changes sign, refined by
     Brent's method to 1e-10.
 
-    The brackets are the intervals of an ``n_scan``-point grid on which U''
-    changes sign; a grid point where U'' is exactly zero counts when its two
+    The brackets are the intervals of an INFLECTION_SCAN-point grid on which
+    U'' changes sign; a grid point where U'' is exactly zero counts when its two
     neighbours have opposite signs.  An empty list means the necessary
     inviscid-instability condition fails.
     """
     from scipy.optimize import brentq
 
     z_lo, z_hi = profile.z_range()
-    z = np.linspace(z_lo, z_hi, n_scan)
+    z = np.linspace(z_lo, z_hi, INFLECTION_SCAN)
     w = profile.d2U(z)
     exact = 1 + np.flatnonzero((w[1:-1] == 0.0) & (w[:-2] * w[2:] < 0))
     refined = [brentq(lambda s: float(profile.d2U(s)), z[i], z[i + 1], xtol=1e-10)

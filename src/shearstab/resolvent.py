@@ -9,27 +9,26 @@ heat temporal Green function uses the parabola-shaped contour
 lambda = nu (a + i k)^2 with a = |x - z| / (2 nu t), on which the integrand
 collapses to a Gaussian-damped real integral.
 
-Every quadrature of this layer doubles its Gauss-Legendre nodes in
-``_refine`` until two passes agree, on the rule cached by ``_gauss_nodes``;
-a pass that is not finite stops the doubling at once.  A semigroup pass
-solves the resolvent systems of all its nodes in stacked solves of at most
-MAX_STACK matrix entries each.
+Every quadrature of this layer doubles its Gauss-Legendre nodes in the
+one refinement loop, ``spectral.refine``, until two passes agree (``_agree``).
+A semigroup pass solves the resolvent systems of all its nodes in stacked
+solves of at most MAX_STACK matrix entries each.
 
 The Evans function and the parabolic Green function are built from the
 decaying solutions of nu psi'' = (lambda - A(x)) psi, integrated inward from
-+-x_far.  ``_decaying_solutions`` integrates them for an array of spectral
++-X_FAR.  ``_decaying_solutions`` integrates them for an array of spectral
 parameters at once, one ``solve_ivp`` per direction, so that an
 ``evans_locate`` pass evaluates its whole rectangle boundary in two
 integrations, and each step of its secant, which refines all the zeros
 inside from their Hankel-eigenvalue seeds together, in two more; a single
-determinant is the one-parameter case.
+determinant is the one-parameter case.  ``evans_locate`` doubles its
+boundary in a loop of its own, since its criterion is a resolved phase.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,11 +44,13 @@ from .errors import (
     check_positive,
 )
 from .profiles import solve_ivp
+from .spectral import gauss_nodes, refine
 
 N_NODES = 32         # initial Gauss-Legendre nodes per semigroup segment
 TOL = 1e-10          # agreement of two successive passes, relative to 1 + max|value|
 MAX_PASSES = 10
 MAX_STACK = 2**18    # matrix entries of (lambda - A) solved in one stacked call
+X_FAR = 15.0         # ends +-X_FAR of the line for the decaying solutions
 
 
 @dataclass(frozen=True)
@@ -72,39 +73,10 @@ def default_contour_for(A: np.ndarray) -> ContourSpec:
     return ContourSpec(P, B)
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _gauss_nodes(a: float, b: float, n: int):
-    """n-point Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = _legendre_rule(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def _refine(one_pass, n0, what, floor=0.0, max_passes=MAX_PASSES):
-    """Evaluate one_pass(n) for n = n0, 2 n0, ... until two passes agree.
-
-    Agreement is max|val - prev| < TOL (1 + max|val|) + floor.  Returns the
-    last value and that change; raises QuadratureError after max_passes, or
-    at the first pass that is not finite, since no later pass can agree
-    with it.
-    """
-    prev, change, n = None, np.inf, n0
-    for _ in range(max_passes):
-        val = one_pass(n)
-        if not np.all(np.isfinite(val)):
-            raise QuadratureError(f"{what} is not finite at {n} nodes")
-        if prev is not None:
-            change = np.max(np.abs(val - prev))
-            if change < TOL * (1 + np.max(np.abs(val))) + floor:
-                return val, change
-        prev, n = val, 2 * n
-    raise QuadratureError(f"{what} did not converge (last change {change:.3e})")
+def _agree(floor):
+    """The criterion of ``refine`` that two passes agree as a whole:
+    max|val - prev| < TOL (1 + max|val|) + floor."""
+    return lambda val, prev: np.max(np.abs(val - prev)) < TOL * (1 + np.max(np.abs(val))) + floor
 
 
 def _resolvent_sum(A, x0, t, lam, dlam, weights):
@@ -134,11 +106,11 @@ def _resolvent_sum(A, x0, t, lam, dlam, weights):
 def _three_segment_nodes(P, B, ray_len, n):
     """Nodes, dlambda/ds and weights of one pass, n per segment."""
     # Gamma_1: (1+i) R_- + P - iB, from the far end toward the corner
-    s1, w1 = _gauss_nodes(-ray_len, 0.0, n)
+    s1, w1 = gauss_nodes(-ray_len, 0.0, n)
     # Gamma_2: P + i[-B, B]
-    s2, w2 = _gauss_nodes(-B, B, n)
+    s2, w2 = gauss_nodes(-B, B, n)
     # Gamma_3: (-1+i) R_+ + P + iB
-    s3, w3 = _gauss_nodes(0.0, ray_len, n)
+    s3, w3 = gauss_nodes(0.0, ray_len, n)
     lam = np.concatenate([(1 + 1j) * s1 + P - 1j * B, P + 1j * s2, (-1 + 1j) * s3 + P + 1j * B])
     dlam = np.repeat([1 + 1j, 1j, -1 + 1j], n)
     return lam, dlam, np.concatenate([w1, w2, w3])
@@ -182,13 +154,15 @@ def semigroup_apply(
     # e^{Re lambda t} along the rays decays like e^{(P - s) t}
     ray_len = 40.0 / t + contour.B
     # cancellation floor: the integrand reaches e^{P t}, and summing it to a
-    # value of order 1 cannot beat that magnitude times machine epsilon
-    floor = 100.0 * np.finfo(float).eps * np.exp(max(contour.P, 0.0) * t) * (1 + np.linalg.norm(x0))
+    # value of order 1 cannot beat that magnitude times machine epsilon; where
+    # e^{P t} overflows, the first pass is not finite and reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = 100.0 * np.finfo(float).eps * np.exp(max(contour.P, 0.0) * t) * (1 + np.linalg.norm(x0))
 
     def segment_pass(n):
         return _resolvent_sum(A, x0, t, *_three_segment_nodes(contour.P, contour.B, ray_len, n))
 
-    return _refine(segment_pass, N_NODES, "three-segment quadrature", floor)[0]
+    return refine(segment_pass, N_NODES, _agree(floor), "three-segment quadrature", MAX_PASSES)
 
 
 def duhamel_term(
@@ -208,26 +182,26 @@ def duhamel_term(
     contour = default_contour_for(A)
 
     def one_pass(n):
-        tau, wt = _gauss_nodes(0.0, t, n)
+        tau, wt = gauss_nodes(0.0, t, n)
         return sum(
             wi * semigroup_apply(A, forcing(ti), t - ti, contour=contour)
             for ti, wi in zip(tau, wt)
         )
 
-    return _refine(one_pass, 8, "Duhamel quadrature", max_passes=7)[0]
+    return refine(one_pass, 8, _agree(0.0), "Duhamel quadrature", 7)
 
 
-def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = False):
+def heat_green(t: float, x: float, z: float, nu: float) -> float:
     """Temporal Green function of the heat equation by contour quadrature.
 
     The contour lambda = nu (a + i k)^2, a = |x-z|/(2 nu t), turns the
     resolvent kernel integral into (1/2 pi) * int exp(nu t (a+ik)^2 - d (a+ik)) dk
     with d = |x - z|, truncated to |k| <= sqrt(37 / (nu t)).  Nodes are
-    doubled from 64 until two passes agree to 1e-10 relative, and the
-    truncated tail is checked explicitly.  The value matches the classical
-    Gaussian kernel; ``full_output`` also returns the imaginary residue and
-    the last change between passes.  t and nu must be positive and finite
-    and x - z finite (else ConfigurationError).
+    doubled from 64 until two passes agree to 1e-10 relative.  The truncated
+    tail and the imaginary residue, which vanishes by the symmetry k -> -k,
+    are checked explicitly (else QuadratureError).  The value matches the
+    classical Gaussian kernel.  t and nu must be positive and finite and
+    x - z finite (else ConfigurationError).
     """
     check_positive(t=t, nu=nu)
     d = abs(x - z)
@@ -237,38 +211,24 @@ def heat_green(t: float, x: float, z: float, nu: float, full_output: bool = Fals
     K = np.sqrt(37.0 / (nu * t))  # e^{-k^2 nu t} < 1e-16 beyond
 
     def one_pass(n):
-        k, w = _gauss_nodes(-K, K, n)
+        k, w = gauss_nodes(-K, K, n)
         s = a + 1j * k
         integrand = np.exp(nu * t * s**2 - d * s)
         return np.sum(w * integrand) / (2.0 * np.pi)
 
-    val, change = _refine(one_pass, 64, "heat-parabola quadrature")
+    val = refine(one_pass, 64, _agree(0.0), "heat-parabola quadrature", MAX_PASSES)
     # explicit tail bound of the integrand
     tail = np.exp(nu * t * (a**2 - K**2) - d * a) / (2.0 * np.pi)
     if tail > 1e-12 * (1 + abs(val)):
         raise QuadratureError(f"tail estimate {tail:.3e} above tolerance")
-    if full_output:
-        return val.real, val.imag, change
-    return val.real
+    if abs(val.imag) > TOL * (1 + abs(val)):
+        raise QuadratureError(f"imaginary residue {val.imag:.3e} above tolerance")
+    return float(val.real)
 
 
 # ---------------------------------------------------------------------------
 # Parabolic Green function and Evans function for  i tau - nu Lap - A(x)
 # ---------------------------------------------------------------------------
-
-
-def _check_decay_parameter(lam, nu):
-    """mu = sqrt(lam / nu) for every spectral parameter in lam; raises
-    EssentialSpectrumError, naming the first offending lam, where Re mu vanishes."""
-    mu = np.sqrt(lam / nu + 0j)
-    bad = np.flatnonzero(mu.real < 1e-8)
-    if bad.size:
-        i = bad[0]
-        raise EssentialSpectrumError(
-            f"Re sqrt(lambda/nu) = {mu.real[i]:.3e} at lambda = {lam[i]}: "
-            "spectral parameter in the essential spectrum"
-        )
-    return mu
 
 
 def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
@@ -281,9 +241,16 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     (psi, psi') of shape (2, K), flattened, and A(x) is evaluated once per
     right-hand side for all of them.  sol.y[:, -1].reshape(2, K) holds
     (psi, psi') at x_match; with ``dense`` each solution can also be read
-    between its starting endpoint and x_match.
+    between its starting endpoint and x_match.  EssentialSpectrumError,
+    naming the first offending lam, where Re mu vanishes, mu = sqrt(lam / nu).
     """
-    mu = _check_decay_parameter(lam, nu)
+    mu = np.sqrt(lam / nu + 0j)
+    bad = np.flatnonzero(mu.real < 1e-8)
+    if bad.size:
+        raise EssentialSpectrumError(
+            f"Re sqrt(lambda/nu) = {mu.real[bad[0]]:.3e} at lambda = {lam[bad[0]]}: "
+            "spectral parameter in the essential spectrum"
+        )
     K = lam.size
     lam_nu = lam / nu
 
@@ -322,7 +289,6 @@ def parabolic_green(
     x: float,
     y: float,
     nu: float,
-    x_far: float = 15.0,
 ) -> complex:
     """Green function of i tau - nu Lap - A(x) on the line, sign as in the
     constant-coefficient kernel -(1 / 2 sqrt(lambda nu)) exp(-|x-y| sqrt(lambda/nu)),
@@ -333,9 +299,9 @@ def parabolic_green(
     integrated from its end of the line to the source point y only, since
     psi+ is read at points >= y and psi- at points <= y.
     """
-    if max(np.abs([A(x_far), A(-x_far)])) > 1e-10:
-        raise ConfigurationError("potential does not decay below 1e-10 at x_far")
-    sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, x_far, y, dense=True)
+    if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
+        raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
+    sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
 
     pp, dp = sol_p.y[:, -1]
     pm, dm = sol_m.y[:, -1]
@@ -350,33 +316,23 @@ def parabolic_green(
     return complex(b * sol_p.sol(x)[0])
 
 
-def evans_det(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> complex:
+def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
     """det of the jacobian of decaying solutions at the matching point x = 0.
 
     Zeros in lambda are eigenvalues of nu * Lap + A.  The normalization at
-    +-x_far is analytic in lambda, so the determinant is analytic right of
+    +-X_FAR is analytic in lambda, so the determinant is analytic right of
     the essential spectrum.  It is the Wronskian of psi+ and psi-, so any
     matching point gives the same value.
     """
-    return complex(_det2(_matching_matrices(A, lam, nu, x_far))[0])
-
-
-def evans_condition(A, lam: complex, nu: float = 1.0, x_far: float = 15.0) -> float:
-    """Diagnostic ||M^{-1}|| of the 2x2 matching matrix (large near eigenvalues)."""
-    M = _matching_matrices(A, lam, nu, x_far)[0]
-    return float(np.linalg.norm(np.linalg.inv(M), 2))
+    return complex(_det2(_matching_matrices(A, lam, nu, X_FAR))[0])
 
 
 def _rect_boundary(region, n_per_side):
+    """n_per_side points per side, counterclockwise from the corner re_lo + i im_lo."""
     re_lo, re_hi, im_lo, im_hi = region
-    top = re_lo + (re_hi - re_lo) * np.linspace(0, 1, n_per_side, endpoint=False)
-    pts = np.concatenate([
-        top + 1j * im_lo,
-        re_hi + 1j * (im_lo + (im_hi - im_lo) * np.linspace(0, 1, n_per_side, endpoint=False)),
-        re_hi - (re_hi - re_lo) * np.linspace(0, 1, n_per_side, endpoint=False) + 1j * im_hi,
-        re_lo + 1j * (im_hi - (im_hi - im_lo) * np.linspace(0, 1, n_per_side, endpoint=False)),
-    ])
-    return pts
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    t = np.linspace(0, 1, n_per_side, endpoint=False)
+    return np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])])
 
 
 def _hankel_seeds(s, region):
@@ -400,7 +356,7 @@ def evans_locate(
     A,
     region: tuple[float, float, float, float],
     nu: float = 1.0,
-    x_far: float = 15.0,
+    x_far: float = X_FAR,
     n_per_side: int = 24,
 ) -> list[complex]:
     """Eigenvalues of nu * Lap + A inside a rectangle (re_lo, re_hi, im_lo, im_hi).
@@ -410,7 +366,9 @@ def evans_locate(
     same boundary (Delves-Lyness); starting points from the eigenvalues of
     the Hankel pencil ([s_{i+j+1}], [s_{i+j}]); one complex secant that
     refines all w zeros together, each step one stacked integration per
-    direction.  The seeds assume simple zeros, as for a real potential: a
+    direction.  The boundary starts at ``n_per_side`` points per side and
+    doubles until no step of the determinant's phase exceeds 0.8 pi.  The
+    seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
     rectangle then raises RegionError.  A rectangle with re_lo >= re_hi or
     im_lo >= im_hi raises ConfigurationError; a boundary point in the
@@ -420,24 +378,25 @@ def evans_locate(
     re_lo, re_hi, im_lo, im_hi = region
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
-    pts = _rect_boundary(region, n_per_side)
-    M = _matching_matrices(A, pts, nu, x_far)
-    vals = _det2(M)
-    # |det| over the column norms is the sine of the angle between psi+ and
-    # psi-: it vanishes on a zero whatever the scale e^{2 Re(mu) x_far} of |det|
-    sines = np.abs(vals) / np.prod(np.linalg.norm(M, axis=1), axis=1)
-    if np.min(sines) < 1e-10:
-        raise RegionError(
-            f"boundary point lambda={pts[np.argmin(sines)]} too close to a zero of the "
-            "determinant; perturb the rectangle"
-        )
-
-    closed = np.append(vals, vals[0])
-    dphi = np.angle(closed[1:] / closed[:-1])
-    if np.max(np.abs(dphi)) > 0.8 * np.pi:
+    while True:
+        pts = _rect_boundary(region, n_per_side)
+        M = _matching_matrices(A, pts, nu, x_far)
+        vals = _det2(M)
+        # |det| over the column norms is the sine of the angle between psi+ and
+        # psi-: it vanishes on a zero whatever the scale e^{2 Re(mu) x_far} of |det|
+        sines = np.abs(vals) / np.prod(np.linalg.norm(M, axis=1), axis=1)
+        if np.min(sines) < 1e-10:
+            raise RegionError(
+                f"boundary point lambda={pts[np.argmin(sines)]} too close to a zero of the "
+                "determinant; perturb the rectangle"
+            )
+        closed = np.append(vals, vals[0])
+        dphi = np.angle(closed[1:] / closed[:-1])
+        if np.max(np.abs(dphi)) <= 0.8 * np.pi:
+            break
         if n_per_side > 400:
             raise RegionError("winding-number phase tracking failed; perturb the rectangle")
-        return evans_locate(A, region, nu, x_far, 2 * n_per_side)
+        n_per_side *= 2
     winding = int(round(np.sum(dphi) / (2 * np.pi)))
     if winding == 0:
         return []

@@ -1,17 +1,21 @@
-"""Chebyshev-Gauss-Lobatto collocation: grids, domain maps, operators, BC rows.
+"""Chebyshev-Gauss-Lobatto collocation: grids, domain maps, operators, BC rows;
+the cached Gauss-Legendre rule; the one refine-until-settled loop.
 
 The channel [-1, 1] uses the identity map; the half line uses the algebraic
 map y = L (1 + xi) / (1 - xi), whose chain-rule factors vanish at xi = 1 so
-the node at infinity carries zero derivative rows.
+the node at infinity carries zero derivative rows.  Every contour quadrature
+of ``resolvent`` and every sampled norm of ``genfunc`` refines in
+``refine``, given one pass and the criterion that two passes have settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, check_positive
+from .errors import ConfigurationError, QuadratureError, check_positive
 from .profiles import CHANNEL, HALF_LINE
 
 BC_DIRICHLET = "dirichlet"
@@ -42,7 +46,6 @@ class SpectralDiscretization:
     N: int
     domain: str
     map_scale: float
-    xi: np.ndarray      # Chebyshev nodes on [-1, 1], descending
     nodes: np.ndarray   # physical coordinates (inf at the mapped endpoint on half_line)
     D1: np.ndarray
     D2: np.ndarray
@@ -52,9 +55,6 @@ class SpectralDiscretization:
     @property
     def n_nodes(self) -> int:
         return self.N + 1
-
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.nodes)
 
 
 def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretization:
@@ -81,7 +81,7 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
         D1 = s[:, None] * Dc
         D2 = (s**2)[:, None] * (Dc @ Dc) + (s * ds)[:, None] * Dc
     D4 = D2 @ D2
-    return SpectralDiscretization(N, domain, map_scale, xi, nodes, D1, D2, D4, Dc)
+    return SpectralDiscretization(N, domain, map_scale, nodes, D1, D2, D4, Dc)
 
 
 def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray]]:
@@ -121,3 +121,44 @@ def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray
             f"N must be >= {len(rows) + 1} for the {len(rows)} {bc} boundary rows, got {n}")
     return rows
 
+
+@lru_cache(maxsize=None)
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = legendre_rule(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def refine(one_pass, n0: int, settled, what: str, max_passes: int) -> np.ndarray:
+    """Evaluate one_pass(n) for n = n0, 2 n0, ... until every entry has settled.
+
+    ``settled(val, prev)`` returns one bool for the whole value or a mask
+    with one entry per value; each entry keeps its value from the first pass
+    that settles it.  QuadratureError after max_passes passes, or at once
+    for a pass that is not finite, which numpy's overflow and invalid
+    warnings, switched off here, would otherwise only announce.
+    """
+    prev, change, n = None, np.inf, n0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_passes):
+            val = np.asarray(one_pass(n))
+            if not np.all(np.isfinite(val)):
+                raise QuadratureError(f"{what} is not finite at {n} nodes")
+            if prev is None:
+                out, done = val, np.zeros(val.shape, dtype=bool)
+            else:
+                now = ~done & settled(val, prev)
+                out, done = np.where(now, val, out), done | now
+                if done.all():
+                    return out
+                change = np.max(np.abs(val - prev)[~done])
+            prev, n = val, 2 * n
+    raise QuadratureError(f"{what} did not settle in {max_passes} passes (last change {change:.3e})")

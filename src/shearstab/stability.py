@@ -214,6 +214,9 @@ def _pencil(profile, alpha, grid, eps, bc):
         raise ConfigurationError(
             f"grid domain {grid.domain!r} does not match profile domain {profile.domain!r}"
         )
+    # a product overflows to inf where alpha**4 would raise OverflowError
+    if not np.isfinite(alpha * alpha * alpha * alpha):
+        raise ConfigurationError(f"alpha = {alpha!r} is too large: alpha^4 overflows")
     U, d2U = _profile_diagonals(profile, grid)
     ident = np.eye(grid.n_nodes)
     M = grid.D2 - alpha**2 * ident
@@ -254,9 +257,11 @@ def rayleigh_resolvent(
     Raises a critical-layer error when c comes within 1e-8 of U at a node.
     """
     check_positive(alpha=alpha)
+    if not np.isfinite(c):
+        raise ConfigurationError(f"c must be finite, got {c!r}")
     A, B, bc_idx, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
     U, _ = _profile_diagonals(profile, grid)
-    finite = grid.finite_mask()
+    finite = np.isfinite(grid.nodes)
     gap = np.min(np.abs(U[finite] - c))
     if gap < 1e-8:
         raise CriticalLayerError(
@@ -294,12 +299,6 @@ def os_spectrum(
     return EigenSolution(alpha, float(Re), *_solve_pencil(A, B, bc_idx, alpha, Re, scale))
 
 
-def _default_grid(profile: ShearProfile, Re: float, N: int | None, map_scale: float):
-    if N is None:
-        N = max(128, 2 * int(np.ceil(2.0 * Re**0.25)))
-    return build_grid(N, profile.domain, map_scale=map_scale)
-
-
 def max_growth_rate(profile, alpha, Re, grid) -> float:
     """max Im(c) of the viscous spectrum; -1 when no mode passes the filters."""
     sol = os_spectrum(profile, alpha, Re, grid)
@@ -311,7 +310,7 @@ def neutral_curve(
     profile: ShearProfile,
     Re_list,
     alpha_window,
-    N: int | None = None,
+    N: int,
     map_scale: float = 2.0,
     n_scan: int = 16,
     alpha_tol: float = 1e-4,
@@ -337,9 +336,9 @@ def neutral_curve(
     lower = NeutralBranch([], BRANCH_LOWER)
     upper = NeutralBranch([], BRANCH_UPPER)
 
+    grid = build_grid(N, profile.domain, map_scale=map_scale)
+    alphas = np.linspace(a_lo, a_hi, n_scan)
     for Re in Re_list:
-        grid = _default_grid(profile, Re, N, map_scale)
-        alphas = np.linspace(a_lo, a_hi, n_scan)
         g = np.array([max_growth_rate(profile, a, Re, grid) for a in alphas])
         if np.all(g <= 0):
             lower.subcritical_Re.append(Re)

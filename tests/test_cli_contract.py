@@ -116,14 +116,39 @@ class TestInputLimits:
         (["heat-kernel", "--dx", "nan"], 2, "x - z must be finite"),
         (["semigroup", "--t", "nan"], 2, "t must be nonnegative and finite"),
         (["semigroup", "--t", "inf"], 2, "t must be nonnegative and finite"),
-        (["semigroup", "--t", "1e300"], 3, "three-segment quadrature is not finite"),
+        (["semigroup", "--t", "1e300"], 3, "three-segment quadrature is not finite at 32 nodes"),
+        (["heat-kernel", "--dx", "1e300"], 3, "heat-parabola quadrature is not finite at 64 nodes"),
     ])
     def test_contour_inputs_return(self, args, code, message):
         # these used to double the quadrature nodes without end, so they run
-        # in a child process that a timeout can stop
+        # in a child process that a timeout can stop; the overflowing ones
+        # also printed numpy's warnings before the one line of the error
         proc = run_child(args, timeout=30)
         assert proc.returncode == code
-        assert proc.stdout == "" and message in proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith(f"shearstab: {message}")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["spectrum", "--profile", "tanh", "--z0", "1", "--n", "32", "--alpha", "1e300"],
+         "alpha = 1e+300 is too large"),
+        (["resolvent", "--profile", "exponential", "--n", "32", "--alpha", "1e300"],
+         "alpha = 1e+300 is too large"),
+        (["resolvent", "--profile", "exponential", "--n", "32", "--c", "inf"], "c must be finite"),
+        (["resolvent", "--profile", "exponential", "--n", "32", "--c", "nan+0j"], "c must be finite"),
+        (["instability", "--mode", "hopf", "--alpha", "inf"], "alpha must be positive and finite"),
+        (["instability", "--mode", "riccati", "--phi0", "inf"], "phi0 must be positive and finite"),
+        (["instability", "--mode", "riccati", "--alpha", "nan"], "epsilon must be nonzero and finite, alpha finite"),
+        (["instability", "--mode", "riccati", "--epsilon", "nan"], "epsilon must be nonzero and finite, alpha finite"),
+        (["instability", "--mode", "riccati", "--t", "nan"], "t must not be NaN"),
+        (["genfunc-check", "--nu", "nan"], "nu must be positive and finite"),
+        (["genfunc-check", "--nu", "inf"], "nu must be positive and finite"),
+    ])
+    def test_non_finite_or_overflowing_input_exit_2(self, capsys, args, message):
+        # these exited 0 with nan or inf rows, exited 1 with an OverflowError
+        # traceback, or (genfunc-check --nu nan) refined eight grids to exit 3
+        code, out, err = run_cli(capsys, args)
+        assert code == 2
+        assert out == "" and err.startswith(f"shearstab: {message}")
 
     @pytest.mark.parametrize("args, message", [
         (["genfunc-check", "--order", "-1"], "truncation orders must be nonnegative"),

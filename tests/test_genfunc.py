@@ -305,6 +305,20 @@ class TestGenSeries:
                 for z2 in (0.1, 0.3):
                     assert s(z1, z2) >= -1e-12
 
+    def test_nan_mode_stops_at_first_grid(self, params, monkeypatch):
+        # a table that is not finite cannot settle on any later grid
+        grids = []
+        sample_grid = genfunc.sample_grid
+
+        def counting(*args, **kwargs):
+            grids.append(1)
+            return sample_grid(*args, **kwargs)
+
+        monkeypatch.setattr(genfunc, "sample_grid", counting)
+        with pytest.raises(QuadratureError, match="weighted sup is not finite at 200 nodes"):
+            gen_series([FourierMode(1, lambda y: np.nan * genfunc.exp(-y))], params, (2, 4))
+        assert len(grids) == 1
+
     def test_derivative_order_overflow(self, params):
         mode = FourierMode(1, derivs=(lambda y: np.exp(-y), lambda y: -np.exp(-y)))
         with pytest.raises(InputError):
@@ -510,6 +524,26 @@ class TestDivFreeBilinear:
         finally:
             tracemalloc.stop()
         assert grown < 1_000_000, grown
+
+    def test_supplied_derivatives_compose(self, params):
+        # modes given as derivative tuples are jet functions too, so the
+        # products, d_y and d_x of the transport estimate take them
+        L = 7
+        u = [FourierMode(1, derivs=[lambda y, k=k: (-1) ** k * np.exp(-y) for k in range(L)])]
+        v = [FourierMode(1, derivs=[lambda y: -1j * (1 - np.exp(-y))]
+                         + [lambda y, k=k: 1j * (-1) ** k * np.exp(-y) for k in range(1, L)])]
+        g = [FourierMode(1, derivs=[lambda y, k=k: (-2.0) ** k * np.exp(-2 * y) for k in range(L)])]
+        rep = divfree_bilinear(u, v, g, params, truncation=(3, L - 2))
+        jets = divfree_bilinear([FourierMode(1, lambda y: genfunc.exp(-y))],
+                                [FourierMode(1, lambda y: -1j * (1 - genfunc.exp(-y)))],
+                                [FourierMode(1, lambda y: genfunc.exp(-2 * y))],
+                                params, truncation=(3, L - 2))
+        assert rep["finite"]
+        assert rep["C_dy"] == pytest.approx(jets["C_dy"], rel=1e-12)
+        assert rep["C_transport"] == pytest.approx(jets["C_transport"], rel=1e-12)
+        # d_y g needs one order more than the series: one fewer supplied fails
+        with pytest.raises(InputError, match="beyond supplied data"):
+            divfree_bilinear(u, v, g, params, truncation=(3, L - 1))
 
     def test_divergence_residual_rejected(self, params):
         u = [FourierMode(1, sp.exp(-Y))]

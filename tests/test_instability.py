@@ -448,10 +448,11 @@ class TestEulerSeries:
         assert len(euler_report["h1_ratios"]) == 3
         assert all(np.isfinite(r) and r > 0 for r in euler_report["h1_ratios"])
 
-    def test_short_wave_stable(self):
+    def test_short_wave_stable(self, monkeypatch):
         # cos y is linearly stable to x-wavenumbers above 1
+        monkeypatch.setattr(instability, "KX0", 1.5)
         with pytest.raises(NotUnstableError):
-            euler_series(make_profile("kolmogorov"), N=2, modes=16, kx0=1.5)
+            euler_series(make_profile("kolmogorov"), N=2, modes=16)
 
     def test_non_torus_rejected(self):
         with pytest.raises(ConfigurationError):

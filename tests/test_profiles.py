@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shearstab import profiles
 from shearstab.errors import ConfigurationError, UnsupportedProfileError
 from shearstab.profiles import blasius_solve, inflection_points, make_profile
 
@@ -115,9 +116,10 @@ class TestInflectionPoints:
         # U'' = -f f''/2 < 0 for eta > 0 and touches zero only at the wall
         assert inflection_points(blasius) == []
 
-    def test_grid_refinement_invariance(self):
+    def test_grid_refinement_invariance(self, monkeypatch):
         p = make_profile("tanh", z0=1.0)
-        a = inflection_points(p, n_scan=2000)
-        b = inflection_points(p, n_scan=4000)
+        a = inflection_points(p)
+        monkeypatch.setattr(profiles, "INFLECTION_SCAN", 2 * profiles.INFLECTION_SCAN)
+        b = inflection_points(p)
         assert len(a) == len(b)
         assert all(abs(x - y) <= 1e-8 for x, y in zip(a, b))

@@ -13,14 +13,13 @@ from shearstab.errors import (
 from shearstab.resolvent import (
     ContourSpec,
     _hankel_seeds,
-    _refine,
-    evans_condition,
     evans_det,
     evans_locate,
     heat_green,
     parabolic_green,
     semigroup_apply,
 )
+from shearstab.spectral import refine
 
 
 def expm_taylor(A, t, squarings=20):
@@ -142,6 +141,8 @@ class TestSemigroup:
 
 
 class TestRefine:
+    """The shared loop ``spectral.refine``, with this layer's criteria."""
+
     def test_never_settles_raises(self):
         calls = []
 
@@ -149,8 +150,8 @@ class TestRefine:
             calls.append(n)
             return np.array([1.0 / np.log(n)])
 
-        with pytest.raises(QuadratureError, match="slow pass did not converge"):
-            _refine(one_pass, 8, "slow pass", max_passes=5)
+        with pytest.raises(QuadratureError, match="slow pass did not settle in 5 passes"):
+            refine(one_pass, 8, resolvent._agree(0.0), "slow pass", 5)
         assert calls == [8, 16, 32, 64, 128]
 
     def test_returns_first_agreeing_pair(self):
@@ -161,10 +162,9 @@ class TestRefine:
             calls.append(n)
             return np.array([values[n]])
 
-        val, change = _refine(one_pass, 4, "table")
+        val = refine(one_pass, 4, resolvent._agree(0.0), "table", 10)
         assert calls == [4, 8, 16]
         assert val[0] == values[16]
-        assert change == pytest.approx(1e-13, rel=1e-3)
 
     def test_non_finite_pass_stops_at_once(self):
         calls = []
@@ -174,13 +174,27 @@ class TestRefine:
             return np.array([1.0, np.nan])
 
         with pytest.raises(QuadratureError, match="nan pass is not finite at 8 nodes"):
-            _refine(one_pass, 8, "nan pass")
+            refine(one_pass, 8, resolvent._agree(0.0), "nan pass", 10)
         assert calls == [8]
 
     def test_floor_admits_change(self):
         values = {4: 1.0, 8: 1.0 + 1e-6}
-        val, _ = _refine(lambda n: np.array([values[n]]), 4, "floor", floor=1e-5)
+        val = refine(lambda n: np.array([values[n]]), 4, resolvent._agree(1e-5), "floor", 10)
         assert val[0] == values[8]
+
+    def test_entries_settle_one_by_one(self):
+        # entry 0 agrees from the second pass on, entry 1 only from the fourth;
+        # each keeps the value of the pass that settled it
+        values = {1: [1.0, 5.0], 2: [1.5, 3.0], 4: [1.5 + 1e-9, 2.0], 8: [9.0, 2.0 + 1e-9]}
+
+        def one_pass(n):
+            return np.array(values[n])
+
+        def per_entry(val, prev):
+            return np.abs(val - prev) <= 1e-6 * np.abs(val)
+
+        val = refine(one_pass, 1, per_entry, "rows", 10)
+        assert val.tolist() == [values[4][0], values[8][1]]
 
 
 class TestHeatGreen:
@@ -203,9 +217,15 @@ class TestHeatGreen:
                 assert val <= exact + 1e-9  # Gaussian upper bound
         assert worst < 1e-6
 
-    def test_imag_residue_small(self):
-        _, imag, _ = heat_green(0.5, 1.0, 0.0, 0.3, full_output=True)
-        assert abs(imag) < 1e-10
+    def test_imag_residue_small(self, monkeypatch):
+        # the residue vanishes by symmetry, so the value passes the check ...
+        assert heat_green(0.5, 1.0, 0.0, 0.3) == pytest.approx(
+            np.exp(-1.0 / 0.6) / np.sqrt(0.6 * np.pi), rel=1e-8)
+        # ... and a quadrature that left one would raise
+        refine = resolvent.refine
+        monkeypatch.setattr(resolvent, "refine", lambda *args: refine(*args) + 1e-6j)
+        with pytest.raises(QuadratureError, match="imaginary residue 1.000e-06"):
+            heat_green(0.5, 1.0, 0.0, 0.3)
 
     @pytest.mark.parametrize("t, x, nu, name", [
         (np.nan, 0.0, 1.0, "t"), (np.inf, 0.0, 1.0, "t"), (0.0, 0.0, 1.0, "t"),
@@ -342,12 +362,44 @@ class TestEvansLocate:
         seeds = _hankel_seeds(s, (0.5, 9.5, -0.4, 0.4))
         assert np.allclose(np.sort_complex(seeds), z, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("lam", [1.0, 2.5 + 0.5j])
+    def test_free_determinant_closed_form(self, lam):
+        # psi+- = exp(-+mu (x -+ X_FAR)) for A = 0, so the Wronskian at 0 is
+        # 2 mu exp(2 mu X_FAR), mu = sqrt(lambda / nu)
+        mu = np.sqrt(lam / 0.5)
+        exact = 2 * mu * np.exp(2 * mu * resolvent.X_FAR)
+        assert evans_det(lambda s: 0.0 * s, lam, 0.5) == pytest.approx(exact, rel=1e-8)
+
     def test_condition_diagnostic_large_near_eigenvalue(self):
+        # ||M^{-1}|| of the 2x2 matching matrix grows near an eigenvalue
         nu = 1.0
         pot = lambda s: 2 * nu / np.cosh(s) ** 2
-        near = evans_condition(pot, 1.0 + 1e-4, nu=nu)
-        far = evans_condition(pot, 2.0, nu=nu)
+        M = resolvent._matching_matrices(pot, [1.0 + 1e-4, 2.0], nu, resolvent.X_FAR)
+        near, far = np.linalg.norm(np.linalg.inv(M), 2, axis=(1, 2))
         assert near > 10 * far
+
+    @pytest.mark.parametrize("amp, region, n_start, n_final", [
+        (2.0, (0.5, 1.5, -0.4, 0.4), 3, 6),
+        (6.0, (0.5, 4.5, -0.4, 0.4), 3, 12),
+        (12.0, (0.5, 9.5, -0.4, 0.4), 12, 24),
+    ])
+    def test_doubling_is_a_loop(self, amp, region, n_start, n_final, monkeypatch):
+        # a coarse boundary doubles to n_final points per side within one
+        # call, and returns the roots of a call started there bit for bit
+        pot = lambda s: amp / np.cosh(s) ** 2
+        direct = evans_locate(pot, region, nu=1.0, x_far=10.0, n_per_side=n_final)
+        entered = []
+
+        def counting(*args, **kwargs):
+            entered.append(1)
+            return evans_locate(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "evans_locate", counting)
+        doubled = resolvent.evans_locate(pot, region, nu=1.0, x_far=10.0, n_per_side=n_start)
+        assert entered == [1]
+        assert doubled == direct
+        k = round(np.sqrt(amp + 0.25) - 0.5)
+        assert np.allclose(sorted(doubled, key=lambda z: z.real), np.arange(1, k + 1) ** 2, rtol=0, atol=1e-6)
 
 
 # the two rectangles of the benchmark's Evans tasks
@@ -362,7 +414,8 @@ class TestStackedBoundary:
         pot = lambda s: amp / np.cosh(s) ** 2
         pts = resolvent._rect_boundary(region, 12)
         stacked = resolvent._det2(resolvent._matching_matrices(pot, pts, 1.0, 10.0))
-        single = np.array([evans_det(pot, lam, 1.0, 10.0) for lam in pts])
+        single = np.array([resolvent._det2(resolvent._matching_matrices(pot, lam, 1.0, 10.0))[0]
+                           for lam in pts])
         assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-9
 
     def test_one_integration_per_direction(self, monkeypatch):

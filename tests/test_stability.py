@@ -317,7 +317,7 @@ class TestNeutralCurve:
 
     def test_unsorted_Re_rejected(self):
         with pytest.raises(ConfigurationError):
-            neutral_curve(make_profile("poiseuille"), [8000, 6000], (0.6, 1.4))
+            neutral_curve(make_profile("poiseuille"), [8000, 6000], (0.6, 1.4), N=32)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan])
     def test_alpha_tol_checked(self, tol):
