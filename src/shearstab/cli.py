@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ShearStabError
+from .errors import ConfigurationError, InputError, ShearStabError, check_positive
 from .genfunc import (
     BLNormParams,
     FourierMode,
@@ -79,6 +79,14 @@ def parse_range(text: str) -> np.ndarray:
     return vals
 
 
+def seed(text: str) -> int:
+    """A nonnegative integer, as numpy's default_rng takes it."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative seed")
+    return value
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
@@ -115,6 +123,7 @@ _FLAGS = {
     "phi0": (float, "initial value of the scalar model"),
     "eta0": (float, "majorant window size"),
     "z0": (float, "tanh profile shift"),
+    "seed": (seed, "seed for randomized corpora (nonnegative)"),
 }
 
 
@@ -237,11 +246,12 @@ def _run_heat_kernel(args):
 
 
 def _run_semigroup(args):
-    from scipy.linalg import expm
-
     dim, tol = args.n, args.tol
     if dim < 1:
         raise InputError(f"--n must be at least 1, got {dim}")
+    check_positive(tol=tol)
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((dim, dim)) / np.sqrt(dim)
     x0 = rng.standard_normal(dim)
@@ -260,6 +270,7 @@ def _run_semigroup(args):
 
 def _run_genfunc_check(args):
     nu, order, tol = args.nu, args.order, args.tol
+    check_positive(tol=tol)
     params = BLNormParams.from_viscosity(nu, 1.0)
     rng = np.random.default_rng(args.seed)
     truncation = (order, 2 * order)
@@ -317,8 +328,11 @@ def _run_instability(args):
     if mode == "bootstrap":
         eps = 1e-3 if args.epsilon is None else args.epsilon
         order = 5 if args.order is None else args.order
-        t_max = -np.log(eps) + 4.0 if args.t is None else float(args.t[-1])
-        t_grid = np.linspace(0.0, t_max, 81)
+        # an epsilon outside (0, 1) gives no valid default grid; ode_bootstrap
+        # rejects it before the grid is read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_max = -np.log(eps) + 4.0 if args.t is None else float(args.t[-1])
+            t_grid = np.linspace(0.0, t_max, 81)
         r = ode_bootstrap(
             np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0,
             eps, order, t_grid,
@@ -413,8 +427,8 @@ COMMANDS = {
         "profile": None, "n": 128, "map_scale": 4.0, "alpha": "1.0", "c": 0.5 + 0.1j,
         "z0": None}),
     "heat-kernel": (_run_heat_kernel, {"t": "1.0", "nu": 1.0, "dx": "0.0"}),
-    "semigroup": (_run_semigroup, {"n": 4, "t": "1.0", "tol": 1e-8}),
-    "genfunc-check": (_run_genfunc_check, {"nu": 1e-4, "order": 4, "tol": 1e-10}),
+    "semigroup": (_run_semigroup, {"n": 4, "t": "1.0", "tol": 1e-8, "seed": 0}),
+    "genfunc-check": (_run_genfunc_check, {"nu": 1e-4, "order": 4, "tol": 1e-10, "seed": 0}),
     "instability": (_run_instability, {
         "mode": None, "alpha": "1.0", "epsilon": None, "phi0": 0.01, "order": None,
         "n": 16, "t": None, "eta0": 0.25}),
@@ -436,7 +450,6 @@ def build_parser():
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=FORMATS, default="csv",
                        help="output format")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
         p.add_argument("--config", help="key=value config file (flags override)")
         p.set_defaults(run=runner)
     return parser, sub.choices
@@ -452,7 +465,7 @@ def main(argv=None) -> int:
             return 2
         if args.config:
             values = _read_config_file(args.config)
-            flags = set(COMMANDS[args.subcommand][1]) | {"out", "format", "seed"}
+            flags = set(COMMANDS[args.subcommand][1]) | {"out", "format"}
             unknown = sorted(set(values) - flags)
             if unknown:
                 raise InputError(

@@ -145,21 +145,16 @@ def _refined_sup(table_fn, ells, params: BLNormParams, flavor: str) -> np.ndarra
 def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
     """Weighted sup norm sup_y phi(y)^ell |f(y)| (optionally layer-damped).
 
-    ``f`` is either a callable or a pair (y, values).  A callable goes
-    through the same refinement loop as every series coefficient: it is
-    sampled on up to eight refining grids, the sup returns as soon as two
-    successive grids agree to 1e-6 relative, and QuadratureError is raised
-    when no two do or a grid's sup is not finite.
+    ``f`` is a callable of y.  It goes through the same refinement loop as
+    every series coefficient: it is sampled on up to eight refining grids,
+    the sup returns as soon as two successive grids agree to 1e-6 relative,
+    and QuadratureError is raised when no two do or a grid's sup is not
+    finite.
     """
     _check_flavor(flavor)
     if ell < 0:
         raise ConfigurationError("ell must be nonnegative")
-    if callable(f):
-        return float(_refined_sup(lambda y: np.asarray(f(y))[None], [ell], params, flavor)[0])
-    y, vals = np.asarray(f[0], dtype=float), np.asarray(f[1])
-    if y.size == 0:
-        raise InputError("empty sample")
-    return float(_weighted_sup(y, vals[None], [ell], params, flavor)[0])
+    return float(_refined_sup(lambda y: np.asarray(f(y))[None], [ell], params, flavor)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +559,14 @@ def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True,
     y = sample_grid(params.delta, 200 * 2**refine, max_step=min(0.1, 0.5 / a) / 2**refine)
     phi, dphi = _greens_solve(alpha, f, y)
     d2phi = np.asarray(f(y)) + a**2 * phi
+    plain = _weighted_sup(y, np.stack([phi, dphi, d2phi]), [0, 0, 0], params, WITHOUT_BL)
     norms = {
-        "a2_phi": a**2 * bl_norm((y, phi), 0, params, WITHOUT_BL),
-        "a_dphi": a * bl_norm((y, dphi), 0, params, WITHOUT_BL),
-        "d2phi_plain": bl_norm((y, d2phi), 0, params, WITHOUT_BL),
+        "a2_phi": a**2 * float(plain[0]),
+        "a_dphi": a * float(plain[1]),
+        "d2phi_plain": float(plain[2]),
     }
     if with_bl:
-        norms["d2phi_bl"] = bl_norm((y, d2phi), 0, params, WITH_BL)
+        norms["d2phi_bl"] = float(_weighted_sup(y, d2phi[None], [0], params, WITH_BL)[0])
     return {"y": y, "phi": phi, "dphi": dphi, "d2phi": d2phi, "norms": norms}
 
 
@@ -759,8 +755,7 @@ def _pencil_samples(sigma, r):
     return (x[:, None] + 1j * (ymax[:, None] * t[None, :])).ravel()
 
 
-def _sup_norm(f, z):
-    vals = np.asarray(f(z))
+def _sup_norm(vals):
     if not np.all(np.isfinite(vals)):
         raise RegionError("function not finite on the sampled domain")
     return float(np.max(np.abs(vals)))
@@ -780,8 +775,6 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
     """
     if (rho is None) == (pencil is None):
         raise ConfigurationError("provide exactly one of rho / pencil")
-    if g is None:
-        g = f
     if rho is not None:
         width, inner_key = rho, "rho_inner"
         samples, weight = _strip_samples, (lambda w: 1.0)
@@ -794,12 +787,14 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
         return weight(z) * ((np.asarray(f(z + h)) - np.asarray(f(z - h))) / (2 * h))
 
     z = samples(width)
-    norm = _sup_norm(f, z)
+    f_z = np.asarray(f(z))
+    norm = _sup_norm(f_z)
     inner = width / 2.0
-    d_norm = _sup_norm(weighted_dfdz, samples(inner))
+    d_norm = _sup_norm(weighted_dfdz(samples(inner)))
     C = d_norm * (width - inner) / norm if norm > 0 else 0.0
-    prod = _sup_norm(lambda w: np.asarray(f(w)) * np.asarray(g(w)), z)
-    g_norm = _sup_norm(g, z)
+    g_z = f_z if g is None else np.asarray(g(z))
+    prod = _sup_norm(f_z * g_z)
+    g_norm = _sup_norm(g_z)
     return {
         "norm": norm,
         "derivative_bound_check": {"C": C, inner_key: inner},

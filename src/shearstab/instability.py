@@ -38,6 +38,7 @@ from .errors import (
     InputError,
     NonconvergenceError,
     NotUnstableError,
+    NumericalError,
     ResonanceError,
     WindowError,
     check_positive,
@@ -65,8 +66,6 @@ class BootstrapResult:
     crossing of that floor by |phi_app|.
     """
 
-    epsilon: float
-    growth_rate: complex
     t_grid: np.ndarray
     terms: tuple[np.ndarray, ...]
     C: tuple[float, ...]
@@ -78,10 +77,6 @@ class BootstrapResult:
     residual_slope: float
     escape_time: float
     energy_constant: float
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
 
 
 def ode_bootstrap(
@@ -95,7 +90,7 @@ def ode_bootstrap(
 ) -> BootstrapResult:
     """Build the order-N approximate solution started on an unstable mode.
 
-    phi_1 = eps v0 e^{lambda t} and, for 2 <= i <= N,
+    phi_1 = eps v0 e^{lambda t}, 0 < eps < 1, and, for 2 <= i <= N,
     phi_i(t) = sum_{j+k=i} int_0^t e^{A(t-tau)} Q(phi_j, phi_k)(tau) dtau.
     The integrals are accumulated by integrating the equivalent triangular
     linear system  phi_i' = A phi_i + sum_{j+k=i} Q(phi_j, phi_k)  at tight
@@ -108,16 +103,15 @@ def ode_bootstrap(
     evaluation makes one call on all pairs j + k = i <= N, and the
     truncation residual one call on all pairs j + k > N at all times.
     """
-    from scipy.optimize import brentq
-
+    # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
+    if not (0 < epsilon < 1):
+        raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
     lam = complex(growth_rate)
     d = v0.size
     if A.shape != (d, d):
         raise InputError("A and v0 have incompatible shapes")
-    if not (epsilon > 0):
-        raise InputError("epsilon must be positive")
     if N < 2:
         raise ConfigurationError("order N must be at least 2")
     if lam.real <= 0:
@@ -227,6 +221,8 @@ def ode_bootstrap(
     def amp_on(ts):
         return np.max(np.abs(np.sum(eps_pow[:, None, None] * psi_on(ts), axis=0)), axis=1)
 
+    from scipy.optimize import brentq
+
     escape = float("nan")
     ts = np.linspace(0.0, t_max, 4001)
     above = amp_on(ts) >= sigma0
@@ -237,8 +233,6 @@ def ode_bootstrap(
         escape = brentq(lambda t: amp_on([t])[0] - sigma0, ts[b - 1], ts[b], xtol=1e-15)
 
     return BootstrapResult(
-        epsilon=float(epsilon),
-        growth_rate=lam,
         t_grid=t_grid,
         terms=terms,
         C=C,
@@ -383,17 +377,18 @@ class HopfSeries:
         acc = (n - 1) * self.alpha * c[n - 1] + _transport(c[:n - 1], c[n - 2::-1])
         return float(np.sum(np.abs(acc)))
 
-    def residual_sup(self, t: float, N: int | None = None) -> float:
-        """sup_z of the defect of the order-N partial sum in u_t + u u_z = alpha u.
+    def residual_sup(self, t: float) -> float:
+        """sup_z of the defect of the order-N partial sum in u_t + u u_z = alpha u,
+        N = ``order``.
 
         Only dropped interactions j + k > N survive, so the defect is
         sum_{j,k<=N, j+k>N} e^{(j+k) alpha t} u_j d_z u_k, summed pointwise
         on the grid.
         """
-        N = self.order if N is None else N
+        N = self.order
         jk = np.add.outer(np.arange(1, N + 1), np.arange(1, N + 1))
         w = np.where(jk > N, np.exp(jk * self.alpha * t), 0.0)
-        c = self.coeffs[:N]
+        c = self.coeffs
         u = self._exp_grid @ c.T
         du = self._exp_grid @ (1j * self.modes * c).T
         return float(np.max(np.abs(np.einsum("jk,zj,zk->z", w, u, du, optimize=True))))
@@ -405,7 +400,8 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     ``u1`` maps Fourier mode numbers to coefficients (cos z is
     {1: 0.5, -1: 0.5}).  The arithmetic is exact on trigonometric
     polynomials; mode support grows linearly with n, so the table on
-    -N max|m|..N max|m| truncates nothing.
+    -N max|m|..N max|m| truncates nothing.  A term whose coefficients
+    overflow raises NumericalError naming its order.
     """
     check_positive(alpha=alpha)
     if N < 1:
@@ -416,7 +412,10 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     for m, v in first.items():
         c[0, K + m] = v
     for n in range(2, N + 1):
-        c[n - 1] = -_transport(c[:n - 1], c[n - 2::-1]) / ((n - 1) * alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c[n - 1] = -_transport(c[:n - 1], c[n - 2::-1]) / ((n - 1) * alpha)
+        if not np.all(np.isfinite(c[n - 1])):
+            raise NumericalError(f"hopf series coefficients overflow at order n={n} (alpha={alpha!r})")
         # the transport sum is (1/2) d_z sum_k u_k u_{n-k}: its mean is zero
         c[n - 1, K] = 0.0
     return HopfSeries(alpha=float(alpha), coeffs=c)
@@ -490,14 +489,17 @@ def hopf_majorant(
         table[k, :N - k] = np.max(np.abs(series._exp_grid @ dcoef), axis=0)
     table_t, table_z = _gen_tables(table)
 
-    M0 = float(_gen_eval(table, 0.0, eta0))
-    if not np.isfinite(M0) or M0 <= 0:
-        raise WindowError("Gen(u_1) is not finite and positive on [0, eta0]")
-
-    tg = np.linspace(0.0, t_max, 33)[:, None]
-    zg = np.linspace(0.0, eta0, 33)
-    GGz = _gen_eval(table, tg, zg) * _gen_eval(table_z, tg, zg)
-    res = alpha * _gen_eval(table_t, tg, zg) - GGz
+    # an overflow is reported by the checks below, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        M0 = float(_gen_eval(table, 0.0, eta0))
+        if not np.isfinite(M0) or M0 <= 0:
+            raise WindowError("Gen(u_1) is not finite and positive on [0, eta0]")
+        tg = np.linspace(0.0, t_max, 33)[:, None]
+        zg = np.linspace(0.0, eta0, 33)
+        GGz = _gen_eval(table, tg, zg) * _gen_eval(table_z, tg, zg)
+        res = alpha * _gen_eval(table_t, tg, zg) - GGz
+    if not np.all(np.isfinite(res)):
+        raise WindowError("majorant residual alpha G_t - G G_z is not finite on [0, t_max] x [0, eta0]")
     gate = MAJORANT_TOL * (1.0 + np.abs(GGz))
     max_residual = float(np.max(res))
     residual_ok = bool(np.all(res <= gate))

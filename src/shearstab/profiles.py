@@ -7,10 +7,10 @@ Supported kinds:
 - ``tanh``:        U = tanh(z - z0) + tanh(z0) on the half line (U(0) = 0)
 - ``kolmogorov``:  U = cos(z) on the torus [0, 2*pi)
 - ``blasius``:     U = f'(eta) from the similarity equation, via shooting
-- ``custom``:      cubic-spline interpolation of a sampled (z, U) table on
-                   the half line
 
-Profiles are immutable after construction and safe to share across sweeps.
+``tanh`` takes the parameter ``z0``; the other kinds take none, and a
+parameter a kind does not take is an error.  Profiles are immutable after
+construction and safe to share across sweeps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, UnsupportedProfileError
+from .errors import ConfigurationError, NonconvergenceError, UnsupportedProfileError, check_positive
 
 CHANNEL = "channel"
 HALF_LINE = "half_line"
@@ -30,7 +30,8 @@ ETA_MAX = 15.0       # far end of the Blasius shooting interval
 
 INFLECTION_SCAN = 2000   # grid points of the U'' sign-change scan
 
-_KINDS = ("poiseuille", "exponential", "tanh", "blasius", "kolmogorov", "custom")
+# kind -> the parameters it takes
+_PARAMS = {"poiseuille": (), "exponential": (), "tanh": ("z0",), "blasius": (), "kolmogorov": ()}
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class ShearProfile:
     dU: Callable[[np.ndarray], np.ndarray]
     d2U: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    lower_accuracy: bool = False
 
     def z_range(self) -> tuple[float, float]:
         """Physical scan interval for this profile's domain ([0, 20] on the half line)."""
@@ -64,8 +64,11 @@ def _vec(f):
 
 def make_profile(kind: str, **params) -> ShearProfile:
     """Build a named shear profile; U, U', U'' are mutually consistent."""
-    if kind not in _KINDS:
-        raise UnsupportedProfileError(f"unknown profile kind {kind!r}; expected one of {_KINDS}")
+    if kind not in _PARAMS:
+        raise UnsupportedProfileError(f"unknown profile kind {kind!r}; expected one of {tuple(_PARAMS)}")
+    for name in params:
+        if name not in _PARAMS[kind]:
+            raise ConfigurationError(f"{kind} profile takes no parameter {name!r}")
 
     if kind == "poiseuille":
         return ShearProfile(
@@ -115,39 +118,8 @@ def make_profile(kind: str, **params) -> ShearProfile:
             _vec(lambda z: -np.cos(z)),
         )
 
-    if kind == "blasius":
-        return blasius_solve(tolerance=float(params.get("tolerance", 1e-8)))
-
-    # custom table
-    from scipy.interpolate import CubicSpline
-
-    if "table" not in params:
-        raise ConfigurationError("custom profile requires a (z, U) table")
-    table = np.asarray(params["table"], dtype=float)
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise ConfigurationError("custom table must be a (n, 2) array of (z, U)")
-    z_tab, u_tab = table[np.argsort(table[:, 0])].T
-    spl = CubicSpline(z_tab, u_tab)
-    d1 = spl.derivative(1)
-    d2 = spl.derivative(2)
-    z_lo, z_hi = z_tab[0], z_tab[-1]
-    u_hi = u_tab[-1]
-
-    def U(z):
-        z = np.asarray(z, dtype=float)
-        # hold the far-field value beyond the table
-        return np.where(z >= z_hi, u_hi, spl(np.clip(z, z_lo, z_hi)))
-
-    def dU(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= z_hi, 0.0, d1(np.clip(z, z_lo, z_hi)))
-
-    def d2Uf(z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= z_hi, 0.0, d2(np.clip(z, z_lo, z_hi)))
-
-    # U'' of a cubic spline is only piecewise linear
-    return ShearProfile("custom", HALF_LINE, U, dU, d2Uf, lower_accuracy=True)
+    # blasius
+    return blasius_solve()
 
 
 def solve_ivp(*args, **kwargs):
@@ -183,8 +155,7 @@ def blasius_solve(tolerance: float = 1e-8) -> ShearProfile:
     from scipy.interpolate import CubicSpline
     from scipy.optimize import brentq
 
-    if tolerance <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    check_positive(tolerance=tolerance)
 
     def miss(fpp0):
         return _blasius_shoot(fpp0).y[1][-1] - 1.0

@@ -370,7 +370,7 @@ def evans_locate(
     doubles until no step of the determinant's phase exceeds 0.8 pi.  The
     seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
-    rectangle then raises RegionError.  A rectangle with re_lo >= re_hi or
+    rectangle then raises RegionError, as does a negative winding number.  A rectangle with re_lo >= re_hi or
     im_lo >= im_hi raises ConfigurationError; a boundary point in the
     essential spectrum raises EssentialSpectrumError and one on a zero
     RegionError, each naming the point.
@@ -398,6 +398,13 @@ def evans_locate(
             raise RegionError("winding-number phase tracking failed; perturb the rectangle")
         n_per_side *= 2
     winding = int(round(np.sum(dphi) / (2 * np.pi)))
+    if winding < 0:
+        # the determinant is analytic: a negative count means the boundary
+        # does not resolve its phase
+        raise RegionError(
+            f"negative winding {winding} on region {region}: the boundary does not resolve "
+            "the determinant's phase; raise n_per_side"
+        )
     if winding == 0:
         return []
 

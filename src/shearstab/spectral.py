@@ -45,7 +45,6 @@ class SpectralDiscretization:
 
     N: int
     domain: str
-    map_scale: float
     nodes: np.ndarray   # physical coordinates (inf at the mapped endpoint on half_line)
     D1: np.ndarray
     D2: np.ndarray
@@ -81,7 +80,7 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
         D1 = s[:, None] * Dc
         D2 = (s**2)[:, None] * (Dc @ Dc) + (s * ds)[:, None] * Dc
     D4 = D2 @ D2
-    return SpectralDiscretization(N, domain, map_scale, nodes, D1, D2, D4, Dc)
+    return SpectralDiscretization(N, domain, nodes, D1, D2, D4, Dc)
 
 
 def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray]]:

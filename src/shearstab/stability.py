@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,18 +43,10 @@ BRANCH_UPPER = "upper"
 class EigenSolution:
     """Accepted discrete eigenpairs of a stability pencil at one (alpha, Re)."""
 
-    alpha: float
-    viscosity_or_Re: float
     eigenvalues: tuple          # phase speeds c, sorted by Im(c) descending
     modes: np.ndarray           # columns phi, unit max-norm, aligned with eigenvalues
     residuals: tuple            # operator-scaled pencil residuals per pair
     n_rejected: int = 0         # raw eigenvalues dropped by the filters
-
-    def max_growth(self) -> float:
-        """Largest Im(c) over accepted modes (-inf when none survive)."""
-        if not self.eigenvalues:
-            return -np.inf
-        return max(c.imag for c in self.eigenvalues)
 
 
 @dataclass
@@ -62,7 +55,6 @@ class NeutralBranch:
 
     points: list                # (Re, alpha), sorted ascending in Re
     side: str                   # "lower" or "upper"
-    fit: dict | None = None     # log-log slope/intercept metadata, set by fit_exponents
     subcritical_Re: list = field(default_factory=list)
 
 
@@ -238,22 +230,21 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     """
     check_positive(alpha=alpha)
     A, B, bc_idx, scale = _pencil(profile, alpha, grid, 0.0, "dirichlet")
-    return EigenSolution(alpha, np.inf, *_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale))
+    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale))
 
 
 def rayleigh_resolvent(
     profile: ShearProfile,
     alpha: float,
     c: complex,
-    source,
+    source: Callable[[np.ndarray], np.ndarray],
     grid: SpectralDiscretization,
 ) -> np.ndarray:
     """Solve (U - c)(D2 - alpha^2) phi - U'' phi = source with Dirichlet ends.
 
     The operator is the Rayleigh pencil A - c B of ``rayleigh_spectrum``,
     so a grid whose domain does not match the profile's is rejected the
-    same way.  ``source`` may be a callable of z or an array on the grid
-    nodes.
+    same way.  ``source`` is a callable of z, sampled at the finite nodes.
     Raises a critical-layer error when c comes within 1e-8 of U at a node.
     """
     check_positive(alpha=alpha)
@@ -267,10 +258,7 @@ def rayleigh_resolvent(
         raise CriticalLayerError(
             f"|U(z) - c| = {gap:.3e} at a collocation node: critical-layer degeneracy"
         )
-    if callable(source):
-        rhs = np.where(finite, np.asarray(source(np.where(finite, grid.nodes, 0.0)), dtype=complex), 0.0)
-    else:
-        rhs = np.asarray(source, dtype=complex).copy()
+    rhs = np.where(finite, np.asarray(source(np.where(finite, grid.nodes, 0.0)), dtype=complex), 0.0)
     rhs[bc_idx] = 0.0
     return np.linalg.solve(A - c * B, rhs)
 
@@ -296,14 +284,14 @@ def os_spectrum(
             f"N={grid.N} below resolution guidance {n_guide:.0f} at Re={Re:.3g}",
             stacklevel=2,
         )
-    return EigenSolution(alpha, float(Re), *_solve_pencil(A, B, bc_idx, alpha, Re, scale))
+    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, Re, scale))
 
 
 def max_growth_rate(profile, alpha, Re, grid) -> float:
     """max Im(c) of the viscous spectrum; -1 when no mode passes the filters."""
     sol = os_spectrum(profile, alpha, Re, grid)
-    g = sol.max_growth()
-    return g if np.isfinite(g) else -1.0
+    # the accepted eigenvalues are sorted by Im(c), so the leader has the largest
+    return sol.eigenvalues[0].imag if sol.eigenvalues else -1.0
 
 
 def neutral_curve(
@@ -367,7 +355,7 @@ def neutral_curve(
 def fit_exponents(branch: NeutralBranch, Re_window) -> tuple[float, float, float]:
     """Least-squares slope/intercept of log alpha vs log Re inside a window.
 
-    Stores the fit metadata on the branch and returns (slope, intercept, r2).
+    Returns (slope, intercept, r2).
     """
     r_lo, r_hi = float(Re_window[0]), float(Re_window[1])
     pts = [(re, a) for re, a in branch.points if r_lo <= re <= r_hi]
@@ -381,10 +369,4 @@ def fit_exponents(branch: NeutralBranch, Re_window) -> tuple[float, float, float
     resid = y - (slope * x + intercept)
     ss_tot = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
-    branch.fit = {
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "r2": r2,
-        "Re_window": (r_lo, r_hi),
-    }
     return float(slope), float(intercept), r2

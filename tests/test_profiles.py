@@ -45,10 +45,15 @@ class TestMakeProfile:
         with pytest.raises(ConfigurationError, match="z0 must be finite"):
             make_profile("tanh", z0=z0)
 
-    def test_custom_needs_table(self):
-        z = np.linspace(0, 10, 40)
-        with pytest.raises(ConfigurationError, match="table"):
-            make_profile("custom", z=z, U=1 - np.exp(-z))
+    @pytest.mark.parametrize("kind,params", [
+        ("poiseuille", {"z0": 1.0}),
+        ("tanh", {"z0": 1.0, "z1": 2.0}),
+        ("blasius", {"tolerance": 1e-8}),
+    ])
+    def test_parameter_of_another_kind_raises(self, kind, params):
+        # the parameter used to be ignored without a word
+        with pytest.raises(ConfigurationError, match=f"{kind} profile takes no parameter"):
+            make_profile(kind, **params)
 
     @pytest.mark.parametrize("kind,params", [
         ("poiseuille", {}),
@@ -66,13 +71,6 @@ class TestMakeProfile:
         d2u = p.d2U(z)
         err2 = np.abs(d2u - centered_diff(p.dU, z))
         assert np.all(err2 <= 1e-6 * (1 + np.abs(d2u)))
-
-    def test_custom_table(self):
-        z = np.linspace(0, 10, 400)
-        p = make_profile("custom", table=np.c_[z, 1 - np.exp(-z)])
-        assert p.lower_accuracy
-        zt = np.linspace(0.5, 8, 50)
-        assert np.allclose(p.U(zt), 1 - np.exp(-zt), atol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +92,12 @@ class TestBlasius:
         eta = np.linspace(0, 10, 500)
         assert np.all(blasius.dU(eta) > 0)
         assert np.all(blasius.dU(np.linspace(0, 14.9, 500)) >= 0)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-8])
+    def test_tolerance_positive_and_finite(self, tolerance):
+        # a NaN tolerance used to pass the check, since nan <= 0 is false
+        with pytest.raises(ConfigurationError, match="tolerance must be positive and finite"):
+            blasius_solve(tolerance)
 
 
 class TestInflectionPoints:

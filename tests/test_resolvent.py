@@ -347,6 +347,13 @@ class TestEvansLocate:
         zeros = evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0)
         assert zeros == []
 
+    def test_negative_winding_raises_naming_the_rectangle(self):
+        # one point per side does not resolve the phase of the determinant,
+        # whose winding on this rectangle is 3; the count came out as -1
+        pot = lambda s: 12.0 / np.cosh(s) ** 2
+        with pytest.raises(RegionError, match=r"negative winding .* region \(0\.5, 9\.5, -0\.4, 0\.4\)"):
+            evans_locate(pot, (0.5, 9.5, -0.4, 0.4), nu=1.0, x_far=10.0, n_per_side=1)
+
     def test_double_zero_raises_naming_the_rectangle(self):
         # the power sums of a double zero at 2 + 0.1i, plus 1e-14 of noise:
         # H0 is singular, and the pencil would give one arbitrary seed

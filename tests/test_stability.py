@@ -334,7 +334,6 @@ class TestFitExponents:
         assert slope == pytest.approx(-1.0 / 7.0, abs=1e-12)
         assert intercept == pytest.approx(np.log(3.0), abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
-        assert br.fit["slope"] == pytest.approx(slope)
 
     def test_insufficient_points(self):
         br = NeutralBranch([(1e4, 0.5), (2e4, 0.4), (4e4, 0.3)], "lower")
