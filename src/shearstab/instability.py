@@ -137,6 +137,13 @@ def ode_bootstrap(
             or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
         raise InputError("t_grid must be finite, increasing and nonnegative")
     t_max = float(t_grid[-1])
+    # the truncation residual multiplies psi_N ~ e^{N Re(lambda) t} by itself
+    t_limit = np.log(np.finfo(float).max) / (2 * N * lam.real)
+    if t_max > t_limit:
+        raise InputError(
+            f"t_grid ends at {t_max:.6g}, past {t_limit:.6g}, where psi_{N}^2 ~ "
+            f"exp(2 N Re(lambda) t) overflows"
+        )
 
     def psi1(t):
         return v0 * np.exp(lam * t)
@@ -256,8 +263,8 @@ class RiccatiValue:
     """Value of the scalar model phi' = eps phi + alpha phi^2 at one time.
 
     ``blown_up`` marks evaluation at or past the blow-up time; ``t_star`` is
-    that time when alpha > 0, ``limit`` the t -> infinity saturation value
-    when alpha < 0.
+    that time when there is one (alpha phi0 > max(0, -eps)), ``limit`` the
+    t -> infinity saturation value when alpha < 0.
     """
 
     value: float
@@ -289,7 +296,9 @@ def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> Riccat
         raise InputError("t must not be NaN")
     t_star = None
     limit = None
-    if alpha > 0:
+    # phi0 > 0: the solution blows up where alpha phi0 > max(0, -eps), which
+    # keeps log1p's argument above -1
+    if alpha * phi0 > max(0.0, -epsilon):
         t_star = np.log1p(epsilon / (alpha * phi0)) / epsilon
         if t >= t_star:
             return RiccatiValue(float("inf"), True, float(t_star), None)

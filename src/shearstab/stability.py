@@ -5,7 +5,11 @@ written into A (and zeroed in B).  One solve serves both: the boundary
 unknowns are eliminated through those rows, and the mass side B is
 inverted on the subspace of functions that meet the boundary conditions,
 where it is nonsingular.  That leaves one standard eigenproblem of order
-n - k (k boundary rows) with no infinite eigenvalues.  Spurious
+n - k (k boundary rows) with no infinite eigenvalues.  A channel profile
+with even U (Poiseuille) gives a pencil symmetric under y -> -y; its even
+and odd eigenfunctions then solve two problems of half that order (Orszag,
+J. Fluid Mech. 50, 1971), which together cost about a quarter of the dense
+eigensolve of the whole, and the spectrum is their union.  Spurious
 continuous-spectrum modes are filtered on the full pencil by an
 operator-scaled residual gate plus a Chebyshev-tail smoothness check, and
 the leading modes are polished by Rayleigh-quotient inverse iteration.
@@ -27,7 +31,7 @@ from .errors import (
     WindowError,
     check_positive,
 )
-from .profiles import ShearProfile
+from .profiles import CHANNEL, ShearProfile
 from .spectral import SpectralDiscretization, bc_rows, build_grid
 
 RESIDUAL_GATE = 1e-6
@@ -122,14 +126,44 @@ def _tail_fractions(V):
     return np.divide(tail, total, out=np.ones_like(total), where=total > 0)
 
 
-def _reduced_eig(A, B, bc_idx, alpha, param):
+def _fold(M, parity):
+    """The block of M on vectors of one parity under the reversal k -> m-1-k.
+
+    M commutes with the reversal.  Even vectors are [u; u reversed] and odd
+    ones [u; -u reversed], with a middle entry between them when m is odd
+    (zero in the odd ones); M maps each to one of its own parity.  So the
+    leading rows of M, with each mirrored column added (even) or subtracted
+    (odd), act on the free entries u (and the middle one).
+    """
+    m = M.shape[0]
+    q = m // 2
+    h = m - q if parity > 0 else q
+    F = M[:h, :h].copy()
+    F[:, :q] += parity * M[:h, m - 1:m - 1 - q:-1]
+    return F
+
+
+def _unfold(W, parity, m):
+    """The full vectors of length m whose free entries are the rows of W (see _fold)."""
+    q = m // 2
+    V = np.zeros((m, W.shape[1]), dtype=W.dtype)
+    V[:W.shape[0]] = W
+    V[m - q:] = parity * W[:q][::-1]
+    return V
+
+
+def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
     """Finite eigenpairs of A phi = c B phi, with the boundary rows bc_idx of A
     the constraints R phi = 0 and those rows of B zero.
 
     The boundary unknowns are eliminated, phi_b = T phi_i with
     T = -R_bb^{-1} R_bi, which leaves the standard problem
     (B_r^{-1} A_r) w = c w of order n - k on the constrained subspace; the
-    eigenvectors are lifted back to phi = [w; T w].
+    eigenvectors are lifted back to phi = [w; T w].  When ``mirror`` holds,
+    the pencil and its boundary rows are symmetric under j -> n-1-j, so
+    A_r and B_r commute with the reversal of the interior unknowns: the even
+    and odd w are then two problems of half the order, solved apart, and the
+    spectrum is their union.
     """
     n = A.shape[0]
     b = np.asarray(bc_idx)
@@ -142,22 +176,32 @@ def _reduced_eig(A, B, bc_idx, alpha, param):
         return M_r
 
     try:
-        C = np.linalg.solve(reduce(B), reduce(A))
-        cs, W = np.linalg.eig(C)
+        if mirror:
+            A_r, B_r = reduce(A), reduce(B)
+            blocks = [(s, np.linalg.solve(_fold(B_r, s), _fold(A_r, s))) for s in (1, -1)]
+            del A_r, B_r
+        else:
+            blocks = [(0, np.linalg.solve(reduce(B), reduce(A)))]
+        parts = [(s, *np.linalg.eig(C)) for s, C in blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"reduced eigensolve failed at alpha={alpha}, parameter={param}; "
             f"cond(B_r)~{np.linalg.cond(reduce(B)):.2e}"
         ) from exc
-    del C
+    del blocks
+    if mirror:
+        cs = np.concatenate([c for _, c, _ in parts])
+        W = np.hstack([_unfold(W_s, s, len(i)) for s, _, W_s in parts])
+    else:
+        (_, cs, W), = parts
     V = np.empty((n, W.shape[1]), dtype=complex)
     V[i] = W
     V[b] = T @ W
     return cs, V
 
 
-def _solve_pencil(A, B, bc_idx, alpha, param, scale):
-    cs, V = _reduced_eig(A, B, bc_idx, alpha, param)
+def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
+    cs, V = _reduced_eig(A, B, bc_idx, alpha, param, mirror)
     res = _residuals(A, B, cs, V, scale)
     keep = (res <= RESIDUAL_GATE) & (_tail_fractions(V) <= TAIL_GATE)
     n_rejected = int(np.count_nonzero(~keep))
@@ -200,7 +244,9 @@ def _pencil(profile, alpha, grid, eps, bc):
 
     eps = 0 is the Rayleigh pencil: the fourth-order term is then not formed.
     ``bc`` names the boundary rows.  Returns (A, B, boundary row indices,
-    operator scale ||A|| / ||B||).
+    operator scale ||A|| / ||B||, mirror), where mirror says the pencil is
+    symmetric under the reflection y -> -y of the channel nodes j -> N - j:
+    U and U'' even to rounding and the boundary rows a set it maps to itself.
     """
     if grid.domain != profile.domain:
         raise ConfigurationError(
@@ -219,7 +265,10 @@ def _pencil(profile, alpha, grid, eps, bc):
     B = M.astype(complex)
     bc_idx = _install_bc(A, B, grid, bc)
     scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
-    return A, B, bc_idx, scale
+    mirror = (grid.domain == CHANNEL and {grid.N - j for j in bc_idx} == set(bc_idx)
+              and all(np.max(np.abs(f - f[::-1])) <= 1e-13 * max(1.0, np.max(np.abs(f)))
+                      for f in (U, d2U)))
+    return A, B, bc_idx, scale, mirror
 
 
 def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscretization) -> EigenSolution:
@@ -229,8 +278,8 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     (rough modes with c inside range(U)) are rejected by the smoothness gate.
     """
     check_positive(alpha=alpha)
-    A, B, bc_idx, scale = _pencil(profile, alpha, grid, 0.0, "dirichlet")
-    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale))
+    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, 0.0, "dirichlet")
+    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale, mirror))
 
 
 def rayleigh_resolvent(
@@ -250,7 +299,7 @@ def rayleigh_resolvent(
     check_positive(alpha=alpha)
     if not np.isfinite(c):
         raise ConfigurationError(f"c must be finite, got {c!r}")
-    A, B, bc_idx, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
+    A, B, bc_idx, _, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
     U, _ = _profile_diagonals(profile, grid)
     finite = np.isfinite(grid.nodes)
     gap = np.min(np.abs(U[finite] - c))
@@ -277,14 +326,14 @@ def os_spectrum(
     """
     check_positive(alpha=alpha, Re=Re)
     eps = 1.0 / (1j * alpha * Re)
-    A, B, bc_idx, scale = _pencil(profile, alpha, grid, eps, "clamped")
+    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, eps, "clamped")
     n_guide = 4.0 * Re**0.25
     if grid.N < n_guide:
         warnings.warn(
             f"N={grid.N} below resolution guidance {n_guide:.0f} at Re={Re:.3g}",
             stacklevel=2,
         )
-    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, Re, scale))
+    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, Re, scale, mirror))
 
 
 def max_growth_rate(profile, alpha, Re, grid) -> float:

@@ -146,10 +146,14 @@ class TestInputLimits:
          "hopf series coefficients overflow at order n=3"),
         (["instability", "--mode", "hopf", "--eta0", "1e300"], 3, "Gen(u_1) is not finite"),
         (["instability", "--mode", "hopf", "--alpha", "1e-20"], 3, "majorant residual alpha G_t - G G_z"),
+        (["instability", "--mode", "bootstrap", "--t", "1e300"], 2, "t_grid ends at 1e+300, past 70.9783"),
+        (["instability", "--mode", "bootstrap", "--t", "100"], 2, "t_grid ends at 100, past 70.9783"),
     ])
     def test_one_line_error(self, args, code, message):
         # bootstrap epsilon inf and 1e300 exited 1 with a traceback from
-        # brentq, 0 and -1 printed numpy's log warnings first; the tolerances
+        # brentq, 0 and -1 printed numpy's log warnings first; bootstrap t
+        # 1e300 printed 14 lines of numpy overflow warnings before exit 3,
+        # and t 100 printed overflow warnings before an exit 0; the tolerances
         # exited 0; the hopf cases printed numpy's overflow warnings before
         # the message, or (alpha 1e-20) before an exit 0 on an overflowed
         # majorant.  Each runs in a child process that a timeout can stop,

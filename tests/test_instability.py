@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestOdeBootstrap:
                 1, np.linspace(0, 5, 11),
             )
 
+    def test_end_time_past_overflow_rejected(self):
+        # psi_3^2 ~ e^{6 Re(lambda) t} overflows past log(DBL_MAX) / 6 = 118.297
+        # at Re(lambda) = 1; the integration used to run into it and print
+        # numpy's overflow warnings before failing or returning
+        with pytest.raises(InputError, match=r"t_grid ends at 119, past 118\.297"):
+            ode_bootstrap(
+                np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, 1e-3,
+                3, np.linspace(0, 119, 11),
+            )
+
 
 class TestRiccatiExact:
     def test_saturation_limit(self):
@@ -231,6 +242,27 @@ class TestRiccatiExact:
         r = riccati_exact(0.1, 1.0, 0.01, 30.0)
         assert r.blown_up
         assert r.value == np.inf
+
+    def test_negative_epsilon_without_blowup(self):
+        # alpha phi0 = 0.01 < -eps = 1: the solution decays, so there is no
+        # blow-up time; log1p of -100 used to warn and give a NaN t_star
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = riccati_exact(-1.0, 1.0, 0.01, 5.0)
+        e = np.exp(-5.0)
+        assert r.t_star is None and not r.blown_up
+        assert r.value == pytest.approx(-0.01 * e / (-1.0 - 0.01 * (e - 1.0)), rel=1e-14)
+
+    def test_negative_epsilon_blowup(self):
+        # alpha phi0 = 2 > -eps = 1: phi = 2 e^{-t} / (2 e^{-t} - 1) blows up at log 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = riccati_exact(-1.0, 1.0, 2.0, 0.5)
+            after = riccati_exact(-1.0, 1.0, 2.0, 1.0)
+        assert before.t_star == pytest.approx(np.log(2.0), rel=1e-14)
+        assert not before.blown_up
+        assert before.value == pytest.approx(2.0 * np.exp(-0.5) / (2.0 * np.exp(-0.5) - 1.0), rel=1e-14)
+        assert after.blown_up and after.value == np.inf
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.7])
     def test_ode_residual(self, alpha):

@@ -211,7 +211,7 @@ class TestOrrSommerfeld:
         grid = build_grid(160, HALF_LINE, map_scale=6.0)
         Re = 400.0
         sol = os_spectrum(p, alpha, Re, grid)
-        A, B, _, _ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        A, B, *_ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
         for k in range(3):
             c, _ = _refine_eigenpair(A, B, sol.eigenvalues[k], sol.modes[:, k])
             assert abs(c - sol.eigenvalues[k]) <= 1e-10
@@ -228,7 +228,7 @@ class TestOrrSommerfeld:
         # the batched residuals and Chebyshev tails against one mode at a time;
         # GEMM and GEMV round differently, so the residuals agree to 1e-10,
         # four orders below RESIDUAL_GATE
-        A, B, _, scale = _pencil(make_profile("poiseuille"), 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        A, B, _, scale, _ = _pencil(make_profile("poiseuille"), 1.0, chan, 1.0 / (1j * 1e4), "clamped")
         cs, V = np.linalg.eig(np.linalg.solve(B + np.eye(chan.n_nodes), A))
         res, tail = _residuals(A, B, cs, V, scale), _tail_fractions(V)
         N = chan.N
@@ -256,6 +256,20 @@ class TestOrrSommerfeld:
         assert Re_c == pytest.approx(5772.22, abs=0.6)
         assert peak(Re_c)[1] == pytest.approx(1.02056, abs=1e-4)
 
+    @pytest.mark.parametrize("N", [96, 128])
+    def test_orszag_critical_point_tight(self, N):
+        # Orszag's (Re_c, alpha_c) = (5772.22, 1.02056) is neutral to within
+        # the rounding of its quoted digits (-3.0e-9 measured at both N); the
+        # growth rate changes sign across Re_c and peaks in alpha there
+        # (about 2e-5 at each probe)
+        p = make_profile("poiseuille")
+        grid = build_grid(N, CHANNEL)
+        assert abs(max_growth_rate(p, 1.02056, 5772.22, grid)) <= 1e-8
+        assert max_growth_rate(p, 1.02056, 5760.0, grid) < 0.0
+        assert max_growth_rate(p, 1.02056, 5785.0, grid) > 0.0
+        assert max_growth_rate(p, 1.01, 5772.22, grid) < 0.0
+        assert max_growth_rate(p, 1.03, 5772.22, grid) < 0.0
+
     def test_inviscid_limit_tanh(self, half_grid):
         # leading viscous eigenvalue approaches the inviscid one as Re grows
         p = make_profile("tanh", z0=1.0)
@@ -266,6 +280,70 @@ class TestOrrSommerfeld:
             gaps.append(abs(sol.eigenvalues[0] - c_ray))
         assert gaps[1] / gaps[0] < 1.0
         assert gaps[2] / gaps[1] < 1.0
+
+
+class TestReflectionSplit:
+    """Poiseuille pencils are symmetric under y -> -y and are solved as an
+    even and an odd block; half-line pencils are solved whole."""
+
+    def test_matches_qz_of_full_pencil(self, chan):
+        # oracle: QZ of the full n x n pencil, infinite eigenvalues included,
+        # with each row of (A, B) scaled to unit norm (that leaves the
+        # eigenvalues as they are, and QZ's backward error then no longer
+        # follows the eps D4 rows).  The junction of the Y-shaped spectrum
+        # (Im c < -0.28) is ill-conditioned: there the oracle and any solve
+        # differ by up to about 1e-7; above it the two spectra agree to 1e-8,
+        # each way
+        import scipy.linalg
+
+        p = make_profile("poiseuille")
+        sol = os_spectrum(p, 1.0, 1e4, chan)
+        A, B, *_ = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        r = 1.0 / np.maximum(np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1))
+        qz = scipy.linalg.eig(r[:, None] * A, r[:, None] * B, right=False)
+        qz = qz[np.isfinite(qz)]
+        cs = np.array(sol.eigenvalues)
+        dist = np.abs(cs[:, None] - qz).min(axis=1)
+        assert np.all(dist <= 1e-7)
+        assert np.all(dist[cs.imag > -0.28] <= 1e-8)
+        assert np.all(dist[:3] <= 1e-9)
+        upper = qz[qz.imag > -0.28]
+        assert len(upper) >= 20
+        assert np.all(np.abs(upper[:, None] - cs).min(axis=1) <= 1e-8)
+
+    def test_modes_even_or_odd(self, chan):
+        sol = os_spectrum(make_profile("poiseuille"), 1.0, 1e4, chan)
+        M = sol.modes
+        even = np.max(np.abs(M - M[::-1]), axis=0)
+        odd = np.max(np.abs(M + M[::-1]), axis=0)
+        assert np.all(np.minimum(even, odd) <= 1e-8)
+        # the Tollmien-Schlichting mode: an even stream function
+        assert even[0] <= 1e-8
+
+    def test_eig_calls_per_solve(self, chan, half_grid, monkeypatch):
+        eig_orders = []
+        eig = np.linalg.eig
+
+        def counted(M):
+            eig_orders.append(M.shape[0])
+            return eig(M)
+
+        monkeypatch.setattr(stability.np.linalg, "eig", counted)
+        # N = 128: the clamped rows leave 125 interior unknowns and the
+        # Dirichlet rows 127; U = 1 - z^2 + z^3 / 4 is not even
+        skewed = ShearProfile("skewed", CHANNEL, lambda z: 1.0 - z**2 + z**3 / 4,
+                              lambda z: -2.0 * z + 0.75 * z**2, lambda z: -2.0 + 1.5 * z)
+        cases = [
+            (lambda: os_spectrum(make_profile("poiseuille"), 1.0, 1e4, chan), [63, 62]),
+            (lambda: rayleigh_spectrum(make_profile("poiseuille"), 1.0, chan), [64, 63]),
+            (lambda: os_spectrum(skewed, 1.0, 1e4, chan), [125]),
+            (lambda: os_spectrum(make_profile("exponential"), 0.2, 1e4, half_grid), [125]),
+            (lambda: rayleigh_spectrum(make_profile("tanh", z0=1.0), 0.5, half_grid), [127]),
+        ]
+        for solve, orders in cases:
+            eig_orders.clear()
+            solve()
+            assert eig_orders == orders
 
 
 @pytest.fixture(scope="module")
