@@ -2,13 +2,17 @@
 
 Subcommands: spectrum, neutral-curve, resolvent, heat-kernel, semigroup,
 genfunc-check, instability.  ``COMMANDS`` names each with its runner and the
-defaults of its flags; ``_FLAGS`` gives each flag its type, so argparse
-converts every value, whether it comes from a flag, a default or a flat
-``key=value`` config file (keys must be flags of the subcommand; flags win).
-Sweep parameters accept the range syntax ``a:b:n`` (inclusive endpoints, n
-points; prefix ``log:`` for geometric spacing) or a plain value.  Output is
-a header-first CSV or a single JSON document, with non-finite numbers as
-``null``, written to ``--out`` or stdout.
+defaults of its flags, and ``MODES`` does the same for the modes of
+``instability``; ``_FLAGS`` gives each flag its type, so argparse converts
+every value, whether it comes from a flag, a default or a flat ``key=value``
+config file (keys must be flags of the subcommand; flags win).  A flag that
+the chosen instability mode does not read is an error, as is ``--map-scale``
+on a channel profile, whose grid has no map.  Sweep parameters accept the
+range syntax ``a:b:n`` (inclusive endpoints, n points; prefix ``log:`` for
+geometric spacing) or a plain value; a flag that reads one value, or a
+window of two, rejects any other count.  Output is a header-first CSV or a
+single JSON document, with non-finite numbers as ``null``, written to
+``--out`` or stdout; ``_emit`` alone formats it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
@@ -37,7 +41,7 @@ from .instability import (
     ode_bootstrap,
     riccati_exact,
 )
-from .profiles import make_profile
+from .profiles import CHANNEL, make_profile
 from .resolvent import heat_green, semigroup_apply
 from .spectral import build_grid
 from .stability import neutral_curve, os_spectrum, rayleigh_resolvent, rayleigh_spectrum
@@ -109,7 +113,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 _FLAGS = {
     "profile": (str, "profile kind (poiseuille, exponential, tanh, kolmogorov, blasius)"),
     "n": (int, "resolution (collocation points / Fourier grid size)"),
-    "map_scale": (float, "half-line map scale L"),
+    "map_scale": (float, "half-line map scale L (default 4; not for channel profiles)"),
     "alpha": (parse_range, "wavenumber value, range, or window"),
     "re": (parse_range, "Reynolds number value or range"),
     "nu": (float, "viscosity"),
@@ -127,11 +131,21 @@ _FLAGS = {
 }
 
 
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _exactly(args, flag: str, count: int) -> list[float]:
+    """The values of a range flag that reads exactly ``count`` of them."""
+    values = [float(v) for v in getattr(args, flag)]
+    if len(values) != count:
+        raise InputError(
+            f"{_option(flag)} takes {count} value{'s' if count > 1 else ''}, got {len(values)}"
+        )
+    return values
+
+
 FORMATS = ("csv", "json")
-
-
-def _fl(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _finite(doc):
@@ -145,12 +159,26 @@ def _finite(doc):
     return doc
 
 
+def _cell(value) -> str:
+    """One CSV cell: a float as %.17g, a boolean as true/false, the rest by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
+def _points(keys, rows: list[list]) -> list[dict]:
+    """JSON points that carry the values of the CSV rows under ``keys``."""
+    return [dict(zip(keys, row)) for row in rows]
+
+
 def _emit(args, header: list[str], rows: list[list], jdoc: dict) -> None:
     if args.format == "json":
         text = json.dumps(_finite(jdoc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
-        lines += [",".join(str(c) for c in row) for row in rows]
+        lines += [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -159,11 +187,20 @@ def _emit(args, header: list[str], rows: list[list], jdoc: dict) -> None:
         sys.stdout.write(text)
 
 
-def _make_profile(args) -> "object":
+def _make_profile(args):
+    """The profile of --profile and --z0, and the map scale of its grid:
+    --map-scale, 4 by default, where the grid is mapped (the half-line)."""
     if not args.profile:
         raise InputError("--profile is required")
     extra = {} if args.z0 is None else {"z0": args.z0}
-    return make_profile(args.profile, **extra)
+    profile = make_profile(args.profile, **extra)
+    if args.map_scale is None:
+        # a channel grid ignores the scale it is given
+        return profile, 4.0
+    if profile.domain == CHANNEL:
+        raise InputError(f"--map-scale does not apply to the {profile.kind} profile, "
+                         "whose channel grid has no map")
+    return profile, args.map_scale
 
 
 # ----------------------------------------------------------------------------
@@ -171,9 +208,9 @@ def _make_profile(args) -> "object":
 # ----------------------------------------------------------------------------
 
 def _run_spectrum(args):
-    profile = _make_profile(args)
+    profile, map_scale = _make_profile(args)
     res = [None] if args.re is None else args.re
-    grid = build_grid(args.n, profile.domain, map_scale=args.map_scale)
+    grid = build_grid(args.n, profile.domain, map_scale=map_scale)
     rows, points = [], []
     for a in args.alpha:
         for re in res:
@@ -181,9 +218,9 @@ def _run_spectrum(args):
                 sol = rayleigh_spectrum(profile, float(a), grid)
             else:
                 sol = os_spectrum(profile, float(a), float(re), grid)
-            re_out = "nan" if re is None else _fl(re)
+            re_out = np.nan if re is None else re
             for c, r in zip(sol.eigenvalues, sol.residuals):
-                rows.append([_fl(a), re_out, _fl(c.real), _fl(c.imag), _fl(r)])
+                rows.append([a, re_out, c.real, c.imag, r])
             points.append({"alpha": float(a), "Re": None if re is None else float(re),
                            "eigenvalues": [[c.real, c.imag] for c in sol.eigenvalues],
                            "residuals": [float(r) for r in sol.residuals],
@@ -194,34 +231,32 @@ def _run_spectrum(args):
 
 
 def _run_neutral_curve(args):
-    profile = _make_profile(args)
+    profile, map_scale = _make_profile(args)
     if args.re is None:
         raise InputError("--re range is required for neutral-curve")
-    window = (float(np.min(args.alpha)), float(np.max(args.alpha)))
+    window = tuple(sorted(_exactly(args, "alpha", 2)))
     lower, upper = neutral_curve(
         profile, [float(r) for r in args.re], window, N=args.n,
-        map_scale=args.map_scale, alpha_tol=args.tol,
+        map_scale=map_scale, alpha_tol=args.tol,
     )
     low, up = dict(lower.points), dict(upper.points)
-    rows, points = [], []
+    rows = []
     for re in map(float, args.re):
-        a_low, a_up = low.get(re, np.nan), up.get(re, np.nan)
         status = "unstable" if re in low else "stable"
-        rows.append([_fl(re), _fl(a_low), _fl(a_up), status])
-        points.append({"Re": re, "alpha_low": a_low, "alpha_up": a_up, "status": status})
+        rows.append([re, low.get(re, np.nan), up.get(re, np.nan), status])
     header = ["Re", "alpha_low", "alpha_up", "status"]
-    jdoc = {"subcommand": "neutral-curve", "profile": profile.kind, "points": points}
+    jdoc = {"subcommand": "neutral-curve", "profile": profile.kind,
+            "points": _points(header, rows)}
     _emit(args, header, rows, jdoc)
 
 
 def _run_resolvent(args):
-    profile = _make_profile(args)
-    alpha, c = float(args.alpha[0]), args.c
-    grid = build_grid(args.n, profile.domain, map_scale=args.map_scale)
+    profile, map_scale = _make_profile(args)
+    (alpha,) = _exactly(args, "alpha", 1)
+    c = args.c
+    grid = build_grid(args.n, profile.domain, map_scale=map_scale)
     phi = rayleigh_resolvent(profile, alpha, c, lambda z: np.exp(-z), grid)
-    rows = []
-    for z, v in zip(grid.nodes, phi):
-        rows.append([_fl(z), _fl(v.real), _fl(v.imag)])
+    rows = [[z, v.real, v.imag] for z, v in zip(grid.nodes, phi)]
     jdoc = {
         "subcommand": "resolvent",
         "profile": profile.kind,
@@ -234,15 +269,14 @@ def _run_resolvent(args):
 
 
 def _run_heat_kernel(args):
-    rows, points = [], []
+    rows = []
     for t in args.t:
         for dx in args.dx:
             val = heat_green(float(t), float(dx), 0.0, args.nu)
-            rows.append([_fl(t), _fl(args.nu), _fl(dx), _fl(val)])
-            points.append({"t": float(t), "nu": args.nu, "dx": float(dx),
-                           "value": float(val)})
-    jdoc = {"subcommand": "heat-kernel", "points": points}
-    _emit(args, ["t", "nu", "dx", "value"], rows, jdoc)
+            rows.append([float(t), args.nu, float(dx), float(val)])
+    header = ["t", "nu", "dx", "value"]
+    jdoc = {"subcommand": "heat-kernel", "points": _points(header, rows)}
+    _emit(args, header, rows, jdoc)
 
 
 def _run_semigroup(args):
@@ -255,17 +289,16 @@ def _run_semigroup(args):
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((dim, dim)) / np.sqrt(dim)
     x0 = rng.standard_normal(dim)
-    rows, points = [], []
+    rows = []
     for t in args.t:
         val = semigroup_apply(A, x0, float(t))
         oracle = expm(A * float(t)) @ x0
         err = float(np.max(np.abs(val - oracle)))
-        ok = err <= tol
-        rows.append([_fl(t), _fl(err), str(ok).lower()])
-        points.append({"t": float(t), "error": err, "pass": ok})
+        rows.append([float(t), err, err <= tol])
+    header = ["t", "error", "pass"]
     jdoc = {"subcommand": "semigroup", "seed": args.seed, "dim": dim,
-            "tol": tol, "points": points}
-    _emit(args, ["t", "error", "pass"], rows, jdoc)
+            "tol": tol, "points": _points(header, rows)}
+    _emit(args, header, rows, jdoc)
 
 
 def _run_genfunc_check(args):
@@ -274,11 +307,10 @@ def _run_genfunc_check(args):
     params = BLNormParams.from_viscosity(nu, 1.0)
     rng = np.random.default_rng(args.seed)
     truncation = (order, 2 * order)
-    rows, checks = [], []
+    rows = []
 
     def record(name, value, ok):
-        rows.append([name, _fl(value), str(bool(ok)).lower()])
-        checks.append({"name": name, "value": float(value), "pass": bool(ok)})
+        rows.append([name, float(value), bool(ok)])
 
     zs = [(0.05, 0.0), (0.1, 0.02), (0.2, 0.05)]
     for case in range(5):
@@ -318,120 +350,150 @@ def _run_genfunc_check(args):
     record("laplace_bundle_spread", spread, spread < 20.0)
 
     jdoc = {"subcommand": "genfunc-check", "seed": args.seed, "nu": nu,
-            "order": order, "checks": checks}
+            "order": order, "checks": _points(("name", "value", "pass"), rows)}
     _emit(args, ["check", "value", "pass"], rows, jdoc)
 
 
+# ----------------------------------------------------------------------------
+# instability modes
+# ----------------------------------------------------------------------------
+
+def _run_bootstrap(args):
+    eps, order = args.epsilon, args.order
+    # the default grid ends 4 past log(1/epsilon); an epsilon outside (0, 1)
+    # gives no valid default grid, and ode_bootstrap rejects it before the
+    # grid is read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = -np.log(eps) + 4.0 if args.t is None else _exactly(args, "t", 1)[0]
+        t_grid = np.linspace(0.0, t_max, 81)
+    r = ode_bootstrap(
+        np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0,
+        eps, order, t_grid,
+    )
+    rows = [
+        ["sigma", r.sigma],
+        ["sigma0", r.sigma0],
+        ["T1", r.T1],
+        ["escape_time", r.escape_time],
+        ["residual_slope", r.residual_slope],
+    ] + [[f"C_{j + 1}", c] for j, c in enumerate(r.C)]
+    jdoc = {
+        "subcommand": "instability", "mode": "bootstrap", "epsilon": eps,
+        "order": order, "sigma": r.sigma, "sigma0": r.sigma0, "T1": r.T1,
+        "escape_time": r.escape_time, "residual_slope": r.residual_slope,
+        "C": list(r.C),
+    }
+    _emit(args, ["quantity", "value"], rows, jdoc)
+
+
+def _run_riccati(args):
+    eps, phi0 = args.epsilon, args.phi0
+    (alpha,) = _exactly(args, "alpha", 1)
+    rows = []
+    for t in args.t:
+        r = riccati_exact(eps, alpha, phi0, float(t))
+        rows.append([float(t), r.value, r.blown_up])
+    header = ["t", "value", "blown_up"]
+    jdoc = {"subcommand": "instability", "mode": "riccati",
+            "epsilon": eps, "alpha": alpha, "phi0": phi0,
+            "t_star": riccati_exact(eps, alpha, phi0, 0.0).t_star,
+            "points": _points(header, rows)}
+    _emit(args, header, rows, jdoc)
+
+
+def _run_hopf(args):
+    order = args.order
+    (alpha,) = _exactly(args, "alpha", 1)
+    series = hopf_series({1: 0.5, -1: 0.5}, alpha, order)
+    report = hopf_majorant(series, eta0=args.eta0, t_max=0.05)
+    rows = [
+        [n, series.sup_norm(n), series.recurrence_residual(n) if n >= 2 else 0.0]
+        for n in range(1, order + 1)
+    ]
+    jdoc = {
+        "subcommand": "instability", "mode": "hopf", "alpha": alpha,
+        "order": order,
+        "sup_norms": [series.sup_norm(n) for n in range(1, order + 1)],
+        "majorant": {
+            k: report[k]
+            for k in ("M0", "eta0", "T_ramp", "max_residual", "residual_ok",
+                      "phi_min", "phi_ok", "K_max", "K_monotone_ok",
+                      "K_bound_ok")
+        },
+    }
+    _emit(args, ["n", "sup_norm", "recurrence_residual"], rows, jdoc)
+
+
+def _run_euler(args):
+    order = args.order
+    rep = euler_series(make_profile("kolmogorov"), N=order, modes=args.n)
+    rows = [
+        ["alpha_real", rep["alpha_eig"].real],
+        ["alpha_imag", rep["alpha_eig"].imag],
+        ["alpha_gap", rep["alpha_gap"]],
+        ["eigen_residual", rep["eigen_residual"]],
+        ["partial_sum_change", rep["partial_sum_change"]],
+    ]
+    rows += [[f"sup_norm_{n + 1}", s] for n, s in enumerate(rep["sup_norms"])]
+    rows += [[f"h1_ratio_{n + 2}", r] for n, r in enumerate(rep["h1_ratios"])]
+    jdoc = {
+        "subcommand": "instability", "mode": "euler", "order": order,
+        "modes": args.n,
+        "alpha_eig": [rep["alpha_eig"].real, rep["alpha_eig"].imag],
+        "alpha_gap": rep["alpha_gap"],
+        "eigen_residual": rep["eigen_residual"],
+        "sup_norms": rep["sup_norms"],
+        "h1_ratios": rep["h1_ratios"],
+        "partial_sum_change": rep["partial_sum_change"],
+    }
+    _emit(args, ["quantity", "value"], rows, jdoc)
+
+
+# instability mode -> (runner, {flag: default}); a mode reads its flags only.
+# The bootstrap grid's default end follows epsilon, so its t default is None
+MODES = {
+    "bootstrap": (_run_bootstrap, {"epsilon": 1e-3, "order": 5, "t": None}),
+    "riccati": (_run_riccati, {"epsilon": 0.1, "alpha": "1.0", "phi0": 0.01, "t": "0:20:11"}),
+    "hopf": (_run_hopf, {"alpha": "1.0", "order": 12, "eta0": 0.25}),
+    "euler": (_run_euler, {"order": 4, "n": 16}),
+}
+
+
 def _run_instability(args):
-    # epsilon, order and t have per-mode defaults, so the table leaves them None
-    mode, alpha = args.mode, float(args.alpha[0])
-    if mode == "bootstrap":
-        eps = 1e-3 if args.epsilon is None else args.epsilon
-        order = 5 if args.order is None else args.order
-        # an epsilon outside (0, 1) gives no valid default grid; ode_bootstrap
-        # rejects it before the grid is read
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_max = -np.log(eps) + 4.0 if args.t is None else float(args.t[-1])
-            t_grid = np.linspace(0.0, t_max, 81)
-        r = ode_bootstrap(
-            np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0,
-            eps, order, t_grid,
-        )
-        rows = [
-            ["sigma", _fl(r.sigma)],
-            ["sigma0", _fl(r.sigma0)],
-            ["T1", _fl(r.T1)],
-            ["escape_time", _fl(r.escape_time)],
-            ["residual_slope", _fl(r.residual_slope)],
-        ] + [[f"C_{j + 1}", _fl(c)] for j, c in enumerate(r.C)]
-        jdoc = {
-            "subcommand": "instability", "mode": "bootstrap", "epsilon": eps,
-            "order": order, "sigma": r.sigma, "sigma0": r.sigma0, "T1": r.T1,
-            "escape_time": r.escape_time, "residual_slope": r.residual_slope,
-            "C": list(r.C),
-        }
-        _emit(args, ["quantity", "value"], rows, jdoc)
-    elif mode == "riccati":
-        eps = 0.1 if args.epsilon is None else args.epsilon
-        ts = np.linspace(0.0, 20.0, 11) if args.t is None else args.t
-        rows, points = [], []
-        for t in ts:
-            r = riccati_exact(eps, alpha, args.phi0, float(t))
-            rows.append([_fl(t), _fl(r.value), str(r.blown_up).lower()])
-            points.append({"t": float(t), "value": r.value, "blown_up": r.blown_up})
-        jdoc = {"subcommand": "instability", "mode": "riccati",
-                "epsilon": eps, "alpha": alpha, "phi0": args.phi0,
-                "t_star": riccati_exact(eps, alpha, args.phi0, 0.0).t_star,
-                "points": points}
-        _emit(args, ["t", "value", "blown_up"], rows, jdoc)
-    elif mode == "hopf":
-        order = 12 if args.order is None else args.order
-        series = hopf_series({1: 0.5, -1: 0.5}, alpha, order)
-        report = hopf_majorant(series, eta0=args.eta0, t_max=0.05)
-        rows = [
-            [str(n), _fl(series.sup_norm(n)),
-             _fl(series.recurrence_residual(n)) if n >= 2 else "0"]
-            for n in range(1, order + 1)
-        ]
-        jdoc = {
-            "subcommand": "instability", "mode": "hopf", "alpha": alpha,
-            "order": order,
-            "sup_norms": [series.sup_norm(n) for n in range(1, order + 1)],
-            "majorant": {
-                k: report[k]
-                for k in ("M0", "eta0", "T_ramp", "max_residual", "residual_ok",
-                          "phi_min", "phi_ok", "K_max", "K_monotone_ok",
-                          "K_bound_ok")
-            },
-        }
-        _emit(args, ["n", "sup_norm", "recurrence_residual"], rows, jdoc)
-    elif mode == "euler":
-        order = 4 if args.order is None else args.order
-        rep = euler_series(make_profile("kolmogorov"), N=order, modes=args.n)
-        rows = [
-            ["alpha_real", _fl(rep["alpha_eig"].real)],
-            ["alpha_imag", _fl(rep["alpha_eig"].imag)],
-            ["alpha_gap", _fl(rep["alpha_gap"])],
-            ["eigen_residual", _fl(rep["eigen_residual"])],
-            ["partial_sum_change", _fl(rep["partial_sum_change"])],
-        ]
-        rows += [[f"sup_norm_{n + 1}", _fl(s)] for n, s in enumerate(rep["sup_norms"])]
-        rows += [[f"h1_ratio_{n + 2}", _fl(r)] for n, r in enumerate(rep["h1_ratios"])]
-        jdoc = {
-            "subcommand": "instability", "mode": "euler", "order": order,
-            "modes": args.n,
-            "alpha_eig": [rep["alpha_eig"].real, rep["alpha_eig"].imag],
-            "alpha_gap": rep["alpha_gap"],
-            "eigen_residual": rep["eigen_residual"],
-            "sup_norms": rep["sup_norms"],
-            "h1_ratios": rep["h1_ratios"],
-            "partial_sum_change": rep["partial_sum_change"],
-        }
-        _emit(args, ["quantity", "value"], rows, jdoc)
-    else:
+    """Run the mode's runner on its own flags, each unset one at its MODES
+    default; any other flag set is an error."""
+    if args.mode not in MODES:
         raise InputError(
-            f"unknown instability mode {mode!r}; expected bootstrap, riccati, "
-            "hopf, or euler"
+            f"unknown instability mode {args.mode!r}; expected one of {tuple(MODES)}"
         )
+    runner, defaults = MODES[args.mode]
+    for flag in COMMANDS["instability"][1]:
+        if flag not in defaults and flag != "mode" and getattr(args, flag) is not None:
+            raise InputError(f"{_option(flag)} is not a flag of instability --mode {args.mode}")
+    for flag, default in defaults.items():
+        if getattr(args, flag) is None:
+            # a string default goes through the flag's type, as argparse's do
+            setattr(args, flag, _FLAGS[flag][0](default) if isinstance(default, str) else default)
+    runner(args)
 
 
 # subcommand -> (runner, {flag: default}); flags appear in this order in --help
 COMMANDS = {
     "spectrum": (_run_spectrum, {
-        "profile": None, "n": 128, "map_scale": 4.0, "alpha": "1.0", "re": None,
+        "profile": None, "n": 128, "map_scale": None, "alpha": "1.0", "re": None,
         "z0": None}),
     "neutral-curve": (_run_neutral_curve, {
-        "profile": None, "n": 96, "map_scale": 4.0, "alpha": "0.5:1.5", "re": None,
+        "profile": None, "n": 96, "map_scale": None, "alpha": "0.5:1.5", "re": None,
         "tol": 1e-4, "z0": None}),
     "resolvent": (_run_resolvent, {
-        "profile": None, "n": 128, "map_scale": 4.0, "alpha": "1.0", "c": 0.5 + 0.1j,
+        "profile": None, "n": 128, "map_scale": None, "alpha": "1.0", "c": 0.5 + 0.1j,
         "z0": None}),
     "heat-kernel": (_run_heat_kernel, {"t": "1.0", "nu": 1.0, "dx": "0.0"}),
     "semigroup": (_run_semigroup, {"n": 4, "t": "1.0", "tol": 1e-8, "seed": 0}),
     "genfunc-check": (_run_genfunc_check, {"nu": 1e-4, "order": 4, "tol": 1e-10, "seed": 0}),
+    # every flag of some mode, unset until the mode's defaults fill it
     "instability": (_run_instability, {
-        "mode": None, "alpha": "1.0", "epsilon": None, "phi0": 0.01, "order": None,
-        "n": 16, "t": None, "eta0": 0.25}),
+        "mode": None, **dict.fromkeys(f for _, flags in MODES.values() for f in flags)}),
 }
 
 
@@ -445,8 +507,7 @@ def build_parser():
         p = sub.add_parser(name)
         for flag, default in defaults.items():
             kind, text = _FLAGS[flag]
-            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=default,
-                           help=text)
+            p.add_argument(_option(flag), type=kind, default=default, help=text)
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=FORMATS, default="csv",
                        help="output format")

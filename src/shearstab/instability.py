@@ -12,7 +12,7 @@ small amplitude epsilon whose terms grow like e^{n lambda t}:
   every pair (j, k), and once for the whole residual.
 - ``riccati_exact``: the closed-form solution of the scalar model
   phi' = eps phi + alpha phi^2, including its blow-up time (alpha > 0) and
-  saturation limit (alpha < 0).
+  saturation limit -eps/alpha (eps > 0 > alpha).
 - ``hopf_series`` / ``hopf_majorant``: the instability series of the scalar
   conservation-type equation  u_t + u u_z = alpha u  built by an exact Fourier
   recurrence on one coefficient table (term x mode, products by
@@ -264,7 +264,8 @@ class RiccatiValue:
 
     ``blown_up`` marks evaluation at or past the blow-up time; ``t_star`` is
     that time when there is one (alpha phi0 > max(0, -eps)), ``limit`` the
-    t -> infinity saturation value when alpha < 0.
+    t -> infinity saturation value -eps/alpha when eps > 0 > alpha (with
+    eps < 0 and no blow-up the solution decays to 0, and ``limit`` is None).
     """
 
     value: float
@@ -302,7 +303,7 @@ def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> Riccat
         t_star = np.log1p(epsilon / (alpha * phi0)) / epsilon
         if t >= t_star:
             return RiccatiValue(float("inf"), True, float(t_star), None)
-    elif alpha < 0:
+    elif alpha < 0 < epsilon:
         limit = -epsilon / alpha
     if alpha == 0:
         value = phi0 * np.exp(epsilon * t)

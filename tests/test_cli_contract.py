@@ -9,7 +9,7 @@ import pytest
 
 import shearstab
 
-from shearstab.cli import main
+from shearstab.cli import COMMANDS, MODES, main
 
 
 def run_cli(capsys, args):
@@ -223,6 +223,48 @@ class TestInputLimits:
         code, out, err = run_cli(capsys, args)
         assert code == 2
         assert out == "" and err.startswith(f"shearstab: {message}")
+
+
+def _flags_not_read():
+    """(argv, config text or None, flag): runs that set a flag they do not read."""
+    cases = [
+        (["instability", "--mode", mode, "--" + flag, "1"], None, flag)
+        for mode, (_, read) in MODES.items()
+        for flag in COMMANDS["instability"][1]
+        if flag != "mode" and flag not in read
+    ]
+    cases.append((["instability", "--mode", "euler"], "phi0 = 1\n", "phi0"))
+    cases += [
+        ([sub, "--profile", "poiseuille", "--map-scale", "7", "--n", "32"], None, "map-scale")
+        for sub, (_, flags) in COMMANDS.items() if "map_scale" in flags
+    ]
+    # one-value flags given a range, and a window given three values
+    cases += [
+        (["resolvent", "--profile", "exponential", "--n", "32", "--alpha", "1:2:3"], None, "alpha"),
+        (["instability", "--mode", "riccati", "--alpha", "1:2:3"], None, "alpha"),
+        (["instability", "--mode", "hopf", "--alpha", "1:2:3"], None, "alpha"),
+        (["instability", "--mode", "bootstrap", "--t", "1:2:3"], None, "t"),
+        (["neutral-curve", "--profile", "poiseuille", "--re", "7000", "--alpha", "0.8:1.0:3",
+          "--n", "32"], None, "alpha"),
+    ]
+    return [pytest.param(*case, id=" ".join(case[0]) + (" --config " + case[1].strip() if case[1] else ""))
+            for case in cases]
+
+
+@pytest.mark.parametrize("args, config, flag", _flags_not_read())
+def test_flag_not_read_exit_2(capsys, tmp_path, args, config, flag):
+    # every instability flag used to be accepted under every mode, and
+    # --map-scale under channel profiles, and ignored where nothing reads
+    # them; a one-value flag kept one value of a range, and the window its
+    # min and max.  Each stops before any computation
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, args)
+    assert code == 2
+    assert out == "" and err.startswith(f"shearstab: --{flag} ")
+    assert err.count("\n") == 1
 
 
 def run_child(args, timeout):

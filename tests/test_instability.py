@@ -228,6 +228,13 @@ class TestRiccatiExact:
         assert r.value == pytest.approx(0.1)
         assert not r.blown_up
 
+    def test_no_limit_for_negative_epsilon(self):
+        # eps < 0 and alpha < 0: the solution decays to 0, but -eps / alpha
+        # = -1 used to be reported as its limit
+        r = riccati_exact(-1.0, -1.0, 0.01, 1e6)
+        assert r.value == 0.0
+        assert r.limit is None and r.t_star is None and not r.blown_up
+
     def test_linear_case(self):
         r = riccati_exact(0.1, 0.0, 0.01, 3.0)
         assert r.value == pytest.approx(0.01 * np.exp(0.3), rel=1e-14)
