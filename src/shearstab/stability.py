@@ -10,9 +10,14 @@ with even U (Poiseuille) gives a pencil symmetric under y -> -y; its even
 and odd eigenfunctions then solve two problems of half that order (Orszag,
 J. Fluid Mech. 50, 1971), which together cost about a quarter of the dense
 eigensolve of the whole, and the spectrum is their union.  Spurious
-continuous-spectrum modes are filtered on the full pencil by an
-operator-scaled residual gate plus a Chebyshev-tail smoothness check, and
-the leading modes are polished by Rayleigh-quotient inverse iteration.
+continuous-spectrum modes are filtered on the full pencil by a
+Chebyshev-tail smoothness check and, for the modes that pass it, an
+operator-scaled residual gate; the solution records how many each gate
+rejected and the highest rejected candidate.  The three leading modes are
+polished by inverse iteration with a two-sided Rayleigh quotient, one
+factorization per mode, on the block of the mode's parity (the whole
+pencil when there is no symmetry), and kept only if their full-pencil
+residual stays at roundoff.
 """
 
 from __future__ import annotations
@@ -50,7 +55,14 @@ class EigenSolution:
     eigenvalues: tuple          # phase speeds c, sorted by Im(c) descending
     modes: np.ndarray           # columns phi, unit max-norm, aligned with eigenvalues
     residuals: tuple            # operator-scaled pencil residuals per pair
-    n_rejected: int = 0         # raw eigenvalues dropped by the filters
+    n_tail_rejected: int = 0    # raw eigenvalues dropped by the Chebyshev-tail gate
+    n_residual_rejected: int = 0  # smooth ones dropped by the residual gate
+    top_rejected: tuple | None = None  # (c, tail, residual) of the highest-Im dropped one
+
+    @property
+    def n_rejected(self) -> int:
+        """Raw eigenvalues dropped by either gate."""
+        return self.n_tail_rejected + self.n_residual_rejected
 
 
 @dataclass
@@ -72,22 +84,29 @@ def _profile_diagonals(profile: ShearProfile, grid: SpectralDiscretization):
 
 
 def _refine_eigenpair(A, B, c, phi):
-    """Rayleigh-quotient inverse iteration on the pencil.
+    """Inverse iteration at a fixed shift, with a two-sided Rayleigh quotient.
 
     The eigensolver's backward error grows with the operator norm and
     pollutes eigenvalues of large ill-conditioned pencils; a couple of
     shift-invert steps with a two-sided Rayleigh quotient restores them to
-    the accuracy of the matrix entries.  Falls back to the input pair when a
-    solve degenerates or the update jumps away from the starting eigenvalue.
+    the accuracy of the matrix entries.  K = A - c B is factored once, at
+    the starting c, and serves every step's solve and adjoint solve: the
+    eigensolver's c is off by 1e-10 to 1e-6, far less than the distance to
+    the next eigenvalue, so the fixed shift converges in as few steps as a
+    refactored one.  Falls back to the last good pair when a solve
+    degenerates or the update jumps away from the starting eigenvalue.
     """
     import scipy.linalg
 
     c0 = c
+    K = B * -c
+    K += A
+    try:
+        lu = scipy.linalg.lu_factor(K, overwrite_a=True)
+    except (scipy.linalg.LinAlgError, ValueError, FloatingPointError):
+        return c, phi
     for _ in range(POLISH_STEPS):
-        K = B * -c
-        K += A
         try:
-            lu = scipy.linalg.lu_factor(K, overwrite_a=True)
             x = scipy.linalg.lu_solve(lu, B @ phi)
             v = x / np.linalg.norm(x)
             # the adjoint solve K^H w = B^H v reuses the factorization of K
@@ -119,7 +138,8 @@ def _tail_fractions(V):
     from scipy.fft import dct
 
     N = V.shape[0] - 1
-    a = np.abs(dct(V, type=1, axis=0))
+    a = dct(V, type=1, axis=0)
+    a = np.abs(a, out=a).real  # in place: no second array the size of V
     a[[0, -1]] /= 2.0
     total = a.sum(axis=0)
     tail = a[2 * N // 3:].sum(axis=0)
@@ -148,7 +168,8 @@ def _unfold(W, parity, m):
     q = m // 2
     V = np.zeros((m, W.shape[1]), dtype=W.dtype)
     V[:W.shape[0]] = W
-    V[m - q:] = parity * W[:q][::-1]
+    V[m - q:] = W[:q][::-1]
+    V[m - q:] *= parity
     return V
 
 
@@ -159,27 +180,49 @@ def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
     The boundary unknowns are eliminated, phi_b = T phi_i with
     T = -R_bb^{-1} R_bi, which leaves the standard problem
     (B_r^{-1} A_r) w = c w of order n - k on the constrained subspace; the
-    eigenvectors are lifted back to phi = [w; T w].  When ``mirror`` holds,
+    eigenvectors are lifted back to phi = [w; T w], with T w found by
+    solving R_bb phi_b = -R_bi w.  When ``mirror`` holds,
     the pencil and its boundary rows are symmetric under j -> n-1-j, so
     A_r and B_r commute with the reversal of the interior unknowns: the even
-    and odd w are then two problems of half the order, solved apart, and the
-    spectrum is their union.
+    (parity 1) and odd (parity -1) w are then two problems of half the
+    order, solved apart, and the spectrum is their union.  Otherwise every
+    eigenpair has parity 0.
+
+    Returns the eigenvalues, the lifted eigenvectors as columns, the parity
+    of each, and ``polish(c, phi, parity)``, which refines one pair by
+    ``_refine_eigenpair``: on the folded block of its parity (A_r and B_r
+    folded, the free entries of w, lifted back), or on (A, B) for parity 0.
+    The folded blocks live as long as ``polish`` does.
     """
     n = A.shape[0]
     b = np.asarray(bc_idx)
     i = np.setdiff1d(np.arange(n), b)
-    T = -np.linalg.solve(A[np.ix_(b, b)], A[np.ix_(b, i)])
+    R_bb, R_bi = A[np.ix_(b, b)], A[np.ix_(b, i)]
+    T = -np.linalg.solve(R_bb, R_bi)
 
     def reduce(M):
         M_r = M[np.ix_(i, i)]
         M_r += M[np.ix_(i, b)] @ T
         return M_r
 
+    def lift(W, parity, V):
+        """Write into the columns of V the full vectors whose free entries are W's."""
+        if parity:
+            W = _unfold(W, parity, len(i))
+        V[i] = W
+        # solved, not T @ W: that would leave T's rounding, times the
+        # operator-sized constraint rows, in those rows' residual
+        V[b] = np.linalg.solve(R_bb, -(R_bi @ W))
+
+    def folds(M):  # the reduced M lives only while it is folded
+        M_r = reduce(M)
+        return [_fold(M_r, s) for s in (1, -1)]
+
+    folded = {0: (A, B)}
     try:
         if mirror:
-            A_r, B_r = reduce(A), reduce(B)
-            blocks = [(s, np.linalg.solve(_fold(B_r, s), _fold(A_r, s))) for s in (1, -1)]
-            del A_r, B_r
+            folded = dict(zip((1, -1), zip(folds(A), folds(B))))
+            blocks = [(s, np.linalg.solve(F_B, F_A)) for s, (F_A, F_B) in folded.items()]
         else:
             blocks = [(0, np.linalg.solve(reduce(B), reduce(A)))]
         parts = [(s, *np.linalg.eig(C)) for s, C in blocks]
@@ -189,41 +232,73 @@ def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
             f"cond(B_r)~{np.linalg.cond(reduce(B)):.2e}"
         ) from exc
     del blocks
-    if mirror:
-        cs = np.concatenate([c for _, c, _ in parts])
-        W = np.hstack([_unfold(W_s, s, len(i)) for s, _, W_s in parts])
-    else:
-        (_, cs, W), = parts
-    V = np.empty((n, W.shape[1]), dtype=complex)
-    V[i] = W
-    V[b] = T @ W
-    return cs, V
+    cs = np.concatenate([c for _, c, _ in parts])
+    parity = np.concatenate([np.full(len(c), s) for s, c, _ in parts])
+    V = np.empty((n, len(cs)), dtype=complex)
+    start = 0
+    while parts:  # each parity's eigenvectors are dropped once lifted
+        s, c, W_s = parts.pop(0)
+        lift(W_s, s, V[:, start:start + len(c)])
+        start += len(c)
+
+    def polish(c, phi, s):
+        F_A, F_B = folded[s]
+        if s:
+            c, w = _refine_eigenpair(F_A, F_B, c, phi[i[:F_A.shape[0]]])
+        else:
+            c, phi = _refine_eigenpair(F_A, F_B, c, phi)
+            w = phi[i]
+        # the boundary entries are solved again, as for every eigenvector
+        phi = np.empty(n, dtype=complex)
+        lift(w[:, None], s, phi[:, None])
+        return c, phi
+
+    return cs, V, parity, polish
 
 
 def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
-    cs, V = _reduced_eig(A, B, bc_idx, alpha, param, mirror)
-    res = _residuals(A, B, cs, V, scale)
-    keep = (res <= RESIDUAL_GATE) & (_tail_fractions(V) <= TAIL_GATE)
-    n_rejected = int(np.count_nonzero(~keep))
-    order = np.flatnonzero(keep)
-    order = order[np.argsort(-cs[order].imag, kind="stable")]
-    accepted = list(zip(cs[order], V[:, order].T, res[order]))
+    cs, V, parity, polish = _reduced_eig(A, B, bc_idx, alpha, param, mirror)
+    # a mode must pass both gates; the cheap tail gate goes first, and the
+    # residual gate sees only the modes that pass it
+    tail = _tail_fractions(V)
+    smooth = np.flatnonzero(tail <= TAIL_GATE)
+    res = _residuals(A, B, cs[smooth], V[:, smooth], scale)
+    passed = res <= RESIDUAL_GATE
+    order, res = smooth[passed], res[passed]
+    rank = np.argsort(-cs[order].imag, kind="stable")
+    order, res = order[rank], res[rank]
+    rejected = np.setdiff1d(np.arange(len(cs)), order)
+    top_rejected = None
+    if len(rejected):
+        j = rejected[np.argmax(cs[rejected].imag)]
+        top_rejected = (complex(cs[j]), float(tail[j]),
+                        float(_residuals(A, B, cs[j], V[:, j:j + 1], scale)[0]))
+    accepted = list(zip(cs[order], V[:, order].T, res, parity[order]))
     del V  # the full eigenvector block is not needed by the polish
-    # polish the leading (least damped) modes, the ones callers consume; the
-    # unpolished pairs are at roundoff already, so the polished pair stays
-    # unless it is worse by more than a rounding floor
+    # polish the leading (least damped) modes, the ones callers consume, each
+    # on the block of its parity; the unpolished pairs are at roundoff
+    # already, so the polished pair stays unless its full-pencil residual is
+    # worse by more than a rounding floor.  Both residuals of the comparison
+    # are taken one column at a time: the batched product rounds differently,
+    # by up to 4x at the 1e-11 level
     for k in range(min(3, len(accepted))):
-        c, phi, r = accepted[k]
-        c2, phi2 = _refine_eigenpair(A, B, c, phi)
+        c, phi, _, s = accepted[k]
+        c2, phi2 = polish(c, phi, s)
+        r = _residuals(A, B, c, phi[:, None], scale)[0]
         r2 = _residuals(A, B, c2, phi2[:, None], scale)[0]
         if r2 <= min(r + POLISH_FLOOR, RESIDUAL_GATE):
-            accepted[k] = (c2, phi2, r2)
+            accepted[k] = (c2, phi2, r2, s)
+    del polish  # and with it the folded blocks
     accepted.sort(key=lambda t: -t[0].imag)
-    eigenvalues = tuple(complex(c) for c, _, _ in accepted)
-    modes = (np.stack([p / p[np.argmax(np.abs(p))] for _, p, _ in accepted], axis=1)
-             if accepted else np.zeros((A.shape[0], 0), dtype=complex))
-    residuals = tuple(float(r) for _, _, r in accepted)
-    return eigenvalues, modes, residuals, n_rejected
+    return EigenSolution(
+        eigenvalues=tuple(complex(c) for c, *_ in accepted),
+        modes=(np.stack([p / p[np.argmax(np.abs(p))] for _, p, *_ in accepted], axis=1)
+               if accepted else np.zeros((A.shape[0], 0), dtype=complex)),
+        residuals=tuple(float(r) for _, _, r, _ in accepted),
+        n_tail_rejected=len(cs) - len(smooth),
+        n_residual_rejected=len(smooth) - len(order),
+        top_rejected=top_rejected,
+    )
 
 
 def _install_bc(A, B, grid, bc):
@@ -279,7 +354,7 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     """
     check_positive(alpha=alpha)
     A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, 0.0, "dirichlet")
-    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, "inviscid", scale, mirror))
+    return _solve_pencil(A, B, bc_idx, alpha, "inviscid", scale, mirror)
 
 
 def rayleigh_resolvent(
@@ -333,7 +408,7 @@ def os_spectrum(
             f"N={grid.N} below resolution guidance {n_guide:.0f} at Re={Re:.3g}",
             stacklevel=2,
         )
-    return EigenSolution(*_solve_pencil(A, B, bc_idx, alpha, Re, scale, mirror))
+    return _solve_pencil(A, B, bc_idx, alpha, Re, scale, mirror)
 
 
 def max_growth_rate(profile, alpha, Re, grid) -> float:

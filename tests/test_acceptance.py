@@ -49,7 +49,7 @@ COS = {1: 0.5, -1: 0.5}
 
 def _report(capsys, num, name, ok, detail):
     with capsys.disabled():
-        print(f"\nACCEPTANCE {num:2d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        print(f"\nACCEPTANCE {num:>2} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"acceptance {num} {name}: {detail}"
 
 
@@ -147,6 +147,38 @@ def test_04_rayleigh_criterion_consistency(capsys):
     _report(capsys, 4, "rayleigh-criterion-consistency", ok,
             f"exponential max Im(c) = {max_im:.2e} <= 1e-6, tanh eigenvalue"
             f" N-doubling gap {gap:.2e} <= 1e-6, {elapsed:.1f}s < 60s")
+
+
+def test_04b_euler_unstable_viscous_gap(capsys):
+    # An Euler-unstable profile stays unstable at large Re, and its viscous
+    # eigenvalue approaches the Rayleigh one as Re^{-1/2} (nu^{1/2}): tanh
+    # with z0 = 1 at alpha = 0.5.  Each point is certified by a finer grid
+    # to 1e-8.  The pairs come from a convergence check, which measured at
+    # most 3.6e-10 for them; one step coarser reaches 4e-9 to 8e-9 (for
+    # Re = 1e7, 6.3e-9 from N = 320 to 384 and 5.4e-11 from 384 to 448)
+    t0 = time.time()
+    p = make_profile("tanh", z0=1.0)
+
+    def certified(solve, N, N_fine):
+        c, c_fine = (solve(build_grid(n, HALF_LINE, map_scale=4.0)).eigenvalues[0] for n in (N, N_fine))
+        return c_fine, abs(c - c_fine)
+
+    c0, err0 = certified(lambda g: rayleigh_spectrum(p, 0.5, g), 224, 256)
+    points = [(Re, *certified(lambda g: os_spectrum(p, 0.5, Re, g), N, N_fine))
+              for Re, N, N_fine in ((1e5, 192, 224), (1e6, 224, 256), (1e7, 384, 448))]
+    gaps = [abs(c - c0) for _, c, _ in points]
+    slopes = [np.log10(gaps[k + 1] / gaps[k]) for k in range(2)]
+    coeffs = [g * Re**0.5 for (Re, _, _), g in zip(points, gaps)]
+    err = max([err0] + [e for *_, e in points])
+    elapsed = time.time() - t0
+    ok = (all(abs(s + 0.5) <= 0.025 for s in slopes) and all(c.imag > 0 for _, c, _ in points)
+          and err <= 1e-8 and elapsed < 60.0)
+    _report(capsys, "4b", "euler-unstable-viscous-gap", ok,
+            f"|c_OS - c_Rayleigh| = {gaps[0]:.3e}, {gaps[1]:.3e}, {gaps[2]:.3e} at Re = 1e5, 1e6, 1e7;"
+            f" local slopes {slopes[0]:.3f}, {slopes[1]:.3f} within 5% of -1/2;"
+            f" coefficient |c - c0| Re^1/2 = {coeffs[0]:.4f}, {coeffs[1]:.4f}, {coeffs[2]:.4f};"
+            f" min Im c_OS = {min(c.imag for _, c, _ in points):.4f} > 0;"
+            f" grid certification {err:.1e} <= 1e-8, {elapsed:.1f}s < 60s")
 
 
 def test_05_orr_sommerfeld_quantitative(capsys):

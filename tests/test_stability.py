@@ -216,6 +216,34 @@ class TestOrrSommerfeld:
             c, _ = _refine_eigenpair(A, B, sol.eigenvalues[k], sol.modes[:, k])
             assert abs(c - sol.eigenvalues[k]) <= 1e-10
 
+    @pytest.mark.parametrize("alpha, Re, N", [(1.0, 1e4, 160), (0.25, 1e7, 320)])
+    def test_polish_kept_at_roundoff_poiseuille(self, alpha, Re, N):
+        # the Poiseuille leaders are polished on the even or odd half-order
+        # block; on the full pencil they are fixed points of the polish too
+        p = make_profile("poiseuille")
+        grid = build_grid(N, CHANNEL)
+        sol = os_spectrum(p, alpha, Re, grid)
+        A, B, *_ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        for k in range(3):
+            c, _ = _refine_eigenpair(A, B, sol.eigenvalues[k], sol.modes[:, k])
+            assert abs(c - sol.eigenvalues[k]) <= 1e-10
+
+    def test_block_polish_matches_full_pencil(self):
+        # each leader polished on its half-order block and lifted back is the
+        # pair that the full-pencil polish finds, with a residual at roundoff
+        # and the symmetry of its parity
+        p = make_profile("poiseuille")
+        grid = build_grid(320, CHANNEL)
+        A, B, bc_idx, scale, mirror = _pencil(p, 0.25, grid, 1.0 / (1j * 0.25 * 1e7), "clamped")
+        cs, V, parity, polish = stability._reduced_eig(A, B, bc_idx, 0.25, 1e7, mirror)
+        smooth = np.flatnonzero(_tail_fractions(V) <= stability.TAIL_GATE)
+        for j in smooth[np.argsort(-cs[smooth].imag)][:3]:
+            c, phi = polish(cs[j], V[:, j], parity[j])
+            c_full, _ = _refine_eigenpair(A, B, cs[j], V[:, j])
+            assert abs(c - c_full) <= 1e-11
+            assert _residuals(A, B, c, phi[:, None], scale)[0] <= 1e-11
+            assert np.max(np.abs(phi - parity[j] * phi[::-1])) <= 1e-12 * np.max(np.abs(phi))
+
     def test_eigensolver_failure_names_condition(self, chan, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -344,6 +372,85 @@ class TestReflectionSplit:
             eig_orders.clear()
             solve()
             assert eig_orders == orders
+
+
+class TestGates:
+    """The Chebyshev-tail gate runs first and the residual gate only on the
+    modes it passes; the solution records what each gate rejected."""
+
+    @pytest.mark.parametrize("case", ["poiseuille", "exponential", "blasius", "binding"])
+    def test_tail_first_accepts_the_same_set(self, case, monkeypatch):
+        # oracle: both gates evaluated on every column of the eigensolve.  The
+        # residual gate rejects none of these modes at its bound; "binding"
+        # lowers it to 1e-12 so that it rejects some
+        if case == "binding":
+            monkeypatch.setattr(stability, "RESIDUAL_GATE", 1e-12)
+        if case in ("poiseuille", "binding"):
+            p, alpha, Re, grid = make_profile("poiseuille"), 1.0, 1e4, build_grid(128, CHANNEL)
+        elif case == "exponential":
+            p, alpha, Re, grid = make_profile(case), 0.1, 1e6, build_grid(192, HALF_LINE, map_scale=4.0)
+        else:
+            p, alpha, Re, grid = blasius_solve(1e-10), 0.175, 400.0, build_grid(160, HALF_LINE, map_scale=6.0)
+        sol = os_spectrum(p, alpha, Re, grid)
+        A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        cs, V, _, _ = stability._reduced_eig(A, B, bc_idx, alpha, Re, mirror)
+        res, tail = _residuals(A, B, cs, V, scale), _tail_fractions(V)
+        smooth = tail <= stability.TAIL_GATE
+        keep = smooth & (res <= stability.RESIDUAL_GATE)
+        assert len(sol.eigenvalues) == np.count_nonzero(keep)
+        assert (sol.n_residual_rejected > 0) == (case == "binding")
+        assert sol.n_tail_rejected == np.count_nonzero(~smooth)
+        assert sol.n_residual_rejected == np.count_nonzero(smooth & ~keep)
+        assert sol.n_rejected == len(cs) - len(sol.eigenvalues)
+        # the same modes: the polished leaders move by far less than 1e-6
+        got = np.array(sol.eigenvalues)
+        assert np.all(np.abs(got[:, None] - cs[keep]).min(axis=1) <= 1e-6)
+        assert np.all(np.abs(cs[keep][:, None] - got).min(axis=1) <= 1e-6)
+
+    def test_orszag_point_no_residual_rejections(self, chan):
+        sol = os_spectrum(make_profile("poiseuille"), 1.0, 1e4, chan)
+        assert sol.n_residual_rejected == 0
+        assert sol.n_tail_rejected == sol.n_rejected > 0
+
+    @pytest.mark.filterwarnings("ignore:N=512 below resolution guidance")
+    def test_records_rejected_centre_mode(self):
+        # at Re = 1e9, alpha = 0.21 and N = 512 the physical centre mode
+        # 0.99976 - 0.00024i fails the tail gate (tail 1.69e-2; at N = 768 it
+        # passes) with a small residual: the highest rejected candidate
+        sol = os_spectrum(make_profile("poiseuille"), 0.21, 1e9, build_grid(512, CHANNEL))
+        c, tail, res = sol.top_rejected
+        assert abs(c - (0.99976 - 0.00024j)) <= 1e-5
+        assert tail > stability.TAIL_GATE
+        assert res < stability.RESIDUAL_GATE
+
+    def test_top_rejected_is_highest(self, chan):
+        p = make_profile("poiseuille")
+        sol = os_spectrum(p, 1.0, 1e4, chan)
+        A, B, bc_idx, _, mirror = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        cs, V, _, _ = stability._reduced_eig(A, B, bc_idx, 1.0, 1e4, mirror)
+        rejected = cs[_tail_fractions(V) > stability.TAIL_GATE]
+        assert sol.top_rejected[0] == rejected[np.argmax(rejected.imag)]
+
+    def test_lu_factorizations_per_solve(self, chan, half_grid, monkeypatch):
+        # one factorization per polished pair, of the half-order block for
+        # Poiseuille (N = 160: 157 interior unknowns, blocks of 79 and 78)
+        import scipy.linalg
+
+        orders = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counted(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        sol = os_spectrum(make_profile("poiseuille"), 1.0, 1e4, build_grid(160, CHANNEL))
+        assert len(sol.eigenvalues) >= 3
+        assert 1 <= len(orders) <= 3 and max(orders) <= 81
+        orders.clear()
+        sol = os_spectrum(make_profile("exponential"), 0.2, 1e4, half_grid)
+        assert len(sol.eigenvalues) >= 3
+        assert 1 <= len(orders) <= 3
 
 
 @pytest.fixture(scope="module")
