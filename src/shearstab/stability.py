@@ -9,15 +9,15 @@ n - k (k boundary rows) with no infinite eigenvalues.  A channel profile
 with even U (Poiseuille) gives a pencil symmetric under y -> -y; its even
 and odd eigenfunctions then solve two problems of half that order (Orszag,
 J. Fluid Mech. 50, 1971), which together cost about a quarter of the dense
-eigensolve of the whole, and the spectrum is their union.  Spurious
+eigensolve of the whole, and the spectrum is their union; a pencil without
+the symmetry is one block, the reduced problem itself.  Spurious
 continuous-spectrum modes are filtered on the full pencil by a
 Chebyshev-tail smoothness check and, for the modes that pass it, an
 operator-scaled residual gate; the solution records how many each gate
 rejected and the highest rejected candidate.  The three leading modes are
 polished by inverse iteration with a two-sided Rayleigh quotient, one
-factorization per mode, on the block of the mode's parity (the whole
-pencil when there is no symmetry), and kept only if their full-pencil
-residual stays at roundoff.
+factorization per mode, on the reduced block of the mode's parity, lifted
+back, and kept only if their full-pencil residual stays at roundoff.
 """
 
 from __future__ import annotations
@@ -153,8 +153,11 @@ def _fold(M, parity):
     ones [u; -u reversed], with a middle entry between them when m is odd
     (zero in the odd ones); M maps each to one of its own parity.  So the
     leading rows of M, with each mirrored column added (even) or subtracted
-    (odd), act on the free entries u (and the middle one).
+    (odd), act on the free entries u (and the middle one).  Parity 0, the
+    one block of an M without the symmetry, is M itself.
     """
+    if not parity:
+        return M
     m = M.shape[0]
     q = m // 2
     h = m - q if parity > 0 else q
@@ -165,6 +168,8 @@ def _fold(M, parity):
 
 def _unfold(W, parity, m):
     """The full vectors of length m whose free entries are the rows of W (see _fold)."""
+    if not parity:
+        return W
     q = m // 2
     V = np.zeros((m, W.shape[1]), dtype=W.dtype)
     V[:W.shape[0]] = W
@@ -178,60 +183,52 @@ def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
     the constraints R phi = 0 and those rows of B zero.
 
     The boundary unknowns are eliminated, phi_b = T phi_i with
-    T = -R_bb^{-1} R_bi, which leaves the standard problem
-    (B_r^{-1} A_r) w = c w of order n - k on the constrained subspace; the
-    eigenvectors are lifted back to phi = [w; T w], with T w found by
-    solving R_bb phi_b = -R_bi w.  When ``mirror`` holds,
-    the pencil and its boundary rows are symmetric under j -> n-1-j, so
-    A_r and B_r commute with the reversal of the interior unknowns: the even
-    (parity 1) and odd (parity -1) w are then two problems of half the
-    order, solved apart, and the spectrum is their union.  Otherwise every
-    eigenpair has parity 0.
+    T = -R_bb^{-1} R_bi, which leaves the pencil (A_r, B_r) of order n - k
+    on the constrained subspace; the eigenvectors w are lifted back to
+    phi = [w; T w], with T w found by solving R_bb phi_b = -R_bi w.  When
+    ``mirror`` holds, the pencil and its boundary rows are symmetric under
+    j -> n-1-j, so A_r and B_r commute with the reversal of the interior
+    unknowns and fold into an even (parity 1) and an odd (parity -1) block
+    of half the order; otherwise they are one block of parity 0 (see
+    _fold).  Each block (F_A, F_B) is solved as the standard problem
+    (F_B^{-1} F_A) u = c u, and the spectrum is the union of the blocks'.
 
     Returns the eigenvalues, the lifted eigenvectors as columns, the parity
     of each, and ``polish(c, phi, parity)``, which refines one pair by
-    ``_refine_eigenpair``: on the folded block of its parity (A_r and B_r
-    folded, the free entries of w, lifted back), or on (A, B) for parity 0.
-    The folded blocks live as long as ``polish`` does.
+    ``_refine_eigenpair`` on the block of its parity, from the free entries
+    of phi's interior part, and lifts it back.  The blocks live as long as
+    ``polish`` does.
     """
     n = A.shape[0]
     b = np.asarray(bc_idx)
     i = np.setdiff1d(np.arange(n), b)
     R_bb, R_bi = A[np.ix_(b, b)], A[np.ix_(b, i)]
     T = -np.linalg.solve(R_bb, R_bi)
+    parities = (1, -1) if mirror else (0,)
 
-    def reduce(M):
+    def folds(M):  # a mirror pencil's reduced M lives only while it is folded
         M_r = M[np.ix_(i, i)]
         M_r += M[np.ix_(i, b)] @ T
-        return M_r
+        return [_fold(M_r, s) for s in parities]
 
     def lift(W, parity, V):
         """Write into the columns of V the full vectors whose free entries are W's."""
-        if parity:
-            W = _unfold(W, parity, len(i))
+        W = _unfold(W, parity, len(i))
         V[i] = W
         # solved, not T @ W: that would leave T's rounding, times the
         # operator-sized constraint rows, in those rows' residual
         V[b] = np.linalg.solve(R_bb, -(R_bi @ W))
 
-    def folds(M):  # the reduced M lives only while it is folded
-        M_r = reduce(M)
-        return [_fold(M_r, s) for s in (1, -1)]
-
-    folded = {0: (A, B)}
+    folded = dict(zip(parities, zip(folds(A), folds(B))))
     try:
-        if mirror:
-            folded = dict(zip((1, -1), zip(folds(A), folds(B))))
-            blocks = [(s, np.linalg.solve(F_B, F_A)) for s, (F_A, F_B) in folded.items()]
-        else:
-            blocks = [(0, np.linalg.solve(reduce(B), reduce(A)))]
-        parts = [(s, *np.linalg.eig(C)) for s, C in blocks]
+        parts = [(s, *np.linalg.eig(np.linalg.solve(F_B, F_A))) for s, (F_A, F_B) in folded.items()]
     except np.linalg.LinAlgError as exc:
+        # B_r's singular values are its blocks', to the fold's factor sqrt(2)
+        sv = np.concatenate([np.linalg.svd(F_B, compute_uv=False) for _, F_B in folded.values()])
         raise NumericalError(
             f"reduced eigensolve failed at alpha={alpha}, parameter={param}; "
-            f"cond(B_r)~{np.linalg.cond(reduce(B)):.2e}"
+            f"cond(B_r)~{sv.max() / sv.min():.2e}"
         ) from exc
-    del blocks
     cs = np.concatenate([c for _, c, _ in parts])
     parity = np.concatenate([np.full(len(c), s) for s, c, _ in parts])
     V = np.empty((n, len(cs)), dtype=complex)
@@ -243,11 +240,7 @@ def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
 
     def polish(c, phi, s):
         F_A, F_B = folded[s]
-        if s:
-            c, w = _refine_eigenpair(F_A, F_B, c, phi[i[:F_A.shape[0]]])
-        else:
-            c, phi = _refine_eigenpair(F_A, F_B, c, phi)
-            w = phi[i]
+        c, w = _refine_eigenpair(F_A, F_B, c, phi[i[:F_A.shape[0]]])
         # the boundary entries are solved again, as for every eigenvector
         phi = np.empty(n, dtype=complex)
         lift(w[:, None], s, phi[:, None])
@@ -430,10 +423,11 @@ def neutral_curve(
     """Lower/upper marginal branches alpha(Re) where max Im(c) crosses zero.
 
     Each Re in ``Re_list`` is scanned over ``alpha_window`` at ``n_scan``
-    points; when an unstable band is found, each edge is found by Brent's
-    method on the scan bracket around it, to within ``alpha_tol / 2`` of the
-    crossing.  Re values with no unstable alpha are recorded on the branches
-    as below criticality.
+    points, at least 3 (a band needs a point inside it and one each side);
+    when an unstable band is found, each edge is found by Brent's method on
+    the scan bracket around it, to within ``alpha_tol / 2`` of the crossing.
+    Re values with no unstable alpha are recorded on the branches as below
+    criticality.
     """
     from scipy.optimize import brentq
 
@@ -444,6 +438,8 @@ def neutral_curve(
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha window must be positive and increasing")
     check_positive(alpha_tol=alpha_tol)
+    if n_scan < 3:
+        raise ConfigurationError(f"n_scan must be at least 3 to bracket a band, got {n_scan}")
 
     lower = NeutralBranch([], BRANCH_LOWER)
     upper = NeutralBranch([], BRANCH_UPPER)

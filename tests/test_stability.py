@@ -229,28 +229,35 @@ class TestOrrSommerfeld:
             assert abs(c - sol.eigenvalues[k]) <= 1e-10
 
     def test_block_polish_matches_full_pencil(self):
-        # each leader polished on its half-order block and lifted back is the
-        # pair that the full-pencil polish finds, with a residual at roundoff
-        # and the symmetry of its parity
-        p = make_profile("poiseuille")
-        grid = build_grid(320, CHANNEL)
-        A, B, bc_idx, scale, mirror = _pencil(p, 0.25, grid, 1.0 / (1j * 0.25 * 1e7), "clamped")
-        cs, V, parity, polish = stability._reduced_eig(A, B, bc_idx, 0.25, 1e7, mirror)
-        smooth = np.flatnonzero(_tail_fractions(V) <= stability.TAIL_GATE)
-        for j in smooth[np.argsort(-cs[smooth].imag)][:3]:
-            c, phi = polish(cs[j], V[:, j], parity[j])
-            c_full, _ = _refine_eigenpair(A, B, cs[j], V[:, j])
-            assert abs(c - c_full) <= 1e-11
-            assert _residuals(A, B, c, phi[:, None], scale)[0] <= 1e-11
-            assert np.max(np.abs(phi - parity[j] * phi[::-1])) <= 1e-12 * np.max(np.abs(phi))
+        # each leader polished on the reduced block of its parity and lifted
+        # back is the pair that the full-pencil polish finds, with a residual
+        # at roundoff and, on an even or odd block, the symmetry of its parity
+        cases = [
+            (make_profile("poiseuille"), 0.25, 1e7, build_grid(320, CHANNEL), 1e-11),
+            (make_profile("exponential"), 0.1, 1e6, build_grid(192, HALF_LINE, map_scale=4.0), 1e-10),
+            (blasius_solve(1e-10), 0.175, 400.0, build_grid(160, HALF_LINE, map_scale=6.0), 1e-10),
+        ]
+        for p, alpha, Re, grid, tol in cases:
+            A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+            cs, V, parity, polish = stability._reduced_eig(A, B, bc_idx, alpha, Re, mirror)
+            smooth = np.flatnonzero(_tail_fractions(V) <= stability.TAIL_GATE)
+            for j in smooth[np.argsort(-cs[smooth].imag)][:3]:
+                c, phi = polish(cs[j], V[:, j], parity[j])
+                c_full, _ = _refine_eigenpair(A, B, cs[j], V[:, j])
+                assert abs(c - c_full) <= tol
+                assert _residuals(A, B, c, phi[:, None], scale)[0] <= 1e-11
+                if parity[j]:
+                    assert np.max(np.abs(phi - parity[j] * phi[::-1])) <= 1e-12 * np.max(np.abs(phi))
 
-    def test_eigensolver_failure_names_condition(self, chan, monkeypatch):
+    def test_eigensolver_failure_names_condition(self, chan, half_grid, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(stability.np.linalg, "eig", fail)
         with pytest.raises(NumericalError, match=r"cond\(B_r\)"):
             os_spectrum(make_profile("poiseuille"), 1.0, 1e4, chan)
+        with pytest.raises(NumericalError, match=r"cond\(B_r\)"):
+            os_spectrum(make_profile("exponential"), 0.2, 1e4, half_grid)
 
     def test_gates_match_per_mode_loop(self, chan):
         # the batched residuals and Chebyshev tails against one mode at a time;
@@ -312,7 +319,7 @@ class TestOrrSommerfeld:
 
 class TestReflectionSplit:
     """Poiseuille pencils are symmetric under y -> -y and are solved as an
-    even and an odd block; half-line pencils are solved whole."""
+    even and an odd block; half-line pencils are one block."""
 
     def test_matches_qz_of_full_pencil(self, chan):
         # oracle: QZ of the full n x n pencil, infinite eigenvalues included,
@@ -448,9 +455,11 @@ class TestGates:
         assert len(sol.eigenvalues) >= 3
         assert 1 <= len(orders) <= 3 and max(orders) <= 81
         orders.clear()
+        # and of the reduced pencil, one block, on the half line (N = 128: 125
+        # interior unknowns)
         sol = os_spectrum(make_profile("exponential"), 0.2, 1e4, half_grid)
         assert len(sol.eigenvalues) >= 3
-        assert 1 <= len(orders) <= 3
+        assert orders == [125, 125, 125]
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +512,16 @@ class TestNeutralCurve:
     def test_unsorted_Re_rejected(self):
         with pytest.raises(ConfigurationError):
             neutral_curve(make_profile("poiseuille"), [8000, 6000], (0.6, 1.4), N=32)
+
+    def test_short_scan_rejected(self):
+        # fewer than three scan points cannot bracket a band: they used to
+        # record Re = 8000 as subcritical, where three points find its edges
+        p = make_profile("poiseuille")
+        for n_scan in (0, 1, 2):
+            with pytest.raises(ConfigurationError, match="n_scan"):
+                neutral_curve(p, [8000], (0.8, 1.2), N=64, n_scan=n_scan)
+        lower, _ = neutral_curve(p, [8000], (0.8, 1.2), N=64, n_scan=3)
+        assert lower.points[0][1] == pytest.approx(0.855, abs=1e-3)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan])
     def test_alpha_tol_checked(self, tol):
