@@ -10,9 +10,11 @@ the chosen instability mode does not read is an error, as is ``--map-scale``
 on a channel profile, whose grid has no map.  Sweep parameters accept the
 range syntax ``a:b:n`` (inclusive endpoints, n points; prefix ``log:`` for
 geometric spacing) or a plain value; a flag that reads one value, or a
-window of two, rejects any other count.  Output is a header-first CSV or a
-single JSON document, with non-finite numbers as ``null``, written to
-``--out`` or stdout; ``_emit`` alone formats it.
+window of two, rejects any other count.  Each runner returns one record,
+a CSV header, its rows and a JSON document, and writes nothing; ``_emit``
+alone writes it, as a header-first CSV or as the document with the
+``subcommand`` added (the instability dispatcher adds the ``mode``), with
+non-finite numbers as ``null``, to ``--out`` or stdout.
 
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
@@ -168,14 +170,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _points(keys, rows: list[list]) -> list[dict]:
-    """JSON points that carry the values of the CSV rows under ``keys``."""
-    return [dict(zip(keys, row)) for row in rows]
+def _table(header: list[str], rows: list[list], **meta):
+    """The record whose document carries ``meta`` and the rows as points,
+    each row's values under the header's names."""
+    return header, rows, {**meta, "points": [dict(zip(header, row)) for row in rows]}
 
 
-def _emit(args, header: list[str], rows: list[list], jdoc: dict) -> None:
+def _quantities(values: dict, **meta):
+    """The record of a quantity -> value mapping, with ``meta`` in its
+    document; a vector is a {row name: entry} mapping, one row each and a
+    list in the document."""
+    rows = [[k, v] for name, value in values.items()
+            for k, v in (value.items() if isinstance(value, dict) else [(name, value)])]
+    doc = {k: list(v.values()) if isinstance(v, dict) else v for k, v in values.items()}
+    return ["quantity", "value"], rows, {**meta, **doc}
+
+
+def _emit(args, header: list[str], rows: list[list], doc: dict) -> None:
+    """Write a runner's record as CSV, or as JSON with its subcommand added."""
     if args.format == "json":
-        text = json.dumps(_finite(jdoc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        doc = {"subcommand": args.subcommand, **doc}
+        text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
         lines += [",".join(map(_cell, row)) for row in rows]
@@ -221,13 +236,12 @@ def _run_spectrum(args):
             re_out = np.nan if re is None else re
             for c, r in zip(sol.eigenvalues, sol.residuals):
                 rows.append([a, re_out, c.real, c.imag, r])
-            points.append({"alpha": float(a), "Re": None if re is None else float(re),
+            points.append({"alpha": float(a), "Re": float(re_out),
                            "eigenvalues": [[c.real, c.imag] for c in sol.eigenvalues],
                            "residuals": [float(r) for r in sol.residuals],
                            "n_rejected": sol.n_rejected})
     header = ["alpha", "Re", "c_real", "c_imag", "residual"]
-    jdoc = {"subcommand": "spectrum", "profile": profile.kind, "points": points}
-    _emit(args, header, rows, jdoc)
+    return header, rows, {"profile": profile.kind, "points": points}
 
 
 def _run_neutral_curve(args):
@@ -244,10 +258,7 @@ def _run_neutral_curve(args):
     for re in map(float, args.re):
         status = "unstable" if re in low else "stable"
         rows.append([re, low.get(re, np.nan), up.get(re, np.nan), status])
-    header = ["Re", "alpha_low", "alpha_up", "status"]
-    jdoc = {"subcommand": "neutral-curve", "profile": profile.kind,
-            "points": _points(header, rows)}
-    _emit(args, header, rows, jdoc)
+    return _table(["Re", "alpha_low", "alpha_up", "status"], rows, profile=profile.kind)
 
 
 def _run_resolvent(args):
@@ -257,15 +268,13 @@ def _run_resolvent(args):
     grid = build_grid(args.n, profile.domain, map_scale=map_scale)
     phi = rayleigh_resolvent(profile, alpha, c, lambda z: np.exp(-z), grid)
     rows = [[z, v.real, v.imag] for z, v in zip(grid.nodes, phi)]
-    jdoc = {
-        "subcommand": "resolvent",
+    return ["z", "phi_real", "phi_imag"], rows, {
         "profile": profile.kind,
         "alpha": alpha,
         "c": [c.real, c.imag],
         "z": [float(z) for z in grid.nodes],
         "phi": [[v.real, v.imag] for v in phi],
     }
-    _emit(args, ["z", "phi_real", "phi_imag"], rows, jdoc)
 
 
 def _run_heat_kernel(args):
@@ -274,9 +283,7 @@ def _run_heat_kernel(args):
         for dx in args.dx:
             val = heat_green(float(t), float(dx), 0.0, args.nu)
             rows.append([float(t), args.nu, float(dx), float(val)])
-    header = ["t", "nu", "dx", "value"]
-    jdoc = {"subcommand": "heat-kernel", "points": _points(header, rows)}
-    _emit(args, header, rows, jdoc)
+    return _table(["t", "nu", "dx", "value"], rows)
 
 
 def _run_semigroup(args):
@@ -295,10 +302,7 @@ def _run_semigroup(args):
         oracle = expm(A * float(t)) @ x0
         err = float(np.max(np.abs(val - oracle)))
         rows.append([float(t), err, err <= tol])
-    header = ["t", "error", "pass"]
-    jdoc = {"subcommand": "semigroup", "seed": args.seed, "dim": dim,
-            "tol": tol, "points": _points(header, rows)}
-    _emit(args, header, rows, jdoc)
+    return _table(["t", "error", "pass"], rows, seed=args.seed, dim=dim, tol=tol)
 
 
 def _run_genfunc_check(args):
@@ -349,9 +353,9 @@ def _run_genfunc_check(args):
     spread = max(ratios) / min(ratios)
     record("laplace_bundle_spread", spread, spread < 20.0)
 
-    jdoc = {"subcommand": "genfunc-check", "seed": args.seed, "nu": nu,
-            "order": order, "checks": _points(("name", "value", "pass"), rows)}
-    _emit(args, ["check", "value", "pass"], rows, jdoc)
+    return ["check", "value", "pass"], rows, {
+        "seed": args.seed, "nu": nu, "order": order,
+        "checks": [dict(zip(("name", "value", "pass"), row)) for row in rows]}
 
 
 # ----------------------------------------------------------------------------
@@ -370,35 +374,19 @@ def _run_bootstrap(args):
         np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0,
         eps, order, t_grid,
     )
-    rows = [
-        ["sigma", r.sigma],
-        ["sigma0", r.sigma0],
-        ["T1", r.T1],
-        ["escape_time", r.escape_time],
-        ["residual_slope", r.residual_slope],
-    ] + [[f"C_{j + 1}", c] for j, c in enumerate(r.C)]
-    jdoc = {
-        "subcommand": "instability", "mode": "bootstrap", "epsilon": eps,
-        "order": order, "sigma": r.sigma, "sigma0": r.sigma0, "T1": r.T1,
-        "escape_time": r.escape_time, "residual_slope": r.residual_slope,
-        "C": list(r.C),
-    }
-    _emit(args, ["quantity", "value"], rows, jdoc)
+    values = {k: getattr(r, k) for k in ("sigma", "sigma0", "T1", "escape_time", "residual_slope")}
+    values["C"] = {f"C_{j}": c for j, c in enumerate(r.C, 1)}
+    return _quantities(values, epsilon=eps, order=order)
 
 
 def _run_riccati(args):
     eps, phi0 = args.epsilon, args.phi0
     (alpha,) = _exactly(args, "alpha", 1)
-    rows = []
-    for t in args.t:
-        r = riccati_exact(eps, alpha, phi0, float(t))
-        rows.append([float(t), r.value, r.blown_up])
-    header = ["t", "value", "blown_up"]
-    jdoc = {"subcommand": "instability", "mode": "riccati",
-            "epsilon": eps, "alpha": alpha, "phi0": phi0,
-            "t_star": riccati_exact(eps, alpha, phi0, 0.0).t_star,
-            "points": _points(header, rows)}
-    _emit(args, header, rows, jdoc)
+    values = [riccati_exact(eps, alpha, phi0, float(t)) for t in args.t]
+    rows = [[float(t), r.value, r.blown_up] for t, r in zip(args.t, values)]
+    # the blow-up time does not depend on t
+    return _table(["t", "value", "blown_up"], rows, epsilon=eps, alpha=alpha, phi0=phi0,
+                  t_star=values[0].t_star)
 
 
 def _run_hopf(args):
@@ -406,14 +394,11 @@ def _run_hopf(args):
     (alpha,) = _exactly(args, "alpha", 1)
     series = hopf_series({1: 0.5, -1: 0.5}, alpha, order)
     report = hopf_majorant(series, eta0=args.eta0, t_max=0.05)
-    rows = [
-        [n, series.sup_norm(n), series.recurrence_residual(n) if n >= 2 else 0.0]
-        for n in range(1, order + 1)
-    ]
-    jdoc = {
-        "subcommand": "instability", "mode": "hopf", "alpha": alpha,
-        "order": order,
-        "sup_norms": [series.sup_norm(n) for n in range(1, order + 1)],
+    sup_norms = [series.sup_norm(n) for n in range(1, order + 1)]
+    rows = [[n, s, series.recurrence_residual(n) if n >= 2 else 0.0]
+            for n, s in enumerate(sup_norms, 1)]
+    return ["n", "sup_norm", "recurrence_residual"], rows, {
+        "alpha": alpha, "order": order, "sup_norms": sup_norms,
         "majorant": {
             k: report[k]
             for k in ("M0", "eta0", "T_ramp", "max_residual", "residual_ok",
@@ -421,32 +406,18 @@ def _run_hopf(args):
                       "K_bound_ok")
         },
     }
-    _emit(args, ["n", "sup_norm", "recurrence_residual"], rows, jdoc)
 
 
 def _run_euler(args):
-    order = args.order
-    rep = euler_series(make_profile("kolmogorov"), N=order, modes=args.n)
-    rows = [
-        ["alpha_real", rep["alpha_eig"].real],
-        ["alpha_imag", rep["alpha_eig"].imag],
-        ["alpha_gap", rep["alpha_gap"]],
-        ["eigen_residual", rep["eigen_residual"]],
-        ["partial_sum_change", rep["partial_sum_change"]],
-    ]
-    rows += [[f"sup_norm_{n + 1}", s] for n, s in enumerate(rep["sup_norms"])]
-    rows += [[f"h1_ratio_{n + 2}", r] for n, r in enumerate(rep["h1_ratios"])]
-    jdoc = {
-        "subcommand": "instability", "mode": "euler", "order": order,
-        "modes": args.n,
-        "alpha_eig": [rep["alpha_eig"].real, rep["alpha_eig"].imag],
-        "alpha_gap": rep["alpha_gap"],
-        "eigen_residual": rep["eigen_residual"],
-        "sup_norms": rep["sup_norms"],
-        "h1_ratios": rep["h1_ratios"],
-        "partial_sum_change": rep["partial_sum_change"],
-    }
-    _emit(args, ["quantity", "value"], rows, jdoc)
+    rep = euler_series(make_profile("kolmogorov"), N=args.order, modes=args.n)
+    c = rep["alpha_eig"]
+    return _quantities({
+        "alpha_eig": {"alpha_real": c.real, "alpha_imag": c.imag},
+        **{k: rep[k] for k in ("alpha_gap", "eigen_residual", "partial_sum_change")},
+        "sup_norms": {f"sup_norm_{n}": s for n, s in enumerate(rep["sup_norms"], 1)},
+        # the first H1 ratio is of order 2
+        "h1_ratios": {f"h1_ratio_{n}": r for n, r in enumerate(rep["h1_ratios"], 2)},
+    }, order=args.order, modes=args.n)
 
 
 # instability mode -> (runner, {flag: default}); a mode reads its flags only.
@@ -461,7 +432,7 @@ MODES = {
 
 def _run_instability(args):
     """Run the mode's runner on its own flags, each unset one at its MODES
-    default; any other flag set is an error."""
+    default, and add the mode to its document; any other flag set is an error."""
     if args.mode not in MODES:
         raise InputError(
             f"unknown instability mode {args.mode!r}; expected one of {tuple(MODES)}"
@@ -474,7 +445,8 @@ def _run_instability(args):
         if getattr(args, flag) is None:
             # a string default goes through the flag's type, as argparse's do
             setattr(args, flag, _FLAGS[flag][0](default) if isinstance(default, str) else default)
-    runner(args)
+    header, rows, doc = runner(args)
+    return header, rows, {"mode": args.mode, **doc}
 
 
 # subcommand -> (runner, {flag: default}); flags appear in this order in --help
@@ -540,7 +512,7 @@ def main(argv=None) -> int:
                 raise InputError(
                     f"{args.config}: format must be one of {FORMATS}, got {args.format!r}"
                 )
-        args.run(args)
+        _emit(args, *args.run(args))
         return 0
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -14,10 +14,13 @@ the symmetry is one block, the reduced problem itself.  Spurious
 continuous-spectrum modes are filtered on the full pencil by a
 Chebyshev-tail smoothness check and, for the modes that pass it, an
 operator-scaled residual gate; the solution records how many each gate
-rejected and the highest rejected candidate.  The three leading modes are
-polished by inverse iteration with a two-sided Rayleigh quotient, one
-factorization per mode, on the reduced block of the mode's parity, lifted
-back, and kept only if their full-pencil residual stays at roundoff.
+rejected and the highest rejected candidate.  Accepted modes rank by Im c,
+descending, with an Im c within the rounding floor 1e-12 max(1, |c|)
+ranked as 0 and ties broken by Re c, descending, so neutral modes keep one
+order whatever their last bits.  The three leading modes are polished by
+inverse iteration with a two-sided Rayleigh quotient, one factorization per
+mode, on the reduced block of the mode's parity, lifted back, and kept only
+if their full-pencil residual stays at roundoff.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ RESIDUAL_GATE = 1e-6
 TAIL_GATE = 1e-3
 POLISH_FLOOR = 1e-12
 POLISH_STEPS = 2     # Rayleigh-quotient inverse-iteration steps per polished pair
+RANK_FLOOR = 1e-12   # an Im c within RANK_FLOOR max(1, |c|) ranks as 0
 
 BRANCH_LOWER = "lower"
 BRANCH_UPPER = "upper"
@@ -52,7 +56,7 @@ BRANCH_UPPER = "upper"
 class EigenSolution:
     """Accepted discrete eigenpairs of a stability pencil at one (alpha, Re)."""
 
-    eigenvalues: tuple          # phase speeds c, sorted by Im(c) descending
+    eigenvalues: tuple          # phase speeds c, in the order of _ranking
     modes: np.ndarray           # columns phi, unit max-norm, aligned with eigenvalues
     residuals: tuple            # operator-scaled pencil residuals per pair
     n_tail_rejected: int = 0    # raw eigenvalues dropped by the Chebyshev-tail gate
@@ -108,12 +112,16 @@ def _refine_eigenpair(A, B, c, phi):
     for _ in range(POLISH_STEPS):
         try:
             x = scipy.linalg.lu_solve(lu, B @ phi)
-            v = x / np.linalg.norm(x)
+            norm = np.linalg.norm(x)
+            # checked before the division, which would warn on a non-finite x
+            if not 0.0 < norm < np.inf:
+                break
+            v = x / norm
             # the adjoint solve K^H w = B^H v reuses the factorization of K
             w = scipy.linalg.lu_solve(lu, (v.conj() @ B).conj(), trans=2)
         except (scipy.linalg.LinAlgError, ValueError, FloatingPointError):
             break
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(w)):
             break
         den = w.conj() @ (B @ v)
         if abs(den) == 0.0:
@@ -249,6 +257,15 @@ def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
     return cs, V, parity, polish
 
 
+def _ranking(cs):
+    """The indices that order phase speeds by Im c descending, then Re c
+    descending; an Im c within the rounding floor RANK_FLOOR max(1, |c|)
+    ranks as 0, so neutral modes keep one order whatever their last bits."""
+    cs = np.asarray(cs, dtype=complex)
+    im = np.where(np.abs(cs.imag) <= RANK_FLOOR * np.maximum(1.0, np.abs(cs)), 0.0, cs.imag)
+    return np.lexsort((-cs.real, -im))
+
+
 def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
     cs, V, parity, polish = _reduced_eig(A, B, bc_idx, alpha, param, mirror)
     # a mode must pass both gates; the cheap tail gate goes first, and the
@@ -258,7 +275,7 @@ def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
     res = _residuals(A, B, cs[smooth], V[:, smooth], scale)
     passed = res <= RESIDUAL_GATE
     order, res = smooth[passed], res[passed]
-    rank = np.argsort(-cs[order].imag, kind="stable")
+    rank = _ranking(cs[order])
     order, res = order[rank], res[rank]
     rejected = np.setdiff1d(np.arange(len(cs)), order)
     top_rejected = None
@@ -282,7 +299,7 @@ def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
         if r2 <= min(r + POLISH_FLOOR, RESIDUAL_GATE):
             accepted[k] = (c2, phi2, r2, s)
     del polish  # and with it the folded blocks
-    accepted.sort(key=lambda t: -t[0].imag)
+    accepted = [accepted[k] for k in _ranking([c for c, *_ in accepted])]
     return EigenSolution(
         eigenvalues=tuple(complex(c) for c, *_ in accepted),
         modes=(np.stack([p / p[np.argmax(np.abs(p))] for _, p, *_ in accepted], axis=1)
@@ -407,8 +424,8 @@ def os_spectrum(
 def max_growth_rate(profile, alpha, Re, grid) -> float:
     """max Im(c) of the viscous spectrum; -1 when no mode passes the filters."""
     sol = os_spectrum(profile, alpha, Re, grid)
-    # the accepted eigenvalues are sorted by Im(c), so the leader has the largest
-    return sol.eigenvalues[0].imag if sol.eigenvalues else -1.0
+    # not the leader's: the ranking counts an Im c at rounding level as 0
+    return max((c.imag for c in sol.eigenvalues), default=-1.0)
 
 
 def neutral_curve(

@@ -37,6 +37,37 @@ class TestStrictJson:
         assert strict_json(out)[key] is None
 
 
+# small-size flags of each subcommand and instability mode
+_SMALL = {
+    "spectrum": ["--profile", "poiseuille", "--n", "32"],
+    "neutral-curve": ["--profile", "poiseuille", "--re", "1000", "--n", "32", "--tol", "1e-2"],
+    "resolvent": ["--profile", "exponential", "--n", "32"],
+    "heat-kernel": [],
+    "semigroup": [],
+    "genfunc-check": ["--order", "2"],
+    "bootstrap": ["--order", "3"],
+    "riccati": [],
+    "hopf": ["--order", "4"],
+    "euler": ["--order", "2", "--n", "16"],
+}
+
+
+def _envelope_cases():
+    cases = [([sub], sub, None) for sub in COMMANDS if sub != "instability"]
+    cases += [(["instability", "--mode", mode], "instability", mode) for mode in MODES]
+    return [pytest.param(args, sub, mode, id=" ".join(args)) for args, sub, mode in cases]
+
+
+@pytest.mark.parametrize("args, subcommand, mode", _envelope_cases())
+def test_json_envelope(capsys, args, subcommand, mode):
+    # every document names its subcommand, and an instability document its mode
+    code, out, _ = run_cli(capsys, args + _SMALL[mode or subcommand] + ["--format", "json"])
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["subcommand"] == subcommand
+    assert doc.get("mode") == mode
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("text, key", [
         ("T = 2\n", "'T'"),

@@ -63,6 +63,17 @@ class TestRayleighSpectrum:
             sol = rayleigh_spectrum(p, 20.0, g)
             assert all(c.imag <= 1e-6 for c in sol.eigenvalues)
 
+    @pytest.mark.parametrize("N", [128, 160])
+    def test_neutral_modes_rank_by_phase_speed(self, N):
+        # Poiseuille has no inflection point and its Rayleigh modes are
+        # neutral: every accepted Im c is rounding (below 1e-13 at both N), so
+        # they rank as Im c = 0 and the order follows Re c, descending
+        sol = rayleigh_spectrum(make_profile("poiseuille"), 1.0, build_grid(N, CHANNEL))
+        cs = np.array(sol.eigenvalues)
+        assert len(cs) >= 5
+        assert np.all(np.abs(cs.imag) <= 1e-12)
+        assert np.all(np.diff(cs.real) < 0)
+
     def test_residual_gate(self, half_grid):
         sol = rayleigh_spectrum(make_profile("tanh", z0=1.0), 0.5, half_grid)
         assert all(r <= 1e-6 for r in sol.residuals)
@@ -460,6 +471,41 @@ class TestGates:
         sol = os_spectrum(make_profile("exponential"), 0.2, 1e4, half_grid)
         assert len(sol.eigenvalues) >= 3
         assert orders == [125, 125, 125]
+
+
+class TestPolishFallback:
+    """A polish whose factorization or solve fails keeps the eigensolver's
+    pair, which is already at roundoff, and warns nothing on the way."""
+
+    @staticmethod
+    def _case(name):
+        if name == "poiseuille":
+            return make_profile(name), 1.0, 1e4, build_grid(160, CHANNEL)
+        return make_profile(name), 0.1, 1e6, build_grid(192, HALF_LINE, map_scale=4.0)
+
+    @pytest.mark.parametrize("failure", ["lu_factor", "lu_solve"])
+    @pytest.mark.parametrize("name", ["poiseuille", "exponential"])
+    def test_unpolished_leaders(self, name, failure, monkeypatch):
+        import scipy.linalg
+
+        p, alpha, Re, grid = self._case(name)
+        polished = os_spectrum(p, alpha, Re, grid)
+
+        def raises(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("forced failure")
+
+        def nan_solution(lu, b, *args, **kwargs):
+            return np.full(np.shape(b), np.nan, dtype=complex)
+
+        monkeypatch.setattr(scipy.linalg, failure,
+                            raises if failure == "lu_factor" else nan_solution)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = os_spectrum(p, alpha, Re, grid)
+        assert len(sol.eigenvalues) == len(polished.eigenvalues) >= 3
+        lead, ref = np.array(sol.eigenvalues[:3]), np.array(polished.eigenvalues[:3])
+        assert np.all(np.abs(lead - ref) <= 1e-9)
+        assert max(sol.residuals) <= stability.RESIDUAL_GATE
 
 
 @pytest.fixture(scope="module")
