@@ -469,11 +469,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one InputError line, not a usage block."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
     """The ``shearstab`` parser and its subparsers by name, built from COMMANDS."""
-    parser = argparse.ArgumentParser(
-        prog="shearstab", description="shear-flow stability toolkit"
-    )
+    parser = _Parser(prog="shearstab", description="shear-flow stability toolkit")
     sub = parser.add_subparsers(dest="subcommand")
     for name, (runner, defaults) in COMMANDS.items():
         p = sub.add_parser(name)

@@ -504,6 +504,14 @@ def product_bound(a: GenSeries, b: GenSeries) -> GenSeries:
 # ---------------------------------------------------------------------------
 
 
+def _wavenumber(alpha) -> int:
+    """|alpha| as an integer; ConfigurationError unless it is nonzero."""
+    a = abs(int(alpha))
+    if a == 0:
+        raise ConfigurationError("alpha must be a nonzero integer")
+    return a
+
+
 def _greens_solve(alpha: int, f, y: np.ndarray):
     """phi solving d_y^2 phi - alpha^2 phi = f, phi(0) = 0, on the grid y.
 
@@ -511,9 +519,7 @@ def _greens_solve(alpha: int, f, y: np.ndarray):
     evaluated through exponentially weighted running integrals (6-point
     Gauss per cell), which is stable for large alpha.  Returns (phi, dphi).
     """
-    a = abs(int(alpha))
-    if a == 0:
-        raise ConfigurationError("alpha must be a nonzero integer")
+    a = _wavenumber(alpha)
     gx, gw = legendre_rule(6)
     left, right = y[:-1], y[1:]
     h = right - left
@@ -548,9 +554,9 @@ def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True,
     Returns the solution sampled on a layer-resolving grid together with the
     norm bundle alpha^2 ||phi||, |alpha| ||d_y phi||, and ||d_y^2 phi|| in
     the plain and (when requested) boundary-layer flavors.  Boundary-layer
-    estimates require |delta alpha^2| <= 1.
+    estimates require |delta alpha^2| <= 1; alpha must be a nonzero integer.
     """
-    a = abs(int(alpha))
+    a = _wavenumber(alpha)
     if with_bl and abs(params.delta * a**2) > 1.0:
         raise ConfigurationError(
             f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "
@@ -771,15 +777,18 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
     On the pencil |Im z| <= min(sigma Re z, sigma r): the derivative check
     uses the weighted bound ||phi(z) f'||_{sigma'} <= C/(sigma-sigma') ||f||_sigma.
     Both share one path; only the samples, the derivative weight and the
-    name of the inner width differ.
+    name of the inner width differ.  rho, or sigma and r, must be positive
+    and finite (else ConfigurationError).
     """
     if (rho is None) == (pencil is None):
         raise ConfigurationError("provide exactly one of rho / pencil")
     if rho is not None:
+        check_positive(rho=rho)
         width, inner_key = rho, "rho_inner"
         samples, weight = _strip_samples, (lambda w: 1.0)
     else:
         (width, r), inner_key = pencil, "sigma_inner"
+        check_positive(sigma=width, r=r)
         samples, weight = (lambda s: _pencil_samples(s, r)), (lambda w: w / (1.0 + w))
     h = 1e-6
 

@@ -277,13 +277,18 @@ class RiccatiValue:
 def _riccati_formula(epsilon, alpha, phi0, t):
     """Closed-form solution; accepts complex t (for derivative checks).
 
-    For growing arguments the expression is rearranged with e^{-eps t} so
-    that saturation at large t does not overflow."""
+    Written as phi0 e^{eps t} / (1 - alpha phi0 t g(eps t)) with
+    g(x) = expm1(x) / x, so that it tends to phi0 / (1 - alpha phi0 t) as
+    eps -> 0 instead of cancelling; for growing arguments it is rearranged
+    with e^{-eps t} so that saturation at large t does not overflow."""
+    def g(x):
+        return np.expm1(x) / x if x != 0 else 1.0
+
     if epsilon * np.real(t) > 0:
-        em = np.exp(-epsilon * t)
-        return epsilon * phi0 / ((epsilon + alpha * phi0) * em - alpha * phi0)
-    e = np.exp(epsilon * t)
-    return epsilon * phi0 * e / (epsilon - alpha * phi0 * (e - 1.0))
+        x = -epsilon * t
+        return phi0 / (np.exp(x) - alpha * phi0 * (t * g(x)))
+    x = epsilon * t
+    return phi0 * np.exp(x) / (1.0 - alpha * phi0 * (t * g(x)))
 
 
 def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> RiccatiValue:
@@ -516,11 +521,13 @@ def hopf_majorant(
 
     # ramp and guaranteed window
     T_ramp = alpha * eta0 / (6.0 * M0)
+    dphi = -3.0 * M0 / (alpha * eta0)
+    if not np.isfinite(dphi):
+        raise WindowError(f"the ramp slope 3 M0 / (alpha eta0) is not finite at eta0={eta0!r}")
 
     def phi(t):
-        return 1.0 - 3.0 * M0 * t / (alpha * eta0)
+        return 1.0 + dphi * t
 
-    dphi = -3.0 * M0 / (alpha * eta0)
     T_c = min(t_max, T_ramp)
     phi_min = phi(T_c)
     phi_ok = bool(phi_min >= 0.5 - 1e-12)

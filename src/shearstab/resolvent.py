@@ -117,10 +117,12 @@ def _three_segment_nodes(P, B, ray_len, n):
 
 
 def _square_matrix(A) -> np.ndarray:
-    """A as a complex 2-D array; ConfigurationError unless it is non-empty and square."""
+    """A as a complex 2-D array; ConfigurationError unless it is non-empty, square and finite."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ConfigurationError(f"A must be a non-empty square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigurationError("A must be finite, got a non-finite entry")
     return A
 
 
@@ -242,8 +244,10 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     right-hand side for all of them.  sol.y[:, -1].reshape(2, K) holds
     (psi, psi') at x_match; with ``dense`` each solution can also be read
     between its starting endpoint and x_match.  EssentialSpectrumError,
-    naming the first offending lam, where Re mu vanishes, mu = sqrt(lam / nu).
+    naming the first offending lam, where Re mu vanishes, mu = sqrt(lam / nu);
+    ConfigurationError unless nu is positive and finite.
     """
+    check_positive(nu=nu)
     mu = np.sqrt(lam / nu + 0j)
     bad = np.flatnonzero(mu.real < 1e-8)
     if bad.size:
@@ -299,6 +303,8 @@ def parabolic_green(
     integrated from its end of the line to the source point y only, since
     psi+ is read at points >= y and psi- at points <= y.
     """
+    if not np.all(np.isfinite([tau, x, y])):
+        raise ConfigurationError(f"tau, x and y must be finite, got {tau!r}, {x!r}, {y!r}")
     if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
         raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
     sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
@@ -324,6 +330,8 @@ def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
     the essential spectrum.  It is the Wronskian of psi+ and psi-, so any
     matching point gives the same value.
     """
+    if not np.isfinite(lam):
+        raise ConfigurationError(f"lam must be finite, got {lam!r}")
     return complex(_det2(_matching_matrices(A, lam, nu, X_FAR))[0])
 
 
@@ -371,13 +379,17 @@ def evans_locate(
     seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
     rectangle then raises RegionError, as does a negative winding number.  A rectangle with re_lo >= re_hi or
-    im_lo >= im_hi raises ConfigurationError; a boundary point in the
+    im_lo >= im_hi, a nu or x_far that is not positive and finite, or an
+    n_per_side below 1 raises ConfigurationError; a boundary point in the
     essential spectrum raises EssentialSpectrumError and one on a zero
     RegionError, each naming the point.
     """
     re_lo, re_hi, im_lo, im_hi = region
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
+    check_positive(nu=nu, x_far=x_far)
+    if not n_per_side >= 1:
+        raise ConfigurationError(f"n_per_side must be at least 1, got {n_per_side!r}")
     while True:
         pts = _rect_boundary(region, n_per_side)
         M = _matching_matrices(A, pts, nu, x_far)

@@ -1,9 +1,11 @@
-"""Chebyshev-Gauss-Lobatto collocation: grids, domain maps, operators, BC rows;
-the cached Gauss-Legendre rule; the one refine-until-settled loop.
+"""Chebyshev-Gauss-Lobatto collocation grids with their domain maps and
+operators; the cached Gauss-Legendre rule; the one refine-until-settled loop.
 
 The channel [-1, 1] uses the identity map; the half line uses the algebraic
 map y = L (1 + xi) / (1 - xi), whose chain-rule factors vanish at xi = 1 so
-the node at infinity carries zero derivative rows.  Every contour quadrature
+the node at infinity carries zero derivative rows.  A map scale whose
+operators overflow is rejected with the grid.  The boundary rows of the
+stability pencils belong to ``stability``.  Every contour quadrature
 of ``resolvent`` and every sampled norm of ``genfunc`` refines in
 ``refine``, given one pass and the criterion that two passes have settled.
 """
@@ -17,9 +19,6 @@ import numpy as np
 
 from .errors import ConfigurationError, QuadratureError, check_positive
 from .profiles import CHANNEL, HALF_LINE
-
-BC_DIRICHLET = "dirichlet"
-BC_CLAMPED = "clamped"
 
 
 def cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,54 +70,21 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
         nodes = xi
     else:
         L = map_scale
-        with np.errstate(divide="ignore"):
+        # a scale near the float limits overflows here; checked below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             nodes = L * (1.0 + xi) / (1.0 - xi)
-        nodes[0] = np.inf
-        # y = L(1+xi)/(1-xi)  =>  dxi/dy = (1-xi)^2 / (2L)
-        s = (1.0 - xi) ** 2 / (2.0 * L)
-        ds = -(1.0 - xi) / L            # d s / d xi
-        D1 = s[:, None] * Dc
-        D2 = (s**2)[:, None] * (Dc @ Dc) + (s * ds)[:, None] * Dc
-    D4 = D2 @ D2
-    return SpectralDiscretization(N, domain, nodes, D1, D2, D4, Dc)
-
-
-def bc_rows(grid: SpectralDiscretization, bc: str) -> list[tuple[int, np.ndarray]]:
-    """Constraint rows (row index, row vector) for a boundary-condition spec.
-
-    ``dirichlet``: value = 0 at both ends (the mapped endpoint on the half line).
-    ``clamped``:   value and derivative = 0 at the wall; on the half line also
-                   value at infinity plus a decay constraint (d/dxi = 0 there).
-    """
-    n = grid.N
-    rows: list[tuple[int, np.ndarray]] = []
-
-    def unit(i):
-        e = np.zeros(grid.n_nodes)
-        e[i] = 1.0
-        return e
-
-    if bc == BC_DIRICHLET:
-        rows.append((0, unit(0)))
-        rows.append((n, unit(n)))
-    elif bc == BC_CLAMPED:
-        if grid.domain == CHANNEL:
-            rows.append((0, unit(0)))
-            rows.append((1, grid.D1[0].copy()))
-            rows.append((n - 1, grid.D1[n].copy()))
-            rows.append((n, unit(n)))
-        else:
-            # wall at node n (y=0), infinity at node 0
-            rows.append((n, unit(n)))
-            rows.append((n - 1, grid.D1[n].copy()))
-            rows.append((0, unit(0)))
-            rows.append((1, grid.D1_cheb[0].copy()))
-    else:
-        raise ConfigurationError(f"unknown bc spec {bc!r}")
-    if n < len(rows) + 1:
+            nodes[0] = np.inf
+            # y = L(1+xi)/(1-xi)  =>  dxi/dy = (1-xi)^2 / (2L)
+            s = (1.0 - xi) ** 2 / (2.0 * L)
+            ds = -(1.0 - xi) / L            # d s / d xi
+            D1 = s[:, None] * Dc
+            D2 = (s**2)[:, None] * (Dc @ Dc) + (s * ds)[:, None] * Dc
+    with np.errstate(over="ignore", invalid="ignore"):
+        D4 = D2 @ D2
+    if not all(np.isfinite(M).all() for M in (D1, D2, D4)):
         raise ConfigurationError(
-            f"N must be >= {len(rows) + 1} for the {len(rows)} {bc} boundary rows, got {n}")
-    return rows
+            f"map_scale = {map_scale!r} is out of range: the mapped operators are not finite")
+    return SpectralDiscretization(N, domain, nodes, D1, D2, D4, Dc)
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,15 @@
 """Rayleigh and Orr-Sommerfeld eigenproblems and marginal-stability branches.
 
-Both problems are posed as pencils A phi = c B phi with the boundary rows
-written into A (and zeroed in B).  One solve serves both: the boundary
-unknowns are eliminated through those rows, and the mass side B is
-inverted on the subspace of functions that meet the boundary conditions,
-where it is nonsingular.  That leaves one standard eigenproblem of order
-n - k (k boundary rows) with no infinite eigenvalues.  A channel profile
+Both problems are posed as pencils A phi = c B phi, built by one function
+from eps, which also chooses the boundary rows: eps = 0 (Rayleigh) takes
+value rows at both ends, and eps = nu / (i alpha) (Orr-Sommerfeld) the
+clamped rows.  The pencil is assembled in place, with no complex
+temporary, and the rows are written into A as one array (and zeroed in
+B).  One solve serves both: the boundary unknowns are eliminated through
+those rows, and the mass side B is inverted on the subspace of functions
+that meet the boundary conditions, where it is nonsingular.  That leaves
+one standard eigenproblem of order n - k (k boundary rows) with no
+infinite eigenvalues.  A channel profile
 with even U (Poiseuille) gives a pencil symmetric under y -> -y; its even
 and odd eigenfunctions then solve two problems of half that order (Orszag,
 J. Fluid Mech. 50, 1971), which together cost about a quarter of the dense
@@ -40,7 +44,7 @@ from .errors import (
     check_positive,
 )
 from .profiles import CHANNEL, ShearProfile
-from .spectral import SpectralDiscretization, bc_rows, build_grid
+from .spectral import SpectralDiscretization, build_grid
 
 RESIDUAL_GATE = 1e-6
 TAIL_GATE = 1e-3
@@ -311,27 +315,39 @@ def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
     )
 
 
-def _install_bc(A, B, grid, bc):
-    """Write the constraint rows of ``bc`` into A (zeroing them in B); returns their indices."""
-    # constraint rows are scaled up to the operator magnitude: the polish and
-    # the residual gate measure errors relative to ||A||, so small rows would
-    # be satisfied only loosely
-    scale = np.linalg.norm(A, np.inf)
-    rows = bc_rows(grid, bc)
-    for i, row in rows:
-        A[i, :] = row * (scale / np.linalg.norm(row))
-        B[i, :] = 0.0
-    return [i for i, _ in rows]
+def _boundary_rows(grid, clamped):
+    """Indices and (k, n+1) rows of the k boundary constraints: unclamped,
+    value = 0 at both ends; clamped, value and derivative = 0 at the wall,
+    and on the half line value = 0 and decay (d/dxi = 0) at infinity."""
+    n = grid.N
+    e0, en = np.zeros((2, grid.n_nodes))
+    e0[0] = en[n] = 1.0
+    if not clamped:
+        idx, rows = [0, n], [e0, en]
+    elif grid.domain == CHANNEL:
+        idx, rows = [0, 1, n - 1, n], [e0, grid.D1[0], grid.D1[n], en]
+    else:  # the wall is node n (y = 0), infinity node 0
+        idx, rows = [n, n - 1, 0, 1], [en, grid.D1[n], e0, grid.D1_cheb[0]]
+    if n <= len(idx):
+        raise ConfigurationError(f"N must be >= {len(idx) + 1} for the {len(idx)} "
+                                 f"{'clamped' if clamped else 'dirichlet'} boundary rows, got {n}")
+    for i, row in zip(idx, rows):
+        if not 0.0 < np.linalg.norm(row) < np.inf:  # _pencil divides the row by it
+            raise ConfigurationError(f"the boundary row at node {i} has norm {np.linalg.norm(row):.3g}; "
+                                     "the grid's operators are out of floating-point range")
+    return np.array(idx), np.array(rows)
 
 
-def _pencil(profile, alpha, grid, eps, bc):
+def _pencil(profile, alpha, grid, eps):
     """The pencil of (U - c)(D2 - a^2) phi - U'' phi = eps (D2 - a^2)^2 phi.
 
-    eps = 0 is the Rayleigh pencil: the fourth-order term is then not formed.
-    ``bc`` names the boundary rows.  Returns (A, B, boundary row indices,
-    operator scale ||A|| / ||B||, mirror), where mirror says the pencil is
-    symmetric under the reflection y -> -y of the channel nodes j -> N - j:
-    U and U'' even to rounding and the boundary rows a set it maps to itself.
+    eps = 0 is the Rayleigh pencil, with unclamped rows and no fourth-order
+    term; any other eps takes the clamped rows.  Assembled in place, with
+    no complex temporary; the boundary rows are written into A and zeroed
+    in B.  Returns (A, B, boundary row indices, operator scale
+    ||A|| / ||B||, mirror), where mirror says the pencil is symmetric under
+    the reflection y -> -y of the channel nodes j -> N - j: U and U'' even
+    to rounding and the boundary rows a set it maps to itself.
     """
     if grid.domain != profile.domain:
         raise ConfigurationError(
@@ -340,17 +356,31 @@ def _pencil(profile, alpha, grid, eps, bc):
     # a product overflows to inf where alpha**4 would raise OverflowError
     if not np.isfinite(alpha * alpha * alpha * alpha):
         raise ConfigurationError(f"alpha = {alpha!r} is too large: alpha^4 overflows")
+    bc_idx, rows = _boundary_rows(grid, eps != 0)
     U, d2U = _profile_diagonals(profile, grid)
-    ident = np.eye(grid.n_nodes)
-    M = grid.D2 - alpha**2 * ident
-    A = U[:, None] * M - np.diag(d2U)
-    if eps:
-        A = A - eps * (grid.D4 - 2.0 * alpha**2 * grid.D2 + alpha**4 * ident)
-    A = A.astype(complex)
-    B = M.astype(complex)
-    bc_idx = _install_bc(A, B, grid, bc)
+    diag = np.diag_indices(grid.n_nodes)
+    B = grid.D2.astype(complex)
+    B[diag] -= alpha**2
+    A = B * U[:, None]
+    A[diag] -= d2U
+    # an eps that overflows the pencil is rejected on ||A||, which the rows
+    # are scaled to: the polish and the residual gate measure errors relative
+    # to ||A||, so small rows would be satisfied only loosely
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eps:  # W = D4 - 2 a^2 D2 + a^4 I, a real temporary
+            W = grid.D2 * (2.0 * alpha**2)
+            np.subtract(grid.D4, W, out=W)
+            W[diag] += alpha**4
+            A.real -= eps.real * W
+            A.imag -= eps.imag * W
+            del W
+        scale = np.linalg.norm(A, np.inf)
+    if not np.isfinite(scale):
+        raise ConfigurationError(f"the pencil at alpha={float(alpha)!r} is not finite: ||A|| = {scale}")
+    A[bc_idx] = rows * np.array([[scale / np.linalg.norm(row)] for row in rows])
+    B[bc_idx] = 0.0
     scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
-    mirror = (grid.domain == CHANNEL and {grid.N - j for j in bc_idx} == set(bc_idx)
+    mirror = (grid.domain == CHANNEL and np.array_equal(np.sort(grid.N - bc_idx), np.sort(bc_idx))
               and all(np.max(np.abs(f - f[::-1])) <= 1e-13 * max(1.0, np.max(np.abs(f)))
                       for f in (U, d2U)))
     return A, B, bc_idx, scale, mirror
@@ -363,7 +393,7 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     (rough modes with c inside range(U)) are rejected by the smoothness gate.
     """
     check_positive(alpha=alpha)
-    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, 0.0, "dirichlet")
+    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, 0.0)
     return _solve_pencil(A, B, bc_idx, alpha, "inviscid", scale, mirror)
 
 
@@ -384,7 +414,7 @@ def rayleigh_resolvent(
     check_positive(alpha=alpha)
     if not np.isfinite(c):
         raise ConfigurationError(f"c must be finite, got {c!r}")
-    A, B, bc_idx, _, _ = _pencil(profile, alpha, grid, 0.0, "dirichlet")
+    A, B, bc_idx, _, _ = _pencil(profile, alpha, grid, 0.0)
     U, _ = _profile_diagonals(profile, grid)
     finite = np.isfinite(grid.nodes)
     gap = np.min(np.abs(U[finite] - c))
@@ -407,11 +437,15 @@ def os_spectrum(
 
     eps = nu / (i alpha) with nu = 1/Re; clamped/decay boundary conditions.
     Warns when N is below the critical-layer resolution guidance 4 Re^{1/4},
-    once the pencil has accepted the grid.
+    once the pencil has accepted the grid.  ConfigurationError when eps or
+    the pencil is not finite, as at alpha Re near the float limits.
     """
     check_positive(alpha=alpha, Re=Re)
+    if alpha * Re == 0 or not np.isfinite(1.0 / (alpha * Re)):
+        raise ConfigurationError(
+            f"eps = 1/(i alpha Re) is not finite at alpha={float(alpha)!r}, Re={float(Re)!r}")
     eps = 1.0 / (1j * alpha * Re)
-    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, eps, "clamped")
+    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, eps)
     n_guide = 4.0 * Re**0.25
     if grid.N < n_guide:
         warnings.warn(
@@ -455,6 +489,8 @@ def neutral_curve(
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha window must be positive and increasing")
     check_positive(alpha_tol=alpha_tol)
+    if alpha_tol / 2 == 0:
+        raise ConfigurationError(f"alpha_tol = {alpha_tol!r} is too small: alpha_tol / 2 underflows to 0")
     if n_scan < 3:
         raise ConfigurationError(f"n_scan must be at least 3 to bracket a band, got {n_scan}")
 

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import shearstab
 
-from shearstab.cli import COMMANDS, MODES, main
+from shearstab.cli import _FLAGS, COMMANDS, MODES, _option, main
 
 
 def run_cli(capsys, args):
@@ -296,6 +297,50 @@ def test_flag_not_read_exit_2(capsys, tmp_path, args, config, flag):
     assert code == 2
     assert out == "" and err.startswith(f"shearstab: --{flag} ")
     assert err.count("\n") == 1
+
+
+# every numeric flag of every subcommand and instability mode (39 pairs) is
+# run at each of these values: 273 cases
+_SWEEP = ("nan", "inf", "-1", "0", "1e300", "1e-300", "5e-324")
+# the small base of each run; --z0 runs on the tanh profile and every other
+# flag on the exponential one, whose half-line grid reads --map-scale
+_SWEEP_BASE = {
+    "spectrum": {"profile": "exponential", "n": "48"},
+    "neutral-curve": {"profile": "exponential", "n": "48", "re": "1e5:1e6:2", "alpha": "0.05:0.3"},
+    "resolvent": {"profile": "exponential", "n": "48"},
+}
+
+
+def _sweep_cases():
+    runs = [(sub, [sub], flags) for sub, (_, flags) in COMMANDS.items() if sub != "instability"]
+    runs += [(mode, ["instability", "--mode", mode], flags) for mode, (_, flags) in MODES.items()]
+    cases = []
+    for name, head, flags in runs:
+        for flag in (f for f in flags if _FLAGS[f][0] is not str):
+            for value in _SWEEP:
+                base = dict(_SWEEP_BASE.get(name, {}))
+                if flag == "z0":
+                    base["profile"] = "tanh"
+                base[flag] = value
+                argv = head + [a for k, v in base.items() for a in (_option(k), v)]
+                cases.append(pytest.param(argv, id=" ".join(argv)))
+    return cases
+
+
+@pytest.mark.parametrize("argv", _sweep_cases())
+def test_generated_input_contract(capsys, argv):
+    # map scales, Reynolds numbers and tolerances at the float limits exited
+    # 1 with a traceback; riccati at a tiny epsilon and hopf at a tiny eta0
+    # printed numpy's warnings before an exit 0; argparse's rejections
+    # printed a usage block of 3-5 lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code:
+        assert err.startswith("shearstab: ") and err.count("\n") == 1
 
 
 def run_child(args, timeout):

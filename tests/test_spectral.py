@@ -3,7 +3,8 @@ import pytest
 
 from shearstab.errors import ConfigurationError
 from shearstab.profiles import CHANNEL, HALF_LINE
-from shearstab.spectral import bc_rows, build_grid
+from shearstab.spectral import build_grid
+from shearstab.stability import _boundary_rows
 
 
 class TestBuildGrid:
@@ -35,6 +36,13 @@ class TestBuildGrid:
         # a NaN scale used to reach numpy's SVD through the pencil
         with pytest.raises(ConfigurationError, match="map_scale"):
             build_grid(32, domain, map_scale=map_scale)
+
+    @pytest.mark.parametrize("map_scale", [1e-300, 5e-324])
+    def test_map_scale_overflowing_operators(self, map_scale):
+        # the mapped operators overflowed with numpy's warnings, and the
+        # pencil's SVD did not converge (exit 1 from the CLI)
+        with pytest.raises(ConfigurationError, match="map_scale = .* is out of range"):
+            build_grid(48, HALF_LINE, map_scale=map_scale)
 
 
 class TestDiffMatrices:
@@ -74,19 +82,22 @@ class TestDiffMatrices:
 
 
 class TestBCRows:
+    """The boundary rows of the stability pencils, on the grids built here."""
+
     @pytest.mark.parametrize("domain", [CHANNEL, HALF_LINE])
     @pytest.mark.parametrize("bc, n_rows", [("dirichlet", 2), ("clamped", 4)])
     def test_grid_needs_more_nodes_than_rows(self, domain, bc, n_rows):
         # N = 2 under the clamped rows used to leave a singular pencil
         for N in range(2, n_rows + 1):
-            with pytest.raises(ConfigurationError, match=f">= {n_rows + 1}"):
-                bc_rows(build_grid(N, domain), bc)
-        assert len(bc_rows(build_grid(n_rows + 1, domain), bc)) == n_rows
+            with pytest.raises(ConfigurationError, match=f">= {n_rows + 1} for the {n_rows} {bc}"):
+                _boundary_rows(build_grid(N, domain), bc == "clamped")
+        idx, rows = _boundary_rows(build_grid(n_rows + 1, domain), bc == "clamped")
+        assert len(idx) == n_rows and rows.shape == (n_rows, n_rows + 2)
 
     def test_clamped_rows(self):
         g = build_grid(16, HALF_LINE, map_scale=2.0)
-        rows = bc_rows(g, "clamped")
-        idx = [i for i, _ in rows]
+        idx, rows = _boundary_rows(g, True)
+        idx = list(idx)
         assert g.N in idx and g.N - 1 in idx  # value + derivative at the wall
-        wall_deriv = dict(rows)[g.N - 1]
+        wall_deriv = rows[idx.index(g.N - 1)]
         assert np.allclose(wall_deriv, g.D1[g.N])

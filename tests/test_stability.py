@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -97,6 +98,15 @@ class TestNonFiniteParameters:
     def test_os_spectrum(self, half_grid, alpha, Re):
         with pytest.raises(ConfigurationError, match="finite"):
             os_spectrum(make_profile("tanh", z0=1.0), alpha, Re, half_grid)
+
+    @pytest.mark.parametrize("alpha, Re", [
+        (0.05, 5e-324),   # alpha Re underflows to 0: a ZeroDivisionError
+        (1e-10, 1e-300),  # eps = 1/(i alpha Re) overflows
+        (1.0, 1e-300),    # eps D4 overflows: numpy's SVD did not converge
+    ])
+    def test_os_spectrum_at_float_limits(self, half_grid, alpha, Re):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            os_spectrum(make_profile("exponential"), alpha, Re, half_grid)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_rayleigh_spectrum(self, half_grid, alpha):
@@ -222,7 +232,7 @@ class TestOrrSommerfeld:
         grid = build_grid(160, HALF_LINE, map_scale=6.0)
         Re = 400.0
         sol = os_spectrum(p, alpha, Re, grid)
-        A, B, *_ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        A, B, *_ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
         for k in range(3):
             c, _ = _refine_eigenpair(A, B, sol.eigenvalues[k], sol.modes[:, k])
             assert abs(c - sol.eigenvalues[k]) <= 1e-10
@@ -234,7 +244,7 @@ class TestOrrSommerfeld:
         p = make_profile("poiseuille")
         grid = build_grid(N, CHANNEL)
         sol = os_spectrum(p, alpha, Re, grid)
-        A, B, *_ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        A, B, *_ = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
         for k in range(3):
             c, _ = _refine_eigenpair(A, B, sol.eigenvalues[k], sol.modes[:, k])
             assert abs(c - sol.eigenvalues[k]) <= 1e-10
@@ -249,7 +259,7 @@ class TestOrrSommerfeld:
             (blasius_solve(1e-10), 0.175, 400.0, build_grid(160, HALF_LINE, map_scale=6.0), 1e-10),
         ]
         for p, alpha, Re, grid, tol in cases:
-            A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+            A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
             cs, V, parity, polish = stability._reduced_eig(A, B, bc_idx, alpha, Re, mirror)
             smooth = np.flatnonzero(_tail_fractions(V) <= stability.TAIL_GATE)
             for j in smooth[np.argsort(-cs[smooth].imag)][:3]:
@@ -274,7 +284,7 @@ class TestOrrSommerfeld:
         # the batched residuals and Chebyshev tails against one mode at a time;
         # GEMM and GEMV round differently, so the residuals agree to 1e-10,
         # four orders below RESIDUAL_GATE
-        A, B, _, scale, _ = _pencil(make_profile("poiseuille"), 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        A, B, _, scale, _ = _pencil(make_profile("poiseuille"), 1.0, chan, 1.0 / (1j * 1e4))
         cs, V = np.linalg.eig(np.linalg.solve(B + np.eye(chan.n_nodes), A))
         res, tail = _residuals(A, B, cs, V, scale), _tail_fractions(V)
         N = chan.N
@@ -344,7 +354,7 @@ class TestReflectionSplit:
 
         p = make_profile("poiseuille")
         sol = os_spectrum(p, 1.0, 1e4, chan)
-        A, B, *_ = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        A, B, *_ = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4))
         r = 1.0 / np.maximum(np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1))
         qz = scipy.linalg.eig(r[:, None] * A, r[:, None] * B, right=False)
         qz = qz[np.isfinite(qz)]
@@ -392,6 +402,45 @@ class TestReflectionSplit:
             assert eig_orders == orders
 
 
+class TestPencil:
+    """eps chooses the boundary rows; the pencil is assembled in place."""
+
+    @pytest.mark.parametrize("domain, eps, rows", [
+        (CHANNEL, 0.0, [0, 32]),
+        (CHANNEL, 1e-4j, [0, 1, 31, 32]),
+        (HALF_LINE, 0.0, [0, 32]),
+        (HALF_LINE, 1e-4j, [32, 31, 0, 1]),  # the wall is node N, infinity node 0
+    ])
+    def test_rows_chosen_by_eps(self, domain, eps, rows):
+        p = make_profile("poiseuille" if domain == CHANNEL else "exponential")
+        A, B, bc_idx, _, _ = _pencil(p, 1.0, build_grid(32, domain), eps)
+        assert list(bc_idx) == rows
+        assert not B[bc_idx].any() and B[2:-2].any()
+        # each row scaled to the operator norm of the interior rows
+        norms = np.linalg.norm(A[bc_idx], axis=1)
+        assert np.allclose(norms, norms[0], rtol=1e-14)
+        assert norms[0] >= np.max(np.abs(A[2:-2]).sum(axis=1)) * (1 - 1e-14)
+
+    def test_underflowing_wall_row_rejected(self):
+        # at map_scale 1e300 the wall-derivative row underflows to norm 0;
+        # scaling it divided by zero, and the run exited 1
+        grid = build_grid(48, HALF_LINE, map_scale=1e300)
+        with pytest.raises(ConfigurationError, match="boundary row at node 47 has norm 0"):
+            _pencil(make_profile("exponential"), 0.1, grid, 1e-4j)
+
+    def test_peak_memory(self):
+        # the pencil used to be built through complex n x n temporaries: a
+        # peak of 1.77x the bytes of A and B at N = 480, against 1.50x now
+        p, grid = make_profile("poiseuille"), build_grid(480, CHANNEL)
+        tracemalloc.start()
+        try:
+            A, B, *_ = _pencil(p, 0.25, grid, 1.0 / (1j * 0.25 * 1e7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (A.nbytes + B.nbytes)
+
+
 class TestGates:
     """The Chebyshev-tail gate runs first and the residual gate only on the
     modes it passes; the solution records what each gate rejected."""
@@ -410,7 +459,7 @@ class TestGates:
         else:
             p, alpha, Re, grid = blasius_solve(1e-10), 0.175, 400.0, build_grid(160, HALF_LINE, map_scale=6.0)
         sol = os_spectrum(p, alpha, Re, grid)
-        A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re), "clamped")
+        A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
         cs, V, _, _ = stability._reduced_eig(A, B, bc_idx, alpha, Re, mirror)
         res, tail = _residuals(A, B, cs, V, scale), _tail_fractions(V)
         smooth = tail <= stability.TAIL_GATE
@@ -444,7 +493,7 @@ class TestGates:
     def test_top_rejected_is_highest(self, chan):
         p = make_profile("poiseuille")
         sol = os_spectrum(p, 1.0, 1e4, chan)
-        A, B, bc_idx, _, mirror = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4), "clamped")
+        A, B, bc_idx, _, mirror = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4))
         cs, V, _, _ = stability._reduced_eig(A, B, bc_idx, 1.0, 1e4, mirror)
         rejected = cs[_tail_fractions(V) > stability.TAIL_GATE]
         assert sol.top_rejected[0] == rejected[np.argmax(rejected.imag)]
@@ -568,6 +617,11 @@ class TestNeutralCurve:
                 neutral_curve(p, [8000], (0.8, 1.2), N=64, n_scan=n_scan)
         lower, _ = neutral_curve(p, [8000], (0.8, 1.2), N=64, n_scan=3)
         assert lower.points[0][1] == pytest.approx(0.855, abs=1e-3)
+
+    def test_alpha_tol_underflow(self):
+        # brentq raised its ValueError "xtol too small" after the scan
+        with pytest.raises(ConfigurationError, match="alpha_tol = 5e-324 is too small"):
+            neutral_curve(make_profile("poiseuille"), [6000], (0.8, 1.2), N=32, alpha_tol=5e-324)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan])
     def test_alpha_tol_checked(self, tol):
