@@ -5,13 +5,14 @@ from eps, which also chooses the boundary rows: eps = 0 (Rayleigh) takes
 value rows at both ends, and eps = nu / (i alpha) (Orr-Sommerfeld) the
 clamped rows.  The pencil is assembled in place, with no complex
 temporary, and the rows are written into A as one array (and zeroed in
-B).  One solve serves both: the boundary unknowns are eliminated through
-those rows, and the mass side B is inverted on the subspace of functions
-that meet the boundary conditions, where it is nonsingular.  That leaves
-one standard eigenproblem of order n - k (k boundary rows) with no
-infinite eigenvalues.  A channel profile
-with even U (Poiseuille) gives a pencil symmetric under y -> -y; its even
-and odd eigenfunctions then solve two problems of half that order (Orszag,
+B); the Rayleigh pencil is real, so its eigensolves run in real
+arithmetic.  One reduction serves both: the boundary unknowns are
+eliminated through those rows, and the mass side B is inverted on the
+subspace of functions that meet the boundary conditions, where it is
+nonsingular.  That leaves one standard eigenproblem of order n - k (k
+boundary rows) with no infinite eigenvalues.  A channel profile with even
+U (Poiseuille) gives a pencil symmetric under y -> -y; its even and odd
+eigenfunctions then solve two problems of half that order (Orszag,
 J. Fluid Mech. 50, 1971), which together cost about a quarter of the dense
 eigensolve of the whole, and the spectrum is their union; a pencil without
 the symmetry is one block, the reduced problem itself.  Spurious
@@ -25,6 +26,16 @@ order whatever their last bits.  The three leading modes are polished by
 inverse iteration with a two-sided Rayleigh quotient, one factorization per
 mode, on the reduced block of the mode's parity, lifted back, and kept only
 if their full-pencil residual stays at roundoff.
+
+A neutral curve needs less than a spectrum at each alpha.  Its scan asks
+only whether an accepted mode is unstable: the blocks' eigenvalues alone,
+then an eigenvector by inverse iteration for each candidate with Im c > 0,
+through the same gates, until one passes.  Each band edge is Brent's
+method on Im c(alpha) of the leader at the bracket's unstable end, tracked
+from alpha to alpha by inverse iteration on its parity block, and one
+dense solve at the edge confirms that the tracked pair is the accepted
+leader there; an edge whose tracking or confirmation fails is found by
+Brent's method on dense solves instead.
 """
 
 from __future__ import annotations
@@ -51,6 +62,10 @@ TAIL_GATE = 1e-3
 POLISH_FLOOR = 1e-12
 POLISH_STEPS = 2     # Rayleigh-quotient inverse-iteration steps per polished pair
 RANK_FLOOR = 1e-12   # an Im c within RANK_FLOOR max(1, |c|) ranks as 0
+TAIL_BLOCK = 64      # columns per Chebyshev transform of the tail gate
+TRACK_GATE = 1e-8    # largest residual of a pair tracked along a neutral-curve edge
+TRACK_HALVINGS = 4   # step halvings in a row before a tracked edge falls back
+CONFIRM_TOL = 1e-8   # a tracked edge's c against the dense leader there, relative
 
 BRANCH_LOWER = "lower"
 BRANCH_UPPER = "upper"
@@ -116,7 +131,10 @@ def _refine_eigenpair(A, B, c, phi):
     for _ in range(POLISH_STEPS):
         try:
             x = scipy.linalg.lu_solve(lu, B @ phi)
-            norm = np.linalg.norm(x)
+            # a shift that is an eigenvalue to the last bits can leave an x
+            # whose norm overflows, as at Re = 1e300
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(x)
             # checked before the division, which would warn on a non-finite x
             if not 0.0 < norm < np.inf:
                 break
@@ -146,15 +164,18 @@ def _residuals(A, B, c, V, scale):
 
 
 def _tail_fractions(V):
-    """Fraction of Chebyshev-coefficient mass in the top third, per column."""
+    """Fraction of Chebyshev-coefficient mass in the top third, per column,
+    transformed TAIL_BLOCK columns at a time: no copy the size of V."""
     from scipy.fft import dct
 
     N = V.shape[0] - 1
-    a = dct(V, type=1, axis=0)
-    a = np.abs(a, out=a).real  # in place: no second array the size of V
-    a[[0, -1]] /= 2.0
-    total = a.sum(axis=0)
-    tail = a[2 * N // 3:].sum(axis=0)
+    tail, total = np.empty((2, V.shape[1]))
+    for j in range(0, V.shape[1], TAIL_BLOCK):
+        a = dct(V[:, j:j + TAIL_BLOCK], type=1, axis=0)
+        a = np.abs(a, out=a).real  # in place: no second array the size of the block
+        a[[0, -1]] /= 2.0
+        total[j:j + TAIL_BLOCK] = a.sum(axis=0)
+        tail[j:j + TAIL_BLOCK] = a[2 * N // 3:].sum(axis=0)
     return np.divide(tail, total, out=np.ones_like(total), where=total > 0)
 
 
@@ -178,87 +199,124 @@ def _fold(M, parity):
     return F
 
 
-def _unfold(W, parity, m):
-    """The full vectors of length m whose free entries are the rows of W (see _fold)."""
-    if not parity:
-        return W
-    q = m // 2
-    V = np.zeros((m, W.shape[1]), dtype=W.dtype)
-    V[:W.shape[0]] = W
-    V[m - q:] = W[:q][::-1]
-    V[m - q:] *= parity
-    return V
+class _Reduction:
+    """A pencil A phi = c B phi on the functions that meet its boundary rows,
+    folded by parity.
+
+    The rows bc_idx of A are the constraints R phi = 0, and those rows of B
+    are zero.  The boundary unknowns are eliminated, phi_b = T phi_i with
+    T = -R_bb^{-1} R_bi, which leaves the pencil (A_r, B_r) of order n - k
+    on the constrained subspace.  With parities (1, -1) the pencil and its
+    boundary rows are symmetric under j -> n-1-j, so A_r and B_r commute
+    with the reversal of the interior unknowns and fold into an even and an
+    odd block of half the order; parity 0 is one block, (A_r, B_r) itself
+    (see _fold).  ``blocks`` maps each parity to its (F_A, F_B).
+    """
+
+    def __init__(self, A, B, bc_idx, parities):
+        n = A.shape[0]
+        b = np.asarray(bc_idx)
+        # the boundary rows are end nodes (_boundary_rows), so the interior
+        # unknowns are one slice, and a lift writes them through a view
+        i = np.delete(np.arange(n), b)
+        i = slice(i[0], i[-1] + 1)
+        self.n, self.b, self.i = n, b, i
+        self.R_bb, self.R_bi = A[np.ix_(b, b)], A[b, i]
+        T = -np.linalg.solve(self.R_bb, self.R_bi)
+
+        def folds(M):  # a mirror pencil's reduced M lives only while it is folded
+            M_r = M[i, i].copy()
+            M_r += M[i][:, b] @ T
+            return [_fold(M_r, s) for s in parities]
+
+        self.blocks = dict(zip(parities, zip(folds(A), folds(B))))
+
+    def eig(self, alpha, param, vectors):
+        """(parity, eigenvalues, free-entry eigenvectors or None) per block,
+        from the standard problem (F_B^{-1} F_A) u = c u; ``eigvals`` alone
+        unless ``vectors``."""
+        eigsolve = np.linalg.eig if vectors else np.linalg.eigvals
+        try:
+            parts = []
+            for s, (F_A, F_B) in self.blocks.items():
+                out = eigsolve(np.linalg.solve(F_B, F_A))
+                parts.append((s, *out) if vectors else (s, out, None))
+            return parts
+        except np.linalg.LinAlgError as exc:
+            # B_r's singular values are its blocks', to the fold's factor sqrt(2)
+            sv = np.concatenate([np.linalg.svd(F_B, compute_uv=False) for _, F_B in self.blocks.values()])
+            raise NumericalError(
+                f"reduced eigensolve failed at alpha={alpha}, parameter={param}; "
+                f"cond(B_r)~{sv.max() / sv.min():.2e}"
+            ) from exc
+
+    def lift(self, W, parity, V):
+        """Write into the columns of V the full vectors whose free entries are
+        W's: the interior unknowns [u; u reversed] (even) or [u; 0; -u
+        reversed] (odd) for the rows u of W (see _fold), then the boundary
+        unknowns."""
+        V_i = V[self.i]
+        m, h = V_i.shape[0], W.shape[0]
+        V_i[:h] = W
+        if parity:
+            q = m // 2
+            V_i[h:m - q] = 0.0  # the middle entry of an odd vector, if any
+            V_i[m - q:] = W[:q][::-1]
+            V_i[m - q:] *= parity
+        # solved, not T @ W: that would leave T's rounding, times the
+        # operator-sized constraint rows, in those rows' residual
+        V[self.b] = np.linalg.solve(self.R_bb, -(self.R_bi @ V_i))
+
+    def refine(self, c, w, parity):
+        """``_refine_eigenpair`` on the block of ``parity`` from the free
+        entries w; returns c, the refined free entries and the full vector."""
+        c, w = _refine_eigenpair(*self.blocks[parity], c, w)
+        phi = np.empty(self.n, dtype=complex)
+        self.lift(w[:, None], parity, phi[:, None])
+        return c, w, phi
 
 
 def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
-    """Finite eigenpairs of A phi = c B phi, with the boundary rows bc_idx of A
-    the constraints R phi = 0 and those rows of B zero.
-
-    The boundary unknowns are eliminated, phi_b = T phi_i with
-    T = -R_bb^{-1} R_bi, which leaves the pencil (A_r, B_r) of order n - k
-    on the constrained subspace; the eigenvectors w are lifted back to
-    phi = [w; T w], with T w found by solving R_bb phi_b = -R_bi w.  When
-    ``mirror`` holds, the pencil and its boundary rows are symmetric under
-    j -> n-1-j, so A_r and B_r commute with the reversal of the interior
-    unknowns and fold into an even (parity 1) and an odd (parity -1) block
-    of half the order; otherwise they are one block of parity 0 (see
-    _fold).  Each block (F_A, F_B) is solved as the standard problem
-    (F_B^{-1} F_A) u = c u, and the spectrum is the union of the blocks'.
+    """Finite eigenpairs of the pencil (A, B) with the boundary rows bc_idx,
+    from the blocks of its ``_Reduction``: parities (1, -1) when ``mirror``
+    holds, else the one block of parity 0.  The spectrum is the union of the
+    blocks'.
 
     Returns the eigenvalues, the lifted eigenvectors as columns, the parity
-    of each, and ``polish(c, phi, parity)``, which refines one pair by
-    ``_refine_eigenpair`` on the block of its parity, from the free entries
-    of phi's interior part, and lifts it back.  The blocks live as long as
+    of each, and ``polish(c, phi, parity)``, which refines one pair on the
+    block of its parity and lifts it back.  The blocks live as long as
     ``polish`` does.
     """
-    n = A.shape[0]
-    b = np.asarray(bc_idx)
-    i = np.setdiff1d(np.arange(n), b)
-    R_bb, R_bi = A[np.ix_(b, b)], A[np.ix_(b, i)]
-    T = -np.linalg.solve(R_bb, R_bi)
-    parities = (1, -1) if mirror else (0,)
-
-    def folds(M):  # a mirror pencil's reduced M lives only while it is folded
-        M_r = M[np.ix_(i, i)]
-        M_r += M[np.ix_(i, b)] @ T
-        return [_fold(M_r, s) for s in parities]
-
-    def lift(W, parity, V):
-        """Write into the columns of V the full vectors whose free entries are W's."""
-        W = _unfold(W, parity, len(i))
-        V[i] = W
-        # solved, not T @ W: that would leave T's rounding, times the
-        # operator-sized constraint rows, in those rows' residual
-        V[b] = np.linalg.solve(R_bb, -(R_bi @ W))
-
-    folded = dict(zip(parities, zip(folds(A), folds(B))))
-    try:
-        parts = [(s, *np.linalg.eig(np.linalg.solve(F_B, F_A))) for s, (F_A, F_B) in folded.items()]
-    except np.linalg.LinAlgError as exc:
-        # B_r's singular values are its blocks', to the fold's factor sqrt(2)
-        sv = np.concatenate([np.linalg.svd(F_B, compute_uv=False) for _, F_B in folded.values()])
-        raise NumericalError(
-            f"reduced eigensolve failed at alpha={alpha}, parameter={param}; "
-            f"cond(B_r)~{sv.max() / sv.min():.2e}"
-        ) from exc
+    red = _Reduction(A, B, bc_idx, (1, -1) if mirror else (0,))
+    parts = red.eig(alpha, param, vectors=True)
     cs = np.concatenate([c for _, c, _ in parts])
     parity = np.concatenate([np.full(len(c), s) for s, c, _ in parts])
-    V = np.empty((n, len(cs)), dtype=complex)
+    V = np.empty((A.shape[0], len(cs)), dtype=complex)
     start = 0
     while parts:  # each parity's eigenvectors are dropped once lifted
         s, c, W_s = parts.pop(0)
-        lift(W_s, s, V[:, start:start + len(c)])
+        red.lift(W_s, s, V[:, start:start + len(c)])
         start += len(c)
 
     def polish(c, phi, s):
-        F_A, F_B = folded[s]
-        c, w = _refine_eigenpair(F_A, F_B, c, phi[i[:F_A.shape[0]]])
-        # the boundary entries are solved again, as for every eigenvector
-        phi = np.empty(n, dtype=complex)
-        lift(w[:, None], s, phi[:, None])
+        # from the free entries, the leading ones of the interior; the
+        # boundary entries are solved again, as for every eigenvector
+        c, _, phi = red.refine(c, phi[red.i][:red.blocks[s][0].shape[0]], s)
         return c, phi
 
     return cs, V, parity, polish
+
+
+def _gates(A, B, cs, V, scale):
+    """The spurious-mode gates on the eigenpairs (cs, columns of V): the
+    cheap Chebyshev-tail gate on every column, then the residual gate on the
+    columns that pass it.  Returns the tail fractions, the indices that pass
+    the tail gate, the indices that pass both, and the residuals of those."""
+    tail = _tail_fractions(V)
+    smooth = np.flatnonzero(tail <= TAIL_GATE)
+    res = _residuals(A, B, cs[smooth], V[:, smooth], scale)
+    passed = res <= RESIDUAL_GATE
+    return tail, smooth, smooth[passed], res[passed]
 
 
 def _ranking(cs):
@@ -272,13 +330,7 @@ def _ranking(cs):
 
 def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
     cs, V, parity, polish = _reduced_eig(A, B, bc_idx, alpha, param, mirror)
-    # a mode must pass both gates; the cheap tail gate goes first, and the
-    # residual gate sees only the modes that pass it
-    tail = _tail_fractions(V)
-    smooth = np.flatnonzero(tail <= TAIL_GATE)
-    res = _residuals(A, B, cs[smooth], V[:, smooth], scale)
-    passed = res <= RESIDUAL_GATE
-    order, res = smooth[passed], res[passed]
+    tail, smooth, order, res = _gates(A, B, cs, V, scale)
     rank = _ranking(cs[order])
     order, res = order[rank], res[rank]
     rejected = np.setdiff1d(np.arange(len(cs)), order)
@@ -359,7 +411,8 @@ def _pencil(profile, alpha, grid, eps):
     bc_idx, rows = _boundary_rows(grid, eps != 0)
     U, d2U = _profile_diagonals(profile, grid)
     diag = np.diag_indices(grid.n_nodes)
-    B = grid.D2.astype(complex)
+    # the Rayleigh pencil is real, and so are its eigensolves
+    B = grid.D2.astype(complex if eps else float)
     B[diag] -= alpha**2
     A = B * U[:, None]
     A[diag] -= d2U
@@ -427,6 +480,23 @@ def rayleigh_resolvent(
     return np.linalg.solve(A - c * B, rhs)
 
 
+def _os_pencil(profile, alpha, Re, grid):
+    """The Orr-Sommerfeld pencil of ``os_spectrum`` (see ``_pencil``), with
+    its checks and its resolution warning."""
+    check_positive(alpha=alpha, Re=Re)
+    if alpha * Re == 0 or not np.isfinite(1.0 / (alpha * Re)):
+        raise ConfigurationError(
+            f"eps = 1/(i alpha Re) is not finite at alpha={float(alpha)!r}, Re={float(Re)!r}")
+    pencil = _pencil(profile, alpha, grid, 1.0 / (1j * alpha * Re))
+    n_guide = 4.0 * Re**0.25
+    if grid.N < n_guide:
+        warnings.warn(
+            f"N={grid.N} below resolution guidance {n_guide:.0f} at Re={Re:.3g}",
+            stacklevel=3,
+        )
+    return pencil
+
+
 def os_spectrum(
     profile: ShearProfile,
     alpha: float,
@@ -440,18 +510,7 @@ def os_spectrum(
     once the pencil has accepted the grid.  ConfigurationError when eps or
     the pencil is not finite, as at alpha Re near the float limits.
     """
-    check_positive(alpha=alpha, Re=Re)
-    if alpha * Re == 0 or not np.isfinite(1.0 / (alpha * Re)):
-        raise ConfigurationError(
-            f"eps = 1/(i alpha Re) is not finite at alpha={float(alpha)!r}, Re={float(Re)!r}")
-    eps = 1.0 / (1j * alpha * Re)
-    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, eps)
-    n_guide = 4.0 * Re**0.25
-    if grid.N < n_guide:
-        warnings.warn(
-            f"N={grid.N} below resolution guidance {n_guide:.0f} at Re={Re:.3g}",
-            stacklevel=2,
-        )
+    A, B, bc_idx, scale, mirror = _os_pencil(profile, alpha, Re, grid)
     return _solve_pencil(A, B, bc_idx, alpha, Re, scale, mirror)
 
 
@@ -460,6 +519,100 @@ def max_growth_rate(profile, alpha, Re, grid) -> float:
     sol = os_spectrum(profile, alpha, Re, grid)
     # not the leader's: the ranking counts an Im c at rounding level as 0
     return max((c.imag for c in sol.eigenvalues), default=-1.0)
+
+
+def _unstable_leader(profile, alpha, Re, grid):
+    """The leading accepted mode at one scan point when it is unstable, as
+    (c, free entries, parity), else None.
+
+    Only the eigenvalues are computed.  The raw ones with Im c > 0 are the
+    candidates, taken in descending Im c: each gets its eigenvector by one
+    inverse-iteration factorization on its parity block, from a flat start,
+    and goes through the gates of ``_solve_pencil``.  The first that passes
+    them with Im c still > 0 leads; with none, the point is stable.
+    """
+    A, B, bc_idx, scale, mirror = _os_pencil(profile, alpha, Re, grid)
+    red = _Reduction(A, B, bc_idx, (1, -1) if mirror else (0,))
+    candidates = [(c, s) for s, cs, _ in red.eig(alpha, Re, vectors=False) for c in cs if c.imag > 0]
+    for c, s in sorted(candidates, key=lambda cand: -cand[0].imag):
+        c, w, phi = red.refine(c, np.ones(red.blocks[s][0].shape[0]), s)
+        _, _, passed, _ = _gates(A, B, np.array([c]), phi[:, None], scale)
+        if c.imag > 0 and len(passed):
+            return c, w, s
+    return None
+
+
+class _TrackingLost(Exception):
+    """A tracked pair could not be advanced, or does not bracket its edge."""
+
+
+def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, xtol):
+    """Brent's method on Im c(alpha) of the leader found at ``a_unstable``,
+    tracked to each new alpha: returns the edge and the pair's c there.
+
+    A step starts from the tracked alpha nearest the new one, with c
+    predicted by the secant through it and the next nearest, and refines
+    the pair by ``_refine_eigenpair`` on its parity block, a second time
+    from the refined c when the first leaves a full-pencil residual above
+    TRACK_GATE.  When the second does too, the step is halved, at most
+    TRACK_HALVINGS times in a row; past that, or when the pair is not
+    stable at ``a_stable``, _TrackingLost.
+    """
+    from scipy.optimize import brentq
+
+    c_u, w_u, s = leader
+    track = {a_unstable: (c_u, w_u)}
+
+    def advance(a, halvings=0):
+        near = sorted(track, key=lambda t: abs(t - a))
+        a0, (c0, w0) = near[0], track[near[0]]
+        c = c0
+        if len(near) > 1:
+            a1, c1 = near[1], track[near[1]][0]
+            c = c0 + (c0 - c1) * (a - a0) / (a0 - a1)
+        # no checks and no resolution warning: the scan at this Re has made them
+        A, B, bc_idx, scale, _ = _pencil(profile, a, grid, 1.0 / (1j * a * Re))
+        red, w = _Reduction(A, B, bc_idx, (s,)), w0
+        for _ in range(2):  # the second refinement is shifted to the first one's c
+            c, w, phi = red.refine(c, w, s)
+            res = _residuals(A, B, c, phi[:, None], scale)[0]
+            if res <= TRACK_GATE:
+                break
+        if not res <= TRACK_GATE:
+            if halvings == TRACK_HALVINGS:
+                raise _TrackingLost(f"residual above {TRACK_GATE} at alpha={a}")
+            advance(0.5 * (a0 + a), halvings + 1)
+            return advance(a, halvings + 1)
+        track[a] = (c, w)
+        return c
+
+    def c_at(a):
+        return track[a][0] if a in track else advance(a)
+
+    if not c_at(a_stable).imag < 0:
+        raise _TrackingLost(f"the tracked pair is not stable at alpha={a_stable}")
+    edge = brentq(lambda a: c_at(a).imag, *sorted((a_stable, a_unstable)), xtol=xtol)
+    return edge, c_at(edge)
+
+
+def _edge(profile, Re, grid, a_stable, a_unstable, leader, xtol):
+    """The crossing between a stable and an unstable scan alpha: tracked and
+    confirmed by one dense solve whose accepted leader must be the tracked
+    pair, else Brent's method on ``max_growth_rate``."""
+    try:
+        edge, c = _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, xtol)
+        sol = os_spectrum(profile, edge, Re, grid)
+        if sol.eigenvalues and abs(sol.eigenvalues[0] - c) <= CONFIRM_TOL * max(1.0, abs(c)):
+            return edge
+    except _TrackingLost:
+        pass
+    from scipy.optimize import brentq
+
+    def growth(a):
+        # the unstable end's leader is the scan's
+        return leader[0].imag if a == a_unstable else max_growth_rate(profile, a, Re, grid)
+
+    return brentq(growth, *sorted((a_stable, a_unstable)), xtol=xtol)
 
 
 def neutral_curve(
@@ -474,14 +627,27 @@ def neutral_curve(
     """Lower/upper marginal branches alpha(Re) where max Im(c) crosses zero.
 
     Each Re in ``Re_list`` is scanned over ``alpha_window`` at ``n_scan``
-    points, at least 3 (a band needs a point inside it and one each side);
-    when an unstable band is found, each edge is found by Brent's method on
-    the scan bracket around it, to within ``alpha_tol / 2`` of the crossing.
-    Re values with no unstable alpha are recorded on the branches as below
-    criticality.
-    """
-    from scipy.optimize import brentq
+    points, at least 3 (a band needs a point inside it and one each side).
+    A scan point computes eigenvalues only; the raw ones with Im c > 0 get
+    eigenvectors by inverse iteration and go through the gates of
+    ``os_spectrum`` in descending Im c, and the first accepted one leads.
+    A point with no accepted unstable mode, or no accepted mode at all, is
+    stable.  The resolution warning of ``os_spectrum`` is issued as there.
 
+    Each edge of an unstable band is found by Brent's method, to within
+    ``alpha_tol / 2`` of the crossing, on Im c(alpha) of the leader at the
+    bracket's unstable end.  The pair is advanced to each new alpha by
+    inverse iteration on its parity block from a secant prediction of c,
+    the step halved while its residual stays above TRACK_GATE.  One dense
+    ``os_spectrum`` at the converged edge must show the tracked pair as its
+    accepted leader.  Where the tracking or this confirmation fails, that
+    edge is found by Brent's method on ``max_growth_rate`` instead.
+
+    Re values with no unstable alpha are recorded on the branches as below
+    criticality.  WindowError when a band touches either end of the
+    window; its message traces the scan, each alpha with its leader's Im c
+    or "stable".
+    """
     Re_list = [float(r) for r in Re_list]
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
@@ -498,30 +664,24 @@ def neutral_curve(
     upper = NeutralBranch([], BRANCH_UPPER)
 
     grid = build_grid(N, profile.domain, map_scale=map_scale)
-    alphas = np.linspace(a_lo, a_hi, n_scan)
+    alphas = np.linspace(a_lo, a_hi, n_scan).tolist()
     for Re in Re_list:
-        g = np.array([max_growth_rate(profile, a, Re, grid) for a in alphas])
-        if np.all(g <= 0):
+        leaders = [_unstable_leader(profile, a, Re, grid) for a in alphas]
+        kpos = [k for k, lead in enumerate(leaders) if lead is not None]
+        if not kpos:
             lower.subcritical_Re.append(Re)
             upper.subcritical_Re.append(Re)
             continue
-        if g[0] > 0 or g[-1] > 0:
-            raise WindowError(
-                f"unstable band touches the alpha window edge at Re={Re:.6g}; "
-                f"scan trace: {list(zip(alphas.tolist(), g.tolist()))}"
-            )
-        kpos = np.flatnonzero(g > 0)
-        scanned = dict(zip(alphas.tolist(), g.tolist()))
-
-        def growth(a):
-            # brentq starts from both bracket ends, which the scan has evaluated
-            return scanned[a] if a in scanned else max_growth_rate(profile, a, Re, grid)
-
-        def edge(k):
-            return brentq(growth, alphas[k], alphas[k + 1], xtol=alpha_tol / 2)
-
-        lower.points.append((Re, edge(kpos[0] - 1)))
-        upper.points.append((Re, edge(kpos[-1])))
+        if leaders[0] or leaders[-1]:
+            ends = " and ".join(f"{side} end alpha={a:.6g}" for side, a, lead in
+                                (("lower", a_lo, leaders[0]), ("upper", a_hi, leaders[-1])) if lead)
+            trace = ", ".join(f"{a:.6g}: " + (f"Im c = {lead[0].imag:.3e}" if lead else "stable")
+                              for a, lead in zip(alphas, leaders))
+            raise WindowError(f"unstable band touches the alpha window's {ends} at Re={Re:.6g}; "
+                              f"scan trace (alpha: leader's Im c): {trace}")
+        k0, k1 = kpos[0], kpos[-1]
+        lower.points.append((Re, _edge(profile, Re, grid, alphas[k0 - 1], alphas[k0], leaders[k0], alpha_tol / 2)))
+        upper.points.append((Re, _edge(profile, Re, grid, alphas[k1 + 1], alphas[k1], leaders[k1], alpha_tol / 2)))
     return lower, upper
 
 

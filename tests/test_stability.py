@@ -75,6 +75,24 @@ class TestRayleighSpectrum:
         assert np.all(np.abs(cs.imag) <= 1e-12)
         assert np.all(np.diff(cs.real) < 0)
 
+    @pytest.mark.parametrize("kind, grid", [
+        ("tanh", build_grid(128, HALF_LINE, map_scale=4.0)),
+        ("poiseuille", build_grid(128, CHANNEL)),
+    ])
+    def test_real_pencil(self, kind, grid):
+        # the Rayleigh pencil is real, so its eigensolves are; the spectrum
+        # is the one a complex cast of the same pencil gives
+        p = make_profile(kind, z0=1.0) if kind == "tanh" else make_profile(kind)
+        A, B, bc_idx, scale, mirror = _pencil(p, 0.5, grid, 0.0)
+        assert A.dtype == B.dtype == np.float64
+        sol = rayleigh_spectrum(p, 0.5, grid)
+        ref = stability._solve_pencil(A.astype(complex), B.astype(complex), bc_idx, 0.5,
+                                      "inviscid", scale, mirror)
+        assert len(sol.eigenvalues) == len(ref.eigenvalues) >= 2
+        assert np.max(np.abs(np.array(sol.eigenvalues) - ref.eigenvalues)) <= 1e-10
+        if kind == "poiseuille":  # neutral modes: a real eigensolve gives Im c = 0 exactly
+            assert all(c.imag == 0.0 for c in sol.eigenvalues)
+
     def test_residual_gate(self, half_grid):
         sol = rayleigh_spectrum(make_profile("tanh", z0=1.0), 0.5, half_grid)
         assert all(r <= 1e-6 for r in sol.residuals)
@@ -440,6 +458,21 @@ class TestPencil:
             tracemalloc.stop()
         assert peak <= 1.6 * (A.nbytes + B.nbytes)
 
+    def test_solve_peak_memory(self):
+        # the tail gate transformed the whole eigenvector block at once, and
+        # the lift unfolded each parity's vectors into a copy: a peak of 2.50x
+        # the bytes of A and B at N = 480, against 2.28x now
+        p, grid = make_profile("poiseuille"), build_grid(480, CHANNEL)
+        A, B, *_ = _pencil(p, 0.25, grid, 1.0 / (1j * 0.25 * 1e7))
+        os_spectrum(p, 0.25, 1e7, grid)
+        tracemalloc.start()
+        try:
+            os_spectrum(p, 0.25, 1e7, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.35 * (A.nbytes + B.nbytes)
+
 
 class TestGates:
     """The Chebyshev-tail gate runs first and the residual gate only on the
@@ -557,12 +590,51 @@ class TestPolishFallback:
         assert max(sol.residuals) <= stability.RESIDUAL_GATE
 
 
+NEUTRAL_CASES = {
+    # the branches fixture, and a half-line case
+    "poiseuille": (make_profile("poiseuille"), [4000, 6000, 8000, 10000], (0.6, 1.4),
+                   dict(N=96)),
+    "exponential": (make_profile("exponential"), [3e4, 1e5, 1e6], (0.015, 0.3),
+                    dict(N=64, map_scale=4.0, n_scan=12)),
+}
+
+
+def dense_neutral_curve(profile, Re_list, alpha_window, N, map_scale=2.0, n_scan=16, alpha_tol=1e-4):
+    """The reference: a dense ``max_growth_rate`` at every scan point and
+    every step of Brent's method, on the same scan brackets."""
+    grid = build_grid(N, profile.domain, map_scale=map_scale)
+    alphas = np.linspace(alpha_window[0], alpha_window[1], n_scan)
+    lower, upper = NeutralBranch([], "lower"), NeutralBranch([], "upper")
+    for Re in Re_list:
+        g = np.array([max_growth_rate(profile, a, Re, grid) for a in alphas])
+        kpos = np.flatnonzero(g > 0)
+        if not len(kpos):
+            lower.subcritical_Re.append(Re)
+            upper.subcritical_Re.append(Re)
+            continue
+        assert g[0] <= 0 and g[-1] <= 0
+
+        def growth(a):
+            return max_growth_rate(profile, a, Re, grid)
+
+        for br, k in ((lower, kpos[0] - 1), (upper, kpos[-1])):
+            br.points.append((Re, brentq(growth, alphas[k], alphas[k + 1], xtol=alpha_tol / 2)))
+    return lower, upper
+
+
 @pytest.fixture(scope="module")
 def branches():
-    p = make_profile("poiseuille")
-    return neutral_curve(p, [4000, 6000, 8000, 10000], (0.6, 1.4), N=96)
+    p, Re_list, window, kw = NEUTRAL_CASES["poiseuille"]
+    return neutral_curve(p, Re_list, window, **kw)
 
 
+@pytest.fixture(scope="module")
+def dense_branches():
+    return {name: dense_neutral_curve(p, Re_list, window, **kw)
+            for name, (p, Re_list, window, kw) in NEUTRAL_CASES.items()}
+
+
+@pytest.mark.filterwarnings("ignore:N=64 below resolution guidance")
 class TestNeutralCurve:
     def test_first_supercritical(self, branches):
         lower, _ = branches
@@ -599,10 +671,79 @@ class TestNeutralCurve:
                 above = max_growth_rate(p, a + 0.5e-4, re, grid)
                 assert (below > 0) != (above > 0), (br.side, re, a)
 
+    @pytest.mark.parametrize("case", list(NEUTRAL_CASES))
+    def test_tracked_edges_match_dense(self, case, branches, dense_branches):
+        # each edge tracked by inverse iteration lies within alpha_tol / 2 of
+        # Brent's method on dense solves, and the same Re are subcritical
+        p, Re_list, window, kw = NEUTRAL_CASES[case]
+        got = branches if case == "poiseuille" else neutral_curve(p, Re_list, window, **kw)
+        for br, ref in zip(got, dense_branches[case]):
+            assert br.subcritical_Re == ref.subcritical_Re
+            assert [re for re, _ in br.points] == [re for re, _ in ref.points]
+            assert len(br.points) >= 2
+            for (_, a), (_, a_ref) in zip(br.points, ref.points):
+                assert abs(a - a_ref) <= 0.5e-4
+
+    @pytest.mark.parametrize("force", [("CONFIRM_TOL", -1.0), ("TRACK_GATE", 0.0)])
+    def test_fallback_is_dense_edge(self, force, dense_branches, monkeypatch):
+        # a confirmation that rejects every tracked pair, or a tracking that
+        # never converges, leaves Brent's method on max_growth_rate: the
+        # dense edges, to the last bits the scan's leader may move them
+        p, Re_list, window, kw = NEUTRAL_CASES["exponential"]
+        monkeypatch.setattr(stability, *force)
+        got = neutral_curve(p, Re_list, window, **kw)
+        for br, ref in zip(got, dense_branches["exponential"]):
+            assert br.subcritical_Re == ref.subcritical_Re
+            assert [re for re, _ in br.points] == [re for re, _ in ref.points]
+            for (_, a), (_, a_ref) in zip(br.points, ref.points):
+                assert abs(a - a_ref) <= 1e-12
+
+    @pytest.mark.parametrize("case, Re, blocks, edges", [
+        ("poiseuille", 4000, 2, 0),     # subcritical: the scan alone
+        ("poiseuille", 8000, 2, 2),     # even and odd blocks per solve
+        ("exponential", 1e5, 1, 2),
+    ])
+    def test_eigensolves_per_Re(self, case, Re, blocks, edges, monkeypatch):
+        # n_scan eigenvalue-only solves, then one solve with eigenvectors per
+        # edge, its confirmation; the tracking itself factors, never eigs
+        calls = {"eig": 0, "eigvals": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(M):
+                calls[name] += 1
+                return fn(M)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(stability.np.linalg, name, counted(name))
+        p, _, window, kw = NEUTRAL_CASES[case]
+        lower, _ = neutral_curve(p, [Re], window, **kw)
+        assert len(lower.points) == edges // 2
+        assert calls == {"eigvals": blocks * kw.get("n_scan", 16), "eig": blocks * edges}
+
     def test_window_too_narrow(self):
         p = make_profile("poiseuille")
-        with pytest.raises(WindowError):
+        with pytest.raises(WindowError, match="lower end alpha=0.9 and upper end alpha=1.05"):
             neutral_curve(p, [10000], (0.9, 1.05), N=96)
+
+    @pytest.mark.filterwarnings("ignore:N=48 below resolution guidance")
+    @pytest.mark.parametrize("args, end", [
+        ((make_profile("exponential"), [1e5, 1e6], (0.05, 0.3), 48, 4.0), "lower end alpha=0.05 at Re=1e+06"),
+        ((make_profile("poiseuille"), [8000], (0.8, 1.0), 64, 2.0), "upper end alpha=1 at Re=8000"),
+    ])
+    def test_window_error_names_end(self, args, end):
+        # the message names the end the band touches and traces the scan:
+        # each alpha with its leader's Im c, or "stable"
+        p, Re_list, window, N, map_scale = args
+        with pytest.raises(WindowError) as info:
+            neutral_curve(p, Re_list, window, N=N, map_scale=map_scale)
+        msg = str(info.value)
+        assert f"touches the alpha window's {end};" in msg
+        trace = msg.split("scan trace (alpha: leader's Im c): ")[1].split(", ")
+        assert len(trace) == 16
+        assert {t.split(": ", 1)[1].split(" = ")[0] for t in trace} == {"stable", "Im c"}
 
     def test_unsorted_Re_rejected(self):
         with pytest.raises(ConfigurationError):
