@@ -23,7 +23,6 @@ from .instability import (
 )
 from .profiles import ShearProfile, blasius_solve, inflection_points, make_profile
 from .resolvent import (
-    ContourSpec,
     evans_det,
     evans_locate,
     heat_green,
@@ -45,7 +44,6 @@ from .stability import (
 __all__ = [
     "BLNormParams",
     "BootstrapResult",
-    "ContourSpec",
     "EigenSolution",
     "FourierMode",
     "GenSeries",

@@ -1,10 +1,13 @@
 """Contour-integral semigroups, heat-kernel Green functions, Evans functions.
 
-The semigroup of a matrix is evaluated as (1/2 pi i) * integral over a
-contour right of the spectrum of exp(lambda t) (lambda - A)^{-1} x0.  The
-contour ``ContourSpec(P, B)`` has three segments: two 45-degree rays joined
-by the vertical segment Re lambda = P, |Im lambda| <= B.  The Duhamel
-integral of a forcing is a Gauss-Legendre sum of such semigroup values.  The
+The semigroup of a matrix is evaluated at unit time: with mu = lambda t,
+exp(A t) x0 is (1/2 pi i) * integral over a contour right of the spectrum
+of t A of exp(mu) (mu - t A)^{-1} x0, so every t meets the same integrand
+shape and the contour grows with 1/t, as Bromwich contours do (Talbot,
+IMA J. Appl. Math. 23, 1979).  The contour (P, B) = ``default_contour_for(t A)``
+has three segments: two 45-degree rays of length 40 + B joined by the
+vertical segment Re mu = P, |Im mu| <= B.  The Duhamel integral of a
+forcing is a Gauss-Legendre sum of such semigroup values.  The
 heat temporal Green function uses the parabola-shaped contour
 lambda = nu (a + i k)^2 with a = |x - z| / (2 nu t), on which the integrand
 collapses to a Gaussian-damped real integral.
@@ -28,7 +31,6 @@ boundary in a loop of its own, since its criterion is a resolved phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,24 +55,16 @@ MAX_STACK = 2**18    # matrix entries of (lambda - A) solved in one stacked call
 X_FAR = 15.0         # ends +-X_FAR of the line for the decaying solutions
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Three-segment contour right of the spectrum."""
+def default_contour_for(A: np.ndarray) -> tuple[float, float]:
+    """Offset P and corner height B of a contour just right of the spectrum of A.
 
-    P: float              # real offset of the vertical segment
-    B: float              # corner height
-
-
-def default_contour_for(A: np.ndarray) -> ContourSpec:
-    """Contour just right of the spectrum of A.
-
-    P is kept tight: the integrand magnitude is e^{P t}, so an oversized P
+    P is kept tight: the integrand magnitude is e^P, so an oversized P
     amplifies quadrature cancellation error by that factor.
     """
     eig = np.linalg.eigvals(np.atleast_2d(np.asarray(A, dtype=complex)))
     P = float(np.max(eig.real)) + 1.0
     B = float(np.max(np.abs(eig.imag))) + abs(P) + 1.0
-    return ContourSpec(P, B)
+    return P, B
 
 
 def _agree(floor):
@@ -79,14 +73,15 @@ def _agree(floor):
     return lambda val, prev: np.max(np.abs(val - prev)) < TOL * (1 + np.max(np.abs(val))) + floor
 
 
-def _resolvent_sum(A, x0, t, lam, dlam, weights):
-    """(1/2 pi i) sum_j w_j e^{lam_j t} dlam_j (lam_j - A)^{-1} x0.
+def _resolvent_sum(A, x0, lam, dlam, weights):
+    """(1/2 pi i) sum_j w_j e^{lam_j} dlam_j (lam_j - A)^{-1} x0.
 
     The systems are solved stacked, at most MAX_STACK matrix entries at a
-    time, so memory stays bounded for large A and long contours.
+    time, so memory stays bounded for large A and long contours.  A
+    singular node raises ContourCrossesSpectrumError(node).
     """
     dim = A.shape[0]
-    coef = weights * np.exp(lam * t) * dlam
+    coef = weights * np.exp(lam) * dlam
     # x0 as a (1, dim, 1) matrix: a 1-D right-hand side is a vector against
     # a stack only under NumPy >= 2
     rhs = x0[None, :, None]
@@ -97,8 +92,7 @@ def _resolvent_sum(A, x0, t, lam, dlam, weights):
         try:
             R = np.linalg.solve(M, rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
-            bad = lam[i + np.argmin(np.abs(np.linalg.det(M)))]
-            raise ContourCrossesSpectrumError(f"(lambda - A) singular at lambda={bad}") from exc
+            raise ContourCrossesSpectrumError(lam[i + np.argmin(np.abs(np.linalg.det(M)))]) from exc
         total += coef[i:i + step] @ R
     return total / (2j * np.pi)
 
@@ -126,21 +120,18 @@ def _square_matrix(A) -> np.ndarray:
     return A
 
 
-def semigroup_apply(
-    A: np.ndarray,
-    x0: np.ndarray,
-    t: float,
-    contour: ContourSpec | None = None,
-) -> np.ndarray:
-    """Evaluate exp(A t) x0 by resolvent contour quadrature.
+def semigroup_apply(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
+    """Evaluate exp(A t) x0 by resolvent contour quadrature at unit time.
 
-    ``contour`` defaults to ``default_contour_for(A)``.  Nodes are doubled
-    from 32 per segment until two passes agree to 1e-10 relative, plus the
-    cancellation floor below.  At t = 0 the value is x0 itself, returned
-    exactly.  A contour through an eigenvalue raises
-    ContourCrossesSpectrumError naming the node.  A must be a non-empty
-    square matrix (else ConfigurationError), x0 a vector of its order (else
-    InputError) and t finite and nonnegative (else ConfigurationError).
+    The integral of exp(mu) (mu - t A)^{-1} x0 on ``default_contour_for(t A)``
+    doubles its nodes from 32 per segment until two passes agree to 1e-10
+    relative, plus the cancellation floor 100 eps e^{max(P, 0)} (1 + |x0|).
+    At t = 0 the value is x0 itself, returned exactly.  A contour through
+    an eigenvalue raises ContourCrossesSpectrumError naming lambda = mu / t;
+    a t A or a pass that is not finite, QuadratureError.  A must be a
+    non-empty square matrix (else ConfigurationError), x0 a vector of its
+    order (else InputError) and t finite and nonnegative (else
+    ConfigurationError).
     """
     A = _square_matrix(A)
     x0 = np.asarray(x0, dtype=complex)
@@ -150,19 +141,23 @@ def semigroup_apply(
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0:
         return x0.copy()
-    if contour is None:
-        contour = default_contour_for(A)
-
-    # e^{Re lambda t} along the rays decays like e^{(P - s) t}
-    ray_len = 40.0 / t + contour.B
-    # cancellation floor: the integrand reaches e^{P t}, and summing it to a
-    # value of order 1 cannot beat that magnitude times machine epsilon; where
-    # e^{P t} overflows, the first pass is not finite and reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = 100.0 * np.finfo(float).eps * np.exp(max(contour.P, 0.0) * t) * (1 + np.linalg.norm(x0))
+        tA = t * A
+    if not np.all(np.isfinite(tA)):
+        raise QuadratureError(f"t A is not finite at t={t!r}")
+    P, B = default_contour_for(tA)
+    # cancellation floor: the integrand reaches e^P, and summing it to a value
+    # of order 1 cannot beat that magnitude times machine epsilon; where e^P
+    # overflows, the first pass is not finite and reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = 100.0 * np.finfo(float).eps * np.exp(max(P, 0.0)) * (1 + np.linalg.norm(x0))
 
     def segment_pass(n):
-        return _resolvent_sum(A, x0, t, *_three_segment_nodes(contour.P, contour.B, ray_len, n))
+        # e^{Re mu} along the rays decays like e^{P - s}
+        try:
+            return _resolvent_sum(tA, x0, *_three_segment_nodes(P, B, 40.0 + B, n))
+        except ContourCrossesSpectrumError as exc:
+            raise ContourCrossesSpectrumError(f"(lambda - A) singular at lambda={exc.args[0] / t}") from exc
 
     return refine(segment_pass, N_NODES, _agree(floor), "three-segment quadrature", MAX_PASSES)
 
@@ -176,19 +171,15 @@ def duhamel_term(
 
     Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 until
     two passes agree to 1e-10 relative; each propagator is a
-    ``semigroup_apply`` on one contour computed for A.
+    ``semigroup_apply``, on the contour of its own (t - tau) A.
     """
     A = _square_matrix(A)
     if t == 0.0:
         return np.zeros(A.shape[0], dtype=complex)
-    contour = default_contour_for(A)
 
     def one_pass(n):
         tau, wt = gauss_nodes(0.0, t, n)
-        return sum(
-            wi * semigroup_apply(A, forcing(ti), t - ti, contour=contour)
-            for ti, wi in zip(tau, wt)
-        )
+        return sum(wi * semigroup_apply(A, forcing(ti), t - ti) for ti, wi in zip(tau, wt))
 
     return refine(one_pass, 8, _agree(0.0), "Duhamel quadrature", 7)
 

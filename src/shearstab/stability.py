@@ -546,10 +546,13 @@ class _TrackingLost(Exception):
     """A tracked pair could not be advanced, or does not bracket its edge."""
 
 
-def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, xtol):
+def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
     """Brent's method on Im c(alpha) of the leader found at ``a_unstable``,
     tracked to each new alpha: returns the edge and the pair's c there.
 
+    The track holds that pair and, when the scan point ``beyond`` = (alpha,
+    leader) past ``a_unstable`` has a leader of the same parity, that one
+    too, so that the first step has a secant as well.
     A step starts from the tracked alpha nearest the new one, with c
     predicted by the secant through it and the next nearest, and refines
     the pair by ``_refine_eigenpair`` on its parity block, a second time
@@ -562,6 +565,9 @@ def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, xtol):
 
     c_u, w_u, s = leader
     track = {a_unstable: (c_u, w_u)}
+    a_beyond, lead_beyond = beyond
+    if lead_beyond is not None and lead_beyond[2] == s:
+        track[a_beyond] = lead_beyond[:2]
 
     def advance(a, halvings=0):
         near = sorted(track, key=lambda t: abs(t - a))
@@ -595,12 +601,12 @@ def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, xtol):
     return edge, c_at(edge)
 
 
-def _edge(profile, Re, grid, a_stable, a_unstable, leader, xtol):
+def _edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
     """The crossing between a stable and an unstable scan alpha: tracked and
     confirmed by one dense solve whose accepted leader must be the tracked
     pair, else Brent's method on ``max_growth_rate``."""
     try:
-        edge, c = _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, xtol)
+        edge, c = _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol)
         sol = os_spectrum(profile, edge, Re, grid)
         if sol.eigenvalues and abs(sol.eigenvalues[0] - c) <= CONFIRM_TOL * max(1.0, abs(c)):
             return edge
@@ -637,11 +643,13 @@ def neutral_curve(
     Each edge of an unstable band is found by Brent's method, to within
     ``alpha_tol / 2`` of the crossing, on Im c(alpha) of the leader at the
     bracket's unstable end.  The pair is advanced to each new alpha by
-    inverse iteration on its parity block from a secant prediction of c,
-    the step halved while its residual stays above TRACK_GATE.  One dense
-    ``os_spectrum`` at the converged edge must show the tracked pair as its
-    accepted leader.  Where the tracking or this confirmation fails, that
-    edge is found by Brent's method on ``max_growth_rate`` instead.
+    inverse iteration on its parity block from a secant prediction of c
+    (at the first step, through the next scan leader inside the band when
+    it has the same parity), the step halved while its residual stays
+    above TRACK_GATE.  One dense ``os_spectrum`` at the converged edge must
+    show the tracked pair as its accepted leader.  Where the tracking or
+    this confirmation fails, that edge is found by Brent's method on
+    ``max_growth_rate`` instead.
 
     Re values with no unstable alpha are recorded on the branches as below
     criticality.  WindowError when a band touches either end of the
@@ -679,9 +687,10 @@ def neutral_curve(
                               for a, lead in zip(alphas, leaders))
             raise WindowError(f"unstable band touches the alpha window's {ends} at Re={Re:.6g}; "
                               f"scan trace (alpha: leader's Im c): {trace}")
-        k0, k1 = kpos[0], kpos[-1]
-        lower.points.append((Re, _edge(profile, Re, grid, alphas[k0 - 1], alphas[k0], leaders[k0], alpha_tol / 2)))
-        upper.points.append((Re, _edge(profile, Re, grid, alphas[k1 + 1], alphas[k1], leaders[k1], alpha_tol / 2)))
+        # each edge between the band's end k and the stable point k + step
+        for branch, k, step in ((lower, kpos[0], -1), (upper, kpos[-1], 1)):
+            branch.points.append((Re, _edge(profile, Re, grid, alphas[k + step], alphas[k], leaders[k],
+                                            (alphas[k - step], leaders[k - step]), alpha_tol / 2)))
     return lower, upper
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shearstab import instability, resolvent
 from shearstab.errors import (
@@ -11,7 +12,6 @@ from shearstab.errors import (
     RegionError,
 )
 from shearstab.resolvent import (
-    ContourSpec,
     _hankel_seeds,
     evans_det,
     evans_locate,
@@ -99,20 +99,20 @@ class TestSemigroup:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((4, 4))
         P = float(np.max(np.linalg.eigvals(A).real)) + 0.5
-        contour = ContourSpec(P, 10.0)
         x0 = rng.standard_normal(4)
-        n1 = np.linalg.norm(semigroup_apply(A, x0, 1.0, contour))
+        n1 = np.linalg.norm(semigroup_apply(A, x0, 1.0))
         C_P = n1 / (np.exp(P) * np.linalg.norm(x0))
         for t in (2.0, 4.0):
-            nt = np.linalg.norm(semigroup_apply(A, x0, t, contour))
+            nt = np.linalg.norm(semigroup_apply(A, x0, t))
             assert nt <= 2.0 * max(C_P, 1.0) * np.exp(P * t) * np.linalg.norm(x0)
 
-    def test_contour_through_eigenvalue(self):
-        # B = 0 collapses the vertical segment onto lambda = P = 1, an
-        # eigenvalue of A
+    def test_contour_through_eigenvalue(self, monkeypatch):
+        # B = 0 collapses the vertical segment onto mu = P = 1, an eigenvalue
+        # of t A at t = 1
+        monkeypatch.setattr(resolvent, "default_contour_for", lambda tA: (1.0, 0.0))
         A = np.diag([1.0, -1.0])
         with pytest.raises(ContourCrossesSpectrumError, match=r"lambda=\(1\+0j\)"):
-            semigroup_apply(A, np.array([1.0, 1.0]), 1.0, ContourSpec(1.0, 0.0))
+            semigroup_apply(A, np.array([1.0, 1.0]), 1.0)
 
     def test_chunked_solve_matches_one_stack(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -127,9 +127,50 @@ class TestSemigroup:
     def test_contour_through_eigenvalue_chunked(self, monkeypatch):
         # the singular node lies in a later chunk; the error must still name it
         monkeypatch.setattr(resolvent, "MAX_STACK", 5 * 4)
+        monkeypatch.setattr(resolvent, "default_contour_for", lambda tA: (1.0, 0.0))
         A = np.diag([1.0, -1.0])
         with pytest.raises(ContourCrossesSpectrumError, match=r"lambda=\(1\+0j\)"):
-            semigroup_apply(A, np.array([1.0, 1.0]), 1.0, ContourSpec(1.0, 0.0))
+            semigroup_apply(A, np.array([1.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("t", [1e-300, 5e-324])
+    def test_tiny_time_matches_expm(self, t):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((4, 4))
+        x0 = rng.standard_normal(4)
+        v = semigroup_apply(A, x0, t)
+        assert np.max(np.abs(v - scipy.linalg.expm(A * t) @ x0)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-5])
+    def test_small_time_settles_in_few_nodes(self, monkeypatch, t):
+        # the nodes per segment of every pass, counted; a pass past 256 fails
+        # at once rather than after the slow passes beyond it
+        resolvent_sum = resolvent._resolvent_sum
+
+        def capped(*args):
+            assert args[-1].size // 3 <= 256, f"{args[-1].size // 3} nodes per segment"
+            return resolvent_sum(*args)
+
+        monkeypatch.setattr(resolvent, "_resolvent_sum", capped)
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((4, 4))
+        x0 = rng.standard_normal(4)
+        v = semigroup_apply(A, x0, t)
+        assert np.max(np.abs(v - scipy.linalg.expm(A * t) @ x0)) <= 1e-12
+
+    def test_long_time_seeded_matrices(self):
+        worst = 0.0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((4, 4)) / 2
+            x0 = rng.standard_normal(4)
+            v = semigroup_apply(A, x0, 10.0)
+            worst = max(worst, np.max(np.abs(v - scipy.linalg.expm(A * 10.0) @ x0)))
+        assert worst <= 1e-7
+
+    def test_overflowing_t_times_A(self):
+        # t A itself overflows: one typed error, with no numpy warning first
+        with pytest.raises(QuadratureError, match="t A is not finite"):
+            semigroup_apply(np.array([[1e10, 1.0], [0.0, -1.0]]), np.ones(2), 1e300)
 
     def test_bad_shapes_raise_typed_errors(self):
         with pytest.raises(ConfigurationError, match=r"\(0, 0\)"):
@@ -242,6 +283,25 @@ class TestDuhamel:
     def test_lives_next_to_the_semigroup(self):
         # instability re-exports it, and both names must be the one function
         assert instability.duhamel_term is resolvent.duhamel_term
+
+    def test_constant_forcing_segments_stay_short(self, monkeypatch):
+        # the contour bench's case: each inner semigroup at small t - tau
+        # settles on its own contour, within 256 nodes per segment
+        segments = []
+        resolvent_sum = resolvent._resolvent_sum
+
+        def counting(*args):
+            segments.append(args[-1].size // 3)
+            return resolvent_sum(*args)
+
+        monkeypatch.setattr(resolvent, "_resolvent_sum", counting)
+        A = np.array([[-0.5, 0.4], [0.0, -1.2]])
+        b = np.random.default_rng(21).uniform(-1.0, 1.0, 14)[12:]
+        t = 1.3
+        v = resolvent.duhamel_term(A, lambda tau: b, t)
+        exact = (scipy.linalg.expm(A * t) - np.eye(2)) @ np.linalg.solve(A, b)
+        assert max(segments) <= 256
+        assert np.max(np.abs(v - exact)) <= 1e-12
 
 
 class TestParabolicGreen:
