@@ -105,7 +105,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise InputError(f"{path}:{lineno}: expected key=value")
                 key, val = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from None
     return out
 

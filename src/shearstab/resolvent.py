@@ -18,9 +18,11 @@ A semigroup pass solves the resolvent systems of all its nodes in stacked
 solves of at most MAX_STACK matrix entries each.
 
 The Evans function and the parabolic Green function are built from the
-decaying solutions of nu psi'' = (lambda - A(x)) psi, integrated inward from
-+-X_FAR.  ``_decaying_solutions`` integrates them for an array of spectral
-parameters at once, one ``solve_ivp`` per direction, so that an
+decaying solutions of nu psi'' = (lambda - A(x)) psi from +-X_FAR, through
+their growth-free amplitudes phi+- = psi+- e^{+-mu (x -+ X_FAR)}: the known
+exponential is applied in closed form (Humpherys & Zumbrun, Physica D 220,
+2006).  ``_decaying_solutions`` integrates the amplitudes for an array of
+spectral parameters at once, one ``solve_ivp`` per direction, so that an
 ``evans_locate`` pass evaluates its whole rectangle boundary in two
 integrations, and each step of its secant, which refines all the zeros
 inside from their Hankel-eigenvalue seeds together, in two more; a single
@@ -225,18 +227,21 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
 
 
 def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
-    """psi+ (decays at +inf) and psi- (decays at -inf) for every spectral
-    parameter in the 1-D array lam, by inward integration to x_match.
+    """Growth-free amplitudes phi+- of the decaying solutions psi+ (decays at
+    +inf) and psi- (decays at -inf) for every spectral parameter in the 1-D
+    array lam, by inward integration to x_match; returns (mu, sol_p, sol_m).
 
-    Each starts from the constant-coefficient asymptotics exp(-/+ x mu),
-    normalized to 1 at its endpoint, and solves nu psi'' = (lam - A) psi.
-    All K parameters share one integration per direction: the state is
-    (psi, psi') of shape (2, K), flattened, and A(x) is evaluated once per
-    right-hand side for all of them.  sol.y[:, -1].reshape(2, K) holds
-    (psi, psi') at x_match; with ``dense`` each solution can also be read
-    between its starting endpoint and x_match.  EssentialSpectrumError,
-    naming the first offending lam, where Re mu vanishes, mu = sqrt(lam / nu);
-    ConfigurationError unless nu is positive and finite.
+    psi+- = phi+- exp(-+mu (x -+ x_far)), mu = sqrt(lam / nu): the known
+    far-field exponential is applied in closed form by the callers, and
+    nu psi'' = (lam - A) psi becomes phi+-'' = +-2 mu phi+-' - (A / nu) phi+-
+    with phi = 1, phi' = 0 at the far end.  For A = 0 the amplitudes stay
+    exactly 1.  All K parameters share one integration per direction: the
+    state is (phi, phi') of shape (2, K), flattened, and A(x) is evaluated
+    once per right-hand side for all of them.  sol.y[:, -1].reshape(2, K)
+    holds (phi, phi') at x_match; with ``dense`` each amplitude can also be
+    read between its starting endpoint and x_match.  EssentialSpectrumError,
+    naming the first offending lam, where Re mu vanishes; ConfigurationError
+    unless nu is positive and finite.
     """
     check_positive(nu=nu)
     mu = np.sqrt(lam / nu + 0j)
@@ -247,30 +252,30 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
             "spectral parameter in the essential spectrum"
         )
     K = lam.size
-    lam_nu = lam / nu
 
-    def rhs(x, y):
-        out = np.empty_like(y)
-        out[:K] = y[K:]
-        np.multiply(lam_nu - A(x) / nu, y[:K], out=out[K:])
-        return out
+    def rhs(two_mu):
+        return lambda x, y: np.concatenate([y[K:], two_mu * y[K:] - A(x) / nu * y[:K]])
 
-    ones = np.ones(K, dtype=complex)
-    sol_p = solve_ivp(rhs, (x_far, x_match), np.concatenate([ones, -mu]), method="DOP853",
-                      rtol=1e-11, atol=1e-13, dense_output=dense)
-    sol_m = solve_ivp(rhs, (-x_far, x_match), np.concatenate([ones, mu]), method="DOP853",
-                      rtol=1e-11, atol=1e-13, dense_output=dense)
+    # phi+- start at 1 and stay of order 1, so one tolerance serves as
+    # relative and absolute
+    start = np.repeat([1.0 + 0j, 0j], K)
+    sol_p = solve_ivp(rhs(2 * mu), (x_far, x_match), start, method="DOP853",
+                      rtol=1e-11, atol=1e-11, dense_output=dense)
+    sol_m = solve_ivp(rhs(-2 * mu), (-x_far, x_match), start, method="DOP853",
+                      rtol=1e-11, atol=1e-11, dense_output=dense)
     if not (sol_p.success and sol_m.success):
         raise NumericalError("decaying-solution integration failed")
-    return sol_p, sol_m
+    return mu, sol_p, sol_m
 
 
 def _matching_matrices(A, lam, nu, x_far):
     """M = [[psi+, psi-], [psi+', psi-']] at x = 0 for each lam, shape (K, 2, 2)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    sol_p, sol_m = _decaying_solutions(A, lam, nu, x_far, 0.0)
-    cols = [sol.y[:, -1].reshape(2, lam.size) for sol in (sol_p, sol_m)]
-    return np.stack(cols, axis=-1).transpose(1, 0, 2)
+    mu, sol_p, sol_m = _decaying_solutions(A, lam, nu, x_far, 0.0)
+    (pp, dp), (pm, dm) = (sol.y[:, -1].reshape(2, lam.size) for sol in (sol_p, sol_m))
+    # at x = 0 both columns carry e^{mu x_far}, and psi+-' = (phi+-' -+ mu phi+-) e^{mu x_far}
+    M = np.array([[pp, pm], [dp - mu * pp, dm + mu * pm]]) * np.exp(mu * x_far)
+    return M.transpose(2, 0, 1)
 
 
 def _det2(M):
@@ -290,27 +295,27 @@ def parabolic_green(
     lambda = i tau.
 
     Built from decaying solutions psi+- matched at the source point: the
-    value is continuous there and the derivative jumps by 1/nu.  Each is
-    integrated from its end of the line to the source point y only, since
-    psi+ is read at points >= y and psi- at points <= y.
+    value is continuous there and the derivative jumps by 1/nu.  In their
+    amplitudes phi+- the exponentials cancel to
+    G = -e^{-mu |x-y|} phi+(max(x, y)) phi-(min(x, y)) / (nu W), with
+    W = phi+ phi-' - phi- phi+' + 2 mu phi+ phi- at y, so a large lambda
+    cannot overflow.  Each amplitude is integrated from its end of the line
+    to the source point y only, since phi+ is read at points >= y and phi-
+    at points <= y.
     """
     if not np.all(np.isfinite([tau, x, y])):
         raise ConfigurationError(f"tau, x and y must be finite, got {tau!r}, {x!r}, {y!r}")
     if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
         raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
-    sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
+    (mu,), sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
 
     pp, dp = sol_p.y[:, -1]
     pm, dm = sol_m.y[:, -1]
-    # G = a psi-  (x < y),  b psi+  (x > y); continuity and derivative jump 1/nu
-    M = np.array([[pm, -pp], [-dm, dp]])
-    try:
-        a, b = np.linalg.solve(M, np.array([0.0, 1.0 / nu]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("matching system singular") from exc
-    if x < y:
-        return complex(a * sol_m.sol(x)[0])
-    return complex(b * sol_p.sol(x)[0])
+    w = pp * dm - pm * dp + 2 * mu * pp * pm
+    if w == 0:
+        raise NumericalError("matching system singular")
+    amps = pm * sol_p.sol(x)[0] if x >= y else pp * sol_m.sol(x)[0]
+    return complex(-np.exp(-mu * abs(x - y)) * amps / (nu * w))
 
 
 def evans_det(A, lam: complex, nu: float = 1.0) -> complex:

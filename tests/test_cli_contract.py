@@ -11,6 +11,7 @@ import pytest
 import shearstab
 
 from shearstab.cli import _FLAGS, COMMANDS, MODES, _option, main
+from shearstab.profiles import _PARAMS as _PROFILE_KINDS
 
 
 def run_cli(capsys, args):
@@ -309,6 +310,23 @@ _SWEEP_BASE = {
     "neutral-curve": {"profile": "exponential", "n": "48", "re": "1e5:1e6:2", "alpha": "0.05:0.3"},
     "resolvent": {"profile": "exponential", "n": "48"},
 }
+# besides its choices, each name flag is given the empty name and an unknown one
+_NAMES = ("", "nosuch")
+# config files of heat-kernel, each written by its function at the path given
+_CONFIGS = {
+    "line without =": lambda path: path.write_text("t 2\n"),
+    "empty key": lambda path: path.write_text("= 2\n"),
+    "empty value": lambda path: path.write_text("t =\n"),
+    "unknown key": lambda path: path.write_text("zzz = 1\n"),
+    "config key": lambda path: path.write_text("config = other.cfg\n"),
+    "missing path": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "non-UTF-8 bytes": lambda path: path.write_bytes(b"\xff\xfe t = 1\n"),
+}
+
+
+def _argv(head, base):
+    return head + [a for k, v in base.items() for a in (_option(k), v)]
 
 
 def _sweep_cases():
@@ -322,17 +340,31 @@ def _sweep_cases():
                 if flag == "z0":
                     base["profile"] = "tanh"
                 base[flag] = value
-                argv = head + [a for k, v in base.items() for a in (_option(k), v)]
-                cases.append(pytest.param(argv, id=" ".join(argv)))
-    return cases
+                cases.append((_argv(head, base), None))
+    # the name flags: every --profile of each subcommand that reads one (21
+    # cases) and every --mode of instability (6 cases)
+    for sub, base in _SWEEP_BASE.items():
+        for kind in (*_PROFILE_KINDS, *_NAMES):
+            extra = {"z0": "1"} if kind == "tanh" else {}
+            cases.append((_argv([sub], {**base, "profile": kind, **extra}), None))
+    cases += [(["instability", "--mode", mode], None) for mode in (*MODES, *_NAMES)]
+    # --config: malformed, unreadable and undecodable files (8 cases)
+    cases += [(["heat-kernel", "--config"], name) for name in _CONFIGS]
+    return [pytest.param(argv, config, id=" ".join(argv) + (f" <{config}>" if config else ""))
+            for argv, config in cases]
 
 
-@pytest.mark.parametrize("argv", _sweep_cases())
-def test_generated_input_contract(capsys, argv):
+@pytest.mark.parametrize("argv, config", _sweep_cases())
+def test_generated_input_contract(capsys, tmp_path, argv, config):
     # map scales, Reynolds numbers and tolerances at the float limits exited
     # 1 with a traceback; riccati at a tiny epsilon and hopf at a tiny eta0
     # printed numpy's warnings before an exit 0; argparse's rejections
-    # printed a usage block of 3-5 lines
+    # printed a usage block of 3-5 lines; a config file of non-UTF-8 bytes
+    # exited 1 with a UnicodeDecodeError traceback
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        _CONFIGS[config](cfg)
+        argv = argv + [str(cfg)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)

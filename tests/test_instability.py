@@ -40,6 +40,26 @@ def scalar_boot():
     )
 
 
+def _per_pair_reference(A, Q, v0, lam, N, tg):
+    """psi_1..psi_N of the bootstrap on tg, unscaled: psi_1 = v0 e^{lam t} and
+    the triangular system integrated by DOP853 with one call of Q per pair."""
+    d = v0.size
+
+    def ref_rhs(t, y):
+        psis = [v0 * np.exp(lam * t)] + [y[d * i:d * i + d] for i in range(N - 1)]
+        out = []
+        for i in range(2, N + 1):
+            f = A @ psis[i - 1]
+            for j in range(1, i):
+                f = f + Q(psis[j - 1], psis[i - j - 1])
+            out.append(f)
+        return np.concatenate(out)
+
+    ref = solve_ivp(ref_rhs, (0.0, tg[-1]), np.zeros(d * (N - 1), dtype=complex),
+                    method="DOP853", rtol=1e-12, atol=1e-12, t_eval=tg)
+    return [v0 * np.exp(lam * tg)[:, None]] + [ref.y[d * i:d * i + d].T for i in range(N - 1)]
+
+
 class TestOdeBootstrap:
     def test_phi2_closed_form(self, scalar_boot):
         # convolution of e^{t-tau} with e^{2tau} gives eps^2 (e^{2t} - e^t)
@@ -81,16 +101,20 @@ class TestOdeBootstrap:
         )
         assert np.isfinite(scalar_boot.escape_time)
 
+    @staticmethod
+    def _scalar_runs(epss):
+        """(eps, result) of phi' = phi + phi^2 from eps e^t at order 5, each
+        on [0, -log(eps) + 4]."""
+        runs = []
+        for eps in epss:
+            tg = np.linspace(0.0, -np.log(eps) + 4.0, 81)
+            runs.append((eps, ode_bootstrap(np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, eps, 5, tg)))
+        return runs
+
     def test_escape_time_scaling(self):
         # first crossing of sigma0 happens at -log(eps)/Re(lambda) + O(1)
         epss = [1e-3, 1e-4, 1e-5]
-        times = []
-        for eps in epss:
-            tg = np.linspace(0.0, -np.log(eps) + 4.0, 81)
-            r = ode_bootstrap(
-                np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, eps, 5, tg
-            )
-            times.append(r.escape_time)
+        times = [r.escape_time for _, r in self._scalar_runs(epss)]
         slope = np.polyfit(-np.log(epss), times, 1)[0]
         assert slope == pytest.approx(1.0, rel=0.05)
 
@@ -165,19 +189,7 @@ class TestOdeBootstrap:
         # one call per right-hand-side evaluation, one for the residual
         assert len(n_calls) == nfev[0] + 1
 
-        def ref_rhs(t, y):
-            psis = [v0 * np.exp(t)] + [y[2 * i:2 * i + 2] for i in range(N - 1)]
-            out = []
-            for i in range(2, N + 1):
-                f = A @ psis[i - 1]
-                for j in range(1, i):
-                    f = f + psis[j - 1][::-1] * psis[i - j - 1]
-                out.append(f)
-            return np.concatenate(out)
-
-        ref = solve_ivp(ref_rhs, (0.0, tg[-1]), np.zeros(2 * (N - 1), dtype=complex),
-                        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=tg)
-        psis = [v0 * np.exp(tg)[:, None]] + [ref.y[2 * i:2 * i + 2].T for i in range(N - 1)]
+        psis = _per_pair_reference(A, lambda a, b: a[..., ::-1] * b, v0, 1.0, N, tg)
         for i in range(N):
             want = eps ** (i + 1) * psis[i]
             scale = np.max(np.abs(want))
@@ -188,6 +200,52 @@ class TestOdeBootstrap:
                 if j + k >= N - 1:
                     residual += r.terms[j][:, ::-1] * r.terms[k]
         assert np.allclose(r.residual, np.max(np.abs(residual), axis=1), rtol=1e-12, atol=0.0)
+
+    def test_scalar_terms_match_closed_form(self):
+        # phi_n = eps^n e^t (e^t - 1)^{n-1}: every order within 1e-11 of its
+        # envelope eps^n e^{nt}, so the growth-free chi_n are accurate to 1e-11
+        for eps, r in self._scalar_runs([1e-3, 1e-4, 1e-5]):
+            e = np.exp(r.t_grid)
+            for n, term in enumerate(r.terms, start=1):
+                exact = eps**n * e * (e - 1.0) ** (n - 1)
+                assert np.max(np.abs(term[:, 0] - exact) / (eps**n * e**n)) <= 1e-11
+
+    def test_growth_free_integration_is_short(self, monkeypatch):
+        # with the known growth e^{n t} taken out, the three integrations of
+        # the escape-time scaling take at most 6000 right-hand sides in all;
+        # following the exponentials took 12831
+        nfev = []
+        solve_ivp_ = instability.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = solve_ivp_(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(instability, "solve_ivp", recording)
+        self._scalar_runs([1e-3, 1e-4, 1e-5])
+        assert len(nfev) == 3
+        assert sum(nfev) <= 6000
+
+    def test_real_bilinear_Q_on_complex_eigenpair(self):
+        # Q(a, b) = Re(a) b is real-bilinear but not complex-bilinear: only
+        # the real factors e^{-n Re(lambda) t} pass through it, so a scaling
+        # by e^{-n lambda t} would show here against the unscaled per-pair
+        # reference
+        A = np.array([[1.0, -2.0], [2.0, 1.0]])
+        v0 = np.array([1.0, -1.0j])
+        lam = 1.0 + 2.0j
+        eps, N = 1e-3, 4
+        tg = np.linspace(0.0, 5.0, 51)
+
+        def Q(a, b):
+            return a.real * b
+
+        r = ode_bootstrap(A, Q, v0, lam, eps, N, tg)
+        psis = _per_pair_reference(A, Q, v0, lam, N, tg)
+        for i in range(N):
+            want = eps ** (i + 1) * psis[i]
+            assert np.max(np.abs(r.terms[i] - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_bad_eigenpair(self):
         with pytest.raises(InputError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -314,6 +316,39 @@ class TestParabolicGreen:
             g = parabolic_green(lambda s: 0.0, tau, x, y, nu)
             exact = -np.exp(-abs(x - y) * mu) / (2 * np.sqrt(lam * nu))
             assert abs(g - exact) < 1e-8
+
+    def test_free_kernel_is_exact_and_short(self, monkeypatch):
+        # for A = 0 the amplitudes phi+- stay 1, so the kernel is the closed
+        # form to rounding, in at most 300 right-hand sides per direction
+        nfev = []
+        solve_ivp = resolvent.solve_ivp
+
+        def recording(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(resolvent, "solve_ivp", recording)
+        for tau, nu in [(-2.0j, 1.0), (1.3, 1.0), (2.5 - 0.7j, 0.5)]:
+            mu = np.sqrt(1j * tau / nu)
+            for x, y in [(0.5, -0.3), (-1.0, 1.2), (0.0, 0.0)]:
+                g = parabolic_green(lambda s: 0.0 * s, tau, x, y, nu)
+                exact = -np.exp(-abs(x - y) * mu) / (2 * nu * mu)
+                assert abs(g - exact) < 1e-13
+        assert max(nfev) <= 300
+
+    @pytest.mark.parametrize("lam", [1e4, 1e6])
+    def test_large_lambda_does_not_overflow(self, lam):
+        # psi+- carry e^{sqrt(lambda) X_FAR}, which overflows at lambda = 1e4:
+        # numpy's overflow warnings, then NumericalError; the amplitudes and
+        # the cancelled exponentials stay finite
+        mu = np.sqrt(lam)
+        for x, y in [(0.0, 0.0), (0.004, -0.002), (-0.01, 0.0)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = parabolic_green(lambda s: 0.0 * s, -1j * lam, x, y, 1.0)
+            exact = -np.exp(-abs(x - y) * mu) / (2 * mu)
+            assert abs(g - exact) <= 1e-12 * abs(exact)
 
     def test_derivative_jump(self):
         nu = 0.5
