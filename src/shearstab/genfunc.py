@@ -419,6 +419,19 @@ class FourierMode:
 # ---------------------------------------------------------------------------
 
 
+def _gen_eval(table: np.ndarray, t, z) -> np.ndarray:
+    """sum_{k,m} table[k, m] t^k z^m / m! at broadcast points (t, z).
+
+    With table[k-1, m] = sup|d^m u_k| this is the truncated generator
+    G_N(t, z) of ``instability.hopf_majorant``.  The sum over m runs in
+    order of m, so that at t = 0 the value is Gen(u_1)(z) term by term."""
+    n_t, n_z = table.shape
+    m = np.arange(n_z)
+    fact = np.cumprod(np.maximum(m, 1).astype(float))
+    a = np.asarray(t, dtype=float)[..., None] ** np.arange(n_t) @ table
+    return np.cumsum(a * np.asarray(z, dtype=float)[..., None] ** m / fact, axis=-1)[..., -1]
+
+
 @dataclass(frozen=True)
 class GenSeries:
     """Truncated two-variable generator series with nonnegative coefficients.
@@ -438,13 +451,9 @@ class GenSeries:
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, z1, z2):
-        """G(z1, z2), broadcast over arrays of points; a float for a scalar point."""
-        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=float), np.asarray(z2, dtype=float))
-        w = np.arange(self.coeffs.shape[0])
-        ell = np.arange(self.coeffs.shape[1])
-        fac = np.cumprod(np.concatenate([[1.0], np.maximum(ell[1:], 1)]))
-        rows = np.sum(np.exp(z1[..., None] * w)[..., None] * self.coeffs, axis=-2)
-        vals = np.sum(rows * (z2[..., None] ** ell / fac), axis=-1)
+        """G(z1, z2) = ``_gen_eval(coeffs, e^{z1}, z2)``, since e^{z1 w} = (e^{z1})^w,
+        broadcast over arrays of points; a float for a scalar point."""
+        vals = _gen_eval(self.coeffs, np.exp(np.asarray(z1, dtype=float)), z2)
         return float(vals) if vals.ndim == 0 else vals
 
     def dz1(self) -> "GenSeries":

@@ -44,6 +44,7 @@ from .errors import (
     WindowError,
     check_positive,
 )
+from .genfunc import _gen_eval
 from .profiles import TORUS, ShearProfile, solve_ivp
 from .resolvent import duhamel_term  # noqa: F401  (re-exported: phi_i is a Duhamel integral)
 
@@ -461,19 +462,6 @@ def _gen_tables(table: np.ndarray):
     table_z = np.zeros((N, N))
     table_z[:, :-1] = table[:, 1:]
     return table_t, table_z
-
-
-def _gen_eval(table: np.ndarray, t, z) -> np.ndarray:
-    """sum_{k,m} table[k, m] t^k z^m / m! at broadcast points (t, z).
-
-    With table[k-1, m] = sup|d^m u_k| this is the truncated generator
-    G_N(t, z).  The sum over m runs in order of m, so that at t = 0 the
-    value is Gen(u_1)(z) summed term by term."""
-    n_t, n_z = table.shape
-    m = np.arange(n_z)
-    fact = np.cumprod(np.maximum(m, 1).astype(float))
-    a = np.asarray(t, dtype=float)[..., None] ** np.arange(n_t) @ table
-    return np.cumsum(a * np.asarray(z, dtype=float)[..., None] ** m / fact, axis=-1)[..., -1]
 
 
 def hopf_majorant(

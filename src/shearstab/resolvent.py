@@ -21,13 +21,15 @@ The Evans function and the parabolic Green function are built from the
 decaying solutions of nu psi'' = (lambda - A(x)) psi from +-X_FAR, through
 their growth-free amplitudes phi+- = psi+- e^{+-mu (x -+ X_FAR)}: the known
 exponential is applied in closed form (Humpherys & Zumbrun, Physica D 220,
-2006).  ``_decaying_solutions`` integrates the amplitudes for an array of
-spectral parameters at once, one ``solve_ivp`` per direction, so that an
-``evans_locate`` pass evaluates its whole rectangle boundary in two
-integrations, and each step of its secant, which refines all the zeros
-inside from their Hankel-eigenvalue seeds together, in two more; a single
-determinant is the one-parameter case.  ``evans_locate`` doubles its
-boundary in a loop of its own, since its criterion is a resolved phase.
+2006); the Evans function, which the Green function divides by, is their
+Wronskian over e^{2 mu X_FAR}.  ``_decaying_solutions`` integrates the
+amplitudes for an array of spectral parameters at once, one ``solve_ivp``
+per direction, so that an ``evans_locate`` pass evaluates its whole
+rectangle boundary in two integrations, and each step of its secant, which
+refines all the zeros inside from their Hankel-eigenvalue seeds together,
+in two more; a single determinant is the one-parameter case.  Its
+boundary doubles until two passes agree on the winding, the finer one with
+a resolved phase.
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
 def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     """Growth-free amplitudes phi+- of the decaying solutions psi+ (decays at
     +inf) and psi- (decays at -inf) for every spectral parameter in the 1-D
-    array lam, by inward integration to x_match; returns (mu, sol_p, sol_m).
+    array lam, by inward integration to x_match; returns (mu, M, sol_p, sol_m).
 
     psi+- = phi+- exp(-+mu (x -+ x_far)), mu = sqrt(lam / nu): the known
     far-field exponential is applied in closed form by the callers, and
@@ -237,11 +239,13 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     with phi = 1, phi' = 0 at the far end.  For A = 0 the amplitudes stay
     exactly 1.  All K parameters share one integration per direction: the
     state is (phi, phi') of shape (2, K), flattened, and A(x) is evaluated
-    once per right-hand side for all of them.  sol.y[:, -1].reshape(2, K)
-    holds (phi, phi') at x_match; with ``dense`` each amplitude can also be
-    read between its starting endpoint and x_match.  EssentialSpectrumError,
-    naming the first offending lam, where Re mu vanishes; ConfigurationError
-    unless nu is positive and finite.
+    once per right-hand side for all of them.  M = [[phi+, phi-],
+    [phi+' - mu phi+, phi-' + mu phi-]] at x_match, shape (K, 2, 2), is
+    (psi+-, psi+-') with e^{mu (x_far -+ x_match)} divided out of its
+    columns: det M is the Wronskian over e^{2 mu x_far}, whatever x_match.
+    With ``dense`` each amplitude can also be read on its whole span.
+    EssentialSpectrumError, naming the first offending lam, where Re mu
+    vanishes; ConfigurationError unless nu is positive and finite.
     """
     check_positive(nu=nu)
     mu = np.sqrt(lam / nu + 0j)
@@ -265,17 +269,15 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
                       rtol=1e-11, atol=1e-11, dense_output=dense)
     if not (sol_p.success and sol_m.success):
         raise NumericalError("decaying-solution integration failed")
-    return mu, sol_p, sol_m
+    (pp, dp), (pm, dm) = (sol.y[:, -1].reshape(2, K) for sol in (sol_p, sol_m))
+    M = np.array([[pp, pm], [dp - mu * pp, dm + mu * pm]]).transpose(2, 0, 1)
+    return mu, M, sol_p, sol_m
 
 
 def _matching_matrices(A, lam, nu, x_far):
-    """M = [[psi+, psi-], [psi+', psi-']] at x = 0 for each lam, shape (K, 2, 2)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    mu, sol_p, sol_m = _decaying_solutions(A, lam, nu, x_far, 0.0)
-    (pp, dp), (pm, dm) = (sol.y[:, -1].reshape(2, lam.size) for sol in (sol_p, sol_m))
-    # at x = 0 both columns carry e^{mu x_far}, and psi+-' = (phi+-' -+ mu phi+-) e^{mu x_far}
-    M = np.array([[pp, pm], [dp - mu * pp, dm + mu * pm]]) * np.exp(mu * x_far)
-    return M.transpose(2, 0, 1)
+    """The amplitude matrices M of ``_decaying_solutions`` at x = 0 for each
+    lam, shape (K, 2, 2); det M is the Evans function."""
+    return _decaying_solutions(A, np.atleast_1d(np.asarray(lam, dtype=complex)), nu, x_far, 0.0)[1]
 
 
 def _det2(M):
@@ -297,34 +299,33 @@ def parabolic_green(
     Built from decaying solutions psi+- matched at the source point: the
     value is continuous there and the derivative jumps by 1/nu.  In their
     amplitudes phi+- the exponentials cancel to
-    G = -e^{-mu |x-y|} phi+(max(x, y)) phi-(min(x, y)) / (nu W), with
-    W = phi+ phi-' - phi- phi+' + 2 mu phi+ phi- at y, so a large lambda
-    cannot overflow.  Each amplitude is integrated from its end of the line
-    to the source point y only, since phi+ is read at points >= y and phi-
-    at points <= y.
+    G = -e^{-mu |x-y|} phi+(max(x, y)) phi-(min(x, y)) / (nu W), with W the
+    determinant of the amplitude matrix M at y, the Evans function, so a
+    large lambda cannot overflow.  Each amplitude is integrated from its end
+    of the line to the source point y only, since phi+ is read at points
+    >= y and phi- at points <= y.
     """
     if not np.all(np.isfinite([tau, x, y])):
         raise ConfigurationError(f"tau, x and y must be finite, got {tau!r}, {x!r}, {y!r}")
     if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
         raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
-    (mu,), sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
-
-    pp, dp = sol_p.y[:, -1]
-    pm, dm = sol_m.y[:, -1]
-    w = pp * dm - pm * dp + 2 * mu * pp * pm
+    (mu,), M, sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
+    (w,) = _det2(M)
     if w == 0:
         raise NumericalError("matching system singular")
+    (pp, pm), _ = M[0]
     amps = pm * sol_p.sol(x)[0] if x >= y else pp * sol_m.sol(x)[0]
     return complex(-np.exp(-mu * abs(x - y)) * amps / (nu * w))
 
 
 def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
-    """det of the jacobian of decaying solutions at the matching point x = 0.
+    """Evans function D(lambda) = phi+ phi-' - phi- phi+' + 2 mu phi+ phi- of
+    the growth-free amplitudes of the decaying solutions, mu = sqrt(lambda / nu).
 
-    Zeros in lambda are eigenvalues of nu * Lap + A.  The normalization at
-    +-X_FAR is analytic in lambda, so the determinant is analytic right of
-    the essential spectrum.  It is the Wronskian of psi+ and psi-, so any
-    matching point gives the same value.
+    Zeros in lambda are eigenvalues of nu * Lap + A.  D is the Wronskian of
+    psi+ and psi- with the known factor e^{2 mu X_FAR} divided out: it is
+    analytic right of the essential spectrum, the same at every matching
+    point, and exactly 2 mu for A = 0, so a large lambda cannot overflow.
     """
     if not np.isfinite(lam):
         raise ConfigurationError(f"lam must be finite, got {lam!r}")
@@ -371,14 +372,15 @@ def evans_locate(
     the Hankel pencil ([s_{i+j+1}], [s_{i+j}]); one complex secant that
     refines all w zeros together, each step one stacked integration per
     direction.  The boundary starts at ``n_per_side`` points per side and
-    doubles until no step of the determinant's phase exceeds 0.8 pi.  The
-    seeds assume simple zeros, as for a real potential: a
+    doubles until two passes agree: a pass with no phase step above 0.8 pi
+    and the winding of the pass before it is accepted, and gives the
+    moments.  The seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
-    rectangle then raises RegionError, as does a negative winding number.  A rectangle with re_lo >= re_hi or
-    im_lo >= im_hi, a nu or x_far that is not positive and finite, or an
-    n_per_side below 1 raises ConfigurationError; a boundary point in the
-    essential spectrum raises EssentialSpectrumError and one on a zero
-    RegionError, each naming the point.
+    rectangle then raises RegionError, as does a negative winding number.
+    A rectangle with re_lo >= re_hi or im_lo >= im_hi, a nu or x_far that
+    is not positive and finite, or an n_per_side below 1 raises
+    ConfigurationError; a boundary point in the essential spectrum raises
+    EssentialSpectrumError and one on a zero RegionError, each naming it.
     """
     re_lo, re_hi, im_lo, im_hi = region
     if not (re_lo < re_hi and im_lo < im_hi):
@@ -386,12 +388,13 @@ def evans_locate(
     check_positive(nu=nu, x_far=x_far)
     if not n_per_side >= 1:
         raise ConfigurationError(f"n_per_side must be at least 1, got {n_per_side!r}")
+    previous = None
     while True:
         pts = _rect_boundary(region, n_per_side)
         M = _matching_matrices(A, pts, nu, x_far)
         vals = _det2(M)
-        # |det| over the column norms is the sine of the angle between psi+ and
-        # psi-: it vanishes on a zero whatever the scale e^{2 Re(mu) x_far} of |det|
+        # |det| over the column norms is the sine of the angle between the
+        # amplitude columns: it vanishes on a zero whatever the scale of |det|
         sines = np.abs(vals) / np.prod(np.linalg.norm(M, axis=1), axis=1)
         if np.min(sines) < 1e-10:
             raise RegionError(
@@ -400,12 +403,12 @@ def evans_locate(
             )
         closed = np.append(vals, vals[0])
         dphi = np.angle(closed[1:] / closed[:-1])
-        if np.max(np.abs(dphi)) <= 0.8 * np.pi:
+        winding = int(round(np.sum(dphi) / (2 * np.pi)))
+        if np.max(np.abs(dphi)) <= 0.8 * np.pi and winding == previous:
             break
         if n_per_side > 400:
             raise RegionError("winding-number phase tracking failed; perturb the rectangle")
-        n_per_side *= 2
-    winding = int(round(np.sum(dphi) / (2 * np.pi)))
+        previous, n_per_side = winding, 2 * n_per_side
     if winding < 0:
         # the determinant is analytic: a negative count means the boundary
         # does not resolve its phase

@@ -442,12 +442,31 @@ class TestEvansLocate:
         zeros = evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0)
         assert zeros == []
 
-    def test_negative_winding_raises_naming_the_rectangle(self):
-        # one point per side does not resolve the phase of the determinant,
-        # whose winding on this rectangle is 3; the count came out as -1
+    @pytest.mark.parametrize("amp, region, starts, exact", [
+        (12.0, (0.5, 9.5, -0.4, 0.4), range(1, 13), [1.0, 4.0, 9.0]),
+        (6.0, (0.5, 4.5, -0.4, 0.4), range(1, 13), [1.0, 4.0]),
+        (2.0, (1.5, 4.5, -0.4, 0.4), range(1, 5), []),
+    ])
+    def test_coarse_boundary_counts_every_zero(self, amp, region, starts, exact):
+        # a factor e^{2 mu x_far} in the determinant would add the phase
+        # 2 Im(mu) x_far, which swamps the winding between coarse boundary
+        # points; and a resolved phase alone can still miscount, so a pass
+        # is accepted only when two passes agree
+        pot = lambda s: amp / np.cosh(s) ** 2
+        for n in starts:
+            zeros = evans_locate(pot, region, nu=1.0, x_far=10.0, n_per_side=n)
+            assert len(zeros) == len(exact), n
+            got = sorted(zeros, key=lambda z: z.real)
+            assert np.allclose(got, exact, rtol=0, atol=1e-10), n
+
+    def test_negative_winding_raises_naming_the_rectangle(self, monkeypatch):
+        # conjugated matching matrices give a determinant that winds -3 on
+        # this rectangle on every pass, so two passes agree on a negative count
+        matching = resolvent._matching_matrices
+        monkeypatch.setattr(resolvent, "_matching_matrices", lambda *args: np.conj(matching(*args)))
         pot = lambda s: 12.0 / np.cosh(s) ** 2
-        with pytest.raises(RegionError, match=r"negative winding .* region \(0\.5, 9\.5, -0\.4, 0\.4\)"):
-            evans_locate(pot, (0.5, 9.5, -0.4, 0.4), nu=1.0, x_far=10.0, n_per_side=1)
+        with pytest.raises(RegionError, match=r"negative winding -3 on region \(0\.5, 9\.5, -0\.4, 0\.4\)"):
+            evans_locate(pot, (0.5, 9.5, -0.4, 0.4), nu=1.0, x_far=10.0)
 
     def test_double_zero_raises_naming_the_rectangle(self):
         # the power sums of a double zero at 2 + 0.1i, plus 1e-14 of noise:
@@ -464,13 +483,14 @@ class TestEvansLocate:
         seeds = _hankel_seeds(s, (0.5, 9.5, -0.4, 0.4))
         assert np.allclose(np.sort_complex(seeds), z, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("lam", [1.0, 2.5 + 0.5j])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1.0, 2.5 + 0.5j, 1e3, 1e4, 1e6])
     def test_free_determinant_closed_form(self, lam):
         # psi+- = exp(-+mu (x -+ X_FAR)) for A = 0, so the Wronskian at 0 is
-        # 2 mu exp(2 mu X_FAR), mu = sqrt(lambda / nu)
+        # 2 mu exp(2 mu X_FAR), mu = sqrt(lambda / nu), and the Evans function
+        # is that over e^{2 mu X_FAR}: 2 mu, with no overflow at large lambda
         mu = np.sqrt(lam / 0.5)
-        exact = 2 * mu * np.exp(2 * mu * resolvent.X_FAR)
-        assert evans_det(lambda s: 0.0 * s, lam, 0.5) == pytest.approx(exact, rel=1e-8)
+        assert evans_det(lambda s: 0.0 * s, lam, 0.5) == pytest.approx(2 * mu, rel=1e-12)
 
     def test_condition_diagnostic_large_near_eigenvalue(self):
         # ||M^{-1}|| of the 2x2 matching matrix grows near an eigenvalue
@@ -480,16 +500,17 @@ class TestEvansLocate:
         near, far = np.linalg.norm(np.linalg.inv(M), 2, axis=(1, 2))
         assert near > 10 * far
 
-    @pytest.mark.parametrize("amp, region, n_start, n_final", [
-        (2.0, (0.5, 1.5, -0.4, 0.4), 3, 6),
-        (6.0, (0.5, 4.5, -0.4, 0.4), 3, 12),
-        (12.0, (0.5, 9.5, -0.4, 0.4), 12, 24),
+    @pytest.mark.parametrize("amp, region, n_start, n_prev", [
+        (6.0, (0.5, 4.5, -0.4, 0.4), 1, 2),
+        (12.0, (0.5, 9.5, -0.4, 0.4), 1, 4),
+        (12.0, (0.5, 9.5, -0.4, 0.4), 2, 4),
     ])
-    def test_doubling_is_a_loop(self, amp, region, n_start, n_final, monkeypatch):
-        # a coarse boundary doubles to n_final points per side within one
-        # call, and returns the roots of a call started there bit for bit
+    def test_doubling_is_a_loop(self, amp, region, n_start, n_prev, monkeypatch):
+        # a coarse boundary doubles within one call until the pass at 2 n_prev
+        # agrees with the pass at n_prev, and returns the roots of a call
+        # started at n_prev bit for bit
         pot = lambda s: amp / np.cosh(s) ** 2
-        direct = evans_locate(pot, region, nu=1.0, x_far=10.0, n_per_side=n_final)
+        direct = evans_locate(pot, region, nu=1.0, x_far=10.0, n_per_side=n_prev)
         entered = []
 
         def counting(*args, **kwargs):
@@ -530,9 +551,10 @@ class TestStackedBoundary:
             return sol
 
         monkeypatch.setattr(resolvent, "solve_ivp", counting)
-        # no zero inside, so the boundary pass is the only integration
+        # no zero inside, so the two boundary passes, at 12 and 24 points per
+        # side, are the only integrations
         assert evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0, n_per_side=12) == []
-        assert calls == [2 * 48, 2 * 48]
+        assert calls == [2 * 48, 2 * 48, 2 * 96, 2 * 96]
 
     def test_secant_polishes_all_roots_together(self, monkeypatch):
         calls = []
