@@ -59,6 +59,16 @@ class InputError(ShearStabError):
     """Malformed numerical input data (empty sample, divergence residual, ...)."""
 
 
+def as_integer(name, value):
+    """int(value); ConfigurationError unless value is an integer (1.0 is one)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_positive(**params):
     """ConfigurationError unless every value is positive and finite (NaN fails)."""
     for name, value in params.items():

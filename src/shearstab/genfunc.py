@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, RegionError, check_positive
+from .errors import ConfigurationError, InputError, RegionError, as_integer, check_positive
 from .spectral import legendre_rule, refine
 
 WITH_BL = "with_bl"
@@ -230,11 +230,10 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, n):
-        if int(n) != n:
-            raise ConfigurationError(f"jets take integer powers only, got {n!r}")
+        n = as_integer("a jet's power", n)
         if n < 0:
             return (self ** -n).reciprocal()
-        out, base, n = 1.0, self, int(n)
+        out, base = 1.0, self
         while n:
             if n & 1:
                 out = base * out
@@ -383,11 +382,12 @@ class FourierMode:
     Alternatively a finite tuple ``derivs`` of derivative callables (order
     0, 1, ...) becomes such a function; a higher order raises InputError.
     The table of orders 0..L is the function evaluated on the variable jet
-    of y (``Jet.variable``), so no symbolic derivative is taken.
+    of y (``Jet.variable``), so no symbolic derivative is taken.  ``alpha``
+    must be an integer, such as 2 or 2.0 (else ConfigurationError).
     """
 
     def __init__(self, alpha: int, expr=None, derivs=None):
-        self.alpha = int(alpha)
+        self.alpha = as_integer("alpha", alpha)
         if (expr is None) == (derivs is None):
             raise ConfigurationError("provide exactly one of expr / derivs")
         if derivs is not None:
@@ -514,8 +514,8 @@ def product_bound(a: GenSeries, b: GenSeries) -> GenSeries:
 
 
 def _wavenumber(alpha) -> int:
-    """|alpha| as an integer; ConfigurationError unless it is nonzero."""
-    a = abs(int(alpha))
+    """|alpha| as an integer; ConfigurationError unless it is a nonzero one."""
+    a = abs(as_integer("alpha", alpha))
     if a == 0:
         raise ConfigurationError("alpha must be a nonzero integer")
     return a
@@ -676,23 +676,19 @@ def elliptic_gen_estimate(omega_modes, params: BLNormParams, z2_max: float, trun
 # ---------------------------------------------------------------------------
 
 
-def _mode_sum(alpha, terms):
-    """The mode ``alpha`` whose jet function is the sum of the jet functions
-    ``terms``."""
-    return FourierMode(alpha, lambda t: sum(f(t) for f in terms))
-
-
-def _mode_product(f_modes, g_modes, N_alpha):
-    """Fourier modes of the pointwise product f * g, truncated: each mode's
-    jet function sums the products of its parents' jet functions."""
+def _mode_products(pairs, N_alpha):
+    """Fourier modes of the sum of the pointwise products f * g over the
+    (f_modes, g_modes) pairs, truncated to |alpha| <= N_alpha: one pass
+    groups the products of the parents' jet functions by output alpha, and
+    each mode's jet function sums its group."""
     terms: dict[int, list] = {}
-    for mf in f_modes:
-        for mg in g_modes:
-            a = mf.alpha + mg.alpha
-            if abs(a) <= N_alpha:
-                terms.setdefault(a, []).append(
-                    lambda t, f=mf._jet_fn, g=mg._jet_fn: f(t) * g(t))
-    return [_mode_sum(a, fs) for a, fs in terms.items()]
+    for f_modes, g_modes in pairs:
+        for mf in f_modes:
+            for mg in g_modes:
+                a = mf.alpha + mg.alpha
+                if abs(a) <= N_alpha:
+                    terms.setdefault(a, []).append((mf._jet_fn, mg._jet_fn))
+    return [FourierMode(a, lambda t, fg=fg: sum(f(t) * g(t) for f, g in fg)) for a, fg in terms.items()]
 
 
 def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
@@ -720,12 +716,8 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
 
     dyg = [FourierMode(m.alpha, _dy_function(m._jet_fn)) for m in g_modes]
     dxg = [FourierMode(m.alpha, lambda t, f=m._jet_fn, c=1j * m.alpha: c * f(t)) for m in g_modes]
-    v_dyg = _mode_product(v_modes, dyg, N_alpha)
-    u_dxg = _mode_product(u_modes, dxg, N_alpha)
-    terms: dict[int, list] = {}
-    for m in v_dyg + u_dxg:
-        terms.setdefault(m.alpha, []).append(m._jet_fn)
-    transport = [_mode_sum(a, fs) for a, fs in terms.items()]
+    v_dyg = _mode_products([(v_modes, dyg)], N_alpha)
+    transport = _mode_products([(v_modes, dyg), (u_modes, dxg)], N_alpha)
 
     G_vdyg = gen_series(v_dyg, params, truncation, WITH_BL)
     G0_u = gen_series(u_modes, params, truncation, WITHOUT_BL)

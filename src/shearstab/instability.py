@@ -42,6 +42,7 @@ from .errors import (
     NumericalError,
     ResonanceError,
     WindowError,
+    as_integer,
     check_positive,
 )
 from .genfunc import _gen_eval
@@ -428,7 +429,8 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     """Solve (n-1) alpha u_n = - sum_{1<=k<=n-1} u_k d_z u_{n-k} exactly.
 
     ``u1`` maps Fourier mode numbers to coefficients (cos z is
-    {1: 0.5, -1: 0.5}).  The arithmetic is exact on trigonometric
+    {1: 0.5, -1: 0.5}); a mode number that is not an integer raises
+    ConfigurationError.  The arithmetic is exact on trigonometric
     polynomials; mode support grows linearly with n, so the table on
     -N max|m|..N max|m| truncates nothing.  A term whose coefficients
     overflow raises NumericalError naming its order.
@@ -436,7 +438,7 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     check_positive(alpha=alpha)
     if N < 1:
         raise ConfigurationError("N must be at least 1")
-    first = {int(m): complex(v) for m, v in dict(u1).items() if v != 0}
+    first = {as_integer("u1 mode number", m): complex(v) for m, v in dict(u1).items() if v != 0}
     K = N * max(map(abs, first), default=0)
     c = np.zeros((N, 2 * K + 1), dtype=complex)
     for m, v in first.items():
@@ -490,9 +492,11 @@ def hopf_majorant(
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
     characteristics advance together as one vector RK4; each stops on its
     own, without recording the step, as soon as it leaves the window through
-    z = 0 (x < 0), while the others go on."""
+    z = 0 (x < 0), while the others go on.  ``n_characteristics`` and
+    ``n_steps`` must be positive (else ConfigurationError)."""
     if not (eta0 > 0) or not (t_max > 0):
         raise WindowError("eta0 and t_max must be positive")
+    check_positive(n_characteristics=n_characteristics, n_steps=n_steps)
     N = series.order
     alpha = series.alpha
 

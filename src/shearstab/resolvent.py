@@ -175,9 +175,12 @@ def duhamel_term(
 
     Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 until
     two passes agree to 1e-10 relative; each propagator is a
-    ``semigroup_apply``, on the contour of its own (t - tau) A.
+    ``semigroup_apply``, on the contour of its own (t - tau) A.  t must be
+    finite and nonnegative (else ConfigurationError naming it).
     """
     A = _square_matrix(A)
+    if not 0 <= t < math.inf:
+        raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0.0:
         return np.zeros(A.shape[0], dtype=complex)
 

@@ -15,7 +15,9 @@ U (Poiseuille) gives a pencil symmetric under y -> -y; its even and odd
 eigenfunctions then solve two problems of half that order (Orszag,
 J. Fluid Mech. 50, 1971), which together cost about a quarter of the dense
 eigensolve of the whole, and the spectrum is their union; a pencil without
-the symmetry is one block, the reduced problem itself.  Spurious
+the symmetry is one block, the reduced problem itself.  The pencil names
+its parities, (1, -1) or (0,), and every solve, a spectrum, a scan point
+or an edge, goes through the one reduction folded by them.  Spurious
 continuous-spectrum modes are filtered on the full pencil by a
 Chebyshev-tail smoothness check and, for the modes that pass it, an
 operator-scaled residual gate; the solution records how many each gate
@@ -185,7 +187,7 @@ def _fold(M, parity):
     M commutes with the reversal.  Even vectors are [u; u reversed] and odd
     ones [u; -u reversed], with a middle entry between them when m is odd
     (zero in the odd ones); M maps each to one of its own parity.  So the
-    leading rows of M, with each mirrored column added (even) or subtracted
+    leading rows of M, with each reflected column added (even) or subtracted
     (odd), act on the free entries u (and the middle one).  Parity 0, the
     one block of an M without the symmetry, is M itself.
     """
@@ -210,7 +212,9 @@ class _Reduction:
     boundary rows are symmetric under j -> n-1-j, so A_r and B_r commute
     with the reversal of the interior unknowns and fold into an even and an
     odd block of half the order; parity 0 is one block, (A_r, B_r) itself
-    (see _fold).  ``blocks`` maps each parity to its (F_A, F_B).
+    (see _fold).  ``blocks`` maps each parity to its (F_A, F_B).  A
+    spectrum, a scan point and a tracked edge all read the flat arrays of
+    ``eig`` and refine pairs on their blocks by ``refine``.
     """
 
     def __init__(self, A, B, bc_idx, parities):
@@ -224,7 +228,7 @@ class _Reduction:
         self.R_bb, self.R_bi = A[np.ix_(b, b)], A[b, i]
         T = -np.linalg.solve(self.R_bb, self.R_bi)
 
-        def folds(M):  # a mirror pencil's reduced M lives only while it is folded
+        def folds(M):  # a symmetric pencil's reduced M lives only while it is folded
             M_r = M[i, i].copy()
             M_r += M[i][:, b] @ T
             return [_fold(M_r, s) for s in parities]
@@ -232,16 +236,13 @@ class _Reduction:
         self.blocks = dict(zip(parities, zip(folds(A), folds(B))))
 
     def eig(self, alpha, param, vectors):
-        """(parity, eigenvalues, free-entry eigenvectors or None) per block,
-        from the standard problem (F_B^{-1} F_A) u = c u; ``eigvals`` alone
-        unless ``vectors``."""
+        """The eigenvalues of the blocks' standard problems (F_B^{-1} F_A) u =
+        c u, the parity of each and, with ``vectors``, the full eigenvectors
+        as columns (else None; ``eigvals`` alone).  The spectrum is the union
+        of the blocks'; each block's vectors are dropped once lifted."""
         eigsolve = np.linalg.eig if vectors else np.linalg.eigvals
         try:
-            parts = []
-            for s, (F_A, F_B) in self.blocks.items():
-                out = eigsolve(np.linalg.solve(F_B, F_A))
-                parts.append((s, *out) if vectors else (s, out, None))
-            return parts
+            parts = [eigsolve(np.linalg.solve(F_B, F_A)) for F_A, F_B in self.blocks.values()]
         except np.linalg.LinAlgError as exc:
             # B_r's singular values are its blocks', to the fold's factor sqrt(2)
             sv = np.concatenate([np.linalg.svd(F_B, compute_uv=False) for _, F_B in self.blocks.values()])
@@ -249,6 +250,16 @@ class _Reduction:
                 f"reduced eigensolve failed at alpha={alpha}, parameter={param}; "
                 f"cond(B_r)~{sv.max() / sv.min():.2e}"
             ) from exc
+        cs = [part[0] if vectors else part for part in parts]
+        parity = np.concatenate([np.full(len(c), s) for s, c in zip(self.blocks, cs)])
+        V = None
+        if vectors:
+            V, start = np.empty((self.n, len(parity)), dtype=complex), 0
+            for s in self.blocks:
+                _, W = parts.pop(0)
+                self.lift(W, s, V[:, start:start + W.shape[1]])
+                start += W.shape[1]
+        return np.concatenate(cs), parity, V
 
     def lift(self, W, parity, V):
         """Write into the columns of V the full vectors whose free entries are
@@ -276,37 +287,6 @@ class _Reduction:
         return c, w, phi
 
 
-def _reduced_eig(A, B, bc_idx, alpha, param, mirror):
-    """Finite eigenpairs of the pencil (A, B) with the boundary rows bc_idx,
-    from the blocks of its ``_Reduction``: parities (1, -1) when ``mirror``
-    holds, else the one block of parity 0.  The spectrum is the union of the
-    blocks'.
-
-    Returns the eigenvalues, the lifted eigenvectors as columns, the parity
-    of each, and ``polish(c, phi, parity)``, which refines one pair on the
-    block of its parity and lifts it back.  The blocks live as long as
-    ``polish`` does.
-    """
-    red = _Reduction(A, B, bc_idx, (1, -1) if mirror else (0,))
-    parts = red.eig(alpha, param, vectors=True)
-    cs = np.concatenate([c for _, c, _ in parts])
-    parity = np.concatenate([np.full(len(c), s) for s, c, _ in parts])
-    V = np.empty((A.shape[0], len(cs)), dtype=complex)
-    start = 0
-    while parts:  # each parity's eigenvectors are dropped once lifted
-        s, c, W_s = parts.pop(0)
-        red.lift(W_s, s, V[:, start:start + len(c)])
-        start += len(c)
-
-    def polish(c, phi, s):
-        # from the free entries, the leading ones of the interior; the
-        # boundary entries are solved again, as for every eigenvector
-        c, _, phi = red.refine(c, phi[red.i][:red.blocks[s][0].shape[0]], s)
-        return c, phi
-
-    return cs, V, parity, polish
-
-
 def _gates(A, B, cs, V, scale):
     """The spurious-mode gates on the eigenpairs (cs, columns of V): the
     cheap Chebyshev-tail gate on every column, then the residual gate on the
@@ -328,8 +308,10 @@ def _ranking(cs):
     return np.lexsort((-cs.real, -im))
 
 
-def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
-    cs, V, parity, polish = _reduced_eig(A, B, bc_idx, alpha, param, mirror)
+def _solve_pencil(A, B, bc_idx, scale, parities, alpha, param):
+    """The ``EigenSolution`` of a pencil from ``_pencil``."""
+    red = _Reduction(A, B, bc_idx, parities)
+    cs, parity, V = red.eig(alpha, param, vectors=True)
     tail, smooth, order, res = _gates(A, B, cs, V, scale)
     rank = _ranking(cs[order])
     order, res = order[rank], res[rank]
@@ -349,12 +331,14 @@ def _solve_pencil(A, B, bc_idx, alpha, param, scale, mirror):
     # by up to 4x at the 1e-11 level
     for k in range(min(3, len(accepted))):
         c, phi, _, s = accepted[k]
-        c2, phi2 = polish(c, phi, s)
+        # from the free entries, the leading ones of the interior; the
+        # boundary entries are solved again, as for every eigenvector
+        c2, _, phi2 = red.refine(c, phi[red.i][:len(red.blocks[s][0])], s)
         r = _residuals(A, B, c, phi[:, None], scale)[0]
         r2 = _residuals(A, B, c2, phi2[:, None], scale)[0]
         if r2 <= min(r + POLISH_FLOOR, RESIDUAL_GATE):
             accepted[k] = (c2, phi2, r2, s)
-    del polish  # and with it the folded blocks
+    del red  # and with it the folded blocks
     accepted = [accepted[k] for k in _ranking([c for c, *_ in accepted])]
     return EigenSolution(
         eigenvalues=tuple(complex(c) for c, *_ in accepted),
@@ -397,9 +381,9 @@ def _pencil(profile, alpha, grid, eps):
     term; any other eps takes the clamped rows.  Assembled in place, with
     no complex temporary; the boundary rows are written into A and zeroed
     in B.  Returns (A, B, boundary row indices, operator scale
-    ||A|| / ||B||, mirror), where mirror says the pencil is symmetric under
-    the reflection y -> -y of the channel nodes j -> N - j: U and U'' even
-    to rounding and the boundary rows a set it maps to itself.
+    ||A|| / ||B||, parities): (1, -1) when the pencil is symmetric under the
+    reflection y -> -y of the channel nodes j -> N - j, with U and U'' even
+    to rounding and the boundary rows a set it maps to itself, else (0,).
     """
     if grid.domain != profile.domain:
         raise ConfigurationError(
@@ -433,10 +417,10 @@ def _pencil(profile, alpha, grid, eps):
     A[bc_idx] = rows * np.array([[scale / np.linalg.norm(row)] for row in rows])
     B[bc_idx] = 0.0
     scale = np.linalg.norm(A, np.inf) / max(np.linalg.norm(B, np.inf), 1.0)
-    mirror = (grid.domain == CHANNEL and np.array_equal(np.sort(grid.N - bc_idx), np.sort(bc_idx))
-              and all(np.max(np.abs(f - f[::-1])) <= 1e-13 * max(1.0, np.max(np.abs(f)))
-                      for f in (U, d2U)))
-    return A, B, bc_idx, scale, mirror
+    symmetric = (grid.domain == CHANNEL and np.array_equal(np.sort(grid.N - bc_idx), np.sort(bc_idx))
+                 and all(np.max(np.abs(f - f[::-1])) <= 1e-13 * max(1.0, np.max(np.abs(f)))
+                         for f in (U, d2U)))
+    return A, B, bc_idx, scale, (1, -1) if symmetric else (0,)
 
 
 def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscretization) -> EigenSolution:
@@ -446,8 +430,7 @@ def rayleigh_spectrum(profile: ShearProfile, alpha: float, grid: SpectralDiscret
     (rough modes with c inside range(U)) are rejected by the smoothness gate.
     """
     check_positive(alpha=alpha)
-    A, B, bc_idx, scale, mirror = _pencil(profile, alpha, grid, 0.0)
-    return _solve_pencil(A, B, bc_idx, alpha, "inviscid", scale, mirror)
+    return _solve_pencil(*_pencil(profile, alpha, grid, 0.0), alpha, "inviscid")
 
 
 def rayleigh_resolvent(
@@ -510,8 +493,7 @@ def os_spectrum(
     once the pencil has accepted the grid.  ConfigurationError when eps or
     the pencil is not finite, as at alpha Re near the float limits.
     """
-    A, B, bc_idx, scale, mirror = _os_pencil(profile, alpha, Re, grid)
-    return _solve_pencil(A, B, bc_idx, alpha, Re, scale, mirror)
+    return _solve_pencil(*_os_pencil(profile, alpha, Re, grid), alpha, Re)
 
 
 def max_growth_rate(profile, alpha, Re, grid) -> float:
@@ -531,11 +513,12 @@ def _unstable_leader(profile, alpha, Re, grid):
     and goes through the gates of ``_solve_pencil``.  The first that passes
     them with Im c still > 0 leads; with none, the point is stable.
     """
-    A, B, bc_idx, scale, mirror = _os_pencil(profile, alpha, Re, grid)
-    red = _Reduction(A, B, bc_idx, (1, -1) if mirror else (0,))
-    candidates = [(c, s) for s, cs, _ in red.eig(alpha, Re, vectors=False) for c in cs if c.imag > 0]
-    for c, s in sorted(candidates, key=lambda cand: -cand[0].imag):
-        c, w, phi = red.refine(c, np.ones(red.blocks[s][0].shape[0]), s)
+    A, B, bc_idx, scale, parities = _os_pencil(profile, alpha, Re, grid)
+    red = _Reduction(A, B, bc_idx, parities)
+    cs, parity, _ = red.eig(alpha, Re, vectors=False)
+    for k in sorted(np.flatnonzero(cs.imag > 0), key=lambda k: -cs[k].imag):
+        s = parity[k]
+        c, w, phi = red.refine(cs[k], np.ones(len(red.blocks[s][0])), s)
         _, _, passed, _ = _gates(A, B, np.array([c]), phi[:, None], scale)
         if c.imag > 0 and len(passed):
             return c, w, s

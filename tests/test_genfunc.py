@@ -13,7 +13,7 @@ from shearstab.genfunc import (
     FourierMode,
     GenSeries,
     Y,
-    _mode_product,
+    _mode_products,
     _weighted_sup,
     bl_norm,
     divfree_bilinear,
@@ -139,7 +139,7 @@ def _count_symbolic_calls(monkeypatch):
 
 def _table_cases():
     """(sympy expression, mode) pairs of the derivative-table tests; the
-    product's mode comes from _mode_product's jet composition."""
+    product's mode comes from _mode_products's jet composition."""
     f06 = sp.Float(0.6) * sp.exp(-(Y**2))
     exprs = [
         sp.Float(1.3) * sp.exp(-sp.Float(0.7) * Y),
@@ -150,7 +150,7 @@ def _table_cases():
         sp.Rational(3, 2),
         sp.Integer(0),
     ]
-    product = _mode_product([FourierMode(1, sp.exp(-Y))], [FourierMode(2, f06)], 4)[0]
+    product = _mode_products([([FourierMode(1, sp.exp(-Y))], [FourierMode(2, f06)])], 4)[0]
     return [(sp.exp(-Y) * f06, product)] + [(e, FourierMode(1, e)) for e in exprs]
 
 

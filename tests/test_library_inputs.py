@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from shearstab.errors import ConfigurationError
-from shearstab.genfunc import BLNormParams, laplace_solve_1d, strip_norms
-from shearstab.resolvent import evans_det, evans_locate, parabolic_green, semigroup_apply
+from shearstab.genfunc import BLNormParams, FourierMode, exp, laplace_solve_1d, strip_norms
+from shearstab.instability import hopf_majorant, hopf_series
+from shearstab.resolvent import duhamel_term, evans_det, evans_locate, parabolic_green, semigroup_apply
 
 
 def sech2(x):
@@ -14,6 +15,7 @@ def sech2(x):
 
 
 RECT = (0.5, 1.5, -0.4, 0.4)
+COS = {1: 0.5, -1: 0.5}
 
 
 @pytest.mark.parametrize("call, name", [
@@ -56,7 +58,30 @@ RECT = (0.5, 1.5, -0.4, 0.4)
     # numpy's LinAlgError from the default contour's eigenvalues
     pytest.param(lambda: semigroup_apply(np.array([[np.nan, 0.0], [0.0, -1.0]]), np.ones(2), 1.0), "A",
                  id="semigroup_apply-A_nan"),
+    # named the inner t - tau = -0.9801..., not the t passed
+    pytest.param(lambda: duhamel_term(-np.eye(2), lambda tau: np.ones(2), -1.0),
+                 r"t must be nonnegative and finite, got -1\.0", id="duhamel_term-t-1"),
+    # mode numbers truncated: u1 = {0: 1}, alpha 1 and a solve for alpha = 1
+    pytest.param(lambda: hopf_series({0.5: 1, -0.5: 1}, 1.0, 3), "u1",
+                 id="hopf_series-u1_half"),
+    pytest.param(lambda: FourierMode(1.5, lambda y: exp(-y)), "alpha",
+                 id="FourierMode-alpha1.5"),
+    pytest.param(lambda: laplace_solve_1d(1.5, lambda y: np.exp(-y), BLNormParams(delta=0.05)), "alpha",
+                 id="laplace_solve_1d-alpha1.5"),
+    # ZeroDivisionError
+    pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_characteristics=0),
+                 "n_characteristics", id="hopf_majorant-n_characteristics0"),
+    pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_steps=0), "n_steps",
+                 id="hopf_majorant-n_steps0"),
 ])
 def test_invalid_argument_is_typed(call, name):
     with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
         call()
+
+
+def test_integral_float_mode_numbers_are_accepted():
+    # an integral float is its integer: the same mode, series and solve
+    assert FourierMode(1.0, lambda y: exp(-y)).alpha == 1
+    assert np.array_equal(hopf_series({1.0: 0.5, -1.0: 0.5}, 1.0, 4).coeffs, hopf_series(COS, 1.0, 4).coeffs)
+    ref = laplace_solve_1d(1, lambda y: np.exp(-y), BLNormParams(delta=0.05))
+    assert laplace_solve_1d(1.0, lambda y: np.exp(-y), BLNormParams(delta=0.05))["norms"] == ref["norms"]

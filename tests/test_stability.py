@@ -83,11 +83,11 @@ class TestRayleighSpectrum:
         # the Rayleigh pencil is real, so its eigensolves are; the spectrum
         # is the one a complex cast of the same pencil gives
         p = make_profile(kind, z0=1.0) if kind == "tanh" else make_profile(kind)
-        A, B, bc_idx, scale, mirror = _pencil(p, 0.5, grid, 0.0)
+        A, B, bc_idx, scale, parities = _pencil(p, 0.5, grid, 0.0)
         assert A.dtype == B.dtype == np.float64
         sol = rayleigh_spectrum(p, 0.5, grid)
-        ref = stability._solve_pencil(A.astype(complex), B.astype(complex), bc_idx, 0.5,
-                                      "inviscid", scale, mirror)
+        ref = stability._solve_pencil(A.astype(complex), B.astype(complex), bc_idx, scale, parities,
+                                      0.5, "inviscid")
         assert len(sol.eigenvalues) == len(ref.eigenvalues) >= 2
         assert np.max(np.abs(np.array(sol.eigenvalues) - ref.eigenvalues)) <= 1e-10
         if kind == "poiseuille":  # neutral modes: a real eigensolve gives Im c = 0 exactly
@@ -277,11 +277,13 @@ class TestOrrSommerfeld:
             (blasius_solve(1e-10), 0.175, 400.0, build_grid(160, HALF_LINE, map_scale=6.0), 1e-10),
         ]
         for p, alpha, Re, grid, tol in cases:
-            A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
-            cs, V, parity, polish = stability._reduced_eig(A, B, bc_idx, alpha, Re, mirror)
+            A, B, bc_idx, scale, parities = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
+            red = stability._Reduction(A, B, bc_idx, parities)
+            cs, parity, V = red.eig(alpha, Re, vectors=True)
             smooth = np.flatnonzero(_tail_fractions(V) <= stability.TAIL_GATE)
             for j in smooth[np.argsort(-cs[smooth].imag)][:3]:
-                c, phi = polish(cs[j], V[:, j], parity[j])
+                w = V[red.i, j][:len(red.blocks[parity[j]][0])]
+                c, _, phi = red.refine(cs[j], w, parity[j])
                 c_full, _ = _refine_eigenpair(A, B, cs[j], V[:, j])
                 assert abs(c - c_full) <= tol
                 assert _residuals(A, B, c, phi[:, None], scale)[0] <= 1e-11
@@ -492,8 +494,8 @@ class TestGates:
         else:
             p, alpha, Re, grid = blasius_solve(1e-10), 0.175, 400.0, build_grid(160, HALF_LINE, map_scale=6.0)
         sol = os_spectrum(p, alpha, Re, grid)
-        A, B, bc_idx, scale, mirror = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
-        cs, V, _, _ = stability._reduced_eig(A, B, bc_idx, alpha, Re, mirror)
+        A, B, bc_idx, scale, parities = _pencil(p, alpha, grid, 1.0 / (1j * alpha * Re))
+        cs, _, V = stability._Reduction(A, B, bc_idx, parities).eig(alpha, Re, vectors=True)
         res, tail = _residuals(A, B, cs, V, scale), _tail_fractions(V)
         smooth = tail <= stability.TAIL_GATE
         keep = smooth & (res <= stability.RESIDUAL_GATE)
@@ -526,8 +528,8 @@ class TestGates:
     def test_top_rejected_is_highest(self, chan):
         p = make_profile("poiseuille")
         sol = os_spectrum(p, 1.0, 1e4, chan)
-        A, B, bc_idx, _, mirror = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4))
-        cs, V, _, _ = stability._reduced_eig(A, B, bc_idx, 1.0, 1e4, mirror)
+        A, B, bc_idx, _, parities = _pencil(p, 1.0, chan, 1.0 / (1j * 1e4))
+        cs, _, V = stability._Reduction(A, B, bc_idx, parities).eig(1.0, 1e4, vectors=True)
         rejected = cs[_tail_fractions(V) > stability.TAIL_GATE]
         assert sol.top_rejected[0] == rejected[np.argmax(rejected.imag)]
 
