@@ -478,9 +478,9 @@ def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor:
     """Generator series of a mode family: row |alpha| accumulates the
     ell-weighted norms of the derivative table of f_alpha in the requested
     flavor, one refinement loop per mode.  Both truncation orders must be
-    nonnegative, and N_ell at most MAX_ELL."""
+    nonnegative integers, and N_ell at most MAX_ELL."""
     _check_flavor(flavor)
-    N_alpha, N_ell = truncation
+    N_alpha, N_ell = (as_integer("truncation order", n) for n in truncation)
     if N_alpha < 0 or N_ell < 0:
         raise ConfigurationError(f"truncation orders must be nonnegative, got {truncation}")
     if N_ell > MAX_ELL:
@@ -564,8 +564,13 @@ def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True,
     norm bundle alpha^2 ||phi||, |alpha| ||d_y phi||, and ||d_y^2 phi|| in
     the plain and (when requested) boundary-layer flavors.  Boundary-layer
     estimates require |delta alpha^2| <= 1; alpha must be a nonzero integer.
+    ``refine``, a nonnegative integer, halves the grid spacing that many
+    times.
     """
     a = _wavenumber(alpha)
+    refine = as_integer("refine", refine)
+    if refine < 0:
+        raise ConfigurationError(f"refine must be nonnegative, got {refine}")
     if with_bl and abs(params.delta * a**2) > 1.0:
         raise ConfigurationError(
             f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "

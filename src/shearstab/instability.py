@@ -112,6 +112,11 @@ def ode_bootstrap(
     elementwise ``lambda a, b: a * b`` qualifies).  Each right-hand-side
     evaluation makes one call on all pairs j + k = i <= N, and the
     truncation residual one call on all pairs j + k > N at all times.
+
+    The escape time is the first crossing of sigma0 by max |phi_app| among
+    the integrator's own steps and t_grid, whose values exist without dense
+    output, refined by Brent's method on the dense output inside that one
+    bracket.  N must be an integer of at least 2 (else ConfigurationError).
     """
     # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
     if not (0 < epsilon < 1):
@@ -122,6 +127,7 @@ def ode_bootstrap(
     d = v0.size
     if A.shape != (d, d):
         raise InputError("A and v0 have incompatible shapes")
+    N = as_integer("N", N)
     if N < 2:
         raise ConfigurationError("order N must be at least 2")
     if lam.real <= 0:
@@ -188,20 +194,21 @@ def ode_bootstrap(
     if not sol.success:
         raise NonconvergenceError("bootstrap term integration failed: " + sol.message)
 
-    def chi_on(ts):
-        """chi_1..chi_N at the times ts, as an (N, nt, d) array, from one
-        dense-output call."""
-        ts = np.asarray(ts, dtype=float)
+    def chi_on(ts, ys):
+        """chi_1..chi_N at the times ts, as an (N, nt, d) array, given the
+        integrated chi_2..chi_N there as ys, of shape (n_extra d, nt)."""
         out = np.empty((N, ts.size, d), dtype=complex)
         out[0] = v0 * np.exp(w * ts[:, None])
-        out[1:] = sol.sol(ts).reshape(n_extra, d, ts.size).transpose(0, 2, 1)
+        out[1:] = ys.reshape(n_extra, d, ts.size).transpose(0, 2, 1)
         return out
 
-    def psi_on(ts):
-        """psi_1..psi_N at the times ts: the chi with their growth restored."""
-        return chi_on(ts) * np.exp(np.outer(growth, ts))[:, :, None]
+    def amp_on(ts, ys):
+        """max |phi_app| over the components at the times ts, with ys as in
+        ``chi_on``: the chi with their growth and amplitude restored."""
+        psis = chi_on(ts, ys) * np.exp(np.outer(growth, ts))[:, :, None]
+        return np.max(np.abs(np.sum(eps_pow[:, None, None] * psis, axis=0)), axis=1)
 
-    chis = chi_on(t_grid)
+    chis = chi_on(t_grid, sol.sol(t_grid))
     psis = chis * np.exp(np.outer(growth, t_grid))[:, :, None]
     # measured iteration constants: max |chi_i|, epsilon-free
     C = tuple(float(np.max(np.abs(c))) for c in chis)
@@ -241,19 +248,25 @@ def ode_bootstrap(
         slope = float("nan")
 
     # observed escape time: first crossing of the amplitude floor sigma0
-    def amp_on(ts):
-        return np.max(np.abs(np.sum(eps_pow[:, None, None] * psi_on(ts), axis=0)), axis=1)
-
+    # among the times whose values exist already, the integrator's steps
+    # (sol.y) and t_grid (amp), then Brent's method on the dense output
+    # inside that one bracket
     from scipy.optimize import brentq
 
+    def excess(t):
+        ts = np.array([t])
+        return amp_on(ts, sol.sol(ts))[0] - sigma0
+
     escape = float("nan")
-    ts = np.linspace(0.0, t_max, 4001)
-    above = amp_on(ts) >= sigma0
+    ts = np.concatenate([sol.t, t_grid])
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    above = np.concatenate([amp_on(sol.t, sol.y), amp])[order] >= sigma0
     if above[0]:
         escape = 0.0
     elif np.any(above):
         b = int(np.argmax(above))
-        escape = brentq(lambda t: amp_on([t])[0] - sigma0, ts[b - 1], ts[b], xtol=1e-15)
+        escape = brentq(excess, ts[b - 1], ts[b], xtol=1e-15)
 
     return BootstrapResult(
         t_grid=t_grid,
@@ -429,13 +442,14 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     """Solve (n-1) alpha u_n = - sum_{1<=k<=n-1} u_k d_z u_{n-k} exactly.
 
     ``u1`` maps Fourier mode numbers to coefficients (cos z is
-    {1: 0.5, -1: 0.5}); a mode number that is not an integer raises
+    {1: 0.5, -1: 0.5}); a mode number or an N that is not an integer raises
     ConfigurationError.  The arithmetic is exact on trigonometric
     polynomials; mode support grows linearly with n, so the table on
     -N max|m|..N max|m| truncates nothing.  A term whose coefficients
     overflow raises NumericalError naming its order.
     """
     check_positive(alpha=alpha)
+    N = as_integer("N", N)
     if N < 1:
         raise ConfigurationError("N must be at least 1")
     first = {as_integer("u1 mode number", m): complex(v) for m, v in dict(u1).items() if v != 0}
@@ -493,9 +507,11 @@ def hopf_majorant(
     characteristics advance together as one vector RK4; each stops on its
     own, without recording the step, as soon as it leaves the window through
     z = 0 (x < 0), while the others go on.  ``n_characteristics`` and
-    ``n_steps`` must be positive (else ConfigurationError)."""
+    ``n_steps`` must be positive integers (else ConfigurationError)."""
     if not (eta0 > 0) or not (t_max > 0):
         raise WindowError("eta0 and t_max must be positive")
+    n_characteristics = as_integer("n_characteristics", n_characteristics)
+    n_steps = as_integer("n_steps", n_steps)
     check_positive(n_characteristics=n_characteristics, n_steps=n_steps)
     N = series.order
     alpha = series.alpha
@@ -649,13 +665,14 @@ def euler_series(
     Q(u, w) = -(u . grad) w evaluated pseudo-spectrally with 2/3 dealiasing.
     The x-wavenumber blocks of L form one (Ng, Ng, Ng) stack; each order
     tests all shifted blocks for resonance with one stacked SVD and solves
-    them with one stacked solve.
+    them with one stacked solve.  N and modes must be integers, N >= 1 and
+    modes >= 8 (else ConfigurationError).
     """
     if profile.domain != TORUS:
         raise ConfigurationError("euler_series needs a periodic (torus) profile")
-    if N < 1 or modes < 8:
+    N, Ng = as_integer("N", N), as_integer("modes", modes)
+    if N < 1 or Ng < 8:
         raise ConfigurationError("need N >= 1 and modes >= 8")
-    Ng = int(modes)
     y = 2.0 * np.pi * np.arange(Ng) / Ng
     U_hat = np.fft.fft(profile.U(y)) / Ng
     Upp_hat = np.fft.fft(profile.d2U(y)) / Ng

@@ -22,14 +22,14 @@ decaying solutions of nu psi'' = (lambda - A(x)) psi from +-X_FAR, through
 their growth-free amplitudes phi+- = psi+- e^{+-mu (x -+ X_FAR)}: the known
 exponential is applied in closed form (Humpherys & Zumbrun, Physica D 220,
 2006); the Evans function, which the Green function divides by, is their
-Wronskian over e^{2 mu X_FAR}.  ``_decaying_solutions`` integrates the
-amplitudes for an array of spectral parameters at once, one ``solve_ivp``
-per direction, so that an ``evans_locate`` pass evaluates its whole
-rectangle boundary in two integrations, and each step of its secant, which
-refines all the zeros inside from their Hankel-eigenvalue seeds together,
-in two more; a single determinant is the one-parameter case.  Its
-boundary doubles until two passes agree on the winding, the finer one with
-a resolved phase.
+Wronskian over e^{2 mu X_FAR}.  ``_decaying_solutions`` integrates both
+amplitudes for an array of spectral parameters in one ``solve_ivp``, so
+that a Green function or a determinant is one integration, an
+``evans_locate`` boundary pass evaluates its whole rectangle boundary in
+one more, and so does each step of its secant, which refines all the zeros
+inside from their Hankel-eigenvalue seeds together.  A boundary pass holds
+its own half: it integrates 2n points per side and is accepted when the
+windings at n and 2n agree with the phase resolved at 2n; else n doubles.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .errors import (
     NumericalError,
     QuadratureError,
     RegionError,
+    as_integer,
     check_positive,
 )
 from .profiles import solve_ivp
@@ -234,24 +235,37 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
 def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     """Growth-free amplitudes phi+- of the decaying solutions psi+ (decays at
     +inf) and psi- (decays at -inf) for every spectral parameter in the 1-D
-    array lam, by inward integration to x_match; returns (mu, M, sol_p, sol_m).
+    array lam, by inward integration to x_match; returns (mu, M, sol).
 
     psi+- = phi+- exp(-+mu (x -+ x_far)), mu = sqrt(lam / nu): the known
     far-field exponential is applied in closed form by the callers, and
     nu psi'' = (lam - A) psi becomes phi+-'' = +-2 mu phi+-' - (A / nu) phi+-
     with phi = 1, phi' = 0 at the far end.  For A = 0 the amplitudes stay
-    exactly 1.  All K parameters share one integration per direction: the
-    state is (phi, phi') of shape (2, K), flattened, and A(x) is evaluated
-    once per right-hand side for all of them.  M = [[phi+, phi-],
-    [phi+' - mu phi+, phi-' + mu phi-]] at x_match, shape (K, 2, 2), is
-    (psi+-, psi+-') with e^{mu (x_far -+ x_match)} divided out of its
-    columns: det M is the Wronskian over e^{2 mu x_far}, whatever x_match.
-    With ``dense`` each amplitude can also be read on its whole span.
-    EssentialSpectrumError, naming the first offending lam, where Re mu
-    vanishes; ConfigurationError unless nu is positive and finite.
+    exactly 1.  Both directions and all K parameters share one integration
+    over s in [0, 1], with x+ = x_far + s (x_match - x_far) and
+    x- = -x_far + s (x_match + x_far): the state is (phi+, phi+', phi-,
+    phi-') of shape (4, K), flattened, with ' = d/dx and each half scaled
+    by its dx/ds, and A(x) is evaluated once at x+ and once at x- per
+    right-hand side for all of them.  M = [[phi+, phi-], [phi+' - mu phi+,
+    phi-' + mu phi-]] at x_match, shape (K, 2, 2), is (psi+-, psi+-') with
+    e^{mu (x_far -+ x_match)} divided out of its columns: det M is the
+    Wronskian over e^{2 mu x_far}, whatever x_match.  With ``dense`` the
+    amplitudes can also be read on their whole spans, rows 0 (phi+) and 2
+    (phi-) of ``sol.sol(s)``.  Before any integration: ConfigurationError
+    unless nu is positive and finite, and, naming lam and nu, where the
+    layer width 1/|2 mu| of the amplitudes lies below the float spacing of
+    a span of x_far, which no step could resolve; EssentialSpectrumError,
+    naming the first offending lam, where Re mu vanishes.
     """
     check_positive(nu=nu)
-    mu = np.sqrt(lam / nu + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sqrt(lam / nu + 0j)
+        fine = 2 * np.abs(mu) * x_far * np.finfo(float).eps < 1
+    if not np.all(fine):
+        raise ConfigurationError(
+            f"lam/nu = {lam[np.argmin(fine)]}/{nu!r} is too large: the amplitudes vary on the "
+            f"scale 1/|2 sqrt(lam/nu)|, below the float spacing of x_far = {x_far!r}"
+        )
     bad = np.flatnonzero(mu.real < 1e-8)
     if bad.size:
         raise EssentialSpectrumError(
@@ -259,22 +273,24 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
             "spectral parameter in the essential spectrum"
         )
     K = lam.size
+    dx_p, dx_m = x_match - x_far, x_match + x_far
+    dxds = np.repeat([dx_p, dx_m], 2 * K)
+    two_mu = 2 * mu
 
-    def rhs(two_mu):
-        return lambda x, y: np.concatenate([y[K:], two_mu * y[K:] - A(x) / nu * y[:K]])
+    def rhs(s, y):
+        pp, dp, pm, dm = y.reshape(4, K)
+        return dxds * np.concatenate([dp, two_mu * dp - A(x_far + s * dx_p) / nu * pp,
+                                      dm, -two_mu * dm - A(s * dx_m - x_far) / nu * pm])
 
     # phi+- start at 1 and stay of order 1, so one tolerance serves as
     # relative and absolute
-    start = np.repeat([1.0 + 0j, 0j], K)
-    sol_p = solve_ivp(rhs(2 * mu), (x_far, x_match), start, method="DOP853",
-                      rtol=1e-11, atol=1e-11, dense_output=dense)
-    sol_m = solve_ivp(rhs(-2 * mu), (-x_far, x_match), start, method="DOP853",
-                      rtol=1e-11, atol=1e-11, dense_output=dense)
-    if not (sol_p.success and sol_m.success):
+    sol = solve_ivp(rhs, (0.0, 1.0), np.repeat([1.0 + 0j, 0j, 1.0 + 0j, 0j], K), method="DOP853",
+                    rtol=1e-11, atol=1e-11, dense_output=dense)
+    if not sol.success:
         raise NumericalError("decaying-solution integration failed")
-    (pp, dp), (pm, dm) = (sol.y[:, -1].reshape(2, K) for sol in (sol_p, sol_m))
+    pp, dp, pm, dm = sol.y[:, -1].reshape(4, K)
     M = np.array([[pp, pm], [dp - mu * pp, dm + mu * pm]]).transpose(2, 0, 1)
-    return mu, M, sol_p, sol_m
+    return mu, M, sol
 
 
 def _matching_matrices(A, lam, nu, x_far):
@@ -304,20 +320,25 @@ def parabolic_green(
     amplitudes phi+- the exponentials cancel to
     G = -e^{-mu |x-y|} phi+(max(x, y)) phi-(min(x, y)) / (nu W), with W the
     determinant of the amplitude matrix M at y, the Evans function, so a
-    large lambda cannot overflow.  Each amplitude is integrated from its end
-    of the line to the source point y only, since phi+ is read at points
-    >= y and phi- at points <= y.
+    large lambda cannot overflow.  One integration carries each amplitude
+    from its end of the line to the source point y only, since phi+ is read
+    at points >= y and phi- at points <= y; its dense output gives phi+ at
+    s = (x - X_FAR) / (y - X_FAR) and phi- at s = (x + X_FAR) / (y + X_FAR).
     """
     if not np.all(np.isfinite([tau, x, y])):
         raise ConfigurationError(f"tau, x and y must be finite, got {tau!r}, {x!r}, {y!r}")
     if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
         raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
-    (mu,), M, sol_p, sol_m = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
+    (mu,), M, sol = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
     (w,) = _det2(M)
     if w == 0:
         raise NumericalError("matching system singular")
     (pp, pm), _ = M[0]
-    amps = pm * sol_p.sol(x)[0] if x >= y else pp * sol_m.sol(x)[0]
+    # a span of length zero (y = +-X_FAR) keeps its amplitude at 1 throughout
+    if x >= y:
+        amps = pm * sol.sol((x - X_FAR) / (y - X_FAR) if y != X_FAR else 0.0)[0]
+    else:
+        amps = pp * sol.sol((x + X_FAR) / (y + X_FAR) if y != -X_FAR else 0.0)[2]
     return complex(-np.exp(-mu * abs(x - y)) * amps / (nu * w))
 
 
@@ -373,27 +394,30 @@ def evans_locate(
     principle); the log-derivative moments s_p = sum z_j^p, p < 2w, on the
     same boundary (Delves-Lyness); starting points from the eigenvalues of
     the Hankel pencil ([s_{i+j+1}], [s_{i+j}]); one complex secant that
-    refines all w zeros together, each step one stacked integration per
-    direction.  The boundary starts at ``n_per_side`` points per side and
-    doubles until two passes agree: a pass with no phase step above 0.8 pi
-    and the winding of the pass before it is accepted, and gives the
-    moments.  The seeds assume simple zeros, as for a real potential: a
+    refines all w zeros together, each step one stacked integration.  A
+    boundary pass at n points per side is one integration of 2n points per
+    side, whose even-indexed points are the boundary at n: the pass is
+    accepted when no phase step at 2n exceeds 0.8 pi and the windings at n
+    and 2n agree, and its 2n points give the moments; otherwise n doubles,
+    from ``n_per_side``, until a boundary of more than 400 points per side
+    has failed.  The seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
     rectangle then raises RegionError, as does a negative winding number.
     A rectangle with re_lo >= re_hi or im_lo >= im_hi, a nu or x_far that
-    is not positive and finite, or an n_per_side below 1 raises
-    ConfigurationError; a boundary point in the essential spectrum raises
-    EssentialSpectrumError and one on a zero RegionError, each naming it.
+    is not positive and finite, or an n_per_side that is not an integer of
+    at least 1 raises ConfigurationError; a boundary point in the essential
+    spectrum raises EssentialSpectrumError and one on a zero RegionError,
+    each naming it.
     """
     re_lo, re_hi, im_lo, im_hi = region
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
     check_positive(nu=nu, x_far=x_far)
-    if not n_per_side >= 1:
+    n_per_side = as_integer("n_per_side", n_per_side)
+    if n_per_side < 1:
         raise ConfigurationError(f"n_per_side must be at least 1, got {n_per_side!r}")
-    previous = None
     while True:
-        pts = _rect_boundary(region, n_per_side)
+        pts = _rect_boundary(region, 2 * n_per_side)
         M = _matching_matrices(A, pts, nu, x_far)
         vals = _det2(M)
         # |det| over the column norms is the sine of the angle between the
@@ -407,11 +431,14 @@ def evans_locate(
         closed = np.append(vals, vals[0])
         dphi = np.angle(closed[1:] / closed[:-1])
         winding = int(round(np.sum(dphi) / (2 * np.pi)))
-        if np.max(np.abs(dphi)) <= 0.8 * np.pi and winding == previous:
+        # the boundary at n_per_side is every other point of this one
+        coarse = closed[::2]
+        coarse_winding = round(np.sum(np.angle(coarse[1:] / coarse[:-1])) / (2 * np.pi))
+        if np.max(np.abs(dphi)) <= 0.8 * np.pi and winding == coarse_winding:
             break
-        if n_per_side > 400:
+        if 2 * n_per_side > 400:
             raise RegionError("winding-number phase tracking failed; perturb the rectangle")
-        previous, n_per_side = winding, 2 * n_per_side
+        n_per_side *= 2
     if winding < 0:
         # the determinant is analytic: a negative count means the boundary
         # does not resolve its phase

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, QuadratureError, check_positive
+from .errors import ConfigurationError, QuadratureError, as_integer, check_positive
 from .profiles import CHANNEL, HALF_LINE
 
 
@@ -56,7 +56,9 @@ class SpectralDiscretization:
 
 
 def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretization:
-    """Build nodes and D1/D2/D4 for the requested domain."""
+    """Build nodes and D1/D2/D4 for the requested domain; N must be an
+    integer of at least 2 (else ConfigurationError)."""
+    N = as_integer("N", N)
     if N < 2:
         raise ConfigurationError(f"N must be >= 2, got {N}")
     if domain not in (CHANNEL, HALF_LINE):

@@ -163,6 +163,33 @@ class TestOdeBootstrap:
         root = brentq(excess, 0.0, tg[-1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
         assert abs(r.escape_time - root) <= 1e-12
 
+    @pytest.mark.parametrize("n_grid", [2, 5, 81])
+    def test_escape_time_on_a_coarse_grid(self, n_grid):
+        # the first crossing is searched on the integrator's own steps as
+        # well as on t_grid, so a grid of two points finds the same root of
+        # the closed form sum_{n<=5} eps^n e^t (e^t - 1)^{n-1} = sigma0
+        eps = 1e-5
+        tg = np.linspace(0.0, -np.log(eps) + 4.0, n_grid)
+        r = ode_bootstrap(np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, eps, 5, tg)
+
+        def excess(t):
+            e = np.exp(t)
+            return sum(eps**n * e * (e - 1.0) ** (n - 1) for n in range(1, 6)) - r.sigma0
+
+        root = brentq(excess, 0.0, tg[-1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        assert abs(r.escape_time - root) <= 1e-10
+
+    def test_escape_time_on_complex_eigenpair(self):
+        # the eigenpair of test_real_bilinear_Q_on_complex_eigenpair on a
+        # grid long enough to escape; 5.821525123217629 is the escape time
+        # of the 4001-point dense-output search that the search on the
+        # integrator's steps and t_grid replaced (the same on grids ending
+        # at 8, 9 and 10)
+        A = np.array([[1.0, -2.0], [2.0, 1.0]])
+        r = ode_bootstrap(A, lambda a, b: a.real * b, np.array([1.0, -1.0j]), 1.0 + 2.0j, 1e-3, 4,
+                          np.linspace(0.0, 8.0, 81))
+        assert abs(r.escape_time - 5.821525123217629) <= 1e-12
+
     def test_non_elementwise_Q_matches_per_pair_reference(self, monkeypatch):
         # Q mixes the components, so a Q applied to the wrong axis or to
         # mismatched pairs shows; the reference calls Q once per pair

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from shearstab.errors import ConfigurationError
-from shearstab.genfunc import BLNormParams, FourierMode, exp, laplace_solve_1d, strip_norms
-from shearstab.instability import hopf_majorant, hopf_series
+from shearstab.genfunc import BLNormParams, FourierMode, exp, gen_series, laplace_solve_1d, strip_norms
+from shearstab.instability import euler_series, hopf_majorant, hopf_series, ode_bootstrap
+from shearstab.profiles import make_profile
 from shearstab.resolvent import duhamel_term, evans_det, evans_locate, parabolic_green, semigroup_apply
+from shearstab.spectral import build_grid
 
 
 def sech2(x):
@@ -73,6 +75,28 @@ COS = {1: 0.5, -1: 0.5}
                  "n_characteristics", id="hopf_majorant-n_characteristics0"),
     pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_steps=0), "n_steps",
                  id="hopf_majorant-n_steps0"),
+    # non-integer counts: a TypeError from range, linspace or an array shape
+    pytest.param(lambda: evans_locate(sech2, RECT, n_per_side=2.5), "n_per_side",
+                 id="evans_locate-n_per_side2.5"),
+    pytest.param(lambda: ode_bootstrap(np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, 1e-3, 2.5,
+                                       np.linspace(0.0, 5.0, 11)), "N", id="ode_bootstrap-N2.5"),
+    pytest.param(lambda: hopf_series(COS, 1.0, 2.5), "N", id="hopf_series-N2.5"),
+    pytest.param(lambda: euler_series(make_profile("kolmogorov"), N=2.5), "N", id="euler_series-N2.5"),
+    pytest.param(lambda: build_grid(2.5, "channel"), "N", id="build_grid-N2.5"),
+    pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_characteristics=2.5),
+                 "n_characteristics", id="hopf_majorant-n_characteristics2.5"),
+    pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_steps=2.5), "n_steps",
+                 id="hopf_majorant-n_steps2.5"),
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.exp(-y), BLNormParams(delta=0.05), refine=0.5),
+                 "refine", id="laplace_solve_1d-refine0.5"),
+    # 2**-1 is a float grid size
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.exp(-y), BLNormParams(delta=0.05), refine=-1),
+                 "refine", id="laplace_solve_1d-refine-1"),
+    pytest.param(lambda: gen_series([FourierMode(1, lambda y: exp(-y))], BLNormParams(delta=0.05), (2.5, 4)),
+                 "truncation", id="gen_series-truncation2.5"),
+    # truncated to 16 modes, and a result returned
+    pytest.param(lambda: euler_series(make_profile("kolmogorov"), N=2, modes=16.5), "modes",
+                 id="euler_series-modes16.5"),
 ])
 def test_invalid_argument_is_typed(call, name):
     with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from shearstab import instability, resolvent
 from shearstab.errors import (
@@ -319,7 +320,8 @@ class TestParabolicGreen:
 
     def test_free_kernel_is_exact_and_short(self, monkeypatch):
         # for A = 0 the amplitudes phi+- stay 1, so the kernel is the closed
-        # form to rounding, in at most 300 right-hand sides per direction
+        # form to rounding, in at most 300 right-hand sides for both
+        # directions together
         nfev = []
         solve_ivp = resolvent.solve_ivp
 
@@ -372,12 +374,43 @@ class TestParabolicGreen:
             assert np.isfinite(g1.real)
             assert abs(g1 - g2) < 1e-8
 
+    def test_asymmetric_potential_matches_two_direction_reference(self):
+        # a symmetric potential would hide a sign or mirror error in the map
+        # of either direction onto s in [0, 1]; the reference integrates
+        # psi+ from 15 and psi- from -15 in x, one solve_ivp each, and
+        # G = -psi+(max) psi-(min) / (nu W)
+        pot = lambda s: 2.0 / np.cosh(s - 0.8) ** 2 + 1.5 / np.cosh(2.0 * (s + 1.1)) ** 2
+        lam = 5.0  # tau = -5i
+        mu = np.sqrt(lam)
+
+        def rhs(x, u):
+            return [u[1], (lam - pot(x)) * u[0]]
+
+        plus = solve_ivp(rhs, (15.0, -15.0), [1.0, -mu], method="DOP853", rtol=1e-13, atol=1e-13,
+                         dense_output=True).sol
+        minus = solve_ivp(rhs, (-15.0, 15.0), [1.0, mu], method="DOP853", rtol=1e-13, atol=1e-13,
+                          dense_output=True).sol
+
+        def reference(x, y):
+            (pp, dp), (pm, dm) = plus(y), minus(y)
+            return -plus(max(x, y))[0] * minus(min(x, y))[0] / (pp * dm - pm * dp)
+
+        for x, y in [(0.3, -0.6), (-1.4, 0.9), (2.1, 1.7)]:
+            g = parabolic_green(pot, -5.0j, x, y, 1.0)
+            assert abs(g - parabolic_green(pot, -5.0j, y, x, 1.0)) <= 1e-10 * abs(g)
+            assert abs(g - reference(x, y)) <= 1e-9 * abs(g)
+        # the value of the two-integration form this one replaced, to 2.2e-14
+        assert abs(parabolic_green(pot, -5.0j, 0.3, -0.6, 1.0) - (-0.04592580560147675)) <= 1e-12
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(EssentialSpectrumError):
             # lam = i tau = -1 (inside the essential spectrum of nu Lap)
             parabolic_green(lambda s: 0.0, 1.0j, 0.0, 0.0, 1.0)
 
     def test_integrates_to_the_source_point_only(self, monkeypatch):
+        # one integration over s in [0, 1] carries both amplitudes; each
+        # right-hand side calls A once on the plus side, within [y, 15], and
+        # once on the minus side, within [-15, y]
         spans = []
         solve_ivp = resolvent.solve_ivp
 
@@ -389,13 +422,49 @@ class TestParabolicGreen:
         tau, nu = -2.0j, 1.0
         for x, y in [(0.5, -0.3), (-1.0, 1.2)]:
             spans.clear()
-            g = parabolic_green(lambda s: 0.0, tau, x, y, nu)
+            where = []
+            g = parabolic_green(lambda s: where.append(s) or 0.0, tau, x, y, nu)
             exact = -np.exp(-abs(x - y) * np.sqrt(2.0)) / (2 * np.sqrt(2.0))
             assert abs(g - exact) < 1e-8
-            assert spans == [(15.0, y), (-15.0, y)]
+            assert spans == [(0.0, 1.0)]
+            plus, minus = np.array(where).reshape(-1, 2).T
+            assert plus.size > 2
+            # the map x = +-15 + s (y -+ 15) reaches y to rounding at s = 1
+            assert np.all((y - 1e-12 <= plus) & (plus <= 15.0))
+            assert np.all((-15.0 <= minus) & (minus <= y + 1e-12))
 
 
 class TestEvansLocate:
+    def test_shifted_sech_eigenvalue(self):
+        # 2 sech^2(x - 0.8) has the eigenvalue 1 of 2 sech^2: off centre, the
+        # plus and minus amplitudes differ, so a mirror error would show
+        pot = lambda s: 2.0 / np.cosh(s - 0.8) ** 2
+        zeros = evans_locate(pot, (0.5, 1.5, -0.4, 0.4))
+        assert len(zeros) == 1
+        assert abs(zeros[0] - 1.0) <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda pot: evans_det(pot, 1e300), "lam", id="evans_det-lam1e300"),
+        pytest.param(lambda pot: evans_det(pot, 1.2, nu=5e-324), "nu", id="evans_det-nu5e-324"),
+        pytest.param(lambda pot: parabolic_green(pot, -1e300j, 0.1, 0.0, 1.0), "lam",
+                     id="parabolic_green-tau-1e300j"),
+        pytest.param(lambda pot: evans_locate(pot, (0.5, 1.5, -0.4, 0.4), nu=5e-324), "nu",
+                     id="evans_locate-nu5e-324"),
+        # the free determinant returned 2 mu = 2e150 with no warning
+        pytest.param(lambda pot: evans_det(lambda s: 0.0 * s, 1e300), "lam", id="evans_det-free-lam1e300"),
+    ])
+    def test_huge_spectral_parameter_raises_before_integrating(self, call, name, monkeypatch):
+        # |sqrt(lam / nu)| past 1 / (2 x_far eps) puts the amplitudes' layer
+        # below the float spacing of the span: numpy's overflow warnings
+        # came first, then a failure or a number
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking lam / nu")
+
+        monkeypatch.setattr(resolvent, "solve_ivp", no_integration)
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
+            call(lambda s: 2.0 / np.cosh(s) ** 2)
+
     def test_sech_eigenvalue(self):
         nu = 1.0
         pot = lambda s: 2 * nu / np.cosh(s) ** 2
@@ -541,7 +610,7 @@ class TestStackedBoundary:
                            for lam in pts])
         assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-9
 
-    def test_one_integration_per_direction(self, monkeypatch):
+    def test_one_integration_for_both_directions(self, monkeypatch):
         calls = []
         solve_ivp = resolvent.solve_ivp
 
@@ -551,12 +620,17 @@ class TestStackedBoundary:
             return sol
 
         monkeypatch.setattr(resolvent, "solve_ivp", counting)
-        # no zero inside, so the two boundary passes, at 12 and 24 points per
-        # side, are the only integrations
+        # no zero inside, so the one boundary pass at 12 points per side,
+        # which integrates both directions at 24 points per side, is the
+        # only integration
         assert evans_locate(lambda s: 0.0, (0.5, 1.5, -0.4, 0.4), nu=1.0, n_per_side=12) == []
-        assert calls == [2 * 48, 2 * 48, 2 * 96, 2 * 96]
+        assert calls == [4 * 96]
 
-    def test_secant_polishes_all_roots_together(self, monkeypatch):
+    @pytest.mark.parametrize("amp, region, integrations",
+                             [(*rect, n) for rect, n in zip(BENCH_RECTANGLES, [4, 5])])
+    def test_secant_polishes_all_roots_together(self, amp, region, integrations, monkeypatch):
+        # one boundary pass, one determinant of both secant starts, and one
+        # integration per secant step for all the zeros together
         calls = []
         solve_ivp = resolvent.solve_ivp
 
@@ -565,10 +639,9 @@ class TestStackedBoundary:
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(resolvent, "solve_ivp", counting)
-        amp, region = BENCH_RECTANGLES[1]
         zeros = evans_locate(lambda s: amp / np.cosh(s) ** 2, region, nu=1.0, x_far=10.0, n_per_side=12)
-        assert len(zeros) == 2
-        assert len(calls) <= 20
+        assert len(zeros) == round(np.sqrt(amp + 0.25) - 0.5)
+        assert len(calls) <= integrations
 
     def test_boundary_through_zero_raises(self):
         # the left side of the rectangle contains the eigenvalue 1 exactly
