@@ -2,6 +2,11 @@
 
 import math
 
+MAX_POINTS = 10**7
+"""The most points a grid or entries a table may have.  A Green solve on a
+grid of this size holds arrays of 6e7 quadrature nodes, 0.5 GB each in
+floats; the package's own grids have at most about 1e5 points."""
+
 
 class ShearStabError(Exception):
     """Base class for all toolkit errors."""
@@ -74,3 +79,11 @@ def check_positive(**params):
     for name, value in params.items():
         if not (0 < value < math.inf):
             raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_points(name, count):
+    """ConfigurationError naming ``name`` unless ``count``, the points or
+    table entries that argument asks for, is at most MAX_POINTS (NaN fails).
+    Called with a count formed in Python, before anything is allocated."""
+    if not count <= MAX_POINTS:
+        raise ConfigurationError(f"{name} asks for more than {MAX_POINTS:.0e} points, the limit of any grid or table")

@@ -43,6 +43,7 @@ from .errors import (
     ResonanceError,
     WindowError,
     as_integer,
+    check_points,
     check_positive,
 )
 from .genfunc import _gen_eval
@@ -507,12 +508,16 @@ def hopf_majorant(
     characteristics advance together as one vector RK4; each stops on its
     own, without recording the step, as soon as it leaves the window through
     z = 0 (x < 0), while the others go on.  ``n_characteristics`` and
-    ``n_steps`` must be positive integers (else ConfigurationError)."""
+    ``n_steps`` must be positive integers, and the (n_steps + 1) x
+    n_characteristics paths at most ``errors.MAX_POINTS`` entries (else
+    ConfigurationError, raised before they are allocated)."""
     if not (eta0 > 0) or not (t_max > 0):
         raise WindowError("eta0 and t_max must be positive")
     n_characteristics = as_integer("n_characteristics", n_characteristics)
     n_steps = as_integer("n_steps", n_steps)
     check_positive(n_characteristics=n_characteristics, n_steps=n_steps)
+    check_points("n_characteristics", n_characteristics)
+    check_points("n_steps", (n_steps + 1) * n_characteristics)
     N = series.order
     alpha = series.alpha
 

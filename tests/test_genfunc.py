@@ -380,6 +380,29 @@ class TestSeriesOps:
                 assert Gfg(*z) <= Gf(*z) * Gg(*z) * (1 + 1e-9)
 
 
+class TestSampleGrid:
+    @staticmethod
+    def per_interval_grid(delta, n_layer, max_step):
+        # the grid as one np.linspace per step wider than max_step
+        near = np.linspace(0.0, min(10.0 * delta, genfunc.Y_MAX), n_layer + 1)
+        far = np.geomspace(max(near[-1], 1e-12), genfunc.Y_MAX, 2 * n_layer + 1)
+        y = np.unique(np.concatenate([near, far]))
+        if max_step is None:
+            return y
+        pieces = [y]
+        for i in np.flatnonzero(np.diff(y) > max_step):
+            n = int(np.ceil((y[i + 1] - y[i]) / max_step))
+            pieces.append(np.linspace(y[i], y[i + 1], n + 1)[1:-1])
+        return np.unique(np.concatenate(pieces))
+
+    @pytest.mark.parametrize("delta", [0.003, 0.01, 0.05, 0.2, 5.0])
+    @pytest.mark.parametrize("n_layer", [1, 200, 400, 800])
+    @pytest.mark.parametrize("max_step", [None, 7.0, 0.1, 0.0156, 0.0039, 0.001])
+    def test_matches_per_interval_linspace(self, delta, n_layer, max_step):
+        assert np.array_equal(sample_grid(delta, n_layer, max_step),
+                              self.per_interval_grid(delta, n_layer, max_step))
+
+
 class TestLaplaceSolve:
     def test_manufactured(self, params):
         res = laplace_solve_1d(1, lambda y: -2.0 * np.exp(-y), params)
@@ -419,6 +442,69 @@ class TestLaplaceSolve:
         p = BLNormParams(delta=0.01)
         with pytest.raises(ConfigurationError):
             laplace_solve_1d(11, lambda y: np.exp(-y), p, with_bl=True)  # delta a^2 = 1.21
+
+    @pytest.mark.parametrize("alpha", list(range(1, 33)) + [500])
+    def test_exponential_source_closed_form(self, params, alpha):
+        # phi'' - a^2 phi = e^{-y}, phi(0) = 0, decaying
+        res = laplace_solve_1d(alpha, lambda y: np.exp(-y), params, with_bl=False)
+        y, a = res["y"], alpha
+        if a == 1:
+            phi, dphi = -0.5 * y * np.exp(-y), -0.5 * (1 - y) * np.exp(-y)
+        else:
+            phi = (np.exp(-y) - np.exp(-a * y)) / (1 - a**2)
+            dphi = (a * np.exp(-a * y) - np.exp(-y)) / (1 - a**2)
+        assert np.max(np.abs(res["phi"] - phi)) <= 1e-14 * np.max(np.abs(phi))
+        assert np.max(np.abs(res["dphi"] - dphi)) <= 1e-14 * np.max(np.abs(dphi))
+
+    @pytest.mark.parametrize("alpha", [1, 2, 10, 32, 500])
+    def test_sign_changing_source_closed_form(self, params, alpha):
+        # f = e^{-y} sin(10 y) = Im e^{-kappa y}, kappa = 1 - 10i
+        kappa = 1 - 10j
+        res = laplace_solve_1d(alpha, lambda y: np.exp(-y) * np.sin(10 * y), params, with_bl=False)
+        y = res["y"]
+        phi = ((np.exp(-kappa * y) - np.exp(-alpha * y)) / (kappa**2 - alpha**2)).imag
+        assert np.max(np.abs(res["phi"] - phi)) <= 1e-13 * np.max(np.abs(phi))
+
+    @pytest.mark.parametrize("alpha, step", [(40, 0.5), (300, 0.25), (2000, 0.5), (7, 4.5)])
+    def test_blocked_scan_matches_recurrence(self, alpha, step):
+        # steps wider than a block (a h up to 1000, where e^{a h} overflows)
+        # and blocks of one point: the scan equals the per-point recurrence
+        y = np.union1d(np.linspace(0.0, 1.0, 101), np.arange(1.0, genfunc.Y_MAX + step / 2, step))
+        f = lambda x: np.exp(-x) * np.cos(3 * x) + 1j * x * np.exp(-2 * x)
+        phi, dphi = genfunc._greens_solve(alpha, f, y)
+        # the recurrences, from the same cell integrals
+        a, h = alpha, np.diff(y)
+        gx, gw = genfunc.legendre_rule(6)
+        xq = 0.5 * h[:, None] * (gx + 1.0) + y[:-1, None]
+        fq = f(xq) * (0.5 * h[:, None] * gw)
+        q1 = np.sum(np.exp(-a * (y[1:, None] - xq)) * fq, axis=1)
+        q2 = np.sum(np.exp(-a * (xq - y[:-1, None])) * fq, axis=1)
+        I1, I2 = np.zeros(y.size, complex), np.zeros(y.size, complex)
+        for j in range(y.size - 1):
+            I1[j + 1] = np.exp(-a * h[j]) * I1[j] + q1[j]
+        for j in range(y.size - 2, -1, -1):
+            I2[j] = np.exp(-a * h[j]) * I2[j + 1] + q2[j]
+        I3 = np.exp(-a * y) * I2[0]
+        ref_phi, ref_dphi = -(I1 + I2 - I3) / (2 * a), 0.5 * (I1 - I2 - I3)
+        assert np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))
+        assert np.max(np.abs(phi - ref_phi)) <= 1e-13 * np.max(np.abs(ref_phi))
+        assert np.max(np.abs(dphi - ref_dphi)) <= 1e-13 * np.max(np.abs(ref_dphi))
+
+    def test_one_pass_per_block(self, params, monkeypatch):
+        # the scan loops over blocks of a y < 30 (43 at alpha = 32), one
+        # cumsum per direction each, not over the 2922 grid points
+        y = sample_grid(params.delta, 200, max_step=0.5 / 32)
+        calls = []
+        cumsum = np.cumsum
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(genfunc.np, "cumsum", counting)
+        genfunc._greens_solve(32, lambda x: np.exp(-x), y)
+        assert y.size == 2922
+        assert len(calls) == 2 * 43
 
 
 class TestEllipticEstimate:

@@ -1,10 +1,21 @@
 """Typed errors for invalid arguments of the library functions called directly."""
 
+import multiprocessing
+import re
+
 import numpy as np
 import pytest
 
 from shearstab.errors import ConfigurationError
-from shearstab.genfunc import BLNormParams, FourierMode, exp, gen_series, laplace_solve_1d, strip_norms
+from shearstab.genfunc import (
+    BLNormParams,
+    FourierMode,
+    exp,
+    gen_series,
+    laplace_solve_1d,
+    sample_grid,
+    strip_norms,
+)
 from shearstab.instability import euler_series, hopf_majorant, hopf_series, ode_bootstrap
 from shearstab.profiles import make_profile
 from shearstab.resolvent import duhamel_term, evans_det, evans_locate, parabolic_green, semigroup_apply
@@ -97,10 +108,66 @@ COS = {1: 0.5, -1: 0.5}
     # truncated to 16 modes, and a result returned
     pytest.param(lambda: euler_series(make_profile("kolmogorov"), N=2, modes=16.5), "modes",
                  id="euler_series-modes16.5"),
+    # numpy's ValueError "Maximum allowed size exceeded"
+    pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_steps=1e300), "n_steps",
+                 id="hopf_majorant-n_steps1e300"),
+    pytest.param(lambda: hopf_majorant(hopf_series(COS, 1.0, 4), 0.25, 0.05, n_characteristics=1e300),
+                 "n_characteristics", id="hopf_majorant-n_characteristics1e300"),
+    # hung forming 2**refine
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.exp(-y), BLNormParams(delta=0.05), refine=1e300),
+                 "refine", id="laplace_solve_1d-refine1e300"),
+    # numpy's MemoryError for 1.56 PiB
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.exp(-y), BLNormParams(delta=0.05), refine=40),
+                 "refine", id="laplace_solve_1d-refine40"),
+    # a divide-by-zero RuntimeWarning
+    pytest.param(lambda: sample_grid(0.05, 200, 0.0), "max_step", id="sample_grid-max_step0"),
+    # ignored: the grid without refinement
+    pytest.param(lambda: sample_grid(0.05, 200, -1.0), "max_step", id="sample_grid-max_step-1"),
+    pytest.param(lambda: sample_grid(0.05, 200, np.nan), "max_step", id="sample_grid-max_step_nan"),
+    # numpy's ValueError "Maximum allowed size exceeded"
+    pytest.param(lambda: sample_grid(0.05, 200, 1e-300), "max_step", id="sample_grid-max_step1e-300"),
+    # IndexError
+    pytest.param(lambda: sample_grid(0.05, -1), "n_layer", id="sample_grid-n_layer-1"),
+    # a two-point grid
+    pytest.param(lambda: sample_grid(0.05, 0), "n_layer", id="sample_grid-n_layer0"),
+    pytest.param(lambda: sample_grid(0.05, 1e300), "n_layer", id="sample_grid-n_layer1e300"),
+    # a one-point grid
+    pytest.param(lambda: sample_grid(np.nan), "delta", id="sample_grid-delta_nan"),
 ])
 def test_invalid_argument_is_typed(call, name):
-    with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
-        call()
+    # each call runs in a child process that a time limit stops, so a check
+    # that hangs or allocates without bound fails here instead of stalling
+    raised = raised_within(call, 30)
+    assert raised is not None and issubclass(raised[0], ConfigurationError), raised
+    assert re.search(rf"\b{name}\b", raised[1]), raised
+
+
+def raised_within(call, seconds):
+    """(type, message) of the exception ``call()`` raised, or None when it
+    returned, from a forked child process that is stopped after ``seconds``."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        try:
+            call()
+        except Exception as exc:
+            send.send((type(exc), str(exc)))
+        else:
+            send.send(None)
+
+    # fork, not spawn: the calls are lambdas, which a spawned child cannot
+    # unpickle; the test process runs no other thread (BLAS is pinned to one)
+    proc = ctx.Process(target=child)
+    proc.start()
+    send.close()  # a child that dies without a result ends the wait at once
+    try:
+        if not recv.poll(seconds):
+            pytest.fail(f"no result within {seconds} s")
+        return recv.recv()
+    finally:
+        proc.kill()
+        proc.join()
 
 
 def test_integral_float_mode_numbers_are_accepted():
