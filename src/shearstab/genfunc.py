@@ -502,17 +502,29 @@ class GenSeries:
         return GenSeries(c)
 
 
-def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor: str = WITH_BL) -> GenSeries:
-    """Generator series of a mode family: row |alpha| accumulates the
-    ell-weighted norms of the derivative table of f_alpha in the requested
-    flavor, one refinement loop per mode.  Both truncation orders must be
-    nonnegative integers, and N_ell at most MAX_ELL."""
-    _check_flavor(flavor)
-    N_alpha, N_ell = (as_integer("truncation order", n) for n in truncation)
+def _truncation_orders(truncation) -> tuple[int, int]:
+    """(N_alpha, N_ell); ConfigurationError naming truncation unless it is a
+    pair of nonnegative integers with N_ell at most MAX_ELL and a table of
+    (N_alpha + 1)(N_ell + 1) entries within MAX_POINTS."""
+    try:
+        N_alpha, N_ell = (as_integer("truncation order", n) for n in truncation)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"truncation must be a pair of orders, got {truncation!r}") from None
     if N_alpha < 0 or N_ell < 0:
         raise ConfigurationError(f"truncation orders must be nonnegative, got {truncation}")
     if N_ell > MAX_ELL:
-        raise ConfigurationError(f"N_ell capped at {MAX_ELL}")
+        raise ConfigurationError(f"truncation order N_ell capped at {MAX_ELL}, got {N_ell}")
+    check_points("truncation", (N_alpha + 1) * (N_ell + 1))
+    return N_alpha, N_ell
+
+
+def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor: str = WITH_BL) -> GenSeries:
+    """Generator series of a mode family: row |alpha| accumulates the
+    ell-weighted norms of the derivative table of f_alpha in the requested
+    flavor, one refinement loop per mode.  The truncation must pass
+    ``_truncation_orders``."""
+    _check_flavor(flavor)
+    N_alpha, N_ell = _truncation_orders(truncation)
     coeffs = np.zeros((N_alpha + 1, N_ell + 1))
     for m in modes:
         w = abs(m.alpha)
@@ -702,15 +714,17 @@ def elliptic_gen_estimate(omega_modes, params: BLNormParams, z2_max: float, trun
     Solves Delta_alpha phi_alpha = omega_alpha per mode and compares
     Gen_delta(second gradient) + Gen_0(gradient) against Gen_delta(omega),
     per mode and after summation (plain, z1-weighted, z2-differentiated).
-    Modes must satisfy |delta alpha^2| <= 1.
+    Modes must satisfy |delta alpha^2| <= 1, z2_max must be positive and
+    finite and the truncation must pass ``_truncation_orders``.
     """
+    check_positive(z2_max=z2_max)
+    N_alpha, N_ell = _truncation_orders(truncation)
     modes = list(omega_modes)
     for m in modes:
         if abs(params.delta * m.alpha**2) > 1.0:
             raise ConfigurationError(
                 f"mode alpha={m.alpha}: |delta alpha^2| = {params.delta * m.alpha**2:.3g} >= 1"
             )
-    N_alpha, N_ell = truncation
     y = sample_grid(params.delta, max_step=0.1)
     z2s = np.linspace(z2_max / 8, z2_max, 8)
     ells = np.arange(N_ell + 1)
@@ -785,7 +799,7 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
     The d_y g, d_x g = i alpha g, product and transport modes are built by
     composing the parents' jet functions.
     """
-    N_alpha, N_ell = truncation
+    N_alpha, N_ell = _truncation_orders(truncation)
     yc = sample_grid(params.delta)     # yc[0] = 0 is the wall
     u_by_alpha = {m.alpha: m for m in u_modes}
     for mv in v_modes:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -645,12 +645,54 @@ def _shear_block(U_hat, Upp_hat, kx, m_list: np.ndarray) -> np.ndarray:
     return 1j * kx * (_toeplitz_conv(U_hat, m_list) + _toeplitz_conv(Upp_hat, m_list) * d)
 
 
-def _unstable_eig(U_hat, Upp_hat, kx: float, m_list: np.ndarray):
-    """Most unstable temporal eigenvalue of d_t w = -L w on the given modes."""
-    L = _shear_block(U_hat, Upp_hat, kx, m_list)
-    vals, vecs = np.linalg.eig(-L)
+def _unstable_eig(block: np.ndarray):
+    """Most unstable temporal eigenvalue of d_t w = -L w for one block L."""
+    vals, vecs = np.linalg.eig(-block)
     i = int(np.argmax(vals.real))
     return vals[i], vecs[:, i]
+
+
+class _EulerSystem(NamedTuple):
+    """The truncated 2D Euler system  d_t w = -L w + Q(w, w)  for fft arrays
+    of w (axis 0 = x, axis 1 = y) that vanish off the y-modes ``m``."""
+
+    m: np.ndarray           # |m| <= (Ng - 1) // 2: every mode has its conjugate
+    slots: np.ndarray       # the places of m in an fft row
+    kx: np.ndarray          # the x-wavenumber of each fft row
+    blocks: np.ndarray      # blocks[p]: L on m at x-wavenumber kx[p] (0 at kx = 0)
+    U_hat: np.ndarray       # fft coefficients of U and U''
+    Upp_hat: np.ndarray
+    Q: Callable
+
+
+def _euler_system(profile: ShearProfile, Ng: int) -> _EulerSystem:
+    """The truncated Euler system about the shear flow (U(y), 0) on the torus
+    [0, 2 pi / KX0) x [0, 2 pi) and its Ng x Ng grid, with one stacked
+    ``_shear_block`` call for the blocks of L."""
+    y = 2.0 * np.pi * np.arange(Ng) / Ng
+    U_hat = np.fft.fft(profile.U(y)) / Ng
+    Upp_hat = np.fft.fft(profile.d2U(y)) / Ng
+    m = np.arange(-((Ng - 1) // 2), (Ng - 1) // 2 + 1)
+    p = np.fft.fftfreq(Ng, d=1.0 / Ng).astype(int)
+    kx = KX0 * p
+    blocks = np.zeros((Ng, m.size, m.size), dtype=complex)
+    blocks[kx != 0] = _shear_block(U_hat, Upp_hat, kx[kx != 0], m)
+
+    KX, KY = kx[:, None], p[None, :].astype(float)
+    K2 = KX**2 + KY**2
+    K2[0, 0] = 1.0  # the zero mode of psi is irrelevant (set to 0 below)
+    dealias = (np.abs(p)[:, None] <= Ng // 3) & (np.abs(p)[None, :] <= Ng // 3)
+
+    def Q(wu_hat, w_hat):
+        """Q(u, w) = -(u . grad) w, with u = (-psi_y, psi_x) and Delta psi = wu
+        (Biot-Savart), evaluated pseudo-spectrally with 2/3 dealiasing."""
+        psi = -wu_hat / K2
+        psi[0, 0] = 0.0
+        grads = 1j * np.array([-KY * psi, KX * psi, KX * w_hat, KY * w_hat]) * dealias
+        ux, uy, wx, wy = np.fft.ifft2(grads)
+        return -np.fft.fft2(ux * wx + uy * wy) * dealias
+
+    return _EulerSystem(m, m % Ng, kx, blocks, U_hat, Upp_hat, Q)
 
 
 def euler_series(
@@ -660,34 +702,32 @@ def euler_series(
 ) -> dict:
     """Truncated instability series of 2D Euler about a periodic shear flow.
 
-    The base flow (U(y), 0) lives on the torus [0, 2 pi / KX0) x [0, 2 pi).
-    The x-wavenumber-KX0 unstable eigenvalue alpha of the vorticity
-    linearization is found by a Fourier-Galerkin eigensolve (with a
-    doubled-truncation re-solve as oracle); omega_1 is the real part of the
-    unstable mode and higher terms solve
-        (alpha n + L) omega_n = sum_{j+k=n} Q(u_j, omega_k),
-    with u_j recovered from omega_j by the Biot-Savart law and
-    Q(u, w) = -(u . grad) w evaluated pseudo-spectrally with 2/3 dealiasing.
-    The x-wavenumber blocks of L form one (Ng, Ng, Ng) stack; each order
-    tests all shifted blocks for resonance with one stacked SVD and solves
-    them with one stacked solve.  N and modes must be integers, N >= 1 and
-    modes >= 8 (else ConfigurationError).
+    The series expands one truncated system, ``_euler_system(profile,
+    modes)``: the y-modes |m| <= (modes - 1) // 2, each with its conjugate,
+    on the torus [0, 2 pi / KX0) x [0, 2 pi).  alpha is the unstable
+    eigenvalue of its x-wavenumber-KX0 block (with a doubled y-mode range as
+    the truncation oracle); omega_1 is the real part of that mode and higher
+    terms solve
+        (alpha n + L) omega_n = sum_{j+k=n} Q(u_j, omega_k)
+    on the same blocks, so every omega_n is 0 off the system's modes.  Each
+    order tests all shifted blocks for resonance with one stacked SVD and
+    solves them with one stacked solve.  N and modes must be integers,
+    N >= 1 and modes >= 8, and modes^3 (the blocks) and N (N - 1) / 2
+    modes^2 (the pair products) at most MAX_POINTS (else ConfigurationError).
     """
     if profile.domain != TORUS:
         raise ConfigurationError("euler_series needs a periodic (torus) profile")
     N, Ng = as_integer("N", N), as_integer("modes", modes)
     if N < 1 or Ng < 8:
         raise ConfigurationError("need N >= 1 and modes >= 8")
-    y = 2.0 * np.pi * np.arange(Ng) / Ng
-    U_hat = np.fft.fft(profile.U(y)) / Ng
-    Upp_hat = np.fft.fft(profile.d2U(y)) / Ng
+    check_points("modes", Ng**3)
+    check_points("N", N * (N - 1) // 2 * Ng**2)
+    system = _euler_system(profile, Ng)
+    blocks, slots = system.blocks, system.slots
 
-    # unstable eigenvalue on the grid's symmetric y-mode set (the Nyquist
-    # mode is excluded so the conjugate partner of the eigenvector is
-    # representable), with a doubled mode range as the truncation oracle
-    m_sym = np.arange(-(Ng // 2 - 1), Ng // 2)
-    alpha1, vec = _unstable_eig(U_hat, Upp_hat, KX0, m_sym)
-    alpha2, _ = _unstable_eig(U_hat, Upp_hat, KX0, np.arange(-(Ng - 2), Ng - 1))
+    alpha1, vec = _unstable_eig(blocks[1])
+    alpha2, _ = _unstable_eig(
+        _shear_block(system.U_hat, system.Upp_hat, KX0, np.arange(-(Ng - 2), Ng - 1)))
     if alpha1.real <= 1e-8:
         raise NotUnstableError(
             "no unstable eigenvalue at x-wavenumber %.3g (max growth %.3e)"
@@ -696,73 +736,33 @@ def euler_series(
     alpha = complex(alpha1)
     alpha_gap = abs(alpha1 - alpha2)
 
-    # spectral machinery on the Ng x Ng grid (axis 0 = x, axis 1 = y)
-    px = np.fft.fftfreq(Ng, d=1.0 / Ng).astype(int)
-    my = np.fft.fftfreq(Ng, d=1.0 / Ng).astype(int)
-    KX = KX0 * px[:, None] * np.ones((1, Ng))
-    KY = np.ones((Ng, 1)) * my[None, :].astype(float)
-    K2 = KX**2 + KY**2
-    K2[0, 0] = 1.0  # the zero mode of psi is irrelevant (set to 0 below)
-    cutoff = Ng // 3
-    dealias = (np.abs(px)[:, None] <= cutoff) & (np.abs(my)[None, :] <= cutoff)
-
-    def velocity(w_hat):
-        """Biot-Savart: u = (-psi_y, psi_x) with Delta psi = w."""
-        psi = -w_hat / K2
-        psi[0, 0] = 0.0
-        return -1j * KY * psi, 1j * KX * psi
-
-    def Q(wu_hat, w_hat):
-        """Q(u, w) = -(u . grad) w for u derived from vorticity wu_hat."""
-        ux, uy = velocity(wu_hat)
-        fields = [np.fft.ifft2(h * dealias) for h in
-                  (ux, uy, 1j * KX * w_hat, 1j * KY * w_hat)]
-        out = -np.fft.fft2(fields[0] * fields[2] + fields[1] * fields[3])
-        return out * dealias
-
-    # omega_1: embed the p = +1 eigenvector and its conjugate, then take
-    # the real field and normalise its sup to 1
+    # omega_1: the p = +1 eigenvector and its conjugate at p = -1 (modes -m),
+    # scaled so that the real field's sup is 1
     w1 = np.zeros((Ng, Ng), dtype=complex)
-    for c, m in zip(vec, m_sym):
-        w1[1, m % Ng] = c
-        w1[(-1) % Ng, (-m) % Ng] = np.conj(c)
-    field1 = np.fft.ifft2(w1).real
-    w1 = np.fft.fft2(field1 / np.max(np.abs(field1)))
+    w1[1, slots], w1[-1, slots[::-1]] = vec, np.conj(vec)
+    w1 /= np.max(np.abs(np.fft.ifft2(w1).real))
 
-    # eigen-equation residual of the real mode, measured in the Galerkin
-    # truncation in which it was computed (both x-wavenumber blocks)
-    slots = m_sym % Ng
-    eig_residual = 0.0
-    for p, kx in ((1, KX0), (Ng - 1, -KX0)):
-        Lp = _shear_block(U_hat, Upp_hat, kx, m_sym)
-        row = w1[p, slots]
-        eig_residual = max(
-            eig_residual, float(np.max(np.abs(alpha * row + Lp @ row)))
-        )
-    eig_residual /= float(np.max(np.abs(w1)))
-
-    # the stack of x-wavenumber blocks for the shifted solves (kx = 0: zero)
-    kx = KX0 * px
-    blocks = np.zeros((Ng, Ng, Ng), dtype=complex)
-    blocks[kx != 0] = _shear_block(U_hat, Upp_hat, kx[kx != 0], my)
+    # eigen-equation residual of the real mode in both x-wavenumber blocks
+    rows = w1[[1, -1]][:, slots]
+    residual = alpha * rows + (blocks[[1, -1]] @ rows[..., None])[..., 0]
+    eig_residual = float(np.max(np.abs(residual)) / np.max(np.abs(w1)))
 
     omega = [w1]
     h1_ratios = []
     for n in range(2, N + 1):
-        rhs_hat = np.zeros((Ng, Ng), dtype=complex)
-        for j in range(1, n):
-            rhs_hat += Q(omega[j - 1], omega[n - j - 1])
+        rhs_hat = sum(system.Q(omega[j - 1], omega[n - j - 1]) for j in range(1, n))
         lam = alpha * n
-        M = lam * np.eye(Ng) + blocks
+        M = lam * np.eye(slots.size) + blocks
         sv_min = np.min(np.linalg.svd(M, compute_uv=False), axis=-1)
         singular = sv_min <= 1e-10 * np.linalg.norm(M, np.inf, axis=(-2, -1))
         if np.any(singular):
             raise ResonanceError(
                 "shifted operator singular at order n=%d, x-wavenumber %g"
-                % (n, kx[np.argmax(singular)])
+                % (n, system.kx[np.argmax(singular)])
             )
         # a column right-hand side reads the same under NumPy 1.x and 2.x
-        w_hat = np.linalg.solve(M, rhs_hat[..., None])[..., 0]
+        w_hat = np.zeros((Ng, Ng), dtype=complex)
+        w_hat[:, slots] = np.linalg.solve(M, rhs_hat[:, slots, None])[..., 0]
         omega.append(w_hat)
         nrm_f = np.linalg.norm(rhs_hat)
         h1_ratios.append(

@@ -10,6 +10,7 @@ from shearstab.errors import ConfigurationError
 from shearstab.genfunc import (
     BLNormParams,
     FourierMode,
+    elliptic_gen_estimate,
     exp,
     gen_series,
     laplace_solve_1d,
@@ -29,6 +30,7 @@ def sech2(x):
 
 RECT = (0.5, 1.5, -0.4, 0.4)
 COS = {1: 0.5, -1: 0.5}
+ELL_MODES = [FourierMode(1, lambda y: exp(-y))]
 
 
 @pytest.mark.parametrize("call, name", [
@@ -133,6 +135,26 @@ COS = {1: 0.5, -1: 0.5}
     pytest.param(lambda: sample_grid(0.05, 1e300), "n_layer", id="sample_grid-n_layer1e300"),
     # a one-point grid
     pytest.param(lambda: sample_grid(np.nan), "delta", id="sample_grid-delta_nan"),
+    # ran without end (N) or raised numpy's ValueError (modes 1e300)
+    pytest.param(lambda: euler_series(make_profile("kolmogorov"), N=1e300), "N", id="euler_series-N1e300"),
+    pytest.param(lambda: euler_series(make_profile("kolmogorov"), N=2, modes=1e300), "modes",
+                 id="euler_series-modes1e300"),
+    pytest.param(lambda: euler_series(make_profile("kolmogorov"), N=2, modes=100000), "modes",
+                 id="euler_series-modes100000"),
+    # all C = 0 with finite true (NaN), numbers (-1), a warning (inf)
+    pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), np.nan), "z2_max",
+                 id="elliptic_gen_estimate-z2_max_nan"),
+    pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), -1.0), "z2_max",
+                 id="elliptic_gen_estimate-z2_max-1"),
+    pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), np.inf), "z2_max",
+                 id="elliptic_gen_estimate-z2_max_inf"),
+    # TypeError, IndexError, and Jet tables of 1e9 orders
+    pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), 0.1, truncation=(2.5, 5)),
+                 "truncation", id="elliptic_gen_estimate-truncation2.5"),
+    pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), 0.1, truncation=(2, -1)),
+                 "truncation", id="elliptic_gen_estimate-truncation-1"),
+    pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), 0.1, truncation=(2, 1e9)),
+                 "truncation", id="elliptic_gen_estimate-truncation1e9"),
 ])
 def test_invalid_argument_is_typed(call, name):
     # each call runs in a child process that a time limit stops, so a check
