@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ShearStabError, check_positive
+from .errors import ConfigurationError, InputError, ShearStabError, as_integer, check_points, check_positive
 from .genfunc import (
     BLNormParams,
     FourierMode,
@@ -287,9 +287,8 @@ def _run_heat_kernel(args):
 
 
 def _run_semigroup(args):
-    dim, tol = args.n, args.tol
-    if dim < 1:
-        raise InputError(f"--n must be at least 1, got {dim}")
+    dim, tol = as_integer("--n", args.n, 1), args.tol
+    check_points("--n", dim * dim)
     check_positive(tol=tol)
     from scipy.linalg import expm
 
@@ -469,6 +468,14 @@ COMMANDS = {
 }
 
 
+# subcommand or instability mode -> {library argument: the flag that sets it}
+# where the names differ
+_RENAMED = {"spectrum": {"N": "n", "Re": "re"}, "resolvent": {"N": "n"}, "heat-kernel": {"x - z": "dx"},
+            "neutral-curve": {"N": "n", "Re_list": "re", "alpha_window": "alpha", "alpha_tol": "tol"},
+            "genfunc-check": {"truncation": "order"}, "bootstrap": {"N": "order", "t_grid": "t"},
+            "hopf": {"N": "order"}, "euler": {"N": "order", "modes": "n"}}
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors are one InputError line, not a usage block."""
 
@@ -495,6 +502,7 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
+    args = None
     try:
         # parse_range raises InputError, which argparse lets through
         args = parser.parse_args(argv)
@@ -522,7 +530,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except ShearStabError as exc:
-        print(f"shearstab: {exc}", file=sys.stderr)
+        # a library error begins with the argument it rejects: where a flag
+        # of another name set that argument, the line ends with the flag
+        renamed = _RENAMED.get(getattr(args, "mode", None) or getattr(args, "subcommand", None), {})
+        flag = next((f" ({_option(f)})" for a, f in renamed.items() if str(exc).startswith(a + " ")), "")
+        print(f"shearstab: {exc}{flag}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigurationError, InputError)) else 3
 
 

@@ -1,6 +1,15 @@
-"""Exception hierarchy shared across the toolkit, and the checks that raise it."""
+"""Exception hierarchy shared across the toolkit, and the checks that raise it.
+
+The library checks its arguments with these helpers: counts through
+``as_integer`` with their minimum and cap, finite numbers or arrays through
+``check_finite``, positive ones through ``check_positive``, and sizes through
+``check_points`` before anything is allocated.  Each raises
+ConfigurationError with a message that begins with the argument's name.
+"""
 
 import math
+
+import numpy as np
 
 MAX_POINTS = 10**7
 """The most points a grid or entries a table may have.  A Green solve on a
@@ -64,14 +73,24 @@ class InputError(ShearStabError):
     """Malformed numerical input data (empty sample, divergence residual, ...)."""
 
 
-def as_integer(name, value):
-    """int(value); ConfigurationError unless value is an integer (1.0 is one)."""
+def as_integer(name, value, minimum, maximum=MAX_POINTS):
+    """int(value); ConfigurationError unless value is an integer (1.0 is one)
+    from ``minimum`` to ``maximum``, MAX_POINTS unless given (NaN and inf fail)."""
     try:
-        if int(value) == value:
+        if int(value) == value and minimum <= value <= maximum:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    least = "nonnegative" if minimum == 0 else f"at least {minimum:g}"
+    raise ConfigurationError(f"{name} must be {least} and an integer of at most {maximum:g}, got {value!r}")
+
+
+def check_finite(**values):
+    """ConfigurationError unless every value is a finite number or array (NaN fails)."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            shown = repr(value) if np.ndim(value) == 0 else "a non-finite entry"
+            raise ConfigurationError(f"{name} must be finite, got {shown}")
 
 
 def check_positive(**params):

@@ -35,6 +35,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import (
+    MAX_POINTS,
     ConfigurationError,
     InputError,
     NonconvergenceError,
@@ -43,6 +44,7 @@ from .errors import (
     ResonanceError,
     WindowError,
     as_integer,
+    check_finite,
     check_points,
     check_positive,
 )
@@ -117,7 +119,8 @@ def ode_bootstrap(
     The escape time is the first crossing of sigma0 by max |phi_app| among
     the integrator's own steps and t_grid, whose values exist without dense
     output, refined by Brent's method on the dense output inside that one
-    bracket.  N must be an integer of at least 2 (else ConfigurationError).
+    bracket.  N must be an integer of at least 2, and A, v0 and growth_rate
+    finite (else ConfigurationError).
     """
     # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
     if not (0 < epsilon < 1):
@@ -128,9 +131,8 @@ def ode_bootstrap(
     d = v0.size
     if A.shape != (d, d):
         raise InputError("A and v0 have incompatible shapes")
-    N = as_integer("N", N)
-    if N < 2:
-        raise ConfigurationError("order N must be at least 2")
+    check_finite(A=A, v0=v0, growth_rate=lam)
+    N = as_integer("N", N, 2)
     if lam.real <= 0:
         raise InputError("the growth rate must have positive real part")
     scale = np.max(np.abs(v0))
@@ -323,13 +325,13 @@ def _riccati_formula(epsilon, alpha, phi0, t):
 
 def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> RiccatiValue:
     """Exact solution phi(t) = eps phi0 e^{eps t} / (eps - alpha phi0 (e^{eps t}-1));
-    InputError unless phi0 > 0 and epsilon != 0, all three finite, and t is a number."""
+    InputError unless phi0 > 0 and epsilon != 0, and all four are finite."""
     if not (0 < phi0 < np.inf):
         raise InputError(f"phi0 must be positive and finite, got {phi0!r}")
     if not (np.isfinite(epsilon) and np.isfinite(alpha)) or epsilon == 0:
         raise InputError(f"epsilon must be nonzero and finite, alpha finite; got {epsilon!r}, {alpha!r}")
-    if np.isnan(t):
-        raise InputError("t must not be NaN")
+    if not np.isfinite(t):
+        raise InputError(f"t must not be NaN or infinite, got {t!r}")
     t_star = None
     limit = None
     # phi0 > 0: the solution blows up where alpha phi0 > max(0, -eps), which
@@ -443,18 +445,19 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     """Solve (n-1) alpha u_n = - sum_{1<=k<=n-1} u_k d_z u_{n-k} exactly.
 
     ``u1`` maps Fourier mode numbers to coefficients (cos z is
-    {1: 0.5, -1: 0.5}); a mode number or an N that is not an integer raises
-    ConfigurationError.  The arithmetic is exact on trigonometric
-    polynomials; mode support grows linearly with n, so the table on
-    -N max|m|..N max|m| truncates nothing.  A term whose coefficients
+    {1: 0.5, -1: 0.5}); a mode number or an N that is not an integer, a
+    coefficient that is not finite, or a table of N (2 N max|m| + 1) entries
+    past MAX_POINTS raises ConfigurationError.  The arithmetic is exact on
+    trigonometric polynomials; mode support grows linearly with n, so the
+    table on -N max|m|..N max|m| truncates nothing.  A term whose coefficients
     overflow raises NumericalError naming its order.
     """
     check_positive(alpha=alpha)
-    N = as_integer("N", N)
-    if N < 1:
-        raise ConfigurationError("N must be at least 1")
-    first = {as_integer("u1 mode number", m): complex(v) for m, v in dict(u1).items() if v != 0}
+    N = as_integer("N", N, 1)
+    first = {as_integer("u1 mode number", m, -MAX_POINTS): complex(v) for m, v in dict(u1).items() if v != 0}
+    check_finite(u1=list(first.values()))
     K = N * max(map(abs, first), default=0)
+    check_points("N", N * (2 * K + 1))
     c = np.zeros((N, 2 * K + 1), dtype=complex)
     for m, v in first.items():
         c[0, K + m] = v
@@ -505,18 +508,16 @@ def hopf_majorant(
     contraction t-powers . table . z-powers/m! (``_gen_eval``).  G_t and G_z
     are the same contraction of the table shifted by one row with the
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
-    characteristics advance together as one vector RK4; each stops on its
-    own, without recording the step, as soon as it leaves the window through
-    z = 0 (x < 0), while the others go on.  ``n_characteristics`` and
-    ``n_steps`` must be positive integers, and the (n_steps + 1) x
+    characteristics advance together as one vector RK4 over all n_steps,
+    each independently of the others, and each path ends before its first
+    step out of the window through z = 0 (x < 0).  ``n_characteristics``
+    and ``n_steps`` must be positive integers, and the (n_steps + 1) x
     n_characteristics paths at most ``errors.MAX_POINTS`` entries (else
     ConfigurationError, raised before they are allocated)."""
     if not (eta0 > 0) or not (t_max > 0):
         raise WindowError("eta0 and t_max must be positive")
-    n_characteristics = as_integer("n_characteristics", n_characteristics)
-    n_steps = as_integer("n_steps", n_steps)
-    check_positive(n_characteristics=n_characteristics, n_steps=n_steps)
-    check_points("n_characteristics", n_characteristics)
+    n_characteristics = as_integer("n_characteristics", n_characteristics, 1)
+    n_steps = as_integer("n_steps", n_steps, 1)
     check_points("n_steps", (n_steps + 1) * n_characteristics)
     N = series.order
     alpha = series.alpha
@@ -566,28 +567,22 @@ def hopf_majorant(
         return -_gen_eval(table, t, p * x) / (alpha * p) - x * dphi / p
 
     dt = T_c / n_steps
-    x = np.linspace(eta0 / n_characteristics, eta0, n_characteristics)
     times = np.zeros(n_steps + 1)
     X = np.empty((n_steps + 1, n_characteristics))
     K = np.empty_like(X)
-    X[0], K[0] = x, _gen_eval(table, 0.0, phi(0.0) * x)
-    length = np.full(n_characteristics, n_steps + 1)
-    alive = np.ones(n_characteristics, dtype=bool)
-    t = 0.0
+    X[0] = np.linspace(eta0 / n_characteristics, eta0, n_characteristics)
+    K[0] = _gen_eval(table, 0.0, phi(0.0) * X[0])
     for i in range(1, n_steps + 1):
+        t, x = times[i - 1], X[i - 1]
         k1 = xdot(t, x)
         k2 = xdot(t + 0.5 * dt, x + 0.5 * dt * k1)
         k3 = xdot(t + 0.5 * dt, x + 0.5 * dt * k2)
         k4 = xdot(t + dt, x + dt * k3)
-        x_new = x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        t = t + dt
-        left = alive & (x_new < 0.0)  # left the window through z = 0
-        length[left] = i
-        alive &= ~left
-        if not np.any(alive):
-            break
-        x = np.where(alive, x_new, x)
-        times[i], X[i], K[i] = t, x, _gen_eval(table, t, phi(t) * x)
+        times[i], X[i] = t + dt, x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        K[i] = _gen_eval(table, times[i], phi(times[i]) * X[i])
+    # each path ends before its first step out of the window through z = 0
+    left = X < 0.0
+    length = np.where(left.any(axis=0), np.argmax(left, axis=0), n_steps + 1)
 
     paths = [
         np.column_stack((times[:n], X[:n, j], K[:n, j]))
@@ -717,9 +712,7 @@ def euler_series(
     """
     if profile.domain != TORUS:
         raise ConfigurationError("euler_series needs a periodic (torus) profile")
-    N, Ng = as_integer("N", N), as_integer("modes", modes)
-    if N < 1 or Ng < 8:
-        raise ConfigurationError("need N >= 1 and modes >= 8")
+    N, Ng = as_integer("N", N, 1), as_integer("modes", modes, 8)
     check_points("modes", Ng**3)
     check_points("N", N * (N - 1) // 2 * Ng**2)
     system = _euler_system(profile, Ng)

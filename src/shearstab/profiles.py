@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, UnsupportedProfileError, check_positive
+from .errors import ConfigurationError, NonconvergenceError, UnsupportedProfileError, check_finite, check_positive
 
 CHANNEL = "channel"
 HALF_LINE = "half_line"
@@ -92,8 +92,7 @@ def make_profile(kind: str, **params) -> ShearProfile:
         if "z0" not in params:
             raise ConfigurationError("tanh profile requires parameter z0")
         z0 = float(params["z0"])
-        if not np.isfinite(z0):
-            raise ConfigurationError(f"z0 must be finite, got {z0!r}")
+        check_finite(z0=z0)
         shift = np.tanh(z0)
 
         def sech2(w):

@@ -48,6 +48,8 @@ from .errors import (
     QuadratureError,
     RegionError,
     as_integer,
+    check_finite,
+    check_points,
     check_positive,
 )
 from .profiles import solve_ivp
@@ -120,8 +122,7 @@ def _square_matrix(A) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ConfigurationError(f"A must be a non-empty square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ConfigurationError("A must be finite, got a non-finite entry")
+    check_finite(A=A)
     return A
 
 
@@ -135,13 +136,14 @@ def semigroup_apply(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     an eigenvalue raises ContourCrossesSpectrumError naming lambda = mu / t;
     a t A or a pass that is not finite, QuadratureError.  A must be a
     non-empty square matrix (else ConfigurationError), x0 a vector of its
-    order (else InputError) and t finite and nonnegative (else
+    order (else InputError), and A, x0 and t finite and t nonnegative (else
     ConfigurationError).
     """
     A = _square_matrix(A)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (A.shape[0],):
         raise InputError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
+    check_finite(x0=x0)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0:
@@ -205,9 +207,8 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
     x - z finite (else ConfigurationError).
     """
     check_positive(t=t, nu=nu)
+    check_finite(**{"x - z": x - z})
     d = abs(x - z)
-    if not math.isfinite(d):
-        raise ConfigurationError(f"x - z must be finite, got {x - z!r}")
     a = d / (2.0 * nu * t)
     K = np.sqrt(37.0 / (nu * t))  # e^{-k^2 nu t} < 1e-16 beyond
 
@@ -232,7 +233,7 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
+def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False, lam_name="lam"):
     """Growth-free amplitudes phi+- of the decaying solutions psi+ (decays at
     +inf) and psi- (decays at -inf) for every spectral parameter in the 1-D
     array lam, by inward integration to x_match; returns (mu, M, sol).
@@ -252,9 +253,9 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
     Wronskian over e^{2 mu x_far}, whatever x_match.  With ``dense`` the
     amplitudes can also be read on their whole spans, rows 0 (phi+) and 2
     (phi-) of ``sol.sol(s)``.  Before any integration: ConfigurationError
-    unless nu is positive and finite, and, naming lam and nu, where the
-    layer width 1/|2 mu| of the amplitudes lies below the float spacing of
-    a span of x_far, which no step could resolve; EssentialSpectrumError,
+    unless nu is positive and finite, and, naming lam (or ``lam_name``) and
+    nu, where the layer width 1/|2 mu| of the amplitudes lies below the
+    float spacing of a span of x_far, which no step could resolve; EssentialSpectrumError,
     naming the first offending lam, where Re mu vanishes.
     """
     check_positive(nu=nu)
@@ -263,7 +264,7 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False):
         fine = 2 * np.abs(mu) * x_far * np.finfo(float).eps < 1
     if not np.all(fine):
         raise ConfigurationError(
-            f"lam/nu = {lam[np.argmin(fine)]}/{nu!r} is too large: the amplitudes vary on the "
+            f"{lam_name}/nu = {lam[np.argmin(fine)]}/{nu!r} is too large: the amplitudes vary on the "
             f"scale 1/|2 sqrt(lam/nu)|, below the float spacing of x_far = {x_far!r}"
         )
     bad = np.flatnonzero(mu.real < 1e-8)
@@ -324,21 +325,23 @@ def parabolic_green(
     from its end of the line to the source point y only, since phi+ is read
     at points >= y and phi- at points <= y; its dense output gives phi+ at
     s = (x - X_FAR) / (y - X_FAR) and phi- at s = (x + X_FAR) / (y + X_FAR).
+    Beyond +-X_FAR, where A is below 1e-10, the amplitudes hold their end
+    values: x and y are clamped to the span.  tau, x and y must be finite.
     """
-    if not np.all(np.isfinite([tau, x, y])):
-        raise ConfigurationError(f"tau, x and y must be finite, got {tau!r}, {x!r}, {y!r}")
+    check_finite(tau=tau, x=x, y=y)
     if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
         raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
-    (mu,), M, sol = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, y, dense=True)
+    xs, ys = (min(max(v, -X_FAR), X_FAR) for v in (x, y))
+    (mu,), M, sol = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, ys, dense=True, lam_name="i tau")
     (w,) = _det2(M)
     if w == 0:
         raise NumericalError("matching system singular")
     (pp, pm), _ = M[0]
     # a span of length zero (y = +-X_FAR) keeps its amplitude at 1 throughout
     if x >= y:
-        amps = pm * sol.sol((x - X_FAR) / (y - X_FAR) if y != X_FAR else 0.0)[0]
+        amps = pm * sol.sol((xs - X_FAR) / (ys - X_FAR) if ys != X_FAR else 0.0)[0]
     else:
-        amps = pp * sol.sol((x + X_FAR) / (y + X_FAR) if y != -X_FAR else 0.0)[2]
+        amps = pp * sol.sol((xs + X_FAR) / (ys + X_FAR) if ys != -X_FAR else 0.0)[2]
     return complex(-np.exp(-mu * abs(x - y)) * amps / (nu * w))
 
 
@@ -351,8 +354,7 @@ def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
     analytic right of the essential spectrum, the same at every matching
     point, and exactly 2 mu for A = 0, so a large lambda cannot overflow.
     """
-    if not np.isfinite(lam):
-        raise ConfigurationError(f"lam must be finite, got {lam!r}")
+    check_finite(lam=lam)
     return complex(_det2(_matching_matrices(A, lam, nu, X_FAR))[0])
 
 
@@ -403,19 +405,21 @@ def evans_locate(
     has failed.  The seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
     rectangle then raises RegionError, as does a negative winding number.
-    A rectangle with re_lo >= re_hi or im_lo >= im_hi, a nu or x_far that
-    is not positive and finite, or an n_per_side that is not an integer of
-    at least 1 raises ConfigurationError; a boundary point in the essential
+    A rectangle that is not finite or has re_lo >= re_hi or im_lo >= im_hi,
+    a nu or x_far that is not positive and finite, or an n_per_side that is
+    not an integer of at least 1 with 8 n_per_side points within MAX_POINTS
+    raises ConfigurationError; a boundary point in the essential
     spectrum raises EssentialSpectrumError and one on a zero RegionError,
     each naming it.
     """
     re_lo, re_hi, im_lo, im_hi = region
+    check_finite(region=region)
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
     check_positive(nu=nu, x_far=x_far)
-    n_per_side = as_integer("n_per_side", n_per_side)
-    if n_per_side < 1:
-        raise ConfigurationError(f"n_per_side must be at least 1, got {n_per_side!r}")
+    n_per_side = as_integer("n_per_side", n_per_side, 1)
+    # a boundary pass integrates 2 n_per_side points on each of 4 sides
+    check_points("n_per_side", 8 * n_per_side)
     while True:
         pts = _rect_boundary(region, 2 * n_per_side)
         M = _matching_matrices(A, pts, nu, x_far)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, QuadratureError, as_integer, check_positive
+from .errors import ConfigurationError, QuadratureError, as_integer, check_points, check_positive
 from .profiles import CHANNEL, HALF_LINE
 
 
@@ -57,10 +57,10 @@ class SpectralDiscretization:
 
 def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretization:
     """Build nodes and D1/D2/D4 for the requested domain; N must be an
-    integer of at least 2 (else ConfigurationError)."""
-    N = as_integer("N", N)
-    if N < 2:
-        raise ConfigurationError(f"N must be >= 2, got {N}")
+    integer of at least 2 whose (N + 1)^2 matrix entries are within
+    MAX_POINTS (else ConfigurationError)."""
+    N = as_integer("N", N, 2)
+    check_points("N", (N + 1) ** 2)
     if domain not in (CHANNEL, HALF_LINE):
         raise ConfigurationError(f"unsupported domain {domain!r}")
     check_positive(map_scale=map_scale)

@@ -54,6 +54,8 @@ from .errors import (
     InputError,
     NumericalError,
     WindowError,
+    as_integer,
+    check_finite,
     check_positive,
 )
 from .profiles import CHANNEL, ShearProfile
@@ -448,8 +450,7 @@ def rayleigh_resolvent(
     Raises a critical-layer error when c comes within 1e-8 of U at a node.
     """
     check_positive(alpha=alpha)
-    if not np.isfinite(c):
-        raise ConfigurationError(f"c must be finite, got {c!r}")
+    check_finite(c=c)
     A, B, bc_idx, _, _ = _pencil(profile, alpha, grid, 0.0)
     U, _ = _profile_diagonals(profile, grid)
     finite = np.isfinite(grid.nodes)
@@ -616,7 +617,8 @@ def neutral_curve(
     """Lower/upper marginal branches alpha(Re) where max Im(c) crosses zero.
 
     Each Re in ``Re_list`` is scanned over ``alpha_window`` at ``n_scan``
-    points, at least 3 (a band needs a point inside it and one each side).
+    points, an integer of at least 3 (a band needs a point inside it and
+    one each side); the window must be finite.
     A scan point computes eigenvalues only; the raw ones with Im c > 0 get
     eigenvectors by inverse iteration and go through the gates of
     ``os_spectrum`` in descending Im c, and the first accepted one leads.
@@ -643,13 +645,13 @@ def neutral_curve(
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
     a_lo, a_hi = float(alpha_window[0]), float(alpha_window[1])
+    check_finite(alpha_window=(a_lo, a_hi))
     if not (0 < a_lo < a_hi):
-        raise ConfigurationError("alpha window must be positive and increasing")
+        raise ConfigurationError("alpha_window must be positive and increasing")
     check_positive(alpha_tol=alpha_tol)
     if alpha_tol / 2 == 0:
         raise ConfigurationError(f"alpha_tol = {alpha_tol!r} is too small: alpha_tol / 2 underflows to 0")
-    if n_scan < 3:
-        raise ConfigurationError(f"n_scan must be at least 3 to bracket a band, got {n_scan}")
+    n_scan = as_integer("n_scan", n_scan, 3)
 
     lower = NeutralBranch([], BRANCH_LOWER)
     upper = NeutralBranch([], BRANCH_UPPER)

@@ -247,6 +247,8 @@ class TestInputLimits:
 
     @pytest.mark.parametrize("args, message", [
         (["genfunc-check", "--order", "-1"], "truncation orders must be nonnegative"),
+        # a 1e5 x 1e5 random matrix, 80 GB: numpy's MemoryError
+        (["semigroup", "--n", "100000"], "--n asks for more than 1e+07 points"),
         (["spectrum", "--profile", "tanh", "--z0", "nan", "--n", "32"], "z0 must be finite"),
         (["neutral-curve", "--profile", "poiseuille", "--re", "6000", "--alpha", "0.8:1.2",
           "--n", "32", "--tol", "0"], "alpha_tol must be positive and finite"),
@@ -256,6 +258,27 @@ class TestInputLimits:
         code, out, err = run_cli(capsys, args)
         assert code == 2
         assert out == "" and err.startswith(f"shearstab: {message}")
+
+
+@pytest.mark.parametrize("args, message, flag", [
+    (["instability", "--mode", "euler", "--order", "100000"], "N asks for more than 1e+07 points", "--order"),
+    (["instability", "--mode", "euler", "--n", "100000"], "modes asks for more than 1e+07 points", "--n"),
+    (["neutral-curve", "--profile", "poiseuille", "--re", "6000", "--alpha", "0.8:1.2", "--n", "32",
+      "--tol", "0"], "alpha_tol must be positive and finite", "--tol"),
+    (["spectrum", "--profile", "poiseuille", "--n", "1"], "N must be", "--n"),
+    (["instability", "--mode", "hopf", "--order", "0"], "N must be", "--order"),
+    (["instability", "--mode", "bootstrap", "--order", "1"], "N must be", "--order"),
+    (["genfunc-check", "--order", "30"], "truncation orders must be", "--order"),
+    # the flag has the argument's name: nothing is added
+    (["heat-kernel", "--nu", "nan"], "nu must be positive and finite, got nan", None),
+])
+def test_error_names_the_flag_typed(capsys, args, message, flag):
+    # the library names its own argument, N or modes; the line ends with
+    # the flag that set it where the two names differ
+    code, out, err = run_cli(capsys, args)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"shearstab: {message}")
+    assert err.endswith(f" ({flag})\n" if flag else f"{message}\n")
 
 
 def _flags_not_read():

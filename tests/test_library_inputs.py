@@ -1,15 +1,20 @@
 """Typed errors for invalid arguments of the library functions called directly."""
 
+import inspect
 import multiprocessing
 import re
+import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from shearstab.errors import ConfigurationError
+import shearstab
+from shearstab.errors import ConfigurationError, InputError, ShearStabError
 from shearstab.genfunc import (
     BLNormParams,
     FourierMode,
+    bl_norm,
     elliptic_gen_estimate,
     exp,
     gen_series,
@@ -17,10 +22,34 @@ from shearstab.genfunc import (
     sample_grid,
     strip_norms,
 )
-from shearstab.instability import euler_series, hopf_majorant, hopf_series, ode_bootstrap
-from shearstab.profiles import make_profile
-from shearstab.resolvent import duhamel_term, evans_det, evans_locate, parabolic_green, semigroup_apply
-from shearstab.spectral import build_grid
+from shearstab.instability import (
+    BootstrapResult,
+    HopfSeries,
+    RiccatiValue,
+    euler_series,
+    hopf_majorant,
+    hopf_series,
+    ode_bootstrap,
+    riccati_exact,
+)
+from shearstab.profiles import blasius_solve, make_profile
+from shearstab.resolvent import (
+    duhamel_term,
+    evans_det,
+    evans_locate,
+    heat_green,
+    parabolic_green,
+    semigroup_apply,
+)
+from shearstab.spectral import SpectralDiscretization, build_grid
+from shearstab.stability import (
+    EigenSolution,
+    max_growth_rate,
+    neutral_curve,
+    os_spectrum,
+    rayleigh_resolvent,
+    rayleigh_spectrum,
+)
 
 
 def sech2(x):
@@ -31,6 +60,10 @@ def sech2(x):
 RECT = (0.5, 1.5, -0.4, 0.4)
 COS = {1: 0.5, -1: 0.5}
 ELL_MODES = [FourierMode(1, lambda y: exp(-y))]
+PARAMS = BLNormParams(delta=0.05)
+POISEUILLE = make_profile("poiseuille")
+# a valid ode_bootstrap call with growth_rate 1, epsilon 1e-3 and N 3
+BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_grid=np.linspace(0.0, 5.0, 11))
 
 
 @pytest.mark.parametrize("call, name", [
@@ -155,6 +188,39 @@ ELL_MODES = [FourierMode(1, lambda y: exp(-y))]
                  "truncation", id="elliptic_gen_estimate-truncation-1"),
     pytest.param(lambda: elliptic_gen_estimate(ELL_MODES, BLNormParams(delta=0.05), 0.1, truncation=(2, 1e9)),
                  "truncation", id="elliptic_gen_estimate-truncation1e9"),
+    # numpy's TypeError (3.5, nan, inf) or ValueError (1e300) from linspace
+    *(pytest.param(lambda n=n: neutral_curve(POISEUILLE, [100.0], (0.8, 1.2), 16, n_scan=n), "n_scan",
+                   id=f"neutral_curve-n_scan{n}") for n in (3.5, np.nan, np.inf, 1e300)),
+    # a RuntimeWarning from linspace, then an error naming alpha
+    pytest.param(lambda: neutral_curve(POISEUILLE, [100.0], (0.8, np.inf), 16), "alpha_window",
+                 id="neutral_curve-alpha_window_inf"),
+    # numpy's ValueError "Maximum allowed size exceeded"
+    pytest.param(lambda: build_grid(1e300, "channel"), "N", id="build_grid-N1e300"),
+    pytest.param(lambda: hopf_series(COS, 1.0, 1e300), "N", id="hopf_series-N1e300"),
+    pytest.param(lambda: neutral_curve(POISEUILLE, [100.0], (0.8, 1.2), 1e300), "N", id="neutral_curve-N1e300"),
+    pytest.param(lambda: evans_locate(sech2, RECT, n_per_side=1e300), "n_per_side",
+                 id="evans_locate-n_per_side1e300"),
+    # returned a number (2.5, inf) or raised QuadratureError (nan)
+    *(pytest.param(lambda ell=ell: bl_norm(lambda y: np.exp(-y), ell, PARAMS), "ell", id=f"bl_norm-ell{ell}")
+      for ell in (2.5, np.nan, np.inf)),
+    # passed the eigenpair check, whose comparisons are false, warned, and
+    # raised NonconvergenceError
+    *(pytest.param(lambda kw=kw: ode_bootstrap(**{**BOOT, "growth_rate": 1.0, "epsilon": 1e-3, "N": 3, **kw}),
+                   next(iter(kw)), id=f"ode_bootstrap-{next(iter(kw))}_{tag}")
+      for tag, bad in (("nan", np.nan), ("inf", np.inf))
+      for kw in ({"A": np.array([[bad]])}, {"v0": np.array([bad])}, {"growth_rate": bad})),
+    # "coefficients overflow at order n=2"
+    pytest.param(lambda: hopf_series({1: np.nan}, 1.0, 3), "u1", id="hopf_series-u1_nan"),
+    # QuadratureError "not finite at 32 nodes"
+    pytest.param(lambda: semigroup_apply(-np.eye(2), np.array([np.nan, 1.0]), 1.0), "x0",
+                 id="semigroup_apply-x0_nan"),
+    # warned, then blamed "lam/nu = (nan+nanj)"
+    pytest.param(lambda: evans_locate(sech2, (0.5, np.inf, -0.4, 0.4)), "region", id="evans_locate-region_inf"),
+    # named delta, which the call does not pass
+    pytest.param(lambda: BLNormParams.from_viscosity(1e-4, 5e-324), "gamma0",
+                 id="BLNormParams.from_viscosity-gamma0_5e-324"),
+    # named lam/nu, which the call does not pass
+    pytest.param(lambda: parabolic_green(sech2, 1e300, 0.3, -0.4, 1.0), "tau", id="parabolic_green-tau1e300"),
 ])
 def test_invalid_argument_is_typed(call, name):
     # each call runs in a child process that a time limit stops, so a check
@@ -192,9 +258,130 @@ def raised_within(call, seconds):
         proc.join()
 
 
+def test_riccati_infinite_time_is_typed():
+    # t = -inf warned and returned NaN, and t = +inf warned where eps < 0
+    for t in (-np.inf, np.inf):
+        with pytest.raises(InputError, match=f"t must not be NaN or infinite, got {t!r}"):
+            riccati_exact(-1.0, 1.0, 0.01, t)
+
+
+def test_overflowing_z2_max_is_reported_not_warned():
+    # overflow and invalid-value warnings, then C0..C3 not finite
+    report = elliptic_gen_estimate(ELL_MODES, PARAMS, 1e300)
+    assert report["finite"] is False
+
+
 def test_integral_float_mode_numbers_are_accepted():
     # an integral float is its integer: the same mode, series and solve
     assert FourierMode(1.0, lambda y: exp(-y)).alpha == 1
     assert np.array_equal(hopf_series({1.0: 0.5, -1.0: 0.5}, 1.0, 4).coeffs, hopf_series(COS, 1.0, 4).coeffs)
     ref = laplace_solve_1d(1, lambda y: np.exp(-y), BLNormParams(delta=0.05))
     assert laplace_solve_1d(1.0, lambda y: np.exp(-y), BLNormParams(delta=0.05))["norms"] == ref["norms"]
+
+
+# ---------------------------------------------------------------------------
+# The generated library contract: every scalar numeric argument of one valid
+# call per public function and constructor, set in turn to each value of SWEEP
+# ---------------------------------------------------------------------------
+
+SWEEP = [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.5, 1e300, 5e-324]
+GRID = build_grid(24, "channel")
+SERIES = hopf_series(COS, 1.0, 4)
+
+# name -> (callable, keyword arguments of one valid call); every keyword
+# whose value is an int, a float or a complex is swept
+TEMPLATES = {
+    "BLNormParams": (BLNormParams, dict(delta=0.05)),
+    "BLNormParams.from_viscosity": (BLNormParams.from_viscosity, dict(nu=1e-4, gamma0=1.0)),
+    "FourierMode": (FourierMode, dict(alpha=1, expr=lambda y: exp(-y))),
+    "sample_grid": (sample_grid, dict(delta=0.05, n_layer=20, max_step=1.0)),
+    "bl_norm": (bl_norm, dict(f=lambda y: np.exp(-y), ell=2, params=PARAMS)),
+    "laplace_solve_1d": (laplace_solve_1d, dict(alpha=1, f=lambda y: np.exp(-y), params=PARAMS, refine=0)),
+    "elliptic_gen_estimate": (elliptic_gen_estimate, dict(omega_modes=ELL_MODES, params=PARAMS, z2_max=0.1,
+                                                          truncation=(1, 2))),
+    "strip_norms": (strip_norms, dict(f=lambda z: np.exp(1j * z), rho=0.5)),
+    "BootstrapResult": (BootstrapResult, dict(t_grid=np.zeros(2), terms=(), C=(), sigma=1.0, sigma0=0.1, T1=1.0,
+                                              approx=np.zeros(2), residual=np.zeros(2), residual_slope=1.0,
+                                              escape_time=1.0, energy_constant=1.0)),
+    "HopfSeries": (HopfSeries, dict(alpha=1.0, coeffs=SERIES.coeffs)),
+    "RiccatiValue": (RiccatiValue, dict(value=1.0, blown_up=False, t_star=None, limit=None)),
+    "ode_bootstrap": (ode_bootstrap, dict(BOOT, growth_rate=1.0, epsilon=1e-3, N=3)),
+    "riccati_exact": (riccati_exact, dict(epsilon=0.1, alpha=1.0, phi0=0.01, t=5.0)),
+    "hopf_series": (hopf_series, dict(u1=COS, alpha=1.0, N=4)),
+    "hopf_majorant": (hopf_majorant, dict(series=SERIES, eta0=0.25, t_max=0.05, n_characteristics=4,
+                                          n_steps=20)),
+    "euler_series": (euler_series, dict(profile=make_profile("kolmogorov"), N=2, modes=8)),
+    "blasius_solve": (blasius_solve, dict(tolerance=1e-8)),
+    "make_profile": (make_profile, dict(kind="tanh", z0=1.0)),
+    "semigroup_apply": (semigroup_apply, dict(A=-np.eye(2), x0=np.ones(2), t=1.0)),
+    "duhamel_term": (duhamel_term, dict(A=-np.eye(2), forcing=lambda tau: np.ones(2), t=1.0)),
+    "heat_green": (heat_green, dict(t=1.0, x=0.3, z=0.0, nu=1.0)),
+    "parabolic_green": (parabolic_green, dict(A=sech2, tau=-5.0, x=0.3, y=-0.4, nu=1.0)),
+    "evans_det": (evans_det, dict(A=sech2, lam=2.0, nu=1.0)),
+    "evans_locate": (evans_locate, dict(A=sech2, region=RECT, nu=1.0, x_far=15.0, n_per_side=4)),
+    "SpectralDiscretization": (SpectralDiscretization, dict(N=2, domain="channel", nodes=GRID.nodes, D1=GRID.D1,
+                                                            D2=GRID.D2, D4=GRID.D4, D1_cheb=GRID.D1_cheb)),
+    "build_grid": (build_grid, dict(N=16, domain="channel", map_scale=2.0)),
+    "EigenSolution": (EigenSolution, dict(eigenvalues=(), modes=np.zeros((0, 0)), residuals=(),
+                                          n_tail_rejected=0, n_residual_rejected=0)),
+    "rayleigh_spectrum": (rayleigh_spectrum, dict(profile=POISEUILLE, alpha=1.0, grid=GRID)),
+    "rayleigh_resolvent": (rayleigh_resolvent, dict(profile=POISEUILLE, alpha=1.0, c=0.5 + 0.1j,
+                                                    source=lambda z: np.exp(-z), grid=GRID)),
+    "os_spectrum": (os_spectrum, dict(profile=POISEUILLE, alpha=1.0, Re=100.0, grid=GRID)),
+    "max_growth_rate": (max_growth_rate, dict(profile=POISEUILLE, alpha=1.0, Re=100.0, grid=GRID)),
+    "neutral_curve": (neutral_curve, dict(profile=POISEUILLE, Re_list=[100.0], alpha_window=(0.8, 1.2), N=16,
+                                          map_scale=2.0, n_scan=3, alpha_tol=1e-4)),
+}
+
+
+def _is_scalar(value):
+    return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
+
+
+def _contract_cases():
+    return [pytest.param(name, arg, value, id=f"{name}-{arg}={value!r}")
+            for name, (_, kwargs) in TEMPLATES.items()
+            for arg in kwargs if _is_scalar(kwargs[arg]) for value in SWEEP]
+
+
+def test_templates_cover_the_public_api():
+    # every name of shearstab.__all__ with a parameter annotated or defaulted
+    # as a number has a template, and every template's valid call returns
+    def numeric(param):
+        kind = str(param.annotation).split(" ")[0]
+        return kind in ("int", "float", "complex") or _is_scalar(param.default)
+
+    public = {name for name in shearstab.__all__
+              if any(map(numeric, inspect.signature(getattr(shearstab, name)).parameters.values()))}
+    assert public <= set(TEMPLATES)
+    for call, kwargs in TEMPLATES.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(**kwargs)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no result within 20 s")
+
+
+@pytest.mark.parametrize("name, arg, value", _contract_cases())
+def test_generated_library_contract(name, arg, value):
+    # each case returns or raises a ShearStabError, with no warning but the
+    # resolution guidance of os_spectrum; a ConfigurationError names the
+    # argument.  A case past its time limit fails through the alarm
+    call, kwargs = TEMPLATES[name]
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(20)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                call(**{**kwargs, arg: value})
+            except ConfigurationError as exc:
+                assert re.search(rf"\b{re.escape(arg)}\b", str(exc)), str(exc)
+            except ShearStabError:
+                pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [str(w.message) for w in caught if "resolution guidance" not in str(w.message)] == []

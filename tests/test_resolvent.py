@@ -402,6 +402,26 @@ class TestParabolicGreen:
         # the value of the two-integration form this one replaced, to 2.2e-14
         assert abs(parabolic_green(pot, -5.0j, 0.3, -0.6, 1.0) - (-0.04592580560147675)) <= 1e-12
 
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_amplitudes_hold_beyond_the_span(self, side):
+        # past +-X_FAR = 15 the potential is below 1e-10 and G e^{mu |x - y|}
+        # holds its x = 15 value; the dense output used to be extrapolated,
+        # drifting by 4e-4 at x = 30
+        pot = lambda s: 2.0 / np.cosh(s) ** 2
+        mu = np.sqrt(-5.0j)
+        ref = parabolic_green(pot, -5.0, 15.0 * side, 0.0, 1.0) * np.exp(mu * 15.0)
+        for x in (20.0, 30.0, 60.0):
+            assert abs(parabolic_green(pot, -5.0, x * side, 0.0, 1.0) * np.exp(mu * x) - ref) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, y", [(1e300, 0.0), (0.0, 1e300), (-1e300, 1e300), (1e300, 1e300)])
+    def test_far_points_return_without_overflow(self, x, y):
+        # an integration to y = 1e300 overflowed; at x = y the value is the
+        # free kernel -1 / (2 sqrt(lambda nu)), lambda = i tau
+        pot = lambda s: 2.0 / np.cosh(s) ** 2
+        g = parabolic_green(pot, -5.0, x, y, 1.0)
+        assert abs(g - (-0.5 / np.sqrt(-5.0j) if x == y else 0.0)) <= 1e-12
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(EssentialSpectrumError):
             # lam = i tau = -1 (inside the essential spectrum of nu Lap)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shearstab import spectral
 from shearstab.errors import ConfigurationError
 from shearstab.profiles import CHANNEL, HALF_LINE
 from shearstab.spectral import build_grid
@@ -21,6 +22,15 @@ class TestBuildGrid:
         g = build_grid(64, CHANNEL)
         assert len(g.nodes) == 65
         assert np.all(np.diff(g.nodes) < 0)
+
+    def test_matrix_entries_checked_before_allocation(self, monkeypatch):
+        # (N + 1)^2 = 1.02e7 entries per matrix: numpy used to allocate them
+        def no_matrices(n):
+            raise AssertionError("built the matrices before checking their size")
+
+        monkeypatch.setattr(spectral, "cheb_matrix", no_matrices)
+        with pytest.raises(ConfigurationError, match="^N asks for more than 1e\\+07 points"):
+            build_grid(3200, CHANNEL)
 
     def test_too_small_N(self):
         with pytest.raises(ConfigurationError):
