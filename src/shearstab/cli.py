@@ -16,6 +16,12 @@ alone writes it, as a header-first CSV or as the document with the
 ``subcommand`` added (the instability dispatcher adds the ``mode``), with
 non-finite numbers as ``null``, to ``--out`` or stdout.
 
+The package executes its modules on their first attribute access, so a
+subcommand compiles and runs only the solver modules it calls: heat-kernel
+never loads stability, and spectrum never loads genfunc.  The runners read
+each function from its module at call time, so a function wrapped on its
+module (by a tracer) is the one called.
+
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
 
@@ -27,26 +33,10 @@ import sys
 
 import numpy as np
 
+from . import genfunc, instability, resolvent, stability
 from .errors import ConfigurationError, InputError, ShearStabError, as_integer, check_points, check_positive
-from .genfunc import (
-    BLNormParams,
-    FourierMode,
-    exp,
-    gen_series,
-    laplace_solve_1d,
-    product_bound,
-)
-from .instability import (
-    euler_series,
-    hopf_majorant,
-    hopf_series,
-    ode_bootstrap,
-    riccati_exact,
-)
 from .profiles import CHANNEL, make_profile
-from .resolvent import heat_green, semigroup_apply
 from .spectral import build_grid
-from .stability import neutral_curve, os_spectrum, rayleigh_resolvent, rayleigh_spectrum
 
 
 # ----------------------------------------------------------------------------
@@ -230,9 +220,9 @@ def _run_spectrum(args):
     for a in args.alpha:
         for re in res:
             if re is None:
-                sol = rayleigh_spectrum(profile, float(a), grid)
+                sol = stability.rayleigh_spectrum(profile, float(a), grid)
             else:
-                sol = os_spectrum(profile, float(a), float(re), grid)
+                sol = stability.os_spectrum(profile, float(a), float(re), grid)
             re_out = np.nan if re is None else re
             for c, r in zip(sol.eigenvalues, sol.residuals):
                 rows.append([a, re_out, c.real, c.imag, r])
@@ -249,7 +239,7 @@ def _run_neutral_curve(args):
     if args.re is None:
         raise InputError("--re range is required for neutral-curve")
     window = tuple(sorted(_exactly(args, "alpha", 2)))
-    lower, upper = neutral_curve(
+    lower, upper = stability.neutral_curve(
         profile, [float(r) for r in args.re], window, N=args.n,
         map_scale=map_scale, alpha_tol=args.tol,
     )
@@ -266,7 +256,7 @@ def _run_resolvent(args):
     (alpha,) = _exactly(args, "alpha", 1)
     c = args.c
     grid = build_grid(args.n, profile.domain, map_scale=map_scale)
-    phi = rayleigh_resolvent(profile, alpha, c, lambda z: np.exp(-z), grid)
+    phi = stability.rayleigh_resolvent(profile, alpha, c, lambda z: np.exp(-z), grid)
     rows = [[z, v.real, v.imag] for z, v in zip(grid.nodes, phi)]
     return ["z", "phi_real", "phi_imag"], rows, {
         "profile": profile.kind,
@@ -281,7 +271,7 @@ def _run_heat_kernel(args):
     rows = []
     for t in args.t:
         for dx in args.dx:
-            val = heat_green(float(t), float(dx), 0.0, args.nu)
+            val = resolvent.heat_green(float(t), float(dx), 0.0, args.nu)
             rows.append([float(t), args.nu, float(dx), float(val)])
     return _table(["t", "nu", "dx", "value"], rows)
 
@@ -297,7 +287,7 @@ def _run_semigroup(args):
     x0 = rng.standard_normal(dim)
     rows = []
     for t in args.t:
-        val = semigroup_apply(A, x0, float(t))
+        val = resolvent.semigroup_apply(A, x0, float(t))
         oracle = expm(A * float(t)) @ x0
         err = float(np.max(np.abs(val - oracle)))
         rows.append([float(t), err, err <= tol])
@@ -307,7 +297,8 @@ def _run_semigroup(args):
 def _run_genfunc_check(args):
     nu, order, tol = args.nu, args.order, args.tol
     check_positive(tol=tol)
-    params = BLNormParams.from_viscosity(nu, 1.0)
+    FourierMode, exp, gen_series = genfunc.FourierMode, genfunc.exp, genfunc.gen_series
+    params = genfunc.BLNormParams.from_viscosity(nu, 1.0)
     rng = np.random.default_rng(args.seed)
     truncation = (order, 2 * order)
     rows = []
@@ -322,7 +313,7 @@ def _run_genfunc_check(args):
         w1, w2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         g1 = gen_series([FourierMode(w1, lambda y: a1 * exp(-b1 * y))], params, truncation)
         g2 = gen_series([FourierMode(w2, lambda y: a2 * exp(-b2 * y))], params, truncation)
-        prod = product_bound(g1, g2)
+        prod = genfunc.product_bound(g1, g2)
         # product majorant: equality on the first axis, domination off it
         eq_err = max(
             abs(prod(z1, 0.0) - g1(z1, 0.0) * g2(z1, 0.0))
@@ -346,7 +337,7 @@ def _run_genfunc_check(args):
     # uniformity of the screened-Poisson bundle over the frequency range
     ratios = []
     for alpha in (1, 2, 4, 8, 16, 32):
-        sol = laplace_solve_1d(alpha, lambda yv: np.exp(-yv), params, with_bl=False)
+        sol = genfunc.laplace_solve_1d(alpha, lambda yv: np.exp(-yv), params, with_bl=False)
         n = sol["norms"]
         ratios.append(n["a2_phi"] + n["a_dphi"] + n["d2phi_plain"])
     spread = max(ratios) / min(ratios)
@@ -369,7 +360,7 @@ def _run_bootstrap(args):
     with np.errstate(divide="ignore", invalid="ignore"):
         t_max = -np.log(eps) + 4.0 if args.t is None else _exactly(args, "t", 1)[0]
         t_grid = np.linspace(0.0, t_max, 81)
-    r = ode_bootstrap(
+    r = instability.ode_bootstrap(
         np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0,
         eps, order, t_grid,
     )
@@ -381,7 +372,7 @@ def _run_bootstrap(args):
 def _run_riccati(args):
     eps, phi0 = args.epsilon, args.phi0
     (alpha,) = _exactly(args, "alpha", 1)
-    values = [riccati_exact(eps, alpha, phi0, float(t)) for t in args.t]
+    values = [instability.riccati_exact(eps, alpha, phi0, float(t)) for t in args.t]
     rows = [[float(t), r.value, r.blown_up] for t, r in zip(args.t, values)]
     # the blow-up time does not depend on t
     return _table(["t", "value", "blown_up"], rows, epsilon=eps, alpha=alpha, phi0=phi0,
@@ -391,8 +382,8 @@ def _run_riccati(args):
 def _run_hopf(args):
     order = args.order
     (alpha,) = _exactly(args, "alpha", 1)
-    series = hopf_series({1: 0.5, -1: 0.5}, alpha, order)
-    report = hopf_majorant(series, eta0=args.eta0, t_max=0.05)
+    series = instability.hopf_series({1: 0.5, -1: 0.5}, alpha, order)
+    report = instability.hopf_majorant(series, eta0=args.eta0, t_max=0.05)
     sup_norms = [series.sup_norm(n) for n in range(1, order + 1)]
     rows = [[n, s, series.recurrence_residual(n) if n >= 2 else 0.0]
             for n, s in enumerate(sup_norms, 1)]
@@ -408,7 +399,7 @@ def _run_hopf(args):
 
 
 def _run_euler(args):
-    rep = euler_series(make_profile("kolmogorov"), N=args.order, modes=args.n)
+    rep = instability.euler_series(make_profile("kolmogorov"), N=args.order, modes=args.n)
     c = rep["alpha_eig"]
     return _quantities({
         "alpha_eig": {"alpha_real": c.real, "alpha_imag": c.imag},

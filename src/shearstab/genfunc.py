@@ -694,8 +694,12 @@ def _phi_derivative_table(mode: FourierMode, y, omega):
 
 def _ratio_sup(lhs, rhs) -> float:
     """max lhs / rhs over the points where rhs > 1e-14; inf when lhs > 1e-12
-    at a point where rhs is not."""
+    at a point where rhs is not; NaN when any sample is not finite, where
+    the ratio is not known (a NaN sample fails both comparisons, and an
+    overflowed rhs would give the ratio 0)."""
     lhs, rhs = np.ravel(lhs), np.ravel(rhs)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        return np.nan
     pos = rhs > 1e-14
     if np.any(~pos & (lhs > 1e-12)):
         return np.inf
@@ -754,7 +758,7 @@ def elliptic_gen_estimate(omega_modes, params: BLNormParams, z2_max: float, trun
     with np.errstate(over="ignore", invalid="ignore"):
         per_mode_C = [_ratio_sup(GenSeries(l[None, :])(0.0, z2s), GenSeries(r[None, :])(0.0, z2s)) for l, r in rows]
         report = {
-            "C0": max(per_mode_C) if per_mode_C else 0.0,
+            "C0": float(np.max(per_mode_C, initial=0.0)),
             "C1": _ratio_sup(L(z1, z2), R(z1, z2)),
             "C2": _ratio_sup(L.dz1()(z1, z2), R.dz1()(z1, z2)),
             "C3": _ratio_sup(L.dz2()(z1, z2), R.dz2()(z1, z2) + R(z1, z2)),

@@ -51,6 +51,7 @@ from .errors import (
 from .genfunc import _gen_eval
 from .profiles import TORUS, ShearProfile, solve_ivp
 from .resolvent import duhamel_term  # noqa: F401  (re-exported: phi_i is a Duhamel integral)
+from .spectral import brentq
 
 MAJORANT_TOL = 1e-10       # slack of the majorant inequality and of K's monotonicity
 KX0 = 0.5                  # x-wavenumber of the unstable Euler mode: the torus is 2 pi / KX0 long
@@ -254,8 +255,6 @@ def ode_bootstrap(
     # among the times whose values exist already, the integrator's steps
     # (sol.y) and t_grid (amp), then Brent's method on the dense output
     # inside that one bracket
-    from scipy.optimize import brentq
-
     def excess(t):
         ts = np.array([t])
         return amp_on(ts, sol.sol(ts))[0] - sigma0

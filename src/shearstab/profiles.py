@@ -152,7 +152,8 @@ def blasius_solve(tolerance: float = 1e-8) -> ShearProfile:
     converged when |f'(ETA_MAX) - 1| < tolerance.  U holds 1 beyond ETA_MAX.
     """
     from scipy.interpolate import CubicSpline
-    from scipy.optimize import brentq
+
+    from .spectral import brentq  # spectral imports this module
 
     check_positive(tolerance=tolerance)
 
@@ -162,7 +163,7 @@ def blasius_solve(tolerance: float = 1e-8) -> ShearProfile:
     lo, hi = 0.1, 1.0
     try:
         fpp0 = brentq(miss, lo, hi, xtol=1e-14)
-    except ValueError as exc:  # brentq: no sign change on the bracket
+    except ValueError as exc:  # no sign change on the bracket
         raise NonconvergenceError(
             f"shooting bracket failed: miss({lo})={miss(lo)}, miss({hi})={miss(hi)}"
         ) from exc
@@ -215,7 +216,7 @@ def inflection_points(profile: ShearProfile) -> list[float]:
     neighbours have opposite signs.  An empty list means the necessary
     inviscid-instability condition fails.
     """
-    from scipy.optimize import brentq
+    from .spectral import brentq  # spectral imports this module
 
     z_lo, z_hi = profile.z_range()
     z = np.linspace(z_lo, z_hi, INFLECTION_SCAN)

@@ -60,6 +60,7 @@ TOL = 1e-10          # agreement of two successive passes, relative to 1 + max|v
 MAX_PASSES = 10
 MAX_STACK = 2**18    # matrix entries of (lambda - A) solved in one stacked call
 X_FAR = 15.0         # ends +-X_FAR of the line for the decaying solutions
+DECAY_GATE = 1e-6    # largest |A(+-x_far)| of an Evans function; the eigenvalue errs by about 0.13 |A|^2
 
 
 def default_contour_for(A: np.ndarray) -> tuple[float, float]:
@@ -294,6 +295,19 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False, lam_name="lam")
     return mu, M, sol
 
 
+def _check_decayed(A, x_far, gate, x_far_is_argument):
+    """ConfigurationError naming A unless |A(+-x_far)| <= gate, and naming
+    x_far too where the caller set it: the decaying solutions start from
+    the far field of A = 0.  A is evaluated with numpy's overflow and
+    invalid warnings off, as in the integration."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.abs([A(x_far), A(-x_far)])
+    if not np.max(far) <= gate:
+        short = f"x_far = {x_far!r} is too short: " if x_far_is_argument else ""
+        raise ConfigurationError(
+            f"{short}A has not decayed below {gate:g} at x = +-{x_far!r} (|A| = {np.max(far):.3e})")
+
+
 def _matching_matrices(A, lam, nu, x_far):
     """The amplitude matrices M of ``_decaying_solutions`` at x = 0 for each
     lam, shape (K, 2, 2); det M is the Evans function."""
@@ -329,8 +343,7 @@ def parabolic_green(
     values: x and y are clamped to the span.  tau, x and y must be finite.
     """
     check_finite(tau=tau, x=x, y=y)
-    if max(np.abs([A(X_FAR), A(-X_FAR)])) > 1e-10:
-        raise ConfigurationError(f"potential does not decay below 1e-10 at x = +-{X_FAR}")
+    _check_decayed(A, X_FAR, 1e-10, False)
     xs, ys = (min(max(v, -X_FAR), X_FAR) for v in (x, y))
     (mu,), M, sol = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, ys, dense=True, lam_name="i tau")
     (w,) = _det2(M)
@@ -353,8 +366,10 @@ def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
     psi+ and psi- with the known factor e^{2 mu X_FAR} divided out: it is
     analytic right of the essential spectrum, the same at every matching
     point, and exactly 2 mu for A = 0, so a large lambda cannot overflow.
+    ConfigurationError, naming A, where |A(+-X_FAR)| > DECAY_GATE.
     """
     check_finite(lam=lam)
+    _check_decayed(A, X_FAR, DECAY_GATE, False)
     return complex(_det2(_matching_matrices(A, lam, nu, X_FAR))[0])
 
 
@@ -406,8 +421,10 @@ def evans_locate(
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
     rectangle then raises RegionError, as does a negative winding number.
     A rectangle that is not finite or has re_lo >= re_hi or im_lo >= im_hi,
-    a nu or x_far that is not positive and finite, or an n_per_side that is
-    not an integer of at least 1 with 8 n_per_side points within MAX_POINTS
+    a nu or x_far that is not positive and finite, an x_far where
+    |A(+-x_far)| > DECAY_GATE (a short span moves the eigenvalues by about
+    0.13 |A(x_far)|^2, or loses them), or an n_per_side that is not an
+    integer of at least 1 with 8 n_per_side points within MAX_POINTS
     raises ConfigurationError; a boundary point in the essential
     spectrum raises EssentialSpectrumError and one on a zero RegionError,
     each naming it.
@@ -417,6 +434,7 @@ def evans_locate(
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
     check_positive(nu=nu, x_far=x_far)
+    _check_decayed(A, x_far, DECAY_GATE, True)
     n_per_side = as_integer("n_per_side", n_per_side, 1)
     # a boundary pass integrates 2 n_per_side points on each of 4 sides
     check_points("n_per_side", 8 * n_per_side)

@@ -1,5 +1,6 @@
 """Chebyshev-Gauss-Lobatto collocation grids with their domain maps and
-operators; the cached Gauss-Legendre rule; the one refine-until-settled loop.
+operators; the cached Gauss-Legendre rule; the one refine-until-settled loop;
+the one scalar root finder.
 
 The channel [-1, 1] uses the identity map; the half line uses the algebraic
 map y = L (1 + xi) / (1 - xi), whose chain-rule factors vanish at xi = 1 so
@@ -8,10 +9,15 @@ operators overflow is rejected with the grid.  The boundary rows of the
 stability pencils belong to ``stability``.  Every contour quadrature
 of ``resolvent`` and every sampled norm of ``genfunc`` refines in
 ``refine``, given one pass and the criterion that two passes have settled.
+Every bracketed root of the package (neutral-curve edges, the Blasius
+shooting, inflection points, the bootstrap's escape time) is found by
+``brentq``, scipy's Brent iteration in pure Python, so that the stability
+path loads no scipy root finder.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,3 +135,70 @@ def refine(one_pass, n0: int, settled, what: str, max_passes: int) -> np.ndarray
                 change = np.max(np.abs(val - prev)[~done])
             prev, n = val, 2 * n
     raise QuadratureError(f"{what} did not settle in {max_passes} passes (last change {change:.3e})")
+
+
+# the relative tolerance and the step limit of brentq, scipy's defaults
+BRENT_RTOL = 4 * math.ulp(1.0)
+BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of the scalar function f in [a, b], where f(a) and f(b) differ
+    in sign, by Brent's method (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).
+
+    Step for step the iteration of scipy's brentq, so the two return
+    the same float: each step takes the inverse-quadratic (or secant) step
+    when it is short enough, else bisects, and never steps less than half
+    the tolerance xtol + BRENT_RTOL |x|; converged when the bracket is within
+    it.  ValueError when f(a) and f(b) have the same sign or f returns NaN;
+    RuntimeError after BRENT_MAXITER steps.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f(a) and f(b) must have different signs: f({xpre!r}) = {fpre!r}, "
+                         f"f({xcur!r}) = {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # xcur is the best estimate, xblk the other end of the bracket
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an infinite step in C arithmetic: it bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} steps; last x = {xcur!r}")

@@ -19,7 +19,8 @@ the symmetry is one block, the reduced problem itself.  The pencil names
 its parities, (1, -1) or (0,), and every solve, a spectrum, a scan point
 or an edge, goes through the one reduction folded by them.  Spurious
 continuous-spectrum modes are filtered on the full pencil by a
-Chebyshev-tail smoothness check and, for the modes that pass it, an
+Chebyshev-tail smoothness check (the coefficients are a DCT-I, taken as
+numpy's FFT of the even extension) and, for the modes that pass it, an
 operator-scaled residual gate; the solution records how many each gate
 rejected and the highest rejected candidate.  Accepted modes rank by Im c,
 descending, with an Im c within the rounding floor 1e-12 max(1, |c|)
@@ -37,7 +38,8 @@ method on Im c(alpha) of the leader at the bracket's unstable end, tracked
 from alpha to alpha by inverse iteration on its parity block, and one
 dense solve at the edge confirms that the tracked pair is the accepted
 leader there; an edge whose tracking or confirmation fails is found by
-Brent's method on dense solves instead.
+Brent's method on dense solves instead; both are ``spectral.brentq``, so
+scipy.linalg is the one scipy module this path loads.
 """
 
 from __future__ import annotations
@@ -59,14 +61,14 @@ from .errors import (
     check_positive,
 )
 from .profiles import CHANNEL, ShearProfile
-from .spectral import SpectralDiscretization, build_grid
+from .spectral import SpectralDiscretization, brentq, build_grid
 
 RESIDUAL_GATE = 1e-6
 TAIL_GATE = 1e-3
 POLISH_FLOOR = 1e-12
 POLISH_STEPS = 2     # Rayleigh-quotient inverse-iteration steps per polished pair
 RANK_FLOOR = 1e-12   # an Im c within RANK_FLOOR max(1, |c|) ranks as 0
-TAIL_BLOCK = 64      # columns per Chebyshev transform of the tail gate
+TAIL_BLOCK = 32      # columns per Chebyshev transform of the tail gate
 TRACK_GATE = 1e-8    # largest residual of a pair tracked along a neutral-curve edge
 TRACK_HALVINGS = 4   # step halvings in a row before a tracked edge falls back
 CONFIRM_TOL = 1e-8   # a tracked edge's c against the dense leader there, relative
@@ -169,13 +171,14 @@ def _residuals(A, B, c, V, scale):
 
 def _tail_fractions(V):
     """Fraction of Chebyshev-coefficient mass in the top third, per column,
-    transformed TAIL_BLOCK columns at a time: no copy the size of V."""
-    from scipy.fft import dct
-
+    transformed TAIL_BLOCK columns at a time: no copy the size of V.  The
+    DCT-I of a block's N + 1 rows is the first N + 1 rows of the FFT of
+    its even extension [V; V[N-1], ..., V[1]]."""
     N = V.shape[0] - 1
     tail, total = np.empty((2, V.shape[1]))
     for j in range(0, V.shape[1], TAIL_BLOCK):
-        a = dct(V[:, j:j + TAIL_BLOCK], type=1, axis=0)
+        block = V[:, j:j + TAIL_BLOCK]
+        a = np.fft.fft(np.concatenate([block, block[-2:0:-1]]), axis=0)[:N + 1]
         a = np.abs(a, out=a).real  # in place: no second array the size of the block
         a[[0, -1]] /= 2.0
         total[j:j + TAIL_BLOCK] = a.sum(axis=0)
@@ -545,8 +548,6 @@ def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol)
     TRACK_HALVINGS times in a row; past that, or when the pair is not
     stable at ``a_stable``, _TrackingLost.
     """
-    from scipy.optimize import brentq
-
     c_u, w_u, s = leader
     track = {a_unstable: (c_u, w_u)}
     a_beyond, lead_beyond = beyond
@@ -596,7 +597,6 @@ def _edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
             return edge
     except _TrackingLost:
         pass
-    from scipy.optimize import brentq
 
     def growth(a):
         # the unstable end's leader is the scan's

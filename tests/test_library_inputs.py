@@ -72,6 +72,13 @@ BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_gri
                  id="evans_locate-x_far-1"),
     pytest.param(lambda: evans_locate(sech2, RECT, x_far=0.0), "x_far",
                  id="evans_locate-x_far0"),
+    # spans where the potential has not decayed, |A(x_far)| = 1.57, 0.84,
+    # 0.053 and 2: they returned 0.5476, 0.9018, 0.99965 and []
+    *[pytest.param(lambda x_far=x_far: evans_locate(sech2, RECT, x_far=x_far), "x_far",
+                   id=f"evans_locate-x_far{x_far!r}") for x_far in (0.5, 1.0, 2.5, 5e-324)],
+    # evans_det spans +-X_FAR, where this potential is 1e-3
+    pytest.param(lambda: evans_det(lambda s: 1e-3 + 0.0 * s, 2.0), "A",
+                 id="evans_det-undecayed"),
     # numpy's ValueError
     pytest.param(lambda: evans_locate(sech2, RECT, n_per_side=0), "n_per_side",
                  id="evans_locate-n_per_side0"),
@@ -266,9 +273,11 @@ def test_riccati_infinite_time_is_typed():
 
 
 def test_overflowing_z2_max_is_reported_not_warned():
-    # overflow and invalid-value warnings, then C0..C3 not finite
+    # overflow and invalid-value warnings, then C0..C3 not finite; C3 was
+    # 0.0, a finite left side over an overflowed right side
     report = elliptic_gen_estimate(ELL_MODES, PARAMS, 1e300)
     assert report["finite"] is False
+    assert all(np.isnan(report[k]) for k in ("C0", "C1", "C2", "C3"))
 
 
 def test_integral_float_mode_numbers_are_accepted():

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from shearstab import spectral
 from shearstab.errors import ConfigurationError
-from shearstab.profiles import CHANNEL, HALF_LINE
-from shearstab.spectral import build_grid
+from shearstab.profiles import CHANNEL, HALF_LINE, make_profile
+from shearstab.spectral import brentq, build_grid
 from shearstab.stability import _boundary_rows
 
 
@@ -111,3 +114,66 @@ class TestBCRows:
         assert g.N in idx and g.N - 1 in idx  # value + derivative at the wall
         wall_deriv = rows[idx.index(g.N - 1)]
         assert np.allclose(wall_deriv, g.D1[g.N])
+
+
+# (f, a, b): smooth, steep, flat, discontinuous and one-sided brackets, with
+# a root at an end, and the real U'' of the inflection-point search
+BRENT_CASES = {
+    "cubic": (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+    "cubic_wide": (lambda x: x**3 - 2 * x - 5, 0.0, 5.0),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "exp": (lambda x: math.exp(x) - 2.0, -5.0, 5.0),
+    "flat": (lambda x: (x - 0.3) ** 9, 0.0, 1.0),
+    "step": (lambda x: -1.0 if x < 0.123 else 1.0, 0.0, 1.0),
+    "steep": (lambda x: math.tanh(50 * (x - 0.77)), 0.0, 1.0),
+    "tiny_values": (lambda x: 1e-300 * (x - 0.5), 0.0, 1.0),
+    # divided differences whose product underflows to 0: the step divides by zero and bisects
+    "underflowing_step": (lambda x: 1e-200 * (x**3 - 0.1), 0.0, 1.0),
+    "numpy_scalar": (lambda x: np.float64(x * x - 0.3), 0.0, 1.0),
+    "root_at_a": (lambda x: x, 0.0, 1.0),
+    "root_at_b": (lambda x: x, -1.0, 0.0),
+    "tanh_d2U": (lambda x: float(make_profile("tanh", z0=1.0).d2U(x)), 0.0, 2.5),
+    "kolmogorov_d2U": (lambda x: float(make_profile("kolmogorov").d2U(x)), 1.0, 2.0),
+}
+# the call sites' xtol: bootstrap escape time, Blasius shooting, inflection
+# points, neutral-curve edges (alpha_tol / 2 at the CLI's and the bench's
+# tolerances), and the smallest subnormal; 2e-12 is scipy's default
+BRENT_XTOLS = [2e-12, 1e-15, 1e-14, 1e-10, 5e-3, 5e-4, 1e-4, 5e-5, 5e-324]
+
+
+def _outcome(solver, f, a, b, xtol):
+    """The root as a hex string, or the error's type."""
+    try:
+        return float(solver(f, a, b, xtol=xtol)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+class TestBrentq:
+    """Brent's method, step for step scipy's: the same float, or the same
+    error, on every case."""
+
+    @pytest.mark.parametrize("name", sorted(BRENT_CASES))
+    def test_same_root_as_scipy(self, name):
+        f, a, b = BRENT_CASES[name]
+        for xtol in BRENT_XTOLS:
+            for lo, hi in ((a, b), (b, a)):
+                want = _outcome(scipy.optimize.brentq, f, lo, hi, xtol=xtol)
+                assert _outcome(brentq, f, lo, hi, xtol=xtol) == want, (xtol, lo, hi)
+
+    def test_root_is_a_float(self):
+        # not a numpy scalar, whatever f returns
+        assert type(brentq(BRENT_CASES["numpy_scalar"][0], 0.0, 1.0, xtol=2e-12)) is float
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=2e-12)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.2 else -1.0, 0.0, 1.0, xtol=2e-12)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "BRENT_MAXITER", 3)
+        with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+            brentq(lambda x: (x - 0.3) ** 9, 0.0, 1.0, xtol=1e-15)

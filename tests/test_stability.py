@@ -480,6 +480,19 @@ class TestGates:
     """The Chebyshev-tail gate runs first and the residual gate only on the
     modes it passes; the solution records what each gate rejected."""
 
+    @pytest.mark.parametrize("N", [32, 33, 64, 96, 127, 255, 480])
+    def test_tail_fractions_match_a_dct(self, N):
+        # the DCT-I is taken as the FFT of the even extension; the reference
+        # is scipy's, on more columns than one block, complex and real
+        rng = np.random.default_rng(N)
+        V = rng.standard_normal((N + 1, 2 * stability.TAIL_BLOCK + 5))
+        V = V + 1j * rng.standard_normal(V.shape)
+        for W in (V, V.real):
+            a = np.abs(dct(W, type=1, axis=0))
+            a[[0, -1]] /= 2.0
+            want = a[2 * N // 3:].sum(axis=0) / a.sum(axis=0)
+            assert np.max(np.abs(_tail_fractions(W) - want)) <= 1e-15
+
     @pytest.mark.parametrize("case", ["poiseuille", "exponential", "blasius", "binding"])
     def test_tail_first_accepts_the_same_set(self, case, monkeypatch):
         # oracle: both gates evaluated on every column of the eigensolve.  The
