@@ -30,8 +30,7 @@ for _name in ("errors", "genfunc", "instability", "profiles", "resolvent", "spec
     _on_first_use(_name)
 del _name
 
-# name -> the module that defines it: the names of __all__, and strip_norms,
-# which the package has bound without starring it
+# the public names, each with the module that defines it
 _MODULES = {
     **dict.fromkeys(("BLNormParams", "FourierMode", "GenSeries", "bl_norm", "divfree_bilinear",
                      "elliptic_gen_estimate", "gen_series", "laplace_solve_1d", "strip_norms"), "genfunc"),
@@ -45,43 +44,7 @@ _MODULES = {
                      "os_spectrum", "rayleigh_resolvent", "rayleigh_spectrum"), "stability"),
 }
 
-__all__ = [
-    "BLNormParams",
-    "BootstrapResult",
-    "EigenSolution",
-    "FourierMode",
-    "GenSeries",
-    "HopfSeries",
-    "NeutralBranch",
-    "RiccatiValue",
-    "ShearProfile",
-    "SpectralDiscretization",
-    "bl_norm",
-    "blasius_solve",
-    "build_grid",
-    "divfree_bilinear",
-    "elliptic_gen_estimate",
-    "euler_series",
-    "evans_det",
-    "evans_locate",
-    "fit_exponents",
-    "gen_series",
-    "heat_green",
-    "hopf_majorant",
-    "hopf_series",
-    "inflection_points",
-    "laplace_solve_1d",
-    "make_profile",
-    "max_growth_rate",
-    "neutral_curve",
-    "ode_bootstrap",
-    "os_spectrum",
-    "parabolic_green",
-    "rayleigh_resolvent",
-    "rayleigh_spectrum",
-    "riccati_exact",
-    "semigroup_apply",
-]
+__all__ = sorted(_MODULES)
 
 __version__ = "0.1.0"
 

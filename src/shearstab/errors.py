@@ -2,8 +2,9 @@
 
 The library checks its arguments with these helpers: counts through
 ``as_integer`` with their minimum and cap, finite numbers or arrays through
-``check_finite``, positive ones through ``check_positive``, and sizes through
-``check_points`` before anything is allocated.  Each raises
+``check_finite``, single finite numbers through ``check_scalar``, positive
+ones through ``check_positive``, and sizes through ``check_points`` before
+anything is allocated.  Each raises
 ConfigurationError with a message that begins with the argument's name.
 """
 
@@ -91,6 +92,14 @@ def check_finite(**values):
         if not np.all(np.isfinite(value)):
             shown = repr(value) if np.ndim(value) == 0 else "a non-finite entry"
             raise ConfigurationError(f"{name} must be finite, got {shown}")
+
+
+def check_scalar(**values):
+    """ConfigurationError unless every value is one finite number, not an array (NaN fails)."""
+    for name, value in values.items():
+        if np.ndim(value) != 0:
+            raise ConfigurationError(f"{name} must be a number, got shape {np.shape(value)}")
+    check_finite(**values)
 
 
 def check_positive(**params):

@@ -23,13 +23,13 @@ their growth-free amplitudes phi+- = psi+- e^{+-mu (x -+ X_FAR)}: the known
 exponential is applied in closed form (Humpherys & Zumbrun, Physica D 220,
 2006); the Evans function, which the Green function divides by, is their
 Wronskian over e^{2 mu X_FAR}.  ``_decaying_solutions`` integrates both
-amplitudes for an array of spectral parameters in one ``solve_ivp``, so
-that a Green function or a determinant is one integration, an
-``evans_locate`` boundary pass evaluates its whole rectangle boundary in
-one more, and so does each step of its secant, which refines all the zeros
-inside from their Hankel-eigenvalue seeds together.  A boundary pass holds
-its own half: it integrates 2n points per side and is accepted when the
-windings at n and 2n agree with the phase resolved at 2n; else n doubles.
+amplitudes of every column, a spectral parameter with its matching point,
+in one ``solve_ivp`` and reads them at the matching points only: a
+determinant is one column, a Green function two, and an ``evans_locate``
+boundary pass or secant step one per point, and A is evaluated on arrays
+of their points.  A boundary pass integrates 2n points per side and is
+accepted when the windings at n and 2n agree with the phase resolved at
+2n; else n doubles.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import (
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
     InputError,
+    NonconvergenceError,
     NumericalError,
     QuadratureError,
     RegionError,
@@ -51,6 +52,7 @@ from .errors import (
     check_finite,
     check_points,
     check_positive,
+    check_scalar,
 )
 from .profiles import solve_ivp
 from .spectral import gauss_nodes, refine
@@ -234,32 +236,29 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False, lam_name="lam"):
+def _decaying_solutions(A, lam, nu, x_far, x_match, lam_name="lam"):
     """Growth-free amplitudes phi+- of the decaying solutions psi+ (decays at
-    +inf) and psi- (decays at -inf) for every spectral parameter in the 1-D
-    array lam, by inward integration to x_match; returns (mu, M, sol).
+    +inf) and psi- (decays at -inf), integrated inward from +-x_far to the
+    matching points and read there only; returns (mu, M).
 
-    psi+- = phi+- exp(-+mu (x -+ x_far)), mu = sqrt(lam / nu): the known
-    far-field exponential is applied in closed form by the callers, and
+    lam is a number or a 1-D array and x_match one point or one per lam: the
+    K columns share one integration over s in [0, 1] at
+    x+- = +-x_far + s (x_match -+ x_far), and each right-hand side evaluates
+    A once, on the array [x+, x-] of shape (2, K) or (2, 1).  With
+    mu = sqrt(lam / nu) and psi+- = phi+- exp(-+mu (x -+ x_far)),
     nu psi'' = (lam - A) psi becomes phi+-'' = +-2 mu phi+-' - (A / nu) phi+-
-    with phi = 1, phi' = 0 at the far end.  For A = 0 the amplitudes stay
-    exactly 1.  Both directions and all K parameters share one integration
-    over s in [0, 1], with x+ = x_far + s (x_match - x_far) and
-    x- = -x_far + s (x_match + x_far): the state is (phi+, phi+', phi-,
-    phi-') of shape (4, K), flattened, with ' = d/dx and each half scaled
-    by its dx/ds, and A(x) is evaluated once at x+ and once at x- per
-    right-hand side for all of them.  M = [[phi+, phi-], [phi+' - mu phi+,
-    phi-' + mu phi-]] at x_match, shape (K, 2, 2), is (psi+-, psi+-') with
-    e^{mu (x_far -+ x_match)} divided out of its columns: det M is the
-    Wronskian over e^{2 mu x_far}, whatever x_match.  With ``dense`` the
-    amplitudes can also be read on their whole spans, rows 0 (phi+) and 2
-    (phi-) of ``sol.sol(s)``.  Before any integration: ConfigurationError
-    unless nu is positive and finite, and, naming lam (or ``lam_name``) and
-    nu, where the layer width 1/|2 mu| of the amplitudes lies below the
-    float spacing of a span of x_far, which no step could resolve; EssentialSpectrumError,
-    naming the first offending lam, where Re mu vanishes.
+    with phi = 1, phi' = 0 at the far end; for A = 0 the amplitudes stay
+    exactly 1.  M = [[phi+, phi-], [phi+' - mu phi+, phi-' + mu phi-]] at
+    x_match, shape (K, 2, 2), is (psi+-, psi+-') with e^{mu (x_far -+ x_match)}
+    divided out of its columns: det M is the Wronskian over e^{2 mu x_far},
+    whatever x_match.  Before any integration: ConfigurationError unless nu
+    is positive and finite, and, naming lam (or ``lam_name``) and nu, where
+    the layer width 1/|2 mu| lies below the float spacing of a span of
+    x_far; EssentialSpectrumError, naming the first offending lam, where
+    Re mu vanishes.
     """
     check_positive(nu=nu)
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.sqrt(lam / nu + 0j)
         fine = 2 * np.abs(mu) * x_far * np.finfo(float).eps < 1
@@ -274,25 +273,24 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, dense=False, lam_name="lam")
             f"Re sqrt(lambda/nu) = {mu.real[bad[0]]:.3e} at lambda = {lam[bad[0]]}: "
             "spectral parameter in the essential spectrum"
         )
-    K = lam.size
-    dx_p, dx_m = x_match - x_far, x_match + x_far
-    dxds = np.repeat([dx_p, dx_m], 2 * K)
-    two_mu = 2 * mu
+    K = np.broadcast(lam, x_match).size
+    x0 = np.array([[x_far], [-x_far]])
+    dx, two_mu = x_match - x0, 2 * mu * np.sign(x0)
+    dxds = np.concatenate([dx, dx])
 
     def rhs(s, y):
-        pp, dp, pm, dm = y.reshape(4, K)
-        return dxds * np.concatenate([dp, two_mu * dp - A(x_far + s * dx_p) / nu * pp,
-                                      dm, -two_mu * dm - A(s * dx_m - x_far) / nu * pm])
+        phi, dphi = y.reshape(2, 2, K)
+        return (dxds * np.concatenate([dphi, two_mu * dphi - A(x0 + s * dx) / nu * phi])).ravel()
 
     # phi+- start at 1 and stay of order 1, so one tolerance serves as
     # relative and absolute
-    sol = solve_ivp(rhs, (0.0, 1.0), np.repeat([1.0 + 0j, 0j, 1.0 + 0j, 0j], K), method="DOP853",
-                    rtol=1e-11, atol=1e-11, dense_output=dense)
+    sol = solve_ivp(rhs, (0.0, 1.0), np.repeat([1.0 + 0j, 1.0 + 0j, 0j, 0j], K), method="DOP853",
+                    rtol=1e-11, atol=1e-11)
     if not sol.success:
         raise NumericalError("decaying-solution integration failed")
-    pp, dp, pm, dm = sol.y[:, -1].reshape(4, K)
+    pp, pm, dp, dm = sol.y[:, -1].reshape(4, K)
     M = np.array([[pp, pm], [dp - mu * pp, dm + mu * pm]]).transpose(2, 0, 1)
-    return mu, M, sol
+    return mu, M
 
 
 def _check_decayed(A, x_far, gate, x_far_is_argument):
@@ -306,12 +304,6 @@ def _check_decayed(A, x_far, gate, x_far_is_argument):
         short = f"x_far = {x_far!r} is too short: " if x_far_is_argument else ""
         raise ConfigurationError(
             f"{short}A has not decayed below {gate:g} at x = +-{x_far!r} (|A| = {np.max(far):.3e})")
-
-
-def _matching_matrices(A, lam, nu, x_far):
-    """The amplitude matrices M of ``_decaying_solutions`` at x = 0 for each
-    lam, shape (K, 2, 2); det M is the Evans function."""
-    return _decaying_solutions(A, np.atleast_1d(np.asarray(lam, dtype=complex)), nu, x_far, 0.0)[1]
 
 
 def _det2(M):
@@ -330,32 +322,25 @@ def parabolic_green(
     constant-coefficient kernel -(1 / 2 sqrt(lambda nu)) exp(-|x-y| sqrt(lambda/nu)),
     lambda = i tau.
 
-    Built from decaying solutions psi+- matched at the source point: the
-    value is continuous there and the derivative jumps by 1/nu.  In their
-    amplitudes phi+- the exponentials cancel to
-    G = -e^{-mu |x-y|} phi+(max(x, y)) phi-(min(x, y)) / (nu W), with W the
-    determinant of the amplitude matrix M at y, the Evans function, so a
-    large lambda cannot overflow.  One integration carries each amplitude
-    from its end of the line to the source point y only, since phi+ is read
-    at points >= y and phi- at points <= y; its dense output gives phi+ at
-    s = (x - X_FAR) / (y - X_FAR) and phi- at s = (x + X_FAR) / (y + X_FAR).
-    Beyond +-X_FAR, where A is below 1e-10, the amplitudes hold their end
-    values: x and y are clamped to the span.  tau, x and y must be finite.
+    Built from decaying solutions psi+- matched at the source point, where
+    the value is continuous and the derivative jumps by 1/nu.  In their
+    amplitudes phi+- the exponentials cancel, so a large lambda cannot
+    overflow: G = -e^{-mu |x-y|} phi+(hi) phi-(lo) / (nu W) with W the Evans
+    function, from one integration of two columns of lambda matched at
+    hi = max(x, y) and lo = min(x, y): M_hi[0, 0] M_lo[0, 1] / det M_lo.
+    A is evaluated on arrays, at both sides of the two points, so it must
+    accept them.  x and y are clamped to +-X_FAR, beyond which A is below
+    1e-10 and the amplitudes hold their end values.  ConfigurationError,
+    naming tau, x or y, unless each is one finite number.
     """
-    check_finite(tau=tau, x=x, y=y)
+    check_scalar(tau=tau, x=x, y=y)
     _check_decayed(A, X_FAR, 1e-10, False)
-    xs, ys = (min(max(v, -X_FAR), X_FAR) for v in (x, y))
-    (mu,), M, sol = _decaying_solutions(A, np.array([1j * tau]), nu, X_FAR, ys, dense=True, lam_name="i tau")
-    (w,) = _det2(M)
+    lo, hi = sorted(min(max(v, -X_FAR), X_FAR) for v in (x, y))
+    (mu,), (M_hi, M_lo) = _decaying_solutions(A, 1j * tau, nu, X_FAR, np.array([hi, lo]), "i tau")
+    w = _det2(M_lo)
     if w == 0:
         raise NumericalError("matching system singular")
-    (pp, pm), _ = M[0]
-    # a span of length zero (y = +-X_FAR) keeps its amplitude at 1 throughout
-    if x >= y:
-        amps = pm * sol.sol((xs - X_FAR) / (ys - X_FAR) if ys != X_FAR else 0.0)[0]
-    else:
-        amps = pp * sol.sol((xs + X_FAR) / (ys + X_FAR) if ys != -X_FAR else 0.0)[2]
-    return complex(-np.exp(-mu * abs(x - y)) * amps / (nu * w))
+    return complex(-np.exp(-mu * abs(x - y)) * M_hi[0, 0] * M_lo[0, 1] / (nu * w))
 
 
 def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
@@ -366,11 +351,12 @@ def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
     psi+ and psi- with the known factor e^{2 mu X_FAR} divided out: it is
     analytic right of the essential spectrum, the same at every matching
     point, and exactly 2 mu for A = 0, so a large lambda cannot overflow.
-    ConfigurationError, naming A, where |A(+-X_FAR)| > DECAY_GATE.
+    A is evaluated on arrays.  ConfigurationError, naming lam, unless it is
+    one finite number, and, naming A, where |A(+-X_FAR)| > DECAY_GATE.
     """
-    check_finite(lam=lam)
+    check_scalar(lam=lam)
     _check_decayed(A, X_FAR, DECAY_GATE, False)
-    return complex(_det2(_matching_matrices(A, lam, nu, X_FAR))[0])
+    return complex(_det2(_decaying_solutions(A, lam, nu, X_FAR, 0.0)[1])[0])
 
 
 def _rect_boundary(region, n_per_side):
@@ -419,7 +405,9 @@ def evans_locate(
     from ``n_per_side``, until a boundary of more than 400 points per side
     has failed.  The seeds assume simple zeros, as for a real potential: a
     multiple zero makes the Hankel matrix [s_{i+j}] singular, and the
-    rectangle then raises RegionError, as does a negative winding number.
+    rectangle then raises RegionError, as do a negative winding number and
+    secant zeros that are not w distinct points inside (naming the seeds);
+    a zero still moving after 60 secant steps raises NonconvergenceError.
     A rectangle that is not finite or has re_lo >= re_hi or im_lo >= im_hi,
     a nu or x_far that is not positive and finite, an x_far where
     |A(+-x_far)| > DECAY_GATE (a short span moves the eigenvalues by about
@@ -440,7 +428,7 @@ def evans_locate(
     check_points("n_per_side", 8 * n_per_side)
     while True:
         pts = _rect_boundary(region, 2 * n_per_side)
-        M = _matching_matrices(A, pts, nu, x_far)
+        M = _decaying_solutions(A, pts, nu, x_far, 0.0)[1]
         vals = _det2(M)
         # |det| over the column norms is the sine of the angle between the
         # amplitude columns: it vanishes on a zero whatever the scale of |det|
@@ -477,12 +465,12 @@ def evans_locate(
     mid = 0.5 * (closed_pts[1:] + closed_pts[:-1])
     s = mid ** np.arange(2 * winding)[:, None] @ ratio / (2j * np.pi)
     s[0] = winding
-    z0 = _hankel_seeds(s, region)
+    seeds = _hankel_seeds(s, region)
 
     def det(z):
-        return _det2(_matching_matrices(A, z, nu, x_far))
+        return _det2(_decaying_solutions(A, z, nu, x_far, 0.0)[1])
 
-    z1 = z0 * (1 + 1e-4) + 1e-6
+    z0, z1 = seeds.copy(), seeds * (1 + 1e-4) + 1e-6
     f0, f1 = np.split(det(np.concatenate([z0, z1])), 2)
     active = np.ones(winding, dtype=bool)
     for _ in range(60):
@@ -493,4 +481,13 @@ def evans_locate(
         z0[i], f0[i], z1[i] = z1[i], f1[i], z1[i] - f1[i] * (z1[i] - z0[i]) / (f1[i] - f0[i])
         f1[i] = det(z1[i])
         active[i] = np.abs(z1[i] - z0[i]) >= 1e-10
+    if active.any():
+        raise NonconvergenceError(f"secant on region {region} still moving after 60 steps: last steps "
+                                  f"{np.abs(z1 - z0)[active]} at {z1[active]}")
+    # two secants that met on one zero, or one that left the rectangle, mean wrong seeds
+    twice = np.any(np.abs(z1[:, None] - z1)[np.triu_indices(winding, 1)] < 1e-8)
+    if twice or np.any((z1.real < re_lo) | (z1.real > re_hi) | (z1.imag < im_lo) | (z1.imag > im_hi)):
+        raise RegionError(f"the secant from the Hankel seeds {[complex(z) for z in seeds]} on region "
+                          f"{region} returned {'one zero twice' if twice else 'a zero outside it'}; "
+                          "split the rectangle")
     return [complex(z) for z in z1]

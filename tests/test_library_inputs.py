@@ -228,6 +228,12 @@ BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_gri
                  id="BLNormParams.from_viscosity-gamma0_5e-324"),
     # named lam/nu, which the call does not pass
     pytest.param(lambda: parabolic_green(sech2, 1e300, 0.3, -0.4, 1.0), "tau", id="parabolic_green-tau1e300"),
+    # D(1.5), 9e-13 off the scalar call
+    pytest.param(lambda: evans_det(sech2, [1.5, 2.0]), "lam", id="evans_det-lam_list"),
+    # numpy's ValueError
+    *(pytest.param(lambda kw=kw: parabolic_green(**{**dict(A=sech2, tau=-5.0, x=0.3, y=0.0, nu=1.0), **kw}),
+                   next(iter(kw)), id=f"parabolic_green-{next(iter(kw))}_array")
+      for kw in ({"tau": np.array([-5.0, -6.0])}, {"x": np.array([0.1, 0.2])}, {"y": np.array([0.1, 0.2])})),
 ])
 def test_invalid_argument_is_typed(call, name):
     # each call runs in a child process that a time limit stops, so a check

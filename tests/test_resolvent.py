@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from shearstab.errors import (
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
     InputError,
+    NonconvergenceError,
     QuadratureError,
     RegionError,
 )
@@ -395,7 +397,8 @@ class TestParabolicGreen:
             (pp, dp), (pm, dm) = plus(y), minus(y)
             return -plus(max(x, y))[0] * minus(min(x, y))[0] / (pp * dm - pm * dp)
 
-        for x, y in [(0.3, -0.6), (-1.4, 0.9), (2.1, 1.7)]:
+        # a source point at +-15 leaves one side a span of length zero
+        for x, y in [(0.3, -0.6), (-1.4, 0.9), (2.1, 1.7), (2.1, 15.0), (-1.4, -15.0), (15.0, -15.0)]:
             g = parabolic_green(pot, -5.0j, x, y, 1.0)
             assert abs(g - parabolic_green(pot, -5.0j, y, x, 1.0)) <= 1e-10 * abs(g)
             assert abs(g - reference(x, y)) <= 1e-9 * abs(g)
@@ -428,9 +431,10 @@ class TestParabolicGreen:
             parabolic_green(lambda s: 0.0, 1.0j, 0.0, 0.0, 1.0)
 
     def test_integrates_to_the_source_point_only(self, monkeypatch):
-        # one integration over s in [0, 1] carries both amplitudes; each
-        # right-hand side calls A once on the plus side, within [y, 15], and
-        # once on the minus side, within [-15, y]
+        # one integration over s in [0, 1] carries two columns, matched at
+        # max(x, y) and min(x, y); each right-hand side calls A once, on the
+        # plus side of each column within [its point, 15] (row 0) and on its
+        # minus side within [-15, its point] (row 1)
         spans = []
         solve_ivp = resolvent.solve_ivp
 
@@ -443,15 +447,42 @@ class TestParabolicGreen:
         for x, y in [(0.5, -0.3), (-1.0, 1.2)]:
             spans.clear()
             where = []
-            g = parabolic_green(lambda s: where.append(s) or 0.0, tau, x, y, nu)
+
+            def pot(s):
+                # the decay check calls A alone at +-15, the integration on
+                # the two columns' points
+                if np.ndim(s):
+                    where.append(s)
+                return 0.0 * s
+
+            g = parabolic_green(pot, tau, x, y, nu)
             exact = -np.exp(-abs(x - y) * np.sqrt(2.0)) / (2 * np.sqrt(2.0))
             assert abs(g - exact) < 1e-8
             assert spans == [(0.0, 1.0)]
-            plus, minus = np.array(where).reshape(-1, 2).T
-            assert plus.size > 2
-            # the map x = +-15 + s (y -+ 15) reaches y to rounding at s = 1
-            assert np.all((y - 1e-12 <= plus) & (plus <= 15.0))
-            assert np.all((-15.0 <= minus) & (minus <= y + 1e-12))
+            where = np.array(where)
+            assert where.shape[0] > 2 and where.shape[1:] == (2, 2)
+            plus, minus = where[:, 0], where[:, 1]
+            # the map x = +-15 + s (point -+ 15) reaches the point to rounding at s = 1
+            points = np.array([max(x, y), min(x, y)])
+            assert np.all((points - 1e-12 <= plus) & (plus <= 15.0))
+            assert np.all((-15.0 <= minus) & (minus <= points + 1e-12))
+
+    def test_no_call_reads_a_dense_output(self, monkeypatch):
+        # every Evans and Green value is read at the ends of its spans
+        passed = []
+        solve_ivp = resolvent.solve_ivp
+
+        def recording(*args, **kwargs):
+            passed.append(kwargs)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "solve_ivp", recording)
+        pot = lambda s: 6.0 / np.cosh(s) ** 2
+        parabolic_green(pot, -5.0j, 0.3, -0.6, 1.0)
+        evans_det(pot, 2.0)
+        evans_locate(pot, (0.5, 4.5, -0.4, 0.4), x_far=10.0)
+        assert len(passed) > 3
+        assert all("dense_output" not in kwargs for kwargs in passed)
 
 
 class TestEvansLocate:
@@ -551,8 +582,13 @@ class TestEvansLocate:
     def test_negative_winding_raises_naming_the_rectangle(self, monkeypatch):
         # conjugated matching matrices give a determinant that winds -3 on
         # this rectangle on every pass, so two passes agree on a negative count
-        matching = resolvent._matching_matrices
-        monkeypatch.setattr(resolvent, "_matching_matrices", lambda *args: np.conj(matching(*args)))
+        solutions = resolvent._decaying_solutions
+
+        def conjugated(*args):
+            mu, M = solutions(*args)
+            return mu, np.conj(M)
+
+        monkeypatch.setattr(resolvent, "_decaying_solutions", conjugated)
         pot = lambda s: 12.0 / np.cosh(s) ** 2
         with pytest.raises(RegionError, match=r"negative winding -3 on region \(0\.5, 9\.5, -0\.4, 0\.4\)"):
             evans_locate(pot, (0.5, 9.5, -0.4, 0.4), nu=1.0, x_far=10.0)
@@ -572,6 +608,42 @@ class TestEvansLocate:
         seeds = _hankel_seeds(s, (0.5, 9.5, -0.4, 0.4))
         assert np.allclose(np.sort_complex(seeds), z, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("region, seeds, what", [
+        # two seeds near the zero 1: both secants ended on it, returned as [1, 1]
+        ((0.5, 4.5, -0.4, 0.4), [1.05, 0.95], "one zero twice"),
+        # a seed near the zero 4 of a rectangle that holds only 1: returned as [4]
+        ((0.5, 1.5, -0.4, 0.4), [3.8], "a zero outside it"),
+    ])
+    def test_wrong_seeds_raise_naming_them(self, region, seeds, what, monkeypatch):
+        # 6 sech^2 has the zeros 1 and 4; the secant's zeros must be w
+        # distinct points of the rectangle, and the message names the seeds
+        # the Hankel pencil gave
+        monkeypatch.setattr(resolvent, "_hankel_seeds", lambda s, region: np.array(seeds, dtype=complex))
+        shown = re.escape(str([complex(z) for z in seeds]))
+        with pytest.raises(RegionError, match=rf"seeds {shown} on region {re.escape(str(region))} returned {what}"):
+            evans_locate(lambda s: 6.0 / np.cosh(s) ** 2, region, nu=1.0, x_far=10.0)
+
+    def test_moving_zero_raises_naming_the_rectangle(self, monkeypatch):
+        # past the seeds the determinant is e^{2 lambda}, which has no zero:
+        # the secant steps settle at -log(2) / 2, and after 60 steps the zero
+        # is still moving
+        solutions, hankel_seeds = resolvent._decaying_solutions, resolvent._hankel_seeds
+        seeded = []
+
+        def seeding(*args):
+            seeded.append(1)
+            return hankel_seeds(*args)
+
+        def zero_free_after_seeding(A, lam, *args):
+            if not seeded:
+                return solutions(A, lam, *args)
+            return None, np.exp(lam)[:, None, None] * np.array([[1.0, 0.0], [0.0, 1.0]])
+
+        monkeypatch.setattr(resolvent, "_hankel_seeds", seeding)
+        monkeypatch.setattr(resolvent, "_decaying_solutions", zero_free_after_seeding)
+        with pytest.raises(NonconvergenceError, match=r"region \(0\.5, 1\.5, -0\.4, 0\.4\).*last steps"):
+            evans_locate(lambda s: 2.0 / np.cosh(s) ** 2, (0.5, 1.5, -0.4, 0.4), nu=1.0)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lam", [1.0, 2.5 + 0.5j, 1e3, 1e4, 1e6])
     def test_free_determinant_closed_form(self, lam):
@@ -585,7 +657,7 @@ class TestEvansLocate:
         # ||M^{-1}|| of the 2x2 matching matrix grows near an eigenvalue
         nu = 1.0
         pot = lambda s: 2 * nu / np.cosh(s) ** 2
-        M = resolvent._matching_matrices(pot, [1.0 + 1e-4, 2.0], nu, resolvent.X_FAR)
+        M = resolvent._decaying_solutions(pot, [1.0 + 1e-4, 2.0], nu, resolvent.X_FAR, 0.0)[1]
         near, far = np.linalg.norm(np.linalg.inv(M), 2, axis=(1, 2))
         assert near > 10 * far
 
@@ -625,8 +697,8 @@ class TestStackedBoundary:
         # the accuracy of each boundary point is checked one by one
         pot = lambda s: amp / np.cosh(s) ** 2
         pts = resolvent._rect_boundary(region, 12)
-        stacked = resolvent._det2(resolvent._matching_matrices(pot, pts, 1.0, 10.0))
-        single = np.array([resolvent._det2(resolvent._matching_matrices(pot, lam, 1.0, 10.0))[0]
+        stacked = resolvent._det2(resolvent._decaying_solutions(pot, pts, 1.0, 10.0, 0.0)[1])
+        single = np.array([resolvent._det2(resolvent._decaying_solutions(pot, lam, 1.0, 10.0, 0.0)[1])[0]
                            for lam in pts])
         assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-9
 
