@@ -37,8 +37,8 @@ _MODULES = {
     **dict.fromkeys(("BootstrapResult", "HopfSeries", "RiccatiValue", "euler_series", "hopf_majorant",
                      "hopf_series", "ode_bootstrap", "riccati_exact"), "instability"),
     **dict.fromkeys(("ShearProfile", "blasius_solve", "inflection_points", "make_profile"), "profiles"),
-    **dict.fromkeys(("evans_det", "evans_locate", "heat_green", "parabolic_green", "semigroup_apply"),
-                    "resolvent"),
+    **dict.fromkeys(("duhamel_term", "evans_det", "evans_locate", "heat_green", "parabolic_green",
+                     "semigroup_apply"), "resolvent"),
     **dict.fromkeys(("SpectralDiscretization", "build_grid"), "spectral"),
     **dict.fromkeys(("EigenSolution", "NeutralBranch", "fit_exponents", "max_growth_rate", "neutral_curve",
                      "os_spectrum", "rayleigh_resolvent", "rayleigh_spectrum"), "stability"),

@@ -22,7 +22,8 @@ never loads stability, and spectrum never loads genfunc.  The runners read
 each function from its module at call time, so a function wrapped on its
 module (by a tracer) is the one called.
 
-Exit codes: 0 success, 2 validation error, 3 numerical error.
+Exit codes: 0 success, 2 a rejected flag, file or argument (ConfigurationError),
+3 a failure found by computation (any other ShearStabError).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import sys
 import numpy as np
 
 from . import genfunc, instability, resolvent, stability
-from .errors import ConfigurationError, InputError, ShearStabError, as_integer, check_points, check_positive
+from .errors import ConfigurationError, ShearStabError, as_integer, check_points, check_positive
 from .profiles import CHANNEL, make_profile
 from .spectral import build_grid
 
@@ -69,9 +70,9 @@ def parse_range(text: str) -> np.ndarray:
         else:
             raise ValueError("too many ':' separators")
     except ValueError as exc:
-        raise InputError(f"bad range {text!r}: {exc}") from None
+        raise ConfigurationError(f"bad range {text!r}: {exc}") from None
     if geometric and len(parts) == 2:
-        raise InputError(f"bad range {text!r}: log ranges need a point count")
+        raise ConfigurationError(f"bad range {text!r}: log ranges need a point count")
     return vals
 
 
@@ -92,11 +93,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise InputError(f"{path}:{lineno}: expected key=value")
+                    raise ConfigurationError(f"{path}:{lineno}: expected key=value")
                 key, val = line.split("=", 1)
                 out[key.strip().replace("-", "_")] = val.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     return out
 
 
@@ -131,7 +132,7 @@ def _exactly(args, flag: str, count: int) -> list[float]:
     """The values of a range flag that reads exactly ``count`` of them."""
     values = [float(v) for v in getattr(args, flag)]
     if len(values) != count:
-        raise InputError(
+        raise ConfigurationError(
             f"{_option(flag)} takes {count} value{'s' if count > 1 else ''}, got {len(values)}"
         )
     return values
@@ -196,15 +197,15 @@ def _make_profile(args):
     """The profile of --profile and --z0, and the map scale of its grid:
     --map-scale, 4 by default, where the grid is mapped (the half-line)."""
     if not args.profile:
-        raise InputError("--profile is required")
+        raise ConfigurationError("--profile is required")
     extra = {} if args.z0 is None else {"z0": args.z0}
     profile = make_profile(args.profile, **extra)
     if args.map_scale is None:
         # a channel grid ignores the scale it is given
         return profile, 4.0
     if profile.domain == CHANNEL:
-        raise InputError(f"--map-scale does not apply to the {profile.kind} profile, "
-                         "whose channel grid has no map")
+        raise ConfigurationError(f"--map-scale does not apply to the {profile.kind} profile, "
+                                 "whose channel grid has no map")
     return profile, args.map_scale
 
 
@@ -237,7 +238,7 @@ def _run_spectrum(args):
 def _run_neutral_curve(args):
     profile, map_scale = _make_profile(args)
     if args.re is None:
-        raise InputError("--re range is required for neutral-curve")
+        raise ConfigurationError("--re range is required for neutral-curve")
     window = tuple(sorted(_exactly(args, "alpha", 2)))
     lower, upper = stability.neutral_curve(
         profile, [float(r) for r in args.re], window, N=args.n,
@@ -424,13 +425,13 @@ def _run_instability(args):
     """Run the mode's runner on its own flags, each unset one at its MODES
     default, and add the mode to its document; any other flag set is an error."""
     if args.mode not in MODES:
-        raise InputError(
+        raise ConfigurationError(
             f"unknown instability mode {args.mode!r}; expected one of {tuple(MODES)}"
         )
     runner, defaults = MODES[args.mode]
     for flag in COMMANDS["instability"][1]:
         if flag not in defaults and flag != "mode" and getattr(args, flag) is not None:
-            raise InputError(f"{_option(flag)} is not a flag of instability --mode {args.mode}")
+            raise ConfigurationError(f"{_option(flag)} is not a flag of instability --mode {args.mode}")
     for flag, default in defaults.items():
         if getattr(args, flag) is None:
             # a string default goes through the flag's type, as argparse's do
@@ -468,10 +469,10 @@ _RENAMED = {"spectrum": {"N": "n", "Re": "re"}, "resolvent": {"N": "n"}, "heat-k
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose errors are one InputError line, not a usage block."""
+    """An ArgumentParser whose errors are one ConfigurationError line, not a usage block."""
 
     def error(self, message):
-        raise InputError(message)
+        raise ConfigurationError(message)
 
 
 def build_parser():
@@ -495,7 +496,7 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
     args = None
     try:
-        # parse_range raises InputError, which argparse lets through
+        # parse_range raises ConfigurationError, which argparse lets through
         args = parser.parse_args(argv)
         if not args.subcommand:
             parser.print_usage(sys.stderr)
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
             flags = set(COMMANDS[args.subcommand][1]) | {"out", "format"}
             unknown = sorted(set(values) - flags)
             if unknown:
-                raise InputError(
+                raise ConfigurationError(
                     f"{args.config}: {unknown[0]!r} is not a flag of {args.subcommand}"
                 )
             # config values become string defaults, converted by each flag's type
@@ -513,7 +514,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             # argparse checks choices only on the command line, not on defaults
             if args.format not in FORMATS:
-                raise InputError(
+                raise ConfigurationError(
                     f"{args.config}: format must be one of {FORMATS}, got {args.format!r}"
                 )
         _emit(args, *args.run(args))
@@ -526,7 +527,7 @@ def main(argv=None) -> int:
         renamed = _RENAMED.get(getattr(args, "mode", None) or getattr(args, "subcommand", None), {})
         flag = next((f" ({_option(f)})" for a, f in renamed.items() if str(exc).startswith(a + " ")), "")
         print(f"shearstab: {exc}{flag}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigurationError, InputError)) else 3
+        return 2 if isinstance(exc, ConfigurationError) else 3
 
 
 if __name__ == "__main__":

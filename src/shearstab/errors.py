@@ -1,11 +1,12 @@
 """Exception hierarchy shared across the toolkit, and the checks that raise it.
 
-The library checks its arguments with these helpers: counts through
+A rejected argument is a ConfigurationError whose message begins with the
+argument's name; the other classes report failures found by computation.
+These helpers decide what a valid argument is: counts through
 ``as_integer`` with their minimum and cap, finite numbers or arrays through
-``check_finite``, single finite numbers through ``check_scalar``, positive
-ones through ``check_positive``, and sizes through ``check_points`` before
-anything is allocated.  Each raises
-ConfigurationError with a message that begins with the argument's name.
+``check_finite``, one number through ``check_scalar``, one positive, finite
+number through ``check_positive``, and sizes through ``check_points``
+before anything is allocated.
 """
 
 import math
@@ -23,11 +24,7 @@ class ShearStabError(Exception):
 
 
 class ConfigurationError(ShearStabError):
-    """Invalid or incomplete parameters (bad N, missing profile param, ...)."""
-
-
-class UnsupportedProfileError(ConfigurationError):
-    """Requested profile kind is not one of the supported ones."""
+    """A rejected argument: invalid, missing or out of range, named in the message."""
 
 
 class NonconvergenceError(ShearStabError):
@@ -67,11 +64,7 @@ class RegionError(ShearStabError):
 
 
 class WindowError(ShearStabError):
-    """A scan window is too narrow to bracket the sought feature."""
-
-
-class InputError(ShearStabError):
-    """Malformed numerical input data (empty sample, divergence residual, ...)."""
+    """A scan window, found by computation, does not bracket the sought feature."""
 
 
 def as_integer(name, value, minimum, maximum=MAX_POINTS):
@@ -95,15 +88,16 @@ def check_finite(**values):
 
 
 def check_scalar(**values):
-    """ConfigurationError unless every value is one finite number, not an array (NaN fails)."""
+    """ConfigurationError unless every value is one number, not an array;
+    ``check_finite`` decides whether it is finite."""
     for name, value in values.items():
         if np.ndim(value) != 0:
             raise ConfigurationError(f"{name} must be a number, got shape {np.shape(value)}")
-    check_finite(**values)
 
 
 def check_positive(**params):
-    """ConfigurationError unless every value is positive and finite (NaN fails)."""
+    """ConfigurationError unless every value is one number, positive and finite (NaN fails)."""
+    check_scalar(**params)
     for name, value in params.items():
         if not (0 < value < math.inf):
             raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")

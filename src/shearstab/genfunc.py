@@ -48,9 +48,9 @@ import numpy as np
 from .errors import (
     MAX_POINTS,
     ConfigurationError,
-    InputError,
     RegionError,
     as_integer,
+    check_finite,
     check_points,
     check_positive,
 )
@@ -376,7 +376,7 @@ def _supplied_jet_function(derivs):
     def fn(t):
         y, L = t.coeffs[0], len(t.coeffs) - 1
         if L >= len(derivs):
-            raise InputError(f"derivative order {L} beyond supplied data ({len(derivs)} orders)")
+            raise ConfigurationError(f"derivative order {L} beyond supplied data: derivs has {len(derivs)} orders")
         c = np.empty(t.coeffs.shape, dtype=complex)
         for k in range(L + 1):
             c[k] = derivs[k](y) / math.factorial(k)
@@ -409,7 +409,8 @@ class FourierMode:
     its node types are Add, Mul, integer Pow, exp, sin, cos and numbers, and
     any other node raises ConfigurationError.  ``expr`` is kept as given.
     Alternatively a finite tuple ``derivs`` of derivative callables (order
-    0, 1, ...) becomes such a function; a higher order raises InputError.
+    0, 1, ...) becomes such a function; a higher order raises
+    ConfigurationError naming derivs.
     The table of orders 0..L is the function evaluated on the variable jet
     of y (``Jet.variable``), so no symbolic derivative is taken.  ``alpha``
     must be an integer, such as 2 or 2.0 (else ConfigurationError).
@@ -453,12 +454,14 @@ def _gen_eval(table: np.ndarray, t, z) -> np.ndarray:
 
     With table[k-1, m] = sup|d^m u_k| this is the truncated generator
     G_N(t, z) of ``instability.hopf_majorant``.  The sum over m runs in
-    order of m, so that at t = 0 the value is Gen(u_1)(z) term by term."""
+    order of m, so that at t = 0 the value is Gen(u_1)(z) term by term; a
+    table of no columns is the empty sum, 0."""
     n_t, n_z = table.shape
     m = np.arange(n_z)
     fact = np.cumprod(np.maximum(m, 1).astype(float))
     a = np.asarray(t, dtype=float)[..., None] ** np.arange(n_t) @ table
-    return np.cumsum(a * np.asarray(z, dtype=float)[..., None] ** m / fact, axis=-1)[..., -1]
+    sums = np.cumsum(a * np.asarray(z, dtype=float)[..., None] ** m / fact, axis=-1)
+    return sums[..., -1] if n_z else sums.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -476,7 +479,7 @@ class GenSeries:
         if c.ndim != 2:
             raise ConfigurationError("coeffs must be 2-D (weight, derivative order)")
         if np.any(c < 0):
-            raise InputError("generator coefficients must be nonnegative")
+            raise ConfigurationError("coeffs must be nonnegative")
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, z1, z2):
@@ -593,7 +596,7 @@ def _greens_solve(alpha: int, f, y: np.ndarray):
     it replaces: against the closed form for f = e^{-y}, phi and dphi are
     within 4.5e-15 of their sup at alpha = 1..32 and 1.4e-15 at alpha = 500
     (the loop: 5.7e-15 and 1.7e-15), where a width of 300 gives 4e-14 and
-    2.2e-14.
+    2.2e-14.  ConfigurationError naming f unless its samples are finite.
     """
     a = _wavenumber(alpha)
     gx, gw = legendre_rule(6)
@@ -601,7 +604,9 @@ def _greens_solve(alpha: int, f, y: np.ndarray):
     # the quadrature nodes of every cell, one row per node, and f times the
     # weights there
     xq = 0.5 * h * (gx[:, None] + 1.0) + y[:-1]
-    fq = np.asarray(f(xq.ravel())).reshape(xq.shape) * (0.5 * h * gw[:, None])
+    fq = np.asarray(f(xq.ravel()))
+    check_finite(f=fq)
+    fq = fq.reshape(xq.shape) * (0.5 * h * gw[:, None])
     # e^{-a (y_{j+1} - x)} at the nodes; the nodes are symmetric about the
     # cell's centre, so the reversed rows are e^{-a (x - y_j)}
     kern = np.exp(-0.5 * a * h * (1.0 - gx[:, None]))
@@ -794,7 +799,8 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
                      truncation: tuple[int, int] = (4, 8)) -> dict:
     """Measure the transport majorant constants for a divergence-free pair.
 
-    Checks d_y v_alpha = -i alpha u_alpha and v_alpha(0) = 0, then compares
+    Checks d_y v_alpha = -i alpha u_alpha and v_alpha(0) = 0 (else
+    ConfigurationError naming v_modes), then compares
     Gen_delta(v d_y g) against (Gen_0(v) + dz1 Gen_0(u)) dz2 Gen_delta(g),
     and the first-order transport bundle against C B dz1 B + C B dz2 B.
     The d_y g, d_x g = i alpha g, product and transport modes are built by
@@ -809,9 +815,10 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
         target = -1j * mv.alpha * mu.derivatives(yc, 0)[0] if mu else 0.0
         scale = 1.0 + np.max(np.abs(dv))
         if np.max(np.abs(dv - target)) > 1e-10 * scale:
-            raise InputError(f"divergence residual above tolerance for alpha={mv.alpha}")
+            raise ConfigurationError(f"v_modes and u_modes leave a divergence residual above tolerance "
+                                     f"for alpha={mv.alpha}")
         if abs(v[0]) > 1e-10:
-            raise InputError(f"v_alpha(0) != 0 for alpha={mv.alpha}")
+            raise ConfigurationError(f"v_modes must vanish at the wall: v_alpha(0) != 0 for alpha={mv.alpha}")
 
     dyg = [FourierMode(m.alpha, _dy_function(m._jet_fn)) for m in g_modes]
     dxg = [FourierMode(m.alpha, lambda t, f=m._jet_fn, c=1j * m.alpha: c * f(t)) for m in g_modes]
@@ -877,8 +884,8 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
     On the pencil |Im z| <= min(sigma Re z, sigma r): the derivative check
     uses the weighted bound ||phi(z) f'||_{sigma'} <= C/(sigma-sigma') ||f||_sigma.
     Both share one path; only the samples, the derivative weight and the
-    name of the inner width differ.  rho, or sigma and r, must be positive
-    and finite (else ConfigurationError).
+    name of the inner width differ.  rho, or the pair pencil = (sigma, r),
+    must be positive and finite (else ConfigurationError).
     """
     if (rho is None) == (pencil is None):
         raise ConfigurationError("provide exactly one of rho / pencil")
@@ -887,8 +894,12 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
         width, inner_key = rho, "rho_inner"
         samples, weight = _strip_samples, (lambda w: 1.0)
     else:
-        (width, r), inner_key = pencil, "sigma_inner"
+        try:
+            width, r = pencil
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"pencil must be a pair (sigma, r), got {pencil!r}") from None
         check_positive(sigma=width, r=r)
+        inner_key = "sigma_inner"
         samples, weight = (lambda s: _pencil_samples(s, r)), (lambda w: w / (1.0 + w))
     h = 1e-6
 

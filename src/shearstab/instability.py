@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     MAX_POINTS,
     ConfigurationError,
-    InputError,
     NonconvergenceError,
     NotUnstableError,
     NumericalError,
@@ -47,6 +46,7 @@ from .errors import (
     check_finite,
     check_points,
     check_positive,
+    check_scalar,
 )
 from .genfunc import _gen_eval
 from .profiles import TORUS, ShearProfile, solve_ivp
@@ -120,29 +120,31 @@ def ode_bootstrap(
     The escape time is the first crossing of sigma0 by max |phi_app| among
     the integrator's own steps and t_grid, whose values exist without dense
     output, refined by Brent's method on the dense output inside that one
-    bracket.  N must be an integer of at least 2, and A, v0 and growth_rate
-    finite (else ConfigurationError).
+    bracket.  ConfigurationError, naming the argument, unless epsilon is
+    one number in (0, 1), N an integer of at least 2 and (v0, growth_rate)
+    a finite eigenpair of A with Re(growth_rate) > 0.
     """
+    check_scalar(epsilon=epsilon, growth_rate=growth_rate)
     # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
     if not (0 < epsilon < 1):
-        raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+        raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
     lam = complex(growth_rate)
     d = v0.size
     if A.shape != (d, d):
-        raise InputError("A and v0 have incompatible shapes")
+        raise ConfigurationError("A and v0 have incompatible shapes")
     check_finite(A=A, v0=v0, growth_rate=lam)
     N = as_integer("N", N, 2)
     if lam.real <= 0:
-        raise InputError("the growth rate must have positive real part")
+        raise ConfigurationError(f"growth_rate must have positive real part, got {growth_rate!r}")
     scale = np.max(np.abs(v0))
     if scale == 0:
-        raise InputError("v0 must be nonzero")
+        raise ConfigurationError("v0 must be nonzero")
     v0 = v0 / scale
     pair_res = np.max(np.abs(A @ v0 - lam * v0))
     if pair_res > 1e-10:
-        raise InputError(
+        raise ConfigurationError(
             "eigenpair residual %.3e exceeds 1e-10; (v0, growth_rate) is not "
             "an eigenpair of A" % pair_res
         )
@@ -155,12 +157,12 @@ def ode_bootstrap(
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
             or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
-        raise InputError("t_grid must be finite, increasing and nonnegative")
+        raise ConfigurationError("t_grid must be finite, increasing and nonnegative")
     t_max = float(t_grid[-1])
     # the truncation residual multiplies psi_N ~ e^{N Re(lambda) t} by itself
     t_limit = np.log(np.finfo(float).max) / (2 * N * lam.real)
     if t_max > t_limit:
-        raise InputError(
+        raise ConfigurationError(
             f"t_grid ends at {t_max:.6g}, past {t_limit:.6g}, where psi_{N}^2 ~ "
             f"exp(2 N Re(lambda) t) overflows"
         )
@@ -324,13 +326,14 @@ def _riccati_formula(epsilon, alpha, phi0, t):
 
 def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> RiccatiValue:
     """Exact solution phi(t) = eps phi0 e^{eps t} / (eps - alpha phi0 (e^{eps t}-1));
-    InputError unless phi0 > 0 and epsilon != 0, and all four are finite."""
-    if not (0 < phi0 < np.inf):
-        raise InputError(f"phi0 must be positive and finite, got {phi0!r}")
+    ConfigurationError unless each of the four is one number, phi0 > 0 and
+    epsilon != 0, and all four are finite."""
+    check_positive(phi0=phi0)
+    check_scalar(epsilon=epsilon, alpha=alpha, t=t)
     if not (np.isfinite(epsilon) and np.isfinite(alpha)) or epsilon == 0:
-        raise InputError(f"epsilon must be nonzero and finite, alpha finite; got {epsilon!r}, {alpha!r}")
+        raise ConfigurationError(f"epsilon must be nonzero and finite, alpha finite; got {epsilon!r}, {alpha!r}")
     if not np.isfinite(t):
-        raise InputError(f"t must not be NaN or infinite, got {t!r}")
+        raise ConfigurationError(f"t must not be NaN or infinite, got {t!r}")
     t_star = None
     limit = None
     # phi0 > 0: the solution blows up where alpha phi0 > max(0, -eps), which
@@ -414,7 +417,8 @@ class HopfSeries:
             if norms[n - 1] > 0
         ]
         if not ratios:
-            raise InputError("not enough nonzero terms for a ratio estimate")
+            raise ConfigurationError(f"the series of order {self.order} has not enough nonzero terms "
+                                     "for a ratio estimate")
         return float(max(ratios))
 
     def recurrence_residual(self, n: int) -> float:
@@ -509,12 +513,12 @@ def hopf_majorant(
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
     characteristics advance together as one vector RK4 over all n_steps,
     each independently of the others, and each path ends before its first
-    step out of the window through z = 0 (x < 0).  ``n_characteristics``
-    and ``n_steps`` must be positive integers, and the (n_steps + 1) x
-    n_characteristics paths at most ``errors.MAX_POINTS`` entries (else
-    ConfigurationError, raised before they are allocated)."""
-    if not (eta0 > 0) or not (t_max > 0):
-        raise WindowError("eta0 and t_max must be positive")
+    step out of the window through z = 0 (x < 0).  eta0 and t_max must be
+    positive and finite, ``n_characteristics`` and ``n_steps`` positive
+    integers, and the (n_steps + 1) x n_characteristics paths at most
+    ``errors.MAX_POINTS`` entries (else ConfigurationError, raised before
+    they are allocated)."""
+    check_positive(eta0=eta0, t_max=t_max)
     n_characteristics = as_integer("n_characteristics", n_characteristics, 1)
     n_steps = as_integer("n_steps", n_steps, 1)
     check_points("n_steps", (n_steps + 1) * n_characteristics)

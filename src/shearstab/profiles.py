@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, UnsupportedProfileError, check_finite, check_positive
+from .errors import ConfigurationError, NonconvergenceError, check_finite, check_positive, check_scalar
 
 CHANNEL = "channel"
 HALF_LINE = "half_line"
@@ -63,9 +63,11 @@ def _vec(f):
 
 
 def make_profile(kind: str, **params) -> ShearProfile:
-    """Build a named shear profile; U, U', U'' are mutually consistent."""
+    """Build a named shear profile; U, U', U'' are mutually consistent.
+    ConfigurationError for a kind not in ``_PARAMS``, a parameter the kind
+    does not take, and a z0 that is not one finite number."""
     if kind not in _PARAMS:
-        raise UnsupportedProfileError(f"unknown profile kind {kind!r}; expected one of {tuple(_PARAMS)}")
+        raise ConfigurationError(f"unknown profile kind {kind!r}; expected one of {tuple(_PARAMS)}")
     for name in params:
         if name not in _PARAMS[kind]:
             raise ConfigurationError(f"{kind} profile takes no parameter {name!r}")
@@ -91,6 +93,7 @@ def make_profile(kind: str, **params) -> ShearProfile:
     if kind == "tanh":
         if "z0" not in params:
             raise ConfigurationError("tanh profile requires parameter z0")
+        check_scalar(z0=params["z0"])
         z0 = float(params["z0"])
         check_finite(z0=z0)
         shift = np.tanh(z0)

@@ -43,7 +43,6 @@ from .errors import (
     ConfigurationError,
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
-    InputError,
     NonconvergenceError,
     NumericalError,
     QuadratureError,
@@ -138,15 +137,15 @@ def semigroup_apply(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     At t = 0 the value is x0 itself, returned exactly.  A contour through
     an eigenvalue raises ContourCrossesSpectrumError naming lambda = mu / t;
     a t A or a pass that is not finite, QuadratureError.  A must be a
-    non-empty square matrix (else ConfigurationError), x0 a vector of its
-    order (else InputError), and A, x0 and t finite and t nonnegative (else
-    ConfigurationError).
+    non-empty square matrix, x0 a vector of its order, A and x0 finite and
+    t one finite, nonnegative number (else ConfigurationError).
     """
     A = _square_matrix(A)
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (A.shape[0],):
-        raise InputError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
+        raise ConfigurationError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
     check_finite(x0=x0)
+    check_scalar(t=t)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0:
@@ -182,9 +181,10 @@ def duhamel_term(
     Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 until
     two passes agree to 1e-10 relative; each propagator is a
     ``semigroup_apply``, on the contour of its own (t - tau) A.  t must be
-    finite and nonnegative (else ConfigurationError naming it).
+    one finite, nonnegative number (else ConfigurationError naming it).
     """
     A = _square_matrix(A)
+    check_scalar(t=t)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0.0:
@@ -206,10 +206,11 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
     doubled from 64 until two passes agree to 1e-10 relative.  The truncated
     tail and the imaginary residue, which vanishes by the symmetry k -> -k,
     are checked explicitly (else QuadratureError).  The value matches the
-    classical Gaussian kernel.  t and nu must be positive and finite and
-    x - z finite (else ConfigurationError).
+    classical Gaussian kernel.  t, nu, x and z must be one number each, t
+    and nu positive and finite and x - z finite (else ConfigurationError).
     """
     check_positive(t=t, nu=nu)
+    check_scalar(x=x, z=z)
     check_finite(**{"x - z": x - z})
     d = abs(x - z)
     a = d / (2.0 * nu * t)
@@ -294,12 +295,17 @@ def _decaying_solutions(A, lam, nu, x_far, x_match, lam_name="lam"):
 
 
 def _check_decayed(A, x_far, gate, x_far_is_argument):
-    """ConfigurationError naming A unless |A(+-x_far)| <= gate, and naming
-    x_far too where the caller set it: the decaying solutions start from
-    the far field of A = 0.  A is evaluated with numpy's overflow and
-    invalid warnings off, as in the integration."""
+    """ConfigurationError naming A unless it takes the array [x_far, -x_far]
+    and |A(+-x_far)| <= gate, and naming x_far too where the caller set it:
+    the decaying solutions start from the far field of A = 0.  A is
+    evaluated once, on that array and with numpy's overflow and invalid
+    warnings off, as in the integration."""
     with np.errstate(over="ignore", invalid="ignore"):
-        far = np.abs([A(x_far), A(-x_far)])
+        try:
+            far = np.abs(A(np.array([x_far, -x_far])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"A must accept an array of points: A([{x_far!r}, {-x_far!r}]) raised "
+                                     f"{type(exc).__name__}: {exc}") from exc
     if not np.max(far) <= gate:
         short = f"x_far = {x_far!r} is too short: " if x_far_is_argument else ""
         raise ConfigurationError(
@@ -331,9 +337,11 @@ def parabolic_green(
     A is evaluated on arrays, at both sides of the two points, so it must
     accept them.  x and y are clamped to +-X_FAR, beyond which A is below
     1e-10 and the amplitudes hold their end values.  ConfigurationError,
-    naming tau, x or y, unless each is one finite number.
+    naming tau, x or y, unless each is one finite number, and naming A
+    unless it takes arrays and has decayed at +-X_FAR.
     """
     check_scalar(tau=tau, x=x, y=y)
+    check_finite(tau=tau, x=x, y=y)
     _check_decayed(A, X_FAR, 1e-10, False)
     lo, hi = sorted(min(max(v, -X_FAR), X_FAR) for v in (x, y))
     (mu,), (M_hi, M_lo) = _decaying_solutions(A, 1j * tau, nu, X_FAR, np.array([hi, lo]), "i tau")
@@ -352,9 +360,11 @@ def evans_det(A, lam: complex, nu: float = 1.0) -> complex:
     analytic right of the essential spectrum, the same at every matching
     point, and exactly 2 mu for A = 0, so a large lambda cannot overflow.
     A is evaluated on arrays.  ConfigurationError, naming lam, unless it is
-    one finite number, and, naming A, where |A(+-X_FAR)| > DECAY_GATE.
+    one finite number, and, naming A, unless A takes arrays and
+    |A(+-X_FAR)| <= DECAY_GATE.
     """
     check_scalar(lam=lam)
+    check_finite(lam=lam)
     _check_decayed(A, X_FAR, DECAY_GATE, False)
     return complex(_det2(_decaying_solutions(A, lam, nu, X_FAR, 0.0)[1])[0])
 
@@ -408,16 +418,19 @@ def evans_locate(
     rectangle then raises RegionError, as do a negative winding number and
     secant zeros that are not w distinct points inside (naming the seeds);
     a zero still moving after 60 secant steps raises NonconvergenceError.
-    A rectangle that is not finite or has re_lo >= re_hi or im_lo >= im_hi,
-    a nu or x_far that is not positive and finite, an x_far where
-    |A(+-x_far)| > DECAY_GATE (a short span moves the eigenvalues by about
-    0.13 |A(x_far)|^2, or loses them), or an n_per_side that is not an
-    integer of at least 1 with 8 n_per_side points within MAX_POINTS
+    A region that is not four finite numbers or has re_lo >= re_hi or
+    im_lo >= im_hi, a nu or x_far that is not positive and finite, an x_far
+    where |A(+-x_far)| > DECAY_GATE (a short span moves the eigenvalues by
+    about 0.13 |A(x_far)|^2, or loses them), or an n_per_side that is not
+    an integer of at least 1 with 8 n_per_side points within MAX_POINTS
     raises ConfigurationError; a boundary point in the essential
     spectrum raises EssentialSpectrumError and one on a zero RegionError,
     each naming it.
     """
-    re_lo, re_hi, im_lo, im_hi = region
+    try:
+        re_lo, re_hi, im_lo, im_hi = region
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"region must be a rectangle (re_lo, re_hi, im_lo, im_hi), got {region!r}") from None
     check_finite(region=region)
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")

@@ -53,12 +53,12 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     CriticalLayerError,
-    InputError,
     NumericalError,
     WindowError,
     as_integer,
     check_finite,
     check_positive,
+    check_scalar,
 )
 from .profiles import CHANNEL, ShearProfile
 from .spectral import SpectralDiscretization, brentq, build_grid
@@ -450,9 +450,11 @@ def rayleigh_resolvent(
     The operator is the Rayleigh pencil A - c B of ``rayleigh_spectrum``,
     so a grid whose domain does not match the profile's is rejected the
     same way.  ``source`` is a callable of z, sampled at the finite nodes.
-    Raises a critical-layer error when c comes within 1e-8 of U at a node.
+    Raises a critical-layer error when c comes within 1e-8 of U at a node,
+    and ConfigurationError unless alpha is positive and c one finite number.
     """
     check_positive(alpha=alpha)
+    check_scalar(c=c)
     check_finite(c=c)
     A, B, bc_idx, _, _ = _pencil(profile, alpha, grid, 0.0)
     U, _ = _profile_diagonals(profile, grid)
@@ -618,7 +620,7 @@ def neutral_curve(
 
     Each Re in ``Re_list`` is scanned over ``alpha_window`` at ``n_scan``
     points, an integer of at least 3 (a band needs a point inside it and
-    one each side); the window must be finite.
+    one each side); the window must be a finite pair.
     A scan point computes eigenvalues only; the raw ones with Im c > 0 get
     eigenvectors by inverse iteration and go through the gates of
     ``os_spectrum`` in descending Im c, and the first accepted one leads.
@@ -644,7 +646,10 @@ def neutral_curve(
     Re_list = [float(r) for r in Re_list]
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
-    a_lo, a_hi = float(alpha_window[0]), float(alpha_window[1])
+    try:
+        a_lo, a_hi = map(float, alpha_window)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"alpha_window must be a pair (alpha_lo, alpha_hi), got {alpha_window!r}") from None
     check_finite(alpha_window=(a_lo, a_hi))
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha_window must be positive and increasing")
@@ -687,8 +692,8 @@ def fit_exponents(branch: NeutralBranch, Re_window) -> tuple[float, float, float
     r_lo, r_hi = float(Re_window[0]), float(Re_window[1])
     pts = [(re, a) for re, a in branch.points if r_lo <= re <= r_hi]
     if len(pts) < 4:
-        raise InputError(
-            f"need at least 4 branch points inside Re window [{r_lo:g}, {r_hi:g}], got {len(pts)}"
+        raise ConfigurationError(
+            f"Re_window [{r_lo:g}, {r_hi:g}] holds {len(pts)} points of branch; a fit needs at least 4"
         )
     x = np.log(np.array([re for re, _ in pts]))
     y = np.log(np.array([a for _, a in pts]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shearstab.cli import main, parse_range
-from shearstab.errors import InputError
+from shearstab.errors import ConfigurationError
 
 
 def run_cli(capsys, args):
@@ -30,7 +30,7 @@ class TestParseRange:
 
     def test_malformed(self):
         for bad in ("1:2:3:4", "a:b", "log:1:100", "1:2:0"):
-            with pytest.raises(InputError):
+            with pytest.raises(ConfigurationError):
                 parse_range(bad)
 
 

@@ -178,6 +178,7 @@ class TestInputLimits:
         (["instability", "--mode", "hopf", "--alpha", "1e-300"], 3,
          "hopf series coefficients overflow at order n=3"),
         (["instability", "--mode", "hopf", "--eta0", "1e300"], 3, "Gen(u_1) is not finite"),
+        (["instability", "--mode", "hopf", "--eta0", "-1"], 2, "eta0 must be positive and finite"),
         (["instability", "--mode", "hopf", "--alpha", "1e-20"], 3, "majorant residual alpha G_t - G G_z"),
         (["instability", "--mode", "bootstrap", "--t", "1e300"], 2, "t_grid ends at 1e+300, past 70.9783"),
         (["instability", "--mode", "bootstrap", "--t", "100"], 2, "t_grid ends at 100, past 70.9783"),
@@ -189,8 +190,9 @@ class TestInputLimits:
         # and t 100 printed overflow warnings before an exit 0; the tolerances
         # exited 0; the hopf cases printed numpy's overflow warnings before
         # the message, or (alpha 1e-20) before an exit 0 on an overflowed
-        # majorant.  Each runs in a child process that a timeout can stop,
-        # so that any warning shows on its stderr
+        # majorant; hopf eta0 -1 exited 3, as if found by computation.  Each
+        # runs in a child process that a timeout can stop, so that any
+        # warning shows on its stderr
         proc = run_child(args, timeout=30)
         assert proc.returncode == code
         assert proc.stdout == "" and proc.stderr.startswith(f"shearstab: {message}")

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from shearstab import genfunc
-from shearstab.errors import ConfigurationError, InputError, QuadratureError, RegionError
+from shearstab.errors import ConfigurationError, QuadratureError, RegionError
 from shearstab.genfunc import (
     WITH_BL,
     WITHOUT_BL,
@@ -244,7 +244,7 @@ class TestDerivativeTable:
         y = np.linspace(0.0, 1.0, 5)
         tab = mode.derivatives(y, 1)
         assert np.array_equal(tab, np.stack([np.exp(-y), np.full(5, -1.0)]).astype(complex))
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             mode.derivatives(y, 2)
 
 
@@ -281,7 +281,7 @@ class TestGenSeries:
         assert np.array_equal(G(0.25, z2[:, 0]), vals[:, 2])
 
     def test_negative_coefficients_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             GenSeries(np.array([[1.0, -0.5]]))
 
     def test_monotone_evaluation(self, params):
@@ -317,13 +317,21 @@ class TestGenSeries:
 
     def test_derivative_order_overflow(self, params):
         mode = FourierMode(1, derivs=(lambda y: np.exp(-y), lambda y: -np.exp(-y)))
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             gen_series([mode], params, (1, 4), WITHOUT_BL)
 
     @pytest.mark.parametrize("truncation", [(-1, 4), (2, -2)])
     def test_negative_truncation_rejected(self, params, truncation):
         with pytest.raises(ConfigurationError, match="truncation orders must be nonnegative"):
             gen_series([FourierMode(1, sp.exp(-Y))], params, truncation)
+
+    def test_empty_table_is_zero(self):
+        # dz2 of a one-column series has no columns: its value is the empty
+        # sum, 0, where the last of no partial sums was an IndexError
+        G = GenSeries(np.ones((3, 1))).dz2()
+        assert G.coeffs.shape == (3, 0)
+        assert G(0.1, 0.2) == 0.0
+        assert np.array_equal(G(np.array([0.0, 0.1]), 0.2), [0.0, 0.0])
 
     def test_unknown_flavor(self, params):
         # a series takes the flavors of bl_norm, and a typo is still rejected
@@ -524,6 +532,13 @@ class TestEllipticEstimate:
         assert all(r["finite"] for r in reps)
         assert reps[1]["C0"] == pytest.approx(reps[0]["C0"], rel=0.2)
 
+    def test_no_derivative_orders(self, params):
+        # N_ell = 0 passes _truncation_orders; C3's dz2 series are empty,
+        # and this raised an IndexError
+        rep = elliptic_gen_estimate([FourierMode(1, sp.exp(-Y))], params, 0.1, truncation=(2, 0))
+        assert rep["truncation"] == (2, 0) and rep["finite"]
+        assert rep["C3"] == 0.0
+
     def test_high_mode_rejected(self):
         p = BLNormParams(delta=0.5)
         with pytest.raises(ConfigurationError):
@@ -565,6 +580,16 @@ class TestDivFreeBilinear:
         assert r1["finite"] and r2["finite"]
         assert r2["C_dy"] == pytest.approx(r1["C_dy"], rel=0.2)
         assert r2["C_transport"] == pytest.approx(r1["C_transport"], rel=0.3)
+
+    def test_no_derivative_orders(self, params):
+        # N_ell = 0 raised an IndexError; dz2 of g's series is empty, 0, so
+        # C_dy's right side vanishes and its ratio is infinite
+        u = [FourierMode(1, sp.exp(-Y))]
+        v = [FourierMode(1, -sp.I * (1 - sp.exp(-Y)))]
+        g = [FourierMode(1, sp.exp(-(Y**2)))]
+        rep = divfree_bilinear(u, v, g, params, truncation=(3, 0))
+        assert rep["truncation"] == (3, 0)
+        assert rep["C_dy"] == np.inf and np.isfinite(rep["C_transport"])
 
     def test_fresh_call_makes_no_symbolic_calls(self, params, monkeypatch):
         def modes():
@@ -624,21 +649,21 @@ class TestDivFreeBilinear:
         assert rep["C_dy"] == pytest.approx(jets["C_dy"], rel=1e-12)
         assert rep["C_transport"] == pytest.approx(jets["C_transport"], rel=1e-12)
         # d_y g needs one order more than the series: one fewer supplied fails
-        with pytest.raises(InputError, match="beyond supplied data"):
+        with pytest.raises(ConfigurationError, match="beyond supplied data"):
             divfree_bilinear(u, v, g, params, truncation=(3, L - 1))
 
     def test_divergence_residual_rejected(self, params):
         u = [FourierMode(1, sp.exp(-Y))]
         v_bad = [FourierMode(1, -sp.I * (1 - sp.exp(-2 * Y)))]  # d_y v != -i alpha u
         g = [FourierMode(1, sp.exp(-(Y**2)))]
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             divfree_bilinear(u, v_bad, g, params)
 
     def test_nonzero_wall_value_rejected(self, params):
         u = [FourierMode(0, sp.Integer(0))]
         v_bad = [FourierMode(0, sp.Integer(1))]
         g = [FourierMode(1, sp.exp(-(Y**2)))]
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             divfree_bilinear(u, v_bad, g, params)
 
 

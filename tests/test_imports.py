@@ -85,6 +85,14 @@ def test_every_public_name_resolves_on_first_use():
     assert missing == []
 
 
+def test_duhamel_term_is_public():
+    # the README and the library contract document it, yet
+    # ``from shearstab import duhamel_term`` raised AttributeError
+    from shearstab import duhamel_term
+
+    assert duhamel_term is shearstab.resolvent.duhamel_term
+
+
 def test_submodules_resolve_after_a_bare_import():
     assert _run(
         "import json, shearstab\n"

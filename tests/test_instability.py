@@ -9,10 +9,8 @@ from scipy.optimize import brentq
 from shearstab import instability
 from shearstab.errors import (
     ConfigurationError,
-    InputError,
     NotUnstableError,
     ResonanceError,
-    WindowError,
 )
 from shearstab.instability import (
     _euler_system,
@@ -276,14 +274,14 @@ class TestOdeBootstrap:
             assert np.max(np.abs(r.terms[i] - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_bad_eigenpair(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             ode_bootstrap(
                 np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.5, 1e-3,
                 5, np.linspace(0, 5, 11),
             )
 
     def test_decaying_rate_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             ode_bootstrap(
                 np.array([[-1.0]]), lambda a, b: a * b, np.array([1.0]), -1.0, 1e-3,
                 5, np.linspace(0, 5, 11),
@@ -300,7 +298,7 @@ class TestOdeBootstrap:
         # psi_3^2 ~ e^{6 Re(lambda) t} overflows past log(DBL_MAX) / 6 = 118.297
         # at Re(lambda) = 1; the integration used to run into it and print
         # numpy's overflow warnings before failing or returning
-        with pytest.raises(InputError, match=r"t_grid ends at 119, past 118\.297"):
+        with pytest.raises(ConfigurationError, match=r"t_grid ends at 119, past 118\.297"):
             ode_bootstrap(
                 np.array([[1.0]]), lambda a, b: a * b, np.array([1.0]), 1.0, 1e-3,
                 3, np.linspace(0, 119, 11),
@@ -369,7 +367,7 @@ class TestRiccatiExact:
             assert abs(dphi - eps * phi - alpha * phi**2) <= 1e-12
 
     def test_bad_phi0(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             riccati_exact(0.1, 1.0, -0.5, 1.0)
 
 
@@ -499,7 +497,7 @@ class TestHopfMajorant:
 
     def test_bad_window(self):
         series = hopf_series(COS, 1.0, 6)
-        with pytest.raises(WindowError):
+        with pytest.raises(ConfigurationError):
             hopf_majorant(series, eta0=-1.0, t_max=0.1)
 
     def test_M0_closed_form_cos(self, report):

@@ -1,6 +1,7 @@
 """Typed errors for invalid arguments of the library functions called directly."""
 
 import inspect
+import math
 import multiprocessing
 import re
 import signal
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import shearstab
-from shearstab.errors import ConfigurationError, InputError, ShearStabError
+from shearstab.errors import ConfigurationError, ShearStabError
 from shearstab.genfunc import (
     BLNormParams,
     FourierMode,
@@ -230,6 +231,19 @@ BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_gri
     pytest.param(lambda: parabolic_green(sech2, 1e300, 0.3, -0.4, 1.0), "tau", id="parabolic_green-tau1e300"),
     # D(1.5), 9e-13 off the scalar call
     pytest.param(lambda: evans_det(sech2, [1.5, 2.0]), "lam", id="evans_det-lam_list"),
+    # numpy's TypeError from a potential that takes only scalars
+    pytest.param(lambda: evans_det(lambda s: 2.0 / math.cosh(s) ** 2, 1.2), "A", id="evans_det-A_scalar_only"),
+    pytest.param(lambda: parabolic_green(lambda s: 2.0 / math.cosh(s) ** 2, -5.0, 0.3, 0.1, 1.0), "A",
+                 id="parabolic_green-A_scalar_only"),
+    # NaN norms (nan), and numpy's invalid-value warning (inf)
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.nan * y, PARAMS), "f", id="laplace_solve_1d-f_nan"),
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.inf + 0.0 * y, PARAMS), "f", id="laplace_solve_1d-f_inf"),
+    # scanned (0.8, 1.0), numpy's ValueError "not enough values to unpack",
+    # and a TypeError
+    pytest.param(lambda: neutral_curve(POISEUILLE, [100.0], (0.8, 1.0, 1.2), 16), "alpha_window",
+                 id="neutral_curve-alpha_window_triple"),
+    pytest.param(lambda: evans_locate(sech2, (0.5, 1.5, -0.4)), "region", id="evans_locate-region_triple"),
+    pytest.param(lambda: strip_norms(lambda z: np.exp(1j * z), pencil=0.4), "pencil", id="strip_norms-pencil0.4"),
     # numpy's ValueError
     *(pytest.param(lambda kw=kw: parabolic_green(**{**dict(A=sech2, tau=-5.0, x=0.3, y=0.0, nu=1.0), **kw}),
                    next(iter(kw)), id=f"parabolic_green-{next(iter(kw))}_array")
@@ -274,7 +288,7 @@ def raised_within(call, seconds):
 def test_riccati_infinite_time_is_typed():
     # t = -inf warned and returned NaN, and t = +inf warned where eps < 0
     for t in (-np.inf, np.inf):
-        with pytest.raises(InputError, match=f"t must not be NaN or infinite, got {t!r}"):
+        with pytest.raises(ConfigurationError, match=f"t must not be NaN or infinite, got {t!r}"):
             riccati_exact(-1.0, 1.0, 0.01, t)
 
 
@@ -299,7 +313,9 @@ def test_integral_float_mode_numbers_are_accepted():
 # call per public function and constructor, set in turn to each value of SWEEP
 # ---------------------------------------------------------------------------
 
-SWEEP = [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.5, 1e300, 5e-324]
+# the array stands where one number is due: errors' helpers, not the call
+# sites, reject it
+SWEEP = [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.5, 1e300, 5e-324, np.array([1.0, 2.0])]
 GRID = build_grid(24, "channel")
 SERIES = hopf_series(COS, 1.0, 4)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shearstab import profiles
-from shearstab.errors import ConfigurationError, UnsupportedProfileError
+from shearstab.errors import ConfigurationError
 from shearstab.profiles import blasius_solve, inflection_points, make_profile
 
 
@@ -33,7 +33,7 @@ class TestMakeProfile:
         assert p.d2U(0.9) * p.d2U(1.1) < 0
 
     def test_unknown_kind(self):
-        with pytest.raises(UnsupportedProfileError):
+        with pytest.raises(ConfigurationError):
             make_profile("nosuch")
 
     def test_missing_param(self):

@@ -11,7 +11,6 @@ from shearstab.errors import (
     ConfigurationError,
     ContourCrossesSpectrumError,
     EssentialSpectrumError,
-    InputError,
     NonconvergenceError,
     QuadratureError,
     RegionError,
@@ -182,7 +181,7 @@ class TestSemigroup:
             semigroup_apply(np.zeros((0, 0)), np.zeros(0), 1.0)
         with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
             semigroup_apply(np.ones((2, 3)), np.ones(3), 1.0)
-        with pytest.raises(InputError, match="length 2"):
+        with pytest.raises(ConfigurationError, match="length 2"):
             semigroup_apply(-np.eye(2), np.ones(3), 1.0)
 
 
@@ -446,19 +445,19 @@ class TestParabolicGreen:
         tau, nu = -2.0j, 1.0
         for x, y in [(0.5, -0.3), (-1.0, 1.2)]:
             spans.clear()
-            where = []
+            where, far = [], []
 
             def pot(s):
-                # the decay check calls A alone at +-15, the integration on
-                # the two columns' points
-                if np.ndim(s):
-                    where.append(s)
+                # the decay check calls A once, on [15, -15], the integration
+                # on the two columns' points
+                (where if np.ndim(s) == 2 else far).append(s)
                 return 0.0 * s
 
             g = parabolic_green(pot, tau, x, y, nu)
             exact = -np.exp(-abs(x - y) * np.sqrt(2.0)) / (2 * np.sqrt(2.0))
             assert abs(g - exact) < 1e-8
             assert spans == [(0.0, 1.0)]
+            assert len(far) == 1 and np.array_equal(far[0], [15.0, -15.0])
             where = np.array(where)
             assert where.shape[0] > 2 and where.shape[1:] == (2, 2)
             plus, minus = where[:, 0], where[:, 1]

@@ -10,7 +10,6 @@ from shearstab import stability
 from shearstab.errors import (
     ConfigurationError,
     CriticalLayerError,
-    InputError,
     NumericalError,
     WindowError,
 )
@@ -797,5 +796,5 @@ class TestFitExponents:
 
     def test_insufficient_points(self):
         br = NeutralBranch([(1e4, 0.5), (2e4, 0.4), (4e4, 0.3)], "lower")
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             fit_exponents(br, (1e3, 1e6))
