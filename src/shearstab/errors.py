@@ -4,12 +4,13 @@ A rejected argument is a ConfigurationError whose message begins with the
 argument's name; the other classes report failures found by computation.
 These helpers decide what a valid argument is: counts through
 ``as_integer`` with their minimum and cap, finite numbers or arrays through
-``check_finite``, one number through ``check_scalar``, one positive, finite
-number through ``check_positive``, and sizes through ``check_points``
-before anything is allocated.
+``check_finite``, one number through ``check_scalar``, one real number through
+``check_real``, one positive, finite number through ``check_positive``, and
+sizes through ``check_points`` before anything is allocated.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -88,16 +89,26 @@ def check_finite(**values):
 
 
 def check_scalar(**values):
-    """ConfigurationError unless every value is one number, not an array;
-    ``check_finite`` decides whether it is finite."""
+    """ConfigurationError unless every value is one number, not an array, a
+    string or None; ``check_finite`` decides whether it is finite."""
     for name, value in values.items():
         if np.ndim(value) != 0:
             raise ConfigurationError(f"{name} must be a number, got shape {np.shape(value)}")
+        if not (isinstance(value, numbers.Number) or np.asarray(value).dtype.kind in "biufc"):
+            raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def check_real(**values):
+    """ConfigurationError unless every value is one number, not complex (1+0j fails)."""
+    check_scalar(**values)
+    for name, value in values.items():
+        if np.iscomplexobj(value):
+            raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
 def check_positive(**params):
-    """ConfigurationError unless every value is one number, positive and finite (NaN fails)."""
-    check_scalar(**params)
+    """ConfigurationError unless every value is one real number, positive and finite (NaN fails)."""
+    check_real(**params)
     for name, value in params.items():
         if not (0 < value < math.inf):
             raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")

@@ -46,6 +46,7 @@ from .errors import (
     check_finite,
     check_points,
     check_positive,
+    check_real,
     check_scalar,
 )
 from .genfunc import _gen_eval
@@ -124,7 +125,8 @@ def ode_bootstrap(
     one number in (0, 1), N an integer of at least 2 and (v0, growth_rate)
     a finite eigenpair of A with Re(growth_rate) > 0.
     """
-    check_scalar(epsilon=epsilon, growth_rate=growth_rate)
+    check_real(epsilon=epsilon)
+    check_scalar(growth_rate=growth_rate)
     # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
     if not (0 < epsilon < 1):
         raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -326,10 +328,10 @@ def _riccati_formula(epsilon, alpha, phi0, t):
 
 def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> RiccatiValue:
     """Exact solution phi(t) = eps phi0 e^{eps t} / (eps - alpha phi0 (e^{eps t}-1));
-    ConfigurationError unless each of the four is one number, phi0 > 0 and
+    ConfigurationError unless each of the four is one real number, phi0 > 0 and
     epsilon != 0, and all four are finite."""
     check_positive(phi0=phi0)
-    check_scalar(epsilon=epsilon, alpha=alpha, t=t)
+    check_real(epsilon=epsilon, alpha=alpha, t=t)
     if not (np.isfinite(epsilon) and np.isfinite(alpha)) or epsilon == 0:
         raise ConfigurationError(f"epsilon must be nonzero and finite, alpha finite; got {epsilon!r}, {alpha!r}")
     if not np.isfinite(t):

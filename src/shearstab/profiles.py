@@ -6,7 +6,7 @@ Supported kinds:
 - ``exponential``: U = 1 - exp(-z) on the half line
 - ``tanh``:        U = tanh(z - z0) + tanh(z0) on the half line (U(0) = 0)
 - ``kolmogorov``:  U = cos(z) on the torus [0, 2*pi)
-- ``blasius``:     U = f'(eta) from the similarity equation, via shooting
+- ``blasius``:     U = f'(eta) from the similarity equation, by one integration
 
 ``tanh`` takes the parameter ``z0``; the other kinds take none, and a
 parameter a kind does not take is an error.  Profiles are immutable after
@@ -20,13 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, check_finite, check_positive, check_scalar
+from .errors import ConfigurationError, NonconvergenceError, check_finite, check_positive, check_real
 
 CHANNEL = "channel"
 HALF_LINE = "half_line"
 TORUS = "torus"
 
-ETA_MAX = 15.0       # far end of the Blasius shooting interval
+ETA_MAX = 15.0       # far end of the Blasius integration and splines
 
 INFLECTION_SCAN = 2000   # grid points of the U'' sign-change scan
 
@@ -65,7 +65,7 @@ def _vec(f):
 def make_profile(kind: str, **params) -> ShearProfile:
     """Build a named shear profile; U, U', U'' are mutually consistent.
     ConfigurationError for a kind not in ``_PARAMS``, a parameter the kind
-    does not take, and a z0 that is not one finite number."""
+    does not take, and a z0 that is not one finite real number."""
     if kind not in _PARAMS:
         raise ConfigurationError(f"unknown profile kind {kind!r}; expected one of {tuple(_PARAMS)}")
     for name in params:
@@ -93,7 +93,7 @@ def make_profile(kind: str, **params) -> ShearProfile:
     if kind == "tanh":
         if "z0" not in params:
             raise ConfigurationError("tanh profile requires parameter z0")
-        check_scalar(z0=params["z0"])
+        check_real(z0=params["z0"])
         z0 = float(params["z0"])
         check_finite(z0=z0)
         shift = np.tanh(z0)
@@ -135,49 +135,30 @@ def _blasius_rhs(eta, f):
     return [f[1], f[2], -0.5 * f[0] * f[2]]
 
 
-def _blasius_shoot(fpp0: float):
-    sol = solve_ivp(
-        _blasius_rhs,
-        (0.0, ETA_MAX),
-        [0.0, 0.0, fpp0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-13,
-        dense_output=True,
-    )
-    return sol
-
-
 def blasius_solve(tolerance: float = 1e-8) -> ShearProfile:
-    """Blasius profile U = f'(eta) from f''' + f f''/2 = 0 via shooting on f''(0).
+    """Blasius profile U = f'(eta) from f''' + f f''/2 = 0, f(0) = f'(0) = 0, f'(inf) = 1.
 
-    Brent's method on f''(0) over [0.1, 1] with a high-order ODE integrator;
-    converged when |f'(ETA_MAX) - 1| < tolerance.  U holds 1 beyond ETA_MAX.
+    f(eta) = a F(a eta) solves it for every a (Toepfer, 1912), so one DOP853
+    integration of F with F''(0) = 1 on [0, ETA_MAX] gives a = F'(ETA_MAX)^(-1/2)
+    and f''(0) = a^3, with no search; a ~ 0.69 keeps [0, a ETA_MAX] inside it.
+    NonconvergenceError when it fails or |f'(ETA_MAX) - 1| is not below
+    tolerance.  U holds 1 beyond ETA_MAX.
     """
     from scipy.interpolate import CubicSpline
 
-    from .spectral import brentq  # spectral imports this module
-
     check_positive(tolerance=tolerance)
-
-    def miss(fpp0):
-        return _blasius_shoot(fpp0).y[1][-1] - 1.0
-
-    lo, hi = 0.1, 1.0
-    try:
-        fpp0 = brentq(miss, lo, hi, xtol=1e-14)
-    except ValueError as exc:  # no sign change on the bracket
-        raise NonconvergenceError(
-            f"shooting bracket failed: miss({lo})={miss(lo)}, miss({hi})={miss(hi)}"
-        ) from exc
-    sol = _blasius_shoot(fpp0)
-    if abs(sol.y[1][-1] - 1.0) >= tolerance:
-        raise NonconvergenceError(
-            f"|f'({ETA_MAX:g})-1|={abs(sol.y[1][-1]-1.0):.3e} above tolerance at f''(0)={fpp0!r}"
-        )
-
+    sol = solve_ivp(_blasius_rhs, (0.0, ETA_MAX), [0.0, 0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-13,
+                    dense_output=True)
+    if not sol.success:
+        raise NonconvergenceError(f"Blasius integration failed: {sol.message}")
+    a = sol.y[1][-1] ** -0.5
+    fpp0 = float(a**3)
     eta = np.linspace(0.0, ETA_MAX, 3001)
-    f, fp, fpp = sol.sol(eta)
+    F, Fp, Fpp = sol.sol(a * eta)
+    f, fp, fpp = a * F, a**2 * Fp, a**3 * Fpp
+    if abs(fp[-1] - 1.0) >= tolerance:
+        raise NonconvergenceError(f"|f'({ETA_MAX:g})-1|={abs(fp[-1] - 1.0):.3e} above tolerance at f''(0)={fpp0!r}")
+
     spl_fp = CubicSpline(eta, fp)     # U
     spl_fpp = CubicSpline(eta, fpp)   # U'
     spl_f = CubicSpline(eta, f)

@@ -51,6 +51,7 @@ from .errors import (
     check_finite,
     check_points,
     check_positive,
+    check_real,
     check_scalar,
 )
 from .profiles import solve_ivp
@@ -145,7 +146,7 @@ def semigroup_apply(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     if x0.shape != (A.shape[0],):
         raise ConfigurationError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
     check_finite(x0=x0)
-    check_scalar(t=t)
+    check_real(t=t)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0:
@@ -184,7 +185,7 @@ def duhamel_term(
     one finite, nonnegative number (else ConfigurationError naming it).
     """
     A = _square_matrix(A)
-    check_scalar(t=t)
+    check_real(t=t)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
     if t == 0.0:
@@ -206,11 +207,11 @@ def heat_green(t: float, x: float, z: float, nu: float) -> float:
     doubled from 64 until two passes agree to 1e-10 relative.  The truncated
     tail and the imaginary residue, which vanishes by the symmetry k -> -k,
     are checked explicitly (else QuadratureError).  The value matches the
-    classical Gaussian kernel.  t, nu, x and z must be one number each, t
-    and nu positive and finite and x - z finite (else ConfigurationError).
+    classical Gaussian kernel.  t, nu, x and z must be one real number each,
+    t and nu positive and finite and x - z finite (else ConfigurationError).
     """
     check_positive(t=t, nu=nu)
-    check_scalar(x=x, z=z)
+    check_real(x=x, z=z)
     check_finite(**{"x - z": x - z})
     d = abs(x - z)
     a = d / (2.0 * nu * t)
@@ -337,10 +338,11 @@ def parabolic_green(
     A is evaluated on arrays, at both sides of the two points, so it must
     accept them.  x and y are clamped to +-X_FAR, beyond which A is below
     1e-10 and the amplitudes hold their end values.  ConfigurationError,
-    naming tau, x or y, unless each is one finite number, and naming A
-    unless it takes arrays and has decayed at +-X_FAR.
+    naming tau, x or y, unless each is one finite number, x and y real,
+    and naming A unless it takes arrays and has decayed at +-X_FAR.
     """
-    check_scalar(tau=tau, x=x, y=y)
+    check_scalar(tau=tau)
+    check_real(x=x, y=y)
     check_finite(tau=tau, x=x, y=y)
     _check_decayed(A, X_FAR, 1e-10, False)
     lo, hi = sorted(min(max(v, -X_FAR), X_FAR) for v in (x, y))

@@ -9,8 +9,8 @@ operators overflow is rejected with the grid.  The boundary rows of the
 stability pencils belong to ``stability``.  Every contour quadrature
 of ``resolvent`` and every sampled norm of ``genfunc`` refines in
 ``refine``, given one pass and the criterion that two passes have settled.
-Every bracketed root of the package (neutral-curve edges, the Blasius
-shooting, inflection points, the bootstrap's escape time) is found by
+Every bracketed root of the package (neutral-curve edges, inflection
+points, the bootstrap's escape time) is found by
 ``brentq``, scipy's Brent iteration in pure Python, so that the stability
 path loads no scipy root finder.
 """

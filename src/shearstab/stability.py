@@ -607,6 +607,16 @@ def _edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
     return brentq(growth, *sorted((a_stable, a_unstable)), xtol=xtol)
 
 
+def _finite_pair(name, window, labels):
+    """``window`` as two finite floats, else ConfigurationError naming ``name``."""
+    try:
+        lo, hi = map(float, window)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{name} must be a pair {labels}, got {window!r}") from None
+    check_finite(**{name: (lo, hi)})
+    return lo, hi
+
+
 def neutral_curve(
     profile: ShearProfile,
     Re_list,
@@ -646,11 +656,7 @@ def neutral_curve(
     Re_list = [float(r) for r in Re_list]
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
-    try:
-        a_lo, a_hi = map(float, alpha_window)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"alpha_window must be a pair (alpha_lo, alpha_hi), got {alpha_window!r}") from None
-    check_finite(alpha_window=(a_lo, a_hi))
+    a_lo, a_hi = _finite_pair("alpha_window", alpha_window, "(alpha_lo, alpha_hi)")
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha_window must be positive and increasing")
     check_positive(alpha_tol=alpha_tol)
@@ -687,9 +693,10 @@ def neutral_curve(
 def fit_exponents(branch: NeutralBranch, Re_window) -> tuple[float, float, float]:
     """Least-squares slope/intercept of log alpha vs log Re inside a window.
 
-    Returns (slope, intercept, r2).
+    Returns (slope, intercept, r2).  ConfigurationError naming Re_window
+    unless it is a pair of finite numbers holding at least 4 points of branch.
     """
-    r_lo, r_hi = float(Re_window[0]), float(Re_window[1])
+    r_lo, r_hi = _finite_pair("Re_window", Re_window, "(Re_lo, Re_hi)")
     pts = [(re, a) for re, a in branch.points if r_lo <= re <= r_hi]
     if len(pts) < 4:
         raise ConfigurationError(

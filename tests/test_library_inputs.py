@@ -45,6 +45,8 @@ from shearstab.resolvent import (
 from shearstab.spectral import SpectralDiscretization, build_grid
 from shearstab.stability import (
     EigenSolution,
+    NeutralBranch,
+    fit_exponents,
     max_growth_rate,
     neutral_curve,
     os_spectrum,
@@ -63,6 +65,7 @@ COS = {1: 0.5, -1: 0.5}
 ELL_MODES = [FourierMode(1, lambda y: exp(-y))]
 PARAMS = BLNormParams(delta=0.05)
 POISEUILLE = make_profile("poiseuille")
+BRANCH = NeutralBranch([(re, re ** -0.1) for re in np.geomspace(1e4, 1e6, 8)], "lower")
 # a valid ode_bootstrap call with growth_rate 1, epsilon 1e-3 and N 3
 BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_grid=np.linspace(0.0, 5.0, 11))
 
@@ -248,6 +251,13 @@ BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_gri
     *(pytest.param(lambda kw=kw: parabolic_green(**{**dict(A=sech2, tau=-5.0, x=0.3, y=0.0, nu=1.0), **kw}),
                    next(iter(kw)), id=f"parabolic_green-{next(iter(kw))}_array")
       for kw in ({"tau": np.array([-5.0, -6.0])}, {"x": np.array([0.1, 0.2])}, {"y": np.array([0.1, 0.2])})),
+    # returned 0.2148 for a complex position
+    pytest.param(lambda: heat_green(1.0, 0.3 + 1j, 0.0, 1.0), "x", id="heat_green-x_complex"),
+    # TypeError "'float' object is not subscriptable", a window reported as
+    # holding 0 points, and a window read as its first two entries
+    *(pytest.param(lambda window=window: fit_exponents(BRANCH, window), "Re_window",
+                   id=f"fit_exponents-Re_window{window!r}")
+      for window in (0.5, (np.nan, 1e6), (1e5, 1e6, 1e7))),
 ])
 def test_invalid_argument_is_typed(call, name):
     # each call runs in a child process that a time limit stops, so a check
@@ -313,9 +323,10 @@ def test_integral_float_mode_numbers_are_accepted():
 # call per public function and constructor, set in turn to each value of SWEEP
 # ---------------------------------------------------------------------------
 
-# the array stands where one number is due: errors' helpers, not the call
-# sites, reject it
-SWEEP = [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.5, 1e300, 5e-324, np.array([1.0, 2.0])]
+# the array, the string and None stand where one number is due, and the
+# complex number where a real one may be: errors' helpers, not the call
+# sites, reject them
+SWEEP = [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.5, 1e300, 5e-324, np.array([1.0, 2.0]), 1 + 1j, "abc", None]
 GRID = build_grid(24, "channel")
 SERIES = hopf_series(COS, 1.0, 4)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 from shearstab import profiles
 from shearstab.errors import ConfigurationError
@@ -81,6 +83,40 @@ def blasius():
 class TestBlasius:
     def test_wall_shear(self, blasius):
         assert blasius.params["fpp0"] == pytest.approx(0.332057, abs=2e-6)
+
+    def test_wall_shear_reference_value(self, blasius):
+        # Boyd's f''(0) (Experimental Math. 8, 1999)
+        assert abs(blasius.params["fpp0"] - 0.33205733621519630) <= 1e-12
+
+    def test_one_integration(self, monkeypatch):
+        # the scaling f(eta) = a F(a eta) replaces the search: shooting on
+        # f''(0) made 10 integrations
+        calls = []
+        solve_ivp_ = profiles.solve_ivp
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return solve_ivp_(*args, **kwargs)
+
+        monkeypatch.setattr(profiles, "solve_ivp", recording)
+        blasius_solve()
+        assert len(calls) == 1
+
+    def test_matches_shooting(self, blasius):
+        # the old method as oracle: Brent's method on f'(ETA_MAX) - 1 over
+        # f''(0), the profile read from the converged shot's dense output
+        def shoot(fpp0):
+            return scipy.integrate.solve_ivp(lambda eta, f: [f[1], f[2], -0.5 * f[0] * f[2]], (0.0, profiles.ETA_MAX),
+                                             [0.0, 0.0, fpp0], method="DOP853", rtol=1e-12, atol=1e-13,
+                                             dense_output=True)
+
+        fpp0 = scipy.optimize.brentq(lambda s: shoot(s).y[1][-1] - 1.0, 0.1, 1.0, xtol=1e-14)
+        z = np.linspace(0.0, 20.0, 2001)
+        f, fp, fpp = shoot(fpp0).sol(np.minimum(z, profiles.ETA_MAX))
+        far = z >= profiles.ETA_MAX
+        want = (np.where(far, 1.0, fp), np.where(far, 0.0, fpp), np.where(far, 0.0, -0.5 * f * fpp))
+        for got, ref in zip((blasius.U(z), blasius.dU(z), blasius.d2U(z)), want):
+            assert np.max(np.abs(got - ref)) <= 1e-10
 
     def test_far_field(self, blasius):
         assert abs(blasius.U(10.0) - 1.0) < 1e-6

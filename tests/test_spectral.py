@@ -135,8 +135,8 @@ BRENT_CASES = {
     "tanh_d2U": (lambda x: float(make_profile("tanh", z0=1.0).d2U(x)), 0.0, 2.5),
     "kolmogorov_d2U": (lambda x: float(make_profile("kolmogorov").d2U(x)), 1.0, 2.0),
 }
-# the call sites' xtol: bootstrap escape time, Blasius shooting, inflection
-# points, neutral-curve edges (alpha_tol / 2 at the CLI's and the bench's
+# the call sites' xtol: bootstrap escape time, inflection points,
+# neutral-curve edges (alpha_tol / 2 at the CLI's and the bench's
 # tolerances), and the smallest subnormal; 2e-12 is scipy's default
 BRENT_XTOLS = [2e-12, 1e-15, 1e-14, 1e-10, 5e-3, 5e-4, 1e-4, 5e-5, 5e-324]
 
