@@ -3,10 +3,10 @@
 A rejected argument is a ConfigurationError whose message begins with the
 argument's name; the other classes report failures found by computation.
 These helpers decide what a valid argument is: counts through
-``as_integer`` with their minimum and cap, finite numbers or arrays through
-``check_finite``, one number through ``check_scalar``, one real number through
-``check_real``, one positive, finite number through ``check_positive``, and
-sizes through ``check_points`` before anything is allocated.
+``as_integer`` with their minimum and cap, arrays through ``as_array``,
+finite numbers through ``check_finite``, one number through ``check_scalar``,
+one real number through ``check_real``, one positive, finite number through
+``check_positive``, and sizes through ``check_points`` before anything is allocated.
 """
 
 import math
@@ -78,6 +78,24 @@ def as_integer(name, value, minimum, maximum=MAX_POINTS):
         pass
     least = "nonnegative" if minimum == 0 else f"at least {minimum:g}"
     raise ConfigurationError(f"{name} must be {least} and an integer of at most {maximum:g}, got {value!r}")
+
+
+def as_array(name, value, ndim, size=None, real=True):
+    """``value`` as a finite float (complex unless ``real``) array of ``ndim`` dimensions and
+    ``size`` entries where given; a matrix may be a number or a vector, raised as by
+    ``np.atleast_2d``, a list (``ndim`` 1) not one number.  Else ConfigurationError naming ``name``."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in ("biuf" if real else "biufc"):
+        raise ConfigurationError(f"{name} must be an array of {'real ' if real else ''}numbers, got {value!r:.60}")
+    if a.ndim > ndim or (ndim == 1 and a.ndim == 0) or (size is not None and a.size != size):
+        shape = f"{ndim}-D array" if size is None else f"{ndim}-D array of length {size}"
+        raise ConfigurationError(f"{name} must be a {shape}, got shape {a.shape}")
+    a = np.asarray(a.reshape((1,) * (ndim - a.ndim) + a.shape), dtype=float if real else complex)
+    check_finite(**{name: a})
+    return a
 
 
 def check_finite(**values):

@@ -49,6 +49,7 @@ from .errors import (
     MAX_POINTS,
     ConfigurationError,
     RegionError,
+    as_array,
     as_integer,
     check_finite,
     check_points,
@@ -466,7 +467,7 @@ def _gen_eval(table: np.ndarray, t, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenSeries:
-    """Truncated two-variable generator series with nonnegative coefficients.
+    """Truncated two-variable generator series with finite, nonnegative coefficients.
 
     ``coeffs[w, l]`` multiplies e^{z1 w} z2^l / l!; the row index w is the
     x-frequency weight |alpha| (or a sum of such weights after products).
@@ -475,9 +476,7 @@ class GenSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2:
-            raise ConfigurationError("coeffs must be 2-D (weight, derivative order)")
+        c = as_array("coeffs", self.coeffs, 2)
         if np.any(c < 0):
             raise ConfigurationError("coeffs must be nonnegative")
         object.__setattr__(self, "coeffs", c)
@@ -510,10 +509,7 @@ def _truncation_orders(truncation) -> tuple[int, int]:
     """(N_alpha, N_ell); ConfigurationError naming truncation unless it is a
     pair of nonnegative integers with N_ell at most MAX_ELL and a table of
     (N_alpha + 1)(N_ell + 1) entries within MAX_POINTS."""
-    try:
-        N_alpha, N_ell = truncation
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"truncation must be a pair of orders, got {truncation!r}") from None
+    N_alpha, N_ell = as_array("truncation", truncation, 1, size=2).tolist()
     N_alpha, N_ell = as_integer("truncation orders", N_alpha, 0), as_integer("truncation orders", N_ell, 0, MAX_ELL)
     check_points("truncation", (N_alpha + 1) * (N_ell + 1))
     return N_alpha, N_ell
@@ -894,10 +890,7 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
         width, inner_key = rho, "rho_inner"
         samples, weight = _strip_samples, (lambda w: 1.0)
     else:
-        try:
-            width, r = pencil
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"pencil must be a pair (sigma, r), got {pencil!r}") from None
+        width, r = as_array("pencil", pencil, 1, size=2).tolist()
         check_positive(sigma=width, r=r)
         inner_key = "sigma_inner"
         samples, weight = (lambda s: _pencil_samples(s, r)), (lambda w: w / (1.0 + w))

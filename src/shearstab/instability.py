@@ -42,6 +42,7 @@ from .errors import (
     NumericalError,
     ResonanceError,
     WindowError,
+    as_array,
     as_integer,
     check_finite,
     check_points,
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .genfunc import _gen_eval
 from .profiles import TORUS, ShearProfile, solve_ivp
-from .resolvent import duhamel_term  # noqa: F401  (re-exported: phi_i is a Duhamel integral)
+from .resolvent import _square_matrix, _vector_for, duhamel_term  # noqa: F401  (duhamel_term is re-exported)
 from .spectral import brentq
 
 MAJORANT_TOL = 1e-10       # slack of the majorant inequality and of K's monotonicity
@@ -121,22 +122,20 @@ def ode_bootstrap(
     The escape time is the first crossing of sigma0 by max |phi_app| among
     the integrator's own steps and t_grid, whose values exist without dense
     output, refined by Brent's method on the dense output inside that one
-    bracket.  ConfigurationError, naming the argument, unless epsilon is
-    one number in (0, 1), N an integer of at least 2 and (v0, growth_rate)
-    a finite eigenpair of A with Re(growth_rate) > 0.
+    bracket.  ConfigurationError, naming the argument, unless epsilon is one
+    number in (0, 1), N an integer of at least 2, (v0, growth_rate) a finite
+    eigenpair of the square A with Re(growth_rate) > 0 and t_grid increasing.
     """
     check_real(epsilon=epsilon)
     check_scalar(growth_rate=growth_rate)
     # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
     if not (0 < epsilon < 1):
         raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
-    lam = complex(growth_rate)
+    A = _square_matrix(A)
+    v0 = _vector_for(A, "v0", v0)
     d = v0.size
-    if A.shape != (d, d):
-        raise ConfigurationError("A and v0 have incompatible shapes")
-    check_finite(A=A, v0=v0, growth_rate=lam)
+    lam = complex(growth_rate)
+    check_finite(growth_rate=lam)
     N = as_integer("N", N, 2)
     if lam.real <= 0:
         raise ConfigurationError(f"growth_rate must have positive real part, got {growth_rate!r}")
@@ -146,28 +145,20 @@ def ode_bootstrap(
     v0 = v0 / scale
     pair_res = np.max(np.abs(A @ v0 - lam * v0))
     if pair_res > 1e-10:
-        raise ConfigurationError(
-            "eigenpair residual %.3e exceeds 1e-10; (v0, growth_rate) is not "
-            "an eigenpair of A" % pair_res
-        )
+        raise ConfigurationError(f"v0 and growth_rate are not an eigenpair of A: residual {pair_res:.3e} > 1e-10")
     # energy growth constant: the largest eigenvalue of the symmetric part
     mu = float(np.max(np.linalg.eigvalsh(0.5 * (A + A.conj().T))))
     if 2 * (N + 1) * lam.real <= mu:
-        raise ConfigurationError(
-            "order N too small: need 2(N+1) Re(lambda) > energy constant %.3g" % mu
-        )
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
-            or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
-        raise ConfigurationError("t_grid must be finite, increasing and nonnegative")
+        raise ConfigurationError(f"order N too small: need 2(N+1) Re(lambda) > energy constant {mu:.3g}")
+    t_grid = as_array("t_grid", t_grid, 1)
+    if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
+        raise ConfigurationError("t_grid must be finite, increasing and nonnegative, with at least 2 points")
     t_max = float(t_grid[-1])
     # the truncation residual multiplies psi_N ~ e^{N Re(lambda) t} by itself
     t_limit = np.log(np.finfo(float).max) / (2 * N * lam.real)
     if t_max > t_limit:
-        raise ConfigurationError(
-            f"t_grid ends at {t_max:.6g}, past {t_limit:.6g}, where psi_{N}^2 ~ "
-            f"exp(2 N Re(lambda) t) overflows"
-        )
+        raise ConfigurationError(f"t_grid ends at {t_max:.6g}, past {t_limit:.6g}, where psi_{N}^2 ~ "
+                                 "exp(2 N Re(lambda) t) overflows")
 
     n_extra = N - 1  # orders 2..N are integrated
     # every pair (j, k) with j + k = i as 0-based term indices, grouped by
@@ -449,17 +440,20 @@ class HopfSeries:
 def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
     """Solve (n-1) alpha u_n = - sum_{1<=k<=n-1} u_k d_z u_{n-k} exactly.
 
-    ``u1`` maps Fourier mode numbers to coefficients (cos z is
-    {1: 0.5, -1: 0.5}); a mode number or an N that is not an integer, a
-    coefficient that is not finite, or a table of N (2 N max|m| + 1) entries
-    past MAX_POINTS raises ConfigurationError.  The arithmetic is exact on
+    ``u1`` maps Fourier mode numbers to coefficients (cos z is {1: 0.5, -1: 0.5});
+    a u1 that is not a mapping, a mode number or an N that is not an integer, a
+    coefficient that is not one finite number, or a table of N (2 N max|m| + 1)
+    entries past MAX_POINTS raises ConfigurationError.  The arithmetic is exact on
     trigonometric polynomials; mode support grows linearly with n, so the
     table on -N max|m|..N max|m| truncates nothing.  A term whose coefficients
     overflow raises NumericalError naming its order.
     """
     check_positive(alpha=alpha)
     N = as_integer("N", N, 1)
-    first = {as_integer("u1 mode number", m, -MAX_POINTS): complex(v) for m, v in dict(u1).items() if v != 0}
+    if not isinstance(u1, Mapping):
+        raise ConfigurationError(f"u1 must be a mapping of mode numbers to coefficients, got {u1!r}")
+    check_scalar(**{f"u1[{m!r}]": v for m, v in u1.items()})
+    first = {as_integer("u1 mode number", m, -MAX_POINTS): complex(v) for m, v in u1.items() if v != 0}
     check_finite(u1=list(first.values()))
     K = N * max(map(abs, first), default=0)
     check_points("N", N * (2 * K + 1))

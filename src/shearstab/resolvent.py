@@ -47,6 +47,7 @@ from .errors import (
     NumericalError,
     QuadratureError,
     RegionError,
+    as_array,
     as_integer,
     check_finite,
     check_points,
@@ -121,12 +122,19 @@ def _three_segment_nodes(P, B, ray_len, n):
 
 
 def _square_matrix(A) -> np.ndarray:
-    """A as a complex 2-D array; ConfigurationError unless it is non-empty, square and finite."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+    """A as a finite, non-empty, square complex matrix, else ConfigurationError."""
+    A = as_array("A", A, 2, real=False)
+    if A.shape[0] != A.shape[1] or A.size == 0:
         raise ConfigurationError(f"A must be a non-empty square matrix, got shape {A.shape}")
-    check_finite(A=A)
     return A
+
+
+def _vector_for(A, name, value) -> np.ndarray:
+    """``value`` as a finite complex vector of the order of A, else ConfigurationError."""
+    v = as_array(name, value, 1, real=False)
+    if v.size != A.shape[0]:
+        raise ConfigurationError(f"{name} must have length {A.shape[0]}, the order of A, got shape {v.shape}")
+    return v
 
 
 def semigroup_apply(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
@@ -142,10 +150,7 @@ def semigroup_apply(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     t one finite, nonnegative number (else ConfigurationError).
     """
     A = _square_matrix(A)
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (A.shape[0],):
-        raise ConfigurationError(f"x0 must have length {A.shape[0]}, got shape {x0.shape}")
-    check_finite(x0=x0)
+    x0 = _vector_for(A, "x0", x0)
     check_real(t=t)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")
@@ -181,8 +186,8 @@ def duhamel_term(
 
     Gauss-Legendre nodes on [0, t] are doubled from 8 to at most 512 until
     two passes agree to 1e-10 relative; each propagator is a
-    ``semigroup_apply``, on the contour of its own (t - tau) A.  t must be
-    one finite, nonnegative number (else ConfigurationError naming it).
+    ``semigroup_apply``, on the contour of its own (t - tau) A.  t must be one
+    finite, nonnegative number and forcing(tau) a vector of the order of A (else ConfigurationError).
     """
     A = _square_matrix(A)
     check_real(t=t)
@@ -193,7 +198,8 @@ def duhamel_term(
 
     def one_pass(n):
         tau, wt = gauss_nodes(0.0, t, n)
-        return sum(wi * semigroup_apply(A, forcing(ti), t - ti) for ti, wi in zip(tau, wt))
+        values = (_vector_for(A, f"forcing({ti:.6g})", forcing(ti)) for ti in tau)
+        return sum(wi * semigroup_apply(A, f, t - ti) for ti, wi, f in zip(tau, wt, values))
 
     return refine(one_pass, 8, _agree(0.0), "Duhamel quadrature", 7)
 
@@ -429,11 +435,7 @@ def evans_locate(
     spectrum raises EssentialSpectrumError and one on a zero RegionError,
     each naming it.
     """
-    try:
-        re_lo, re_hi, im_lo, im_hi = region
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"region must be a rectangle (re_lo, re_hi, im_lo, im_hi), got {region!r}") from None
-    check_finite(region=region)
+    re_lo, re_hi, im_lo, im_hi = region = tuple(as_array("region", region, 1, size=4).tolist())
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ConfigurationError(f"region {region} must have re_lo < re_hi and im_lo < im_hi")
     check_positive(nu=nu, x_far=x_far)

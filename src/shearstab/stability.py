@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .errors import (
     CriticalLayerError,
     NumericalError,
     WindowError,
+    as_array,
     as_integer,
     check_finite,
     check_positive,
@@ -607,20 +608,10 @@ def _edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
     return brentq(growth, *sorted((a_stable, a_unstable)), xtol=xtol)
 
 
-def _finite_pair(name, window, labels):
-    """``window`` as two finite floats, else ConfigurationError naming ``name``."""
-    try:
-        lo, hi = map(float, window)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{name} must be a pair {labels}, got {window!r}") from None
-    check_finite(**{name: (lo, hi)})
-    return lo, hi
-
-
 def neutral_curve(
     profile: ShearProfile,
-    Re_list,
-    alpha_window,
+    Re_list: Sequence[float],
+    alpha_window: tuple[float, float],
     N: int,
     map_scale: float = 2.0,
     n_scan: int = 16,
@@ -628,9 +619,9 @@ def neutral_curve(
 ) -> tuple[NeutralBranch, NeutralBranch]:
     """Lower/upper marginal branches alpha(Re) where max Im(c) crosses zero.
 
-    Each Re in ``Re_list`` is scanned over ``alpha_window`` at ``n_scan``
-    points, an integer of at least 3 (a band needs a point inside it and
-    one each side); the window must be a finite pair.
+    Each Re in the ascending list ``Re_list`` is scanned over ``alpha_window``,
+    a finite pair, at ``n_scan`` points, an integer of at least 3 (a band
+    needs a point inside it and one each side).
     A scan point computes eigenvalues only; the raw ones with Im c > 0 get
     eigenvectors by inverse iteration and go through the gates of
     ``os_spectrum`` in descending Im c, and the first accepted one leads.
@@ -653,10 +644,10 @@ def neutral_curve(
     window; its message traces the scan, each alpha with its leader's Im c
     or "stable".
     """
-    Re_list = [float(r) for r in Re_list]
+    Re_list = as_array("Re_list", Re_list, 1).tolist()
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
-    a_lo, a_hi = _finite_pair("alpha_window", alpha_window, "(alpha_lo, alpha_hi)")
+    a_lo, a_hi = as_array("alpha_window", alpha_window, 1, size=2).tolist()
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha_window must be positive and increasing")
     check_positive(alpha_tol=alpha_tol)
@@ -690,20 +681,22 @@ def neutral_curve(
     return lower, upper
 
 
-def fit_exponents(branch: NeutralBranch, Re_window) -> tuple[float, float, float]:
+def fit_exponents(branch: NeutralBranch, Re_window: tuple[float, float]) -> tuple[float, float, float]:
     """Least-squares slope/intercept of log alpha vs log Re inside a window.
 
-    Returns (slope, intercept, r2).  ConfigurationError naming Re_window
-    unless it is a pair of finite numbers holding at least 4 points of branch.
+    Returns (slope, intercept, r2).  ConfigurationError naming Re_window unless
+    it is a finite pair holding at least 4 points of branch, each with a
+    finite, positive Re and alpha (else naming branch).
     """
-    r_lo, r_hi = _finite_pair("Re_window", Re_window, "(Re_lo, Re_hi)")
+    r_lo, r_hi = as_array("Re_window", Re_window, 1, size=2).tolist()
     pts = [(re, a) for re, a in branch.points if r_lo <= re <= r_hi]
     if len(pts) < 4:
-        raise ConfigurationError(
-            f"Re_window [{r_lo:g}, {r_hi:g}] holds {len(pts)} points of branch; a fit needs at least 4"
-        )
-    x = np.log(np.array([re for re, _ in pts]))
-    y = np.log(np.array([a for _, a in pts]))
+        raise ConfigurationError(f"Re_window [{r_lo:g}, {r_hi:g}] holds {len(pts)} points of branch; "
+                                 "a fit needs at least 4")
+    pts = as_array("branch", pts, 2)
+    if not np.all(pts > 0):
+        raise ConfigurationError(f"branch points need Re, alpha > 0, got {pts[np.min(pts, 1) <= 0][0].tolist()}")
+    x, y = np.log(pts).T
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = np.sum((y - y.mean()) ** 2)

@@ -182,6 +182,9 @@ class TestInputLimits:
         (["instability", "--mode", "hopf", "--alpha", "1e-20"], 3, "majorant residual alpha G_t - G G_z"),
         (["instability", "--mode", "bootstrap", "--t", "1e300"], 2, "t_grid ends at 1e+300, past 70.9783"),
         (["instability", "--mode", "bootstrap", "--t", "100"], 2, "t_grid ends at 100, past 70.9783"),
+        # a map scale whose wall-derivative row underflows
+        (["neutral-curve", "--profile", "exponential", "--re", "1e5:1e6:2", "--alpha", "0.05:0.3", "--n", "48",
+          "--map-scale", "1e300"], 2, "the boundary row at node 47 has norm 0"),
     ])
     def test_one_line_error(self, args, code, message):
         # bootstrap epsilon inf and 1e300 exited 1 with a traceback from

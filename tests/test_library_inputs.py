@@ -6,6 +6,7 @@ import multiprocessing
 import re
 import signal
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from shearstab.errors import ConfigurationError, ShearStabError
 from shearstab.genfunc import (
     BLNormParams,
     FourierMode,
+    GenSeries,
     bl_norm,
+    divfree_bilinear,
     elliptic_gen_estimate,
     exp,
     gen_series,
@@ -33,7 +36,7 @@ from shearstab.instability import (
     ode_bootstrap,
     riccati_exact,
 )
-from shearstab.profiles import blasius_solve, make_profile
+from shearstab.profiles import ShearProfile, blasius_solve, make_profile
 from shearstab.resolvent import (
     duhamel_term,
     evans_det,
@@ -258,6 +261,30 @@ BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_gri
     *(pytest.param(lambda window=window: fit_exponents(BRANCH, window), "Re_window",
                    id=f"fit_exponents-Re_window{window!r}")
       for window in (0.5, (np.nan, 1e6), (1e5, 1e6, 1e7))),
+    # TypeError from isfinite (region), ValueError from a float or complex
+    # conversion (t_grid, A, x0, u1, Re_list), TypeError from iterating or
+    # from dict() (Re_list, u1), and a NaN table accepted (coeffs)
+    pytest.param(lambda: evans_locate(sech2, ("a", "b", "c", "d")), "region", id="evans_locate-region_strings"),
+    pytest.param(lambda: evans_locate(sech2, [0.5, 1.5, -0.4, None]), "region", id="evans_locate-region_None"),
+    *(pytest.param(lambda kw=kw: ode_bootstrap(**{**BOOT, "growth_rate": 1.0, "epsilon": 1e-3, "N": 3, **kw}),
+                   next(iter(kw)), id=f"ode_bootstrap-{next(iter(kw))}_abc")
+      for kw in ({"t_grid": "abc"}, {"A": "abc"})),
+    pytest.param(lambda: semigroup_apply(-np.eye(2), "abc", 1), "x0", id="semigroup_apply-x0_abc"),
+    *(pytest.param(lambda u1=u1: hopf_series(u1, 1, 3), "u1", id=f"hopf_series-u1{u1!r}")
+      for u1 in (None, [1, 2], {1: "abc"})),
+    *(pytest.param(lambda Re_list=Re_list: neutral_curve(POISEUILLE, Re_list, (0.8, 1.2), 16), "Re_list",
+                   id=f"neutral_curve-Re_list{Re_list!r}") for Re_list in (None, ["abc"], 5000.0)),
+    pytest.param(lambda: GenSeries([[np.nan]]), "coeffs", id="GenSeries-coeffs_nan"),
+    # blamed x0, which the call does not pass, and numpy's ValueError
+    *(pytest.param(lambda value=value: duhamel_term(-np.eye(2), lambda tau: value, 1.0), "forcing",
+                   id=f"duhamel_term-forcing_{tag}") for tag, value in (("ones3", np.ones(3)), ("abc", "abc"))),
+    # NaN alphas returned (nan, nan, 1.0), an r2 of 1 for no fit, and alpha
+    # -1 raised numpy's invalid-value RuntimeWarning from the log
+    *(pytest.param(lambda alpha=alpha: fit_exponents(NeutralBranch([(re, alpha) for re, _ in BRANCH.points], "lower"),
+                                                     (1e4, 1e6)), "branch", id=f"fit_exponents-branch_alpha{alpha}")
+      for alpha in (np.nan, -1.0)),
+    # a complex time where a real one is due: Python's TypeError from a comparison
+    pytest.param(lambda: semigroup_apply(-np.eye(2), np.ones(2), 1 + 1j), "t", id="semigroup_apply-t_complex"),
 ])
 def test_invalid_argument_is_typed(call, name):
     # each call runs in a child process that a time limit stops, so a check
@@ -327,11 +354,17 @@ def test_integral_float_mode_numbers_are_accepted():
 # complex number where a real one may be: errors' helpers, not the call
 # sites, reject them
 SWEEP = [np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.5, 1e300, 5e-324, np.array([1.0, 2.0]), 1 + 1j, "abc", None]
+# every array or mapping argument, set in turn to each of these: None, a
+# string, one number, no entries, a NaN entry, strings and a 1 x 2 nesting,
+# which errors.as_array reads (one number and the nesting are a valid matrix)
+ARRAY_SWEEP = [None, "abc", 1.0, [], [np.nan, 1.0], ["a", "b"], [[1.0, 2.0]]]
 GRID = build_grid(24, "channel")
 SERIES = hopf_series(COS, 1.0, 4)
 
 # name -> (callable, keyword arguments of one valid call); every keyword
-# whose value is an int, a float or a complex is swept
+# whose value is an int, a float or a complex is swept over SWEEP, and every
+# one whose value is a mapping or a non-empty numeric array, list or tuple
+# over ARRAY_SWEEP
 TEMPLATES = {
     "BLNormParams": (BLNormParams, dict(delta=0.05)),
     "BLNormParams.from_viscosity": (BLNormParams.from_viscosity, dict(nu=1e-4, gamma0=1.0)),
@@ -342,6 +375,11 @@ TEMPLATES = {
     "elliptic_gen_estimate": (elliptic_gen_estimate, dict(omega_modes=ELL_MODES, params=PARAMS, z2_max=0.1,
                                                           truncation=(1, 2))),
     "strip_norms": (strip_norms, dict(f=lambda z: np.exp(1j * z), rho=0.5)),
+    "strip_norms pencil": (strip_norms, dict(f=lambda z: np.exp(1j * z), pencil=(0.5, 2.0))),
+    "GenSeries": (GenSeries, dict(coeffs=np.ones((2, 3)))),
+    "gen_series": (gen_series, dict(modes=ELL_MODES, params=PARAMS, truncation=(1, 2))),
+    "divfree_bilinear": (divfree_bilinear, dict(u_modes=[], v_modes=[], g_modes=[], params=PARAMS,
+                                                truncation=(1, 2))),
     "BootstrapResult": (BootstrapResult, dict(t_grid=np.zeros(2), terms=(), C=(), sigma=1.0, sigma0=0.1, T1=1.0,
                                               approx=np.zeros(2), residual=np.zeros(2), residual_slope=1.0,
                                               escape_time=1.0, energy_constant=1.0)),
@@ -355,6 +393,8 @@ TEMPLATES = {
     "euler_series": (euler_series, dict(profile=make_profile("kolmogorov"), N=2, modes=8)),
     "blasius_solve": (blasius_solve, dict(tolerance=1e-8)),
     "make_profile": (make_profile, dict(kind="tanh", z0=1.0)),
+    "ShearProfile": (ShearProfile, dict(kind=POISEUILLE.kind, domain=POISEUILLE.domain, U=POISEUILLE.U,
+                                        dU=POISEUILLE.dU, d2U=POISEUILLE.d2U, params={})),
     "semigroup_apply": (semigroup_apply, dict(A=-np.eye(2), x0=np.ones(2), t=1.0)),
     "duhamel_term": (duhamel_term, dict(A=-np.eye(2), forcing=lambda tau: np.ones(2), t=1.0)),
     "heat_green": (heat_green, dict(t=1.0, x=0.3, z=0.0, nu=1.0)),
@@ -373,6 +413,8 @@ TEMPLATES = {
     "max_growth_rate": (max_growth_rate, dict(profile=POISEUILLE, alpha=1.0, Re=100.0, grid=GRID)),
     "neutral_curve": (neutral_curve, dict(profile=POISEUILLE, Re_list=[100.0], alpha_window=(0.8, 1.2), N=16,
                                           map_scale=2.0, n_scan=3, alpha_tol=1e-4)),
+    "NeutralBranch": (NeutralBranch, dict(points=BRANCH.points, side="lower", subcritical_Re=[])),
+    "fit_exponents": (fit_exponents, dict(branch=BRANCH, Re_window=(1e4, 1e6))),
 }
 
 
@@ -380,18 +422,27 @@ def _is_scalar(value):
     return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
 
 
+def _is_array(value):
+    # an empty list is no evidence of numbers: the mode lists of divfree_bilinear
+    return isinstance(value, Mapping) or (isinstance(value, (list, tuple, np.ndarray))
+                                          and np.size(value) > 0 and np.asarray(value).dtype.kind in "biufc")
+
+
 def _contract_cases():
     return [pytest.param(name, arg, value, id=f"{name}-{arg}={value!r}")
             for name, (_, kwargs) in TEMPLATES.items()
-            for arg in kwargs if _is_scalar(kwargs[arg]) for value in SWEEP]
+            for arg in kwargs
+            for value in (SWEEP if _is_scalar(kwargs[arg]) else ARRAY_SWEEP if _is_array(kwargs[arg]) else ())]
 
 
 def test_templates_cover_the_public_api():
     # every name of shearstab.__all__ with a parameter annotated or defaulted
-    # as a number has a template, and every template's valid call returns
+    # as a number, an array, a sequence or a mapping has a template, and
+    # every template's valid call returns
     def numeric(param):
-        kind = str(param.annotation).split(" ")[0]
-        return kind in ("int", "float", "complex") or _is_scalar(param.default)
+        kind = re.split(r"[\[ |]", str(param.annotation))[0]
+        return (kind in ("int", "float", "complex", "np.ndarray", "tuple", "list", "dict", "Sequence", "Mapping")
+                or _is_scalar(param.default) or _is_array(param.default))
 
     public = {name for name in shearstab.__all__
               if any(map(numeric, inspect.signature(getattr(shearstab, name)).parameters.values()))}

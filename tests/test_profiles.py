@@ -118,8 +118,9 @@ class TestBlasius:
         for got, ref in zip((blasius.U(z), blasius.dU(z), blasius.d2U(z)), want):
             assert np.max(np.abs(got - ref)) <= 1e-10
 
-    def test_far_field(self, blasius):
-        assert abs(blasius.U(10.0) - 1.0) < 1e-6
+    @pytest.mark.parametrize("eta, tol", [(10.0, 1e-6), (14.9, 1e-12)])
+    def test_far_field(self, blasius, eta, tol):
+        assert abs(blasius.U(eta) - 1.0) <= tol
 
     def test_wall_values(self, blasius):
         assert blasius.U(0.0) == pytest.approx(0.0, abs=1e-12)

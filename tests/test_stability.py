@@ -233,12 +233,28 @@ class TestOrrSommerfeld:
         assert caught == []
 
     @pytest.mark.filterwarnings("ignore:N=200 below resolution guidance")
-    @pytest.mark.parametrize("N", [200, 320, 480])
-    def test_re1e7_mode_kept(self, N):
+    @pytest.mark.parametrize("kind, alpha, Re, N, leader, tol", [
         # the unstable Poiseuille mode at Re = 1e7, alpha = 0.25 must survive
         # every resolution, not only the N = 200 and 320 that resolve it
-        sol = os_spectrum(make_profile("poiseuille"), 0.25, 1e7, build_grid(N, CHANNEL))
-        assert abs(sol.eigenvalues[0] - (0.0301697 + 0.00192359j)) <= 1e-6
+        *(pytest.param("poiseuille", 0.25, 1e7, N, 0.0301697 + 0.00192359j, 1e-6, id=f"poiseuille-Re1e7-N{N}")
+          for N in (200, 320, 480)),
+        # Orszag's leading eigenvalue, polished on the even half-order block
+        pytest.param("poiseuille", 1.0, 1e4, 128, 0.23752649 + 0.00373967j, 1e-7, id="poiseuille-Re1e4-N128"),
+        # a half-line leader, polished on the one block of the reduced pencil
+        # (N = 512 agrees to 4e-11)
+        pytest.param("tanh", 0.5, 1e6, 256, 0.67732175212 + 0.10743131916j, 1e-9, id="tanh-Re1e6-N256"),
+        # its inviscid limit on the real one-block Rayleigh path (N = 512
+        # agrees to 1.4e-11)
+        pytest.param("tanh", 0.5, None, 256, 0.67693478362 + 0.10764205527j, 1e-9, id="tanh-rayleigh-N256"),
+    ])
+    def test_unstable_leader(self, kind, alpha, Re, N, leader, tol):
+        # the leader is the one unstable mode, at its reference value; the
+        # half-line grid has the CLI's map scale, 4
+        p = make_profile(kind, z0=1.0) if kind == "tanh" else make_profile(kind)
+        grid = build_grid(N, p.domain, map_scale=4.0)
+        sol = os_spectrum(p, alpha, Re, grid) if Re else rayleigh_spectrum(p, alpha, grid)
+        assert abs(sol.eigenvalues[0] - leader) <= tol
+        assert sum(c.imag > 1e-6 for c in sol.eigenvalues) == 1
 
     @pytest.mark.parametrize("alpha", [0.15, 0.175, 0.2])
     def test_polish_kept_at_roundoff(self, alpha):
