@@ -639,30 +639,23 @@ def _greens_solve(alpha: int, f, y: np.ndarray):
     return phi, dphi
 
 
-def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True,
-                     refine: int = 0) -> dict:
+def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True) -> dict:
     """Solve d_y^2 phi - alpha^2 phi = f on the half line with phi(0) = 0.
 
     Returns the solution sampled on a layer-resolving grid together with the
     norm bundle alpha^2 ||phi||, |alpha| ||d_y phi||, and ||d_y^2 phi|| in
     the plain and (when requested) boundary-layer flavors.  Boundary-layer
-    estimates require |delta alpha^2| <= 1; alpha must be a nonzero integer.
-    ``refine``, a nonnegative integer, halves the grid spacing that many
-    times, as long as the grid stays within MAX_POINTS points (else
+    estimates require |delta alpha^2| <= 1; alpha must be a nonzero integer
+    whose grid stays within MAX_POINTS, |alpha| <= 124992 (else
     ConfigurationError, raised before the grid is built).
     """
     a = _wavenumber(alpha)
-    halvings = as_integer("refine", refine, 0)
     step = min(0.1, 0.5 / a)
-    # the grid has about (600 + Y_MAX / step) 2^refine points; 2^64 is past
-    # any limit and keeps the float power finite
-    check_points("refine", (600 + Y_MAX / step) * 2.0 ** min(halvings, 64))
+    check_points("alpha", 600 + Y_MAX / step)  # about the grid's points, 600 + 80 |alpha| from |alpha| = 5
     if with_bl and abs(params.delta * a**2) > 1.0:
-        raise ConfigurationError(
-            f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "
-            "boundary-layer estimate outside its admissible range"
-        )
-    y = sample_grid(params.delta, 200 * 2**halvings, max_step=step / 2**halvings)
+        raise ConfigurationError(f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "
+                                 "boundary-layer estimate outside its admissible range")
+    y = sample_grid(params.delta, 200, max_step=step)
     phi, dphi = _greens_solve(alpha, f, y)
     d2phi = np.asarray(f(y)) + a**2 * phi
     plain = _weighted_sup(y, np.stack([phi, dphi, d2phi]), [0, 0, 0], params, WITHOUT_BL)

@@ -370,11 +370,17 @@ class HopfSeries:
     u_t + u u_z = alpha u.  ``coeffs[n-1, K+m]`` is the coefficient of
     e^{i m z} in u_n on the modes -K..K, K = N max|m| over the modes of u_1,
     which holds every term exactly; ``terms`` gives the nonzero entries of
-    each row as a dict.  Grid values come from one exp(i m z) matrix on the
-    shared z-grid, built once per series."""
+    each row as a dict; grid values use one exp(i m z) matrix on _Z_GRID.
+    ConfigurationError unless alpha is positive and finite and coeffs finite."""
 
     alpha: float
     coeffs: np.ndarray
+
+    def __post_init__(self):
+        check_positive(alpha=self.alpha)
+        object.__setattr__(self, "coeffs", as_array("coeffs", self.coeffs, 2, real=False))
+        if self.coeffs.shape[1] % 2 == 0:
+            raise ConfigurationError(f"coeffs must have a column per mode -K..K, got shape {self.coeffs.shape}")
 
     @property
     def order(self) -> int:

@@ -503,7 +503,7 @@ def os_spectrum(
     return _solve_pencil(*_os_pencil(profile, alpha, Re, grid), alpha, Re)
 
 
-def max_growth_rate(profile, alpha, Re, grid) -> float:
+def max_growth_rate(profile: ShearProfile, alpha: float, Re: float, grid: SpectralDiscretization) -> float:
     """max Im(c) of the viscous spectrum; -1 when no mode passes the filters."""
     sol = os_spectrum(profile, alpha, Re, grid)
     # not the leader's: the ranking counts an Im c at rounding level as 0
@@ -684,16 +684,19 @@ def neutral_curve(
 def fit_exponents(branch: NeutralBranch, Re_window: tuple[float, float]) -> tuple[float, float, float]:
     """Least-squares slope/intercept of log alpha vs log Re inside a window.
 
-    Returns (slope, intercept, r2).  ConfigurationError naming Re_window unless
-    it is a finite pair holding at least 4 points of branch, each with a
-    finite, positive Re and alpha (else naming branch).
+    Returns (slope, intercept, r2).  ConfigurationError naming branch unless its
+    points are finite (Re, alpha) pairs, positive where fitted, and naming
+    Re_window unless it is a finite pair holding at least 4 of them.
     """
     r_lo, r_hi = as_array("Re_window", Re_window, 1, size=2).tolist()
-    pts = [(re, a) for re, a in branch.points if r_lo <= re <= r_hi]
+    pts = as_array("branch", branch.points, 2)
+    if pts.shape[1] not in (0, 2):  # no points reads as the shape (1, 0)
+        raise ConfigurationError(f"branch points must be (Re, alpha) pairs, got shape {pts.shape}")
+    pts = pts.reshape(-1, 2)
+    pts = pts[(r_lo <= pts[:, 0]) & (pts[:, 0] <= r_hi)]
     if len(pts) < 4:
         raise ConfigurationError(f"Re_window [{r_lo:g}, {r_hi:g}] holds {len(pts)} points of branch; "
                                  "a fit needs at least 4")
-    pts = as_array("branch", pts, 2)
     if not np.all(pts > 0):
         raise ConfigurationError(f"branch points need Re, alpha > 0, got {pts[np.min(pts, 1) <= 0][0].tolist()}")
     x, y = np.log(pts).T

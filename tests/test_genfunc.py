@@ -424,17 +424,18 @@ class TestLaplaceSolve:
         assert np.max(np.abs(res2["phi"] - 2.0 * res1["phi"])) < 1e-12
 
     def test_layer_source_constant_stable(self):
-        # one-derivative gain: |alpha| ||grad phi|| controlled by ||f||_{0,delta}
+        # a source of width delta, whose solution is the closed form
+        # phi = delta (e^{-y/delta} - e^{-y}) / (1 - delta^2); the default
+        # grid meets it to 5.7e-14 of the sup in phi and 6.7e-16 in phi'
         p = BLNormParams(delta=0.01)
         d = p.delta
         f = lambda y: np.exp(-y / d) / d
-        norm_f = bl_norm(f, 0, p, WITH_BL)
-        cs = []
-        for refine in (0, 1):
-            res = laplace_solve_1d(1, f, p, refine=refine)
-            grad = res["norms"]["a2_phi"] + res["norms"]["a_dphi"]
-            cs.append(grad / norm_f)
-        assert cs[0] == pytest.approx(cs[1], rel=1e-4)
+        res = laplace_solve_1d(1, f, p)
+        y = res["y"]
+        phi = d * (np.exp(-y / d) - np.exp(-y)) / (1.0 - d**2)
+        dphi = (d * np.exp(-y) - np.exp(-y / d)) / (1.0 - d**2)
+        for got, exact in ((res["phi"], phi), (res["dphi"], dphi)):
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_sup_bundle_uniform_in_alpha(self, params):
         f = lambda y: np.exp(-y) * np.cos(y)
