@@ -437,6 +437,31 @@ class TestLaplaceSolve:
         for got, exact in ((res["phi"], phi), (res["dphi"], dphi)):
             assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("alpha, delta", [(1, 0.05), (1, 0.2)] + [(alpha, delta) for alpha in (2, -3, 16, 64)
+                                                                     for delta in (0.01, 0.05, 0.2)])
+    def test_layer_source_closed_form(self, alpha, delta):
+        # the same source at any wavenumber a = |alpha| with a delta != 1:
+        # phi = delta (e^{-y/delta} - e^{-a y}) / (1 - a^2 delta^2), and the
+        # grid, which refines with a, meets it to 1e-13 of the sup
+        a = abs(alpha)
+        res = laplace_solve_1d(alpha, lambda y: np.exp(-y / delta) / delta, BLNormParams(delta=delta), with_bl=False)
+        y = res["y"]
+        phi = delta * (np.exp(-y / delta) - np.exp(-a * y)) / (1.0 - (a * delta) ** 2)
+        dphi = (a * delta * np.exp(-a * y) - np.exp(-y / delta)) / (1.0 - (a * delta) ** 2)
+        for got, exact in ((res["phi"], phi), (res["dphi"], dphi)):
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("alpha", [2, 5, 10, 20])
+    def test_layer_source_at_resonance(self, alpha):
+        # a delta = 1: the source e^{-a y} / delta solves to phi = -y e^{-a y} / 2
+        delta = 1.0 / alpha
+        res = laplace_solve_1d(alpha, lambda y: np.exp(-y / delta) / delta, BLNormParams(delta=delta), with_bl=False)
+        y = res["y"]
+        phi = -0.5 * y * np.exp(-alpha * y)
+        dphi = -0.5 * (1.0 - alpha * y) * np.exp(-alpha * y)
+        for got, exact in ((res["phi"], phi), (res["dphi"], dphi)):
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
     def test_sup_bundle_uniform_in_alpha(self, params):
         f = lambda y: np.exp(-y) * np.cos(y)
         norm_f = bl_norm(f, 0, params, WITHOUT_BL)

@@ -426,6 +426,16 @@ class TestHopfSeries:
         s = hopf_series(u1, 0.7, 10)
         assert all(0 not in t for t in s.terms[1:])
 
+    @pytest.mark.parametrize("form", [np.array, lambda c: c.tolist(), lambda c: tuple(map(tuple, c))])
+    def test_record_reads_the_table_exactly(self, form):
+        # the record reads its table as a complex array: the series' own
+        # table, as an array, nested lists or nested tuples, is kept bit for bit
+        s = hopf_series({1: 0.3, -1: 0.3, 2: 0.1j, -2: -0.1j}, 0.7, 10)
+        rebuilt = instability.HopfSeries(s.alpha, form(s.coeffs))
+        assert rebuilt.coeffs.dtype == s.coeffs.dtype
+        assert np.array_equal(rebuilt.coeffs, s.coeffs)
+        assert rebuilt.terms == s.terms
+
     def test_cos_parity_support(self):
         # u_n of cos z only has modes of the parity of n, exactly
         s = hopf_series(COS, 1.0, 20)

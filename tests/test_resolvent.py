@@ -262,6 +262,22 @@ class TestHeatGreen:
                 assert val <= exact + 1e-9  # Gaussian upper bound
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("t, x, z, nu", [
+        (1.0, 10.0, 0.0, 1.0), (0.01, 2.0, 0.5, 1.0), (1e-3, 1.0, 0.0, 0.5), (50.0, 0.0, 300.0, 2.0),
+        (0.1, 12.0, 0.0, 1.0), (1e3, 1.0, 0.0, 1e-6), (1e-6, 0.0, 1e-3, 1.0),
+    ])
+    def test_far_tail_matches_gaussian(self, t, x, z, nu):
+        # d^2 / (4 nu t) from 0.25 to 500: the truncation at K drops at most
+        # e^{-37} of the value, so the kernel holds its relative accuracy
+        # deep in the tail with no tail check
+        exact = np.exp(-(x - z) ** 2 / (4 * nu * t)) / np.sqrt(4 * np.pi * nu * t)
+        assert heat_green(t, x, z, nu) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("t, x, z, nu", [(2.0, -30.0, 5.0, 0.1), (1e-4, 0.5, -0.5, 1e-2)])
+    def test_underflowed_tail_is_zero(self, t, x, z, nu):
+        # past d^2 / (4 nu t) = 745 the kernel is below the least double
+        assert heat_green(t, x, z, nu) == 0.0
+
     def test_imag_residue_small(self, monkeypatch):
         # the residue vanishes by symmetry, so the value passes the check ...
         assert heat_green(0.5, 1.0, 0.0, 0.3) == pytest.approx(

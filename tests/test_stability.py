@@ -810,6 +810,19 @@ class TestFitExponents:
         assert intercept == pytest.approx(np.log(3.0), abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("form", [lambda p: [list(q) for q in p], np.array, tuple])
+    def test_points_in_any_nesting(self, form):
+        # the points are read as one (n, 2) array: pairs given as lists, one
+        # array or a tuple fit to the same bits as the list of tuples
+        re = np.geomspace(1e4, 1e6, 8)
+        points = [(r, 3.0 * r ** (-1.0 / 7.0)) for r in re]
+        want = fit_exponents(NeutralBranch(points, "lower"), (1e4, 1e6))
+        assert fit_exponents(NeutralBranch(form(points), "lower"), (1e4, 1e6)) == want
+
+    def test_empty_branch_holds_no_points(self):
+        with pytest.raises(ConfigurationError, match=r"holds 0 points of branch"):
+            fit_exponents(NeutralBranch([], "lower"), (1e4, 1e6))
+
     def test_insufficient_points(self):
         br = NeutralBranch([(1e4, 0.5), (2e4, 0.4), (4e4, 0.3)], "lower")
         with pytest.raises(ConfigurationError):
