@@ -6,7 +6,9 @@ These helpers decide what a valid argument is: counts through
 ``as_integer`` with their minimum and cap, arrays through ``as_array``,
 finite numbers through ``check_finite``, one number through ``check_scalar``,
 one real number through ``check_real``, one positive, finite number through
-``check_positive``, and sizes through ``check_points`` before anything is allocated.
+``check_positive``, sizes through ``check_points`` before anything is allocated,
+and records (profiles, grids, parameter sets, series, branches) through
+``check_record``.
 """
 
 import math
@@ -138,3 +140,10 @@ def check_points(name, count):
     Called with a count formed in Python, before anything is allocated."""
     if not count <= MAX_POINTS:
         raise ConfigurationError(f"{name} asks for more than {MAX_POINTS:.0e} points, the limit of any grid or table")
+
+
+def check_record(name, value, cls):
+    """ConfigurationError naming ``name`` unless ``value`` is a ``cls``, the
+    record whose fields the caller reads."""
+    if not isinstance(value, cls):
+        raise ConfigurationError(f"{name} must be a {cls.__name__}, got {value!r:.60}")

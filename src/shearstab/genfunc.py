@@ -54,6 +54,7 @@ from .errors import (
     check_finite,
     check_points,
     check_positive,
+    check_record,
 )
 from .spectral import legendre_rule, refine
 
@@ -184,6 +185,7 @@ def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
     """
     _check_flavor(flavor)
     ell = as_integer("ell", ell, 0)
+    check_record("params", params, BLNormParams)
     return float(_refined_sup(lambda y: np.asarray(f(y))[None], [ell], params, flavor)[0])
 
 
@@ -522,6 +524,7 @@ def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor:
     ``_truncation_orders``."""
     _check_flavor(flavor)
     N_alpha, N_ell = _truncation_orders(truncation)
+    check_record("params", params, BLNormParams)
     coeffs = np.zeros((N_alpha + 1, N_ell + 1))
     for m in modes:
         w = abs(m.alpha)
@@ -652,6 +655,7 @@ def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True) 
     a = _wavenumber(alpha)
     step = min(0.1, 0.5 / a)
     check_points("alpha", 600 + Y_MAX / step)  # about the grid's points, 600 + 80 |alpha| from |alpha| = 5
+    check_record("params", params, BLNormParams)
     if with_bl and abs(params.delta * a**2) > 1.0:
         raise ConfigurationError(f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "
                                  "boundary-layer estimate outside its admissible range")
@@ -712,6 +716,7 @@ def elliptic_gen_estimate(omega_modes, params: BLNormParams, z2_max: float, trun
     check_positive(z2_max=z2_max)
     N_alpha, N_ell = _truncation_orders(truncation)
     modes = list(omega_modes)
+    check_record("params", params, BLNormParams)
     for m in modes:
         if abs(params.delta * m.alpha**2) > 1.0:
             raise ConfigurationError(
@@ -796,6 +801,7 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
     composing the parents' jet functions.
     """
     N_alpha, N_ell = _truncation_orders(truncation)
+    check_record("params", params, BLNormParams)
     yc = sample_grid(params.delta)     # yc[0] = 0 is the wall
     u_by_alpha = {m.alpha: m for m in u_modes}
     for mv in v_modes:

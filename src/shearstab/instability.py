@@ -22,7 +22,7 @@ small amplitude epsilon whose terms grow like e^{n lambda t}:
 - ``euler_series``: the truncated instability series of the 2D Euler
   equations about a periodic shear flow (Kolmogorov type), with each term
   obtained from one stacked solve over the x-wavenumber blocks of a
-  Fourier-Galerkin discretization.
+  Fourier-Galerkin discretization, its forcing from one call of Q.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     check_points,
     check_positive,
     check_real,
+    check_record,
     check_scalar,
 )
 from .genfunc import _gen_eval
@@ -409,16 +410,13 @@ class HopfSeries:
     def sup_ratio(self) -> float:
         """Bound R on the sup-norm ratios |u_{n+1}| / |u_n|, n >= 5; the
         series converges for e^{alpha t} < 1/R."""
-        norms = [self.sup_norm(n) for n in range(1, self.order + 1)]
-        ratios = [
-            norms[n] / norms[n - 1]
-            for n in range(5, self.order)
-            if norms[n - 1] > 0
-        ]
-        if not ratios:
+        norms = np.max(np.abs(self._exp_grid @ self.coeffs.T), axis=0)
+        prev = norms[4:-1]
+        ratios = norms[5:][prev > 0] / prev[prev > 0]
+        if not ratios.size:
             raise ConfigurationError(f"the series of order {self.order} has not enough nonzero terms "
                                      "for a ratio estimate")
-        return float(max(ratios))
+        return float(np.max(ratios))
 
     def recurrence_residual(self, n: int) -> float:
         """sup |(n-1) alpha u_n + sum_k u_k d_z u_{n-k}| from exact coefficients."""
@@ -477,16 +475,11 @@ def hopf_series(u1: Mapping[int, complex], alpha: float, N: int) -> HopfSeries:
 
 
 def _gen_tables(table: np.ndarray):
-    """Coefficient tables of dG_N/dt and dG_N/dz for ``_gen_eval``.
-
-    The t-derivative moves row k of the generator table up by one with the
-    factor k-1, the z-derivative moves every row left by one column."""
-    N = table.shape[0]
-    table_t = np.zeros((N, N))
-    table_t[:-1] = np.arange(1, N)[:, None] * table[1:]
-    table_z = np.zeros((N, N))
-    table_z[:, :-1] = table[:, 1:]
-    return table_t, table_z
+    """Coefficient tables of dG_N/dt and dG_N/dz for ``_gen_eval``: the
+    t-derivative moves row k of the generator table up by one with the factor
+    k-1, the z-derivative every row left by one column, and neither keeps the
+    row or column that the shift empties."""
+    return np.arange(1, table.shape[0])[:, None] * table[1:], table[:, 1:]
 
 
 def hopf_majorant(
@@ -514,8 +507,9 @@ def hopf_majorant(
     are the same contraction of the table shifted by one row with the
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
     characteristics advance together as one vector RK4 over all n_steps,
-    each independently of the others, and each path ends before its first
-    step out of the window through z = 0 (x < 0).  eta0 and t_max must be
+    each independently of the others, K is evaluated on all of them by one
+    ``_gen_eval``, and each path ends before its first step out of the
+    window through z = 0 (x < 0).  eta0 and t_max must be
     positive and finite, ``n_characteristics`` and ``n_steps`` positive
     integers, and the (n_steps + 1) x n_characteristics paths at most
     ``errors.MAX_POINTS`` entries (else ConfigurationError, raised before
@@ -524,6 +518,7 @@ def hopf_majorant(
     n_characteristics = as_integer("n_characteristics", n_characteristics, 1)
     n_steps = as_integer("n_steps", n_steps, 1)
     check_points("n_steps", (n_steps + 1) * n_characteristics)
+    check_record("series", series, HopfSeries)
     N = series.order
     alpha = series.alpha
 
@@ -574,9 +569,7 @@ def hopf_majorant(
     dt = T_c / n_steps
     times = np.zeros(n_steps + 1)
     X = np.empty((n_steps + 1, n_characteristics))
-    K = np.empty_like(X)
     X[0] = np.linspace(eta0 / n_characteristics, eta0, n_characteristics)
-    K[0] = _gen_eval(table, 0.0, phi(0.0) * X[0])
     for i in range(1, n_steps + 1):
         t, x = times[i - 1], X[i - 1]
         k1 = xdot(t, x)
@@ -584,19 +577,12 @@ def hopf_majorant(
         k3 = xdot(t + 0.5 * dt, x + 0.5 * dt * k2)
         k4 = xdot(t + dt, x + dt * k3)
         times[i], X[i] = t + dt, x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        K[i] = _gen_eval(table, times[i], phi(times[i]) * X[i])
+    K = _gen_eval(table, times[:, None], phi(times)[:, None] * X)
     # each path ends before its first step out of the window through z = 0
-    left = X < 0.0
-    length = np.where(left.any(axis=0), np.argmax(left, axis=0), n_steps + 1)
-
-    paths = [
-        np.column_stack((times[:n], X[:n, j], K[:n, j]))
-        for j, n in enumerate(length)
-    ]
-    K_max = max([0.0] + [float(np.max(p[:, 2])) for p in paths])
-    K_max_increase = max(
-        [0.0] + [float(np.max(np.diff(p[:, 2]))) for p in paths if len(p) > 1]
-    )
+    inside = ~np.logical_or.accumulate(X < 0.0, axis=0)
+    paths = [np.column_stack((times[:n], X[:n, j], K[:n, j])) for j, n in enumerate(inside.sum(axis=0))]
+    K_max = np.max(K, where=inside, initial=0.0)
+    K_max_increase = np.max(np.diff(K, axis=0), where=inside[1:], initial=0.0)
 
     K_monotone_ok = bool(K_max_increase <= MAJORANT_TOL * (1.0 + M0))
     K_bound_ok = bool(K_max <= M0 * (1.0 + 1e-12) + MAJORANT_TOL)
@@ -685,9 +671,10 @@ def _euler_system(profile: ShearProfile, Ng: int) -> _EulerSystem:
 
     def Q(wu_hat, w_hat):
         """Q(u, w) = -(u . grad) w, with u = (-psi_y, psi_x) and Delta psi = wu
-        (Biot-Savart), evaluated pseudo-spectrally with 2/3 dealiasing."""
+        (Biot-Savart), evaluated pseudo-spectrally with 2/3 dealiasing, on
+        the last two axes: stacked pairs give the stack of their products."""
         psi = -wu_hat / K2
-        psi[0, 0] = 0.0
+        psi[..., 0, 0] = 0.0
         grads = 1j * np.array([-KY * psi, KX * psi, KX * w_hat, KY * w_hat]) * dealias
         ux, uy, wx, wy = np.fft.ifft2(grads)
         return -np.fft.fft2(ux * wx + uy * wy) * dealias
@@ -710,11 +697,13 @@ def euler_series(
     terms solve
         (alpha n + L) omega_n = sum_{j+k=n} Q(u_j, omega_k)
     on the same blocks, so every omega_n is 0 off the system's modes.  Each
-    order tests all shifted blocks for resonance with one stacked SVD and
-    solves them with one stacked solve.  N and modes must be integers,
+    order forms its right side by one call of Q on its stacked pairs, tests
+    all shifted blocks for resonance with one stacked SVD and solves them
+    with one stacked solve.  N and modes must be integers,
     N >= 1 and modes >= 8, and modes^3 (the blocks) and N (N - 1) / 2
     modes^2 (the pair products) at most MAX_POINTS (else ConfigurationError).
     """
+    check_record("profile", profile, ShearProfile)
     if profile.domain != TORUS:
         raise ConfigurationError("euler_series needs a periodic (torus) profile")
     N, Ng = as_integer("N", N, 1), as_integer("modes", modes, 8)
@@ -734,9 +723,10 @@ def euler_series(
     alpha = complex(alpha1)
     alpha_gap = abs(alpha1 - alpha2)
 
-    # omega_1: the p = +1 eigenvector and its conjugate at p = -1 (modes -m),
-    # scaled so that the real field's sup is 1
-    w1 = np.zeros((Ng, Ng), dtype=complex)
+    # omega[n - 1] is omega_n.  omega_1: the p = +1 eigenvector and its
+    # conjugate at p = -1 (modes -m), scaled so that the real field's sup is 1
+    omega = np.zeros((N, Ng, Ng), dtype=complex)
+    w1 = omega[0]
     w1[1, slots], w1[-1, slots[::-1]] = vec, np.conj(vec)
     w1 /= np.max(np.abs(np.fft.ifft2(w1).real))
 
@@ -745,10 +735,10 @@ def euler_series(
     residual = alpha * rows + (blocks[[1, -1]] @ rows[..., None])[..., 0]
     eig_residual = float(np.max(np.abs(residual)) / np.max(np.abs(w1)))
 
-    omega = [w1]
     h1_ratios = []
     for n in range(2, N + 1):
-        rhs_hat = sum(system.Q(omega[j - 1], omega[n - j - 1]) for j in range(1, n))
+        # one call of Q on the pairs (omega_j, omega_{n-j}), summed in order of j
+        rhs_hat = system.Q(omega[:n - 1], omega[n - 2::-1]).sum(axis=0)
         lam = alpha * n
         M = lam * np.eye(slots.size) + blocks
         sv_min = np.min(np.linalg.svd(M, compute_uv=False), axis=-1)
@@ -759,28 +749,19 @@ def euler_series(
                 % (n, system.kx[np.argmax(singular)])
             )
         # a column right-hand side reads the same under NumPy 1.x and 2.x
-        w_hat = np.zeros((Ng, Ng), dtype=complex)
-        w_hat[:, slots] = np.linalg.solve(M, rhs_hat[:, slots, None])[..., 0]
-        omega.append(w_hat)
+        omega[n - 1][:, slots] = np.linalg.solve(M, rhs_hat[:, slots, None])[..., 0]
         nrm_f = np.linalg.norm(rhs_hat)
-        h1_ratios.append(
-            float(np.linalg.norm(w_hat) * abs(lam) / nrm_f) if nrm_f > 0 else 0.0
-        )
+        h1_ratios.append(float(np.linalg.norm(omega[n - 1]) * abs(lam) / nrm_f) if nrm_f > 0 else 0.0)
 
-    sup_norms = [float(np.max(np.abs(np.fft.ifft2(w).real))) for w in omega]
+    sup_norms = np.max(np.abs(np.fft.ifft2(omega).real), axis=(1, 2)).tolist()
 
-    # partial-sum stabilisation at the amplitude e^{Re(alpha) t} = 0.01
+    # partial-sum stabilisation at the amplitude e^{Re(alpha) t} = 0.01: the
+    # sums of orders 1..3 and 1..4 of e^{n alpha t} omega_n
     t_check = np.log(0.01) / alpha.real
-
-    def partial(K):
-        acc = np.zeros((Ng, Ng), dtype=complex)
-        for n in range(1, K + 1):
-            acc += np.exp(n * alpha * t_check) * omega[n - 1]
-        return np.fft.ifft2(acc).real
-
     partial_change = float("nan")
     if N >= 4:
-        s3, s4 = partial(3), partial(4)
+        terms = np.exp(np.arange(1, 5) * alpha * t_check)[:, None, None] * omega[:4]
+        s3, s4 = np.fft.ifft2(np.cumsum(terms, axis=0)[2:]).real
         partial_change = float(np.max(np.abs(s4 - s3)) / np.max(np.abs(s3)))
 
     return {
@@ -788,7 +769,7 @@ def euler_series(
         "alpha_gap": float(alpha_gap),
         "kx0": float(KX0),
         "modes": Ng,
-        "omega_hat": omega,
+        "omega_hat": list(omega),
         "sup_norms": sup_norms,
         "h1_ratios": h1_ratios,
         "eigen_residual": eig_residual,

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, check_finite, check_positive, check_real
+from .errors import ConfigurationError, NonconvergenceError, check_finite, check_positive, check_real, check_record
 
 CHANNEL = "channel"
 HALF_LINE = "half_line"
@@ -202,6 +202,7 @@ def inflection_points(profile: ShearProfile) -> list[float]:
     """
     from .spectral import brentq  # spectral imports this module
 
+    check_record("profile", profile, ShearProfile)
     z_lo, z_hi = profile.z_range()
     z = np.linspace(z_lo, z_hi, INFLECTION_SCAN)
     w = profile.d2U(z)

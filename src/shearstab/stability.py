@@ -59,6 +59,7 @@ from .errors import (
     as_integer,
     check_finite,
     check_positive,
+    check_record,
     check_scalar,
 )
 from .profiles import CHANNEL, ShearProfile
@@ -327,30 +328,31 @@ def _solve_pencil(A, B, bc_idx, scale, parities, alpha, param):
         j = rejected[np.argmax(cs[rejected].imag)]
         top_rejected = (complex(cs[j]), float(tail[j]),
                         float(_residuals(A, B, cs[j], V[:, j:j + 1], scale)[0]))
-    accepted = list(zip(cs[order], V[:, order].T, res, parity[order]))
+    c_acc, modes = cs[order].astype(complex), V[:, order]
     del V  # the full eigenvector block is not needed by the polish
-    # polish the leading (least damped) modes, the ones callers consume, each
-    # on the block of its parity; the unpolished pairs are at roundoff
-    # already, so the polished pair stays unless its full-pencil residual is
-    # worse by more than a rounding floor.  Both residuals of the comparison
-    # are taken one column at a time: the batched product rounds differently,
-    # by up to 4x at the 1e-11 level
-    for k in range(min(3, len(accepted))):
-        c, phi, _, s = accepted[k]
+    # polish the leading (least damped) modes, the ones callers consume, in
+    # place, each on the block of its parity from c as the eigensolve gave it;
+    # the unpolished pairs are at roundoff already, so the polished pair stays
+    # unless its full-pencil residual is worse by more than a rounding floor.
+    # Both residuals of the comparison are taken one column at a time: the
+    # batched product rounds differently, by up to 4x at the 1e-11 level
+    for k in range(min(3, len(order))):
+        c, phi, s = cs[order[k]], modes[:, k], parity[order[k]]
         # from the free entries, the leading ones of the interior; the
         # boundary entries are solved again, as for every eigenvector
         c2, _, phi2 = red.refine(c, phi[red.i][:len(red.blocks[s][0])], s)
         r = _residuals(A, B, c, phi[:, None], scale)[0]
         r2 = _residuals(A, B, c2, phi2[:, None], scale)[0]
         if r2 <= min(r + POLISH_FLOOR, RESIDUAL_GATE):
-            accepted[k] = (c2, phi2, r2, s)
+            c_acc[k], modes[:, k], res[k] = c2, phi2, r2
     del red  # and with it the folded blocks
-    accepted = [accepted[k] for k in _ranking([c for c, *_ in accepted])]
+    rank = _ranking(c_acc)
+    modes = modes[:, rank]
+    modes /= modes[np.argmax(np.abs(modes), axis=0), np.arange(len(rank))]  # unit max-norm columns
     return EigenSolution(
-        eigenvalues=tuple(complex(c) for c, *_ in accepted),
-        modes=(np.stack([p / p[np.argmax(np.abs(p))] for _, p, *_ in accepted], axis=1)
-               if accepted else np.zeros((A.shape[0], 0), dtype=complex)),
-        residuals=tuple(float(r) for _, _, r, _ in accepted),
+        eigenvalues=tuple(c_acc[rank].tolist()),
+        modes=modes,
+        residuals=tuple(res[rank].tolist()),
         n_tail_rejected=len(cs) - len(smooth),
         n_residual_rejected=len(smooth) - len(order),
         top_rejected=top_rejected,
@@ -391,6 +393,8 @@ def _pencil(profile, alpha, grid, eps):
     reflection y -> -y of the channel nodes j -> N - j, with U and U'' even
     to rounding and the boundary rows a set it maps to itself, else (0,).
     """
+    check_record("profile", profile, ShearProfile)
+    check_record("grid", grid, SpectralDiscretization)
     if grid.domain != profile.domain:
         raise ConfigurationError(
             f"grid domain {grid.domain!r} does not match profile domain {profile.domain!r}"
@@ -504,10 +508,14 @@ def os_spectrum(
 
 
 def max_growth_rate(profile: ShearProfile, alpha: float, Re: float, grid: SpectralDiscretization) -> float:
-    """max Im(c) of the viscous spectrum; -1 when no mode passes the filters."""
+    """max Im(c) of the viscous spectrum; NumericalError, naming the highest
+    rejected candidate, when no mode passes the gates."""
     sol = os_spectrum(profile, alpha, Re, grid)
+    if not sol.eigenvalues:
+        raise NumericalError(f"no mode passes the gates at alpha={float(alpha)!r}, Re={float(Re)!r}, N={grid.N}; "
+                             f"the highest rejected candidate (c, tail, residual) is {sol.top_rejected}")
     # not the leader's: the ranking counts an Im c at rounding level as 0
-    return max((c.imag for c in sol.eigenvalues), default=-1.0)
+    return max(c.imag for c in sol.eigenvalues)
 
 
 def _unstable_leader(profile, alpha, Re, grid):
@@ -592,7 +600,8 @@ def _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol)
 def _edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
     """The crossing between a stable and an unstable scan alpha: tracked and
     confirmed by one dense solve whose accepted leader must be the tracked
-    pair, else Brent's method on ``max_growth_rate``."""
+    pair, else Brent's method on the dense solves' max Im c, where a point
+    with no accepted mode is stable, as in the scan."""
     try:
         edge, c = _tracked_edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol)
         sol = os_spectrum(profile, edge, Re, grid)
@@ -603,7 +612,9 @@ def _edge(profile, Re, grid, a_stable, a_unstable, leader, beyond, xtol):
 
     def growth(a):
         # the unstable end's leader is the scan's
-        return leader[0].imag if a == a_unstable else max_growth_rate(profile, a, Re, grid)
+        if a == a_unstable:
+            return leader[0].imag
+        return max((c.imag for c in os_spectrum(profile, a, Re, grid).eigenvalues), default=-1.0)
 
     return brentq(growth, *sorted((a_stable, a_unstable)), xtol=xtol)
 
@@ -636,14 +647,16 @@ def neutral_curve(
     it has the same parity), the step halved while its residual stays
     above TRACK_GATE.  One dense ``os_spectrum`` at the converged edge must
     show the tracked pair as its accepted leader.  Where the tracking or
-    this confirmation fails, that edge is found by Brent's method on
-    ``max_growth_rate`` instead.
+    this confirmation fails, that edge is found by Brent's method on the
+    max Im c of dense solves instead, a point where no mode passes the
+    gates read as stable.
 
     Re values with no unstable alpha are recorded on the branches as below
     criticality.  WindowError when a band touches either end of the
     window; its message traces the scan, each alpha with its leader's Im c
     or "stable".
     """
+    check_record("profile", profile, ShearProfile)
     Re_list = as_array("Re_list", Re_list, 1).tolist()
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
@@ -684,11 +697,13 @@ def neutral_curve(
 def fit_exponents(branch: NeutralBranch, Re_window: tuple[float, float]) -> tuple[float, float, float]:
     """Least-squares slope/intercept of log alpha vs log Re inside a window.
 
-    Returns (slope, intercept, r2).  ConfigurationError naming branch unless its
-    points are finite (Re, alpha) pairs, positive where fitted, and naming
-    Re_window unless it is a finite pair holding at least 4 of them.
+    Returns (slope, intercept, r2).  ConfigurationError naming branch unless it
+    is a NeutralBranch whose points are finite (Re, alpha) pairs, positive
+    where fitted, and naming Re_window unless it is a finite pair holding at
+    least 4 of them.
     """
     r_lo, r_hi = as_array("Re_window", Re_window, 1, size=2).tolist()
+    check_record("branch", branch, NeutralBranch)
     pts = as_array("branch", branch.points, 2)
     if pts.shape[1] not in (0, 2):  # no points reads as the shape (1, 0)
         raise ConfigurationError(f"branch points must be (Re, alpha) pairs, got shape {pts.shape}")

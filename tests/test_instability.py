@@ -394,6 +394,8 @@ class TestHopfSeries:
         norms = [s.sup_norm(n) for n in range(1, 21)]
         for n in range(5, 20):
             assert norms[n] <= R * norms[n - 1] * (1 + 1e-12)
+        # one product for all norms gives the per-term loop's bound, bit for bit
+        assert R == max(norms[n] / norms[n - 1] for n in range(5, 20))
 
     def test_partial_sum_residual_order(self):
         # defect of the order-N sum has leading time order e^{(N+1) alpha t}
@@ -526,6 +528,17 @@ class TestHopfMajorant:
         assert len(paths[-1]) == 401
         np.testing.assert_array_equal(paths[0][:, 0], paths[-1][: len(paths[0]), 0])
 
+    def test_K_column_is_the_ramped_majorant(self, report):
+        # on each path the K column is G_N(t, phi(t) X) at every recorded
+        # point, phi(t) = 1 - 3 M0 t / (alpha eta0), bit for bit the value
+        # of one scalar evaluation per point
+        series, rep = report
+        dphi = -3.0 * rep["M0"] / (series.alpha * rep["eta0"])
+        for path in rep["characteristics"]:
+            t, x, K = path.T
+            ref = [_gen_eval(rep["majorant"], ti, (1.0 + dphi * ti) * xi) for ti, xi in zip(t, x)]
+            np.testing.assert_array_equal(K, ref)
+
     def test_fields_match_scalar_double_sum(self, report):
         _, rep = report
         table = rep["majorant"]
@@ -602,6 +615,11 @@ class TestEulerSeries:
 
     def test_partial_sum_stabilises(self, euler_report):
         assert euler_report["partial_sum_change"] < 0.01
+        # the stacked transforms give the per-term loop's numbers, bit for bit
+        alpha, t, omega = euler_report["alpha_eig"], euler_report["t_check"], euler_report["omega_hat"]
+        assert euler_report["sup_norms"] == [float(np.max(np.abs(np.fft.ifft2(w).real))) for w in omega]
+        s3, s4 = (np.fft.ifft2(sum(np.exp(n * alpha * t) * w for n, w in enumerate(omega[:k], 1))).real for k in (3, 4))
+        assert euler_report["partial_sum_change"] == float(np.max(np.abs(s4 - s3)) / np.max(np.abs(s3)))
 
     def test_resolvent_ratios_reported(self, euler_report):
         assert len(euler_report["h1_ratios"]) == 3
@@ -692,6 +710,19 @@ class TestEulerSeries:
             times.append(sol.t_events[0][0])
         slope = np.polyfit(np.log(1.0 / eps), times, 1)[0]
         assert abs(slope * rep["alpha_eig"].real - 1.0) <= 0.01, slope
+
+    def test_Q_on_stacked_pairs_matches_each_pair(self, euler_report):
+        # Q reads any leading axes: on a stack of pairs it zeroes each pair's
+        # psi mode (0, 0), not a row of the first pair, and every product is
+        # the single call's, bit for bit; random pairs with a nonzero mean
+        # vorticity show the zero mode's handling
+        system = _euler_system(make_profile("kolmogorov"), 16)
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 3, 16, 16)) + 1j * rng.standard_normal((2, 3, 16, 16))
+        for wu, w in ((a, b), (np.array(euler_report["omega_hat"][:3]), np.array(euler_report["omega_hat"][2::-1]))):
+            stacked = system.Q(wu, w)
+            for k in range(3):
+                np.testing.assert_array_equal(stacked[k], system.Q(wu[k], w[k]))
 
     def test_stacked_blocks_match_single(self):
         rng = np.random.default_rng(3)

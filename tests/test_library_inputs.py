@@ -37,7 +37,7 @@ from shearstab.instability import (
     ode_bootstrap,
     riccati_exact,
 )
-from shearstab.profiles import ShearProfile, blasius_solve, make_profile
+from shearstab.profiles import ShearProfile, blasius_solve, inflection_points, make_profile
 from shearstab.resolvent import (
     duhamel_term,
     evans_det,
@@ -264,6 +264,11 @@ BOOT = dict(A=np.array([[1.0]]), Q=lambda a, b: a * b, v0=np.array([1.0]), t_gri
     # named refine, which the call does not pass
     pytest.param(lambda: laplace_solve_1d(200000, lambda y: np.exp(-y), PARAMS), "alpha",
                  id="laplace_solve_1d-alpha200000"),
+    # AttributeError: a record argument given as its field, its name or its points
+    pytest.param(lambda: laplace_solve_1d(1, lambda y: np.exp(-y), 0.05), "params", id="laplace_solve_1d-params_delta"),
+    pytest.param(lambda: euler_series("kolmogorov", 2, 8), "profile", id="euler_series-profile_kind"),
+    pytest.param(lambda: inflection_points(None), "profile", id="inflection_points-profile_None"),
+    pytest.param(lambda: fit_exponents(BRANCH.points, (1e4, 1e6)), "branch", id="fit_exponents-branch_points"),
 ])
 def test_invalid_argument_is_typed(call, name):
     # each call runs in a child process that a time limit stops, so a check
@@ -365,11 +370,15 @@ EXEMPT = {"BootstrapResult", "EigenSolution", "RiccatiValue", "ShearProfile", "S
           "NeutralBranch"}
 GRID = build_grid(24, "channel")
 SERIES = hopf_series(COS, 1.0, 4)
+# a record argument's sweep, every value ruled out: None, a string, a number
+# and a record of another class, the first of RECORDS that is not its own
+RECORDS = (PARAMS, SERIES, POISEUILLE, GRID, BRANCH)
+RECORD_SWEEP = [None, "abc", 1.0]
 
 # name -> (callable, keyword arguments of one valid call); every keyword
-# whose value is an int, a float or a complex is swept over SWEEP, and every
+# whose value is an int, a float or a complex is swept over SWEEP, every
 # one whose value is a mapping or a non-empty numeric array, list or tuple
-# over ARRAY_SWEEP
+# over ARRAY_SWEEP, and every one whose value is a record over RECORD_SWEEP
 TEMPLATES = {
     "BLNormParams": (BLNormParams, dict(delta=0.05)),
     "BLNormParams.from_viscosity": (BLNormParams.from_viscosity, dict(nu=1e-4, gamma0=1.0)),
@@ -433,6 +442,14 @@ def _is_array(value):
                                           and np.size(value) > 0 and np.asarray(value).dtype.kind in "biufc")
 
 
+def _is_record(value):
+    return dataclasses.is_dataclass(value) and not isinstance(value, type)
+
+
+def _record_sweep(valid):
+    return RECORD_SWEEP + [next(r for r in RECORDS if type(r) is not type(valid))]
+
+
 def _annotated(param):
     """The first type that a parameter's annotation names: float for float | None."""
     return re.split(r"[\[ |]", str(param.annotation))[0]
@@ -454,12 +471,17 @@ def _contract_cases():
     cases = []
     for name, (call, kwargs) in TEMPLATES.items():
         for arg, valid in kwargs.items():
-            if not (_is_scalar(valid) or _is_array(valid)):
+            if _is_record(valid):
+                sweep = ruled_out = _record_sweep(valid)
+            elif _is_scalar(valid) or _is_array(valid):
+                sweep = ARRAY_SWEEP if _is_array(valid) else SWEEP
+                ruled_out = _ruled_out(call, arg, valid)
+            else:
                 continue
-            ruled_out = [] if name in EXEMPT else _ruled_out(call, arg, valid)
-            cases += [pytest.param(name, arg, value, any(value is v for v in ruled_out),
-                                   id=f"{name}-{arg}={value!r}")
-                      for value in (ARRAY_SWEEP if _is_array(valid) else SWEEP)]
+            # a record is shown by its class: its repr holds addresses
+            cases += [pytest.param(name, arg, value, name not in EXEMPT and any(value is v for v in ruled_out),
+                                   id=f"{name}-{arg}={type(value).__name__ if _is_record(value) else repr(value)}")
+                      for value in sweep]
     return cases
 
 

@@ -361,6 +361,19 @@ class TestOrrSommerfeld:
         assert max_growth_rate(p, 1.01, 5772.22, grid) < 0.0
         assert max_growth_rate(p, 1.03, 5772.22, grid) < 0.0
 
+    def test_no_accepted_mode_raises(self, monkeypatch):
+        # a gate that rejects every mode left max_growth_rate at -1, an
+        # unstable point (Re 6000 > Re_c) read as stable; it now raises,
+        # naming the point and the highest rejected candidate
+        monkeypatch.setattr(stability, "TAIL_GATE", -1.0)
+        p = make_profile("poiseuille")
+        grid = build_grid(64, CHANNEL)
+        sol = os_spectrum(p, 1.0, 6000.0, grid)
+        assert sol.eigenvalues == () and sol.top_rejected[0].imag > 0
+        with pytest.raises(NumericalError, match=r"alpha=1\.0, Re=6000\.0, N=64") as err:
+            max_growth_rate(p, 1.0, 6000.0, grid)
+        assert repr(sol.top_rejected[0]) in str(err.value)
+
     def test_inviscid_limit_tanh(self, half_grid):
         # leading viscous eigenvalue approaches the inviscid one as Re grows
         p = make_profile("tanh", z0=1.0)
@@ -630,22 +643,24 @@ NEUTRAL_CASES = {
 
 
 def dense_neutral_curve(profile, Re_list, alpha_window, N, map_scale=2.0, n_scan=16, alpha_tol=1e-4):
-    """The reference: a dense ``max_growth_rate`` at every scan point and
-    every step of Brent's method, on the same scan brackets."""
+    """The reference: the max Im c of a dense ``os_spectrum`` at every scan
+    point and every step of Brent's method, on the same scan brackets; a
+    point with no accepted mode is stable, read as -1 as in neutral_curve's
+    own fallback (``max_growth_rate`` raises there)."""
     grid = build_grid(N, profile.domain, map_scale=map_scale)
     alphas = np.linspace(alpha_window[0], alpha_window[1], n_scan)
     lower, upper = NeutralBranch([], "lower"), NeutralBranch([], "upper")
     for Re in Re_list:
-        g = np.array([max_growth_rate(profile, a, Re, grid) for a in alphas])
+        def growth(a):
+            return max((c.imag for c in os_spectrum(profile, a, Re, grid).eigenvalues), default=-1.0)
+
+        g = np.array([growth(a) for a in alphas])
         kpos = np.flatnonzero(g > 0)
         if not len(kpos):
             lower.subcritical_Re.append(Re)
             upper.subcritical_Re.append(Re)
             continue
         assert g[0] <= 0 and g[-1] <= 0
-
-        def growth(a):
-            return max_growth_rate(profile, a, Re, grid)
 
         for br, k in ((lower, kpos[0] - 1), (upper, kpos[-1])):
             br.points.append((Re, brentq(growth, alphas[k], alphas[k + 1], xtol=alpha_tol / 2)))
@@ -717,7 +732,7 @@ class TestNeutralCurve:
     @pytest.mark.parametrize("force", [("CONFIRM_TOL", -1.0), ("TRACK_GATE", 0.0)])
     def test_fallback_is_dense_edge(self, force, dense_branches, monkeypatch):
         # a confirmation that rejects every tracked pair, or a tracking that
-        # never converges, leaves Brent's method on max_growth_rate: the
+        # never converges, leaves Brent's method on dense solves: the
         # dense edges, to the last bits the scan's leader may move them
         p, Re_list, window, kw = NEUTRAL_CASES["exponential"]
         monkeypatch.setattr(stability, *force)
