@@ -385,7 +385,8 @@ def _run_hopf(args):
     (alpha,) = _exactly(args, "alpha", 1)
     series = instability.hopf_series({1: 0.5, -1: 0.5}, alpha, order)
     report = instability.hopf_majorant(series, eta0=args.eta0, t_max=0.05)
-    sup_norms = [series.sup_norm(n) for n in range(1, order + 1)]
+    # the majorant's column m = 0 holds sup|u_n|, n = 1..order
+    sup_norms = report["majorant"][:, 0].tolist()
     rows = [[n, s, series.recurrence_residual(n) if n >= 2 else 0.0]
             for n, s in enumerate(sup_norms, 1)]
     return ["n", "sup_norm", "recurrence_residual"], rows, {
@@ -462,8 +463,10 @@ COMMANDS = {
 
 # subcommand or instability mode -> {library argument: the flag that sets it}
 # where the names differ
-_RENAMED = {"spectrum": {"N": "n", "Re": "re"}, "resolvent": {"N": "n"}, "heat-kernel": {"x - z": "dx"},
-            "neutral-curve": {"N": "n", "Re_list": "re", "alpha_window": "alpha", "alpha_tol": "tol"},
+_RENAMED = {"spectrum": {"N": "n", "Re": "re", "kind": "profile", "domain": "profile"},
+            "resolvent": {"N": "n", "kind": "profile", "domain": "profile"}, "heat-kernel": {"x - z": "dx"},
+            "neutral-curve": {"N": "n", "Re_list": "re", "alpha_window": "alpha", "alpha_tol": "tol",
+                              "kind": "profile"},
             "genfunc-check": {"truncation": "order"}, "bootstrap": {"N": "order", "t_grid": "t"},
             "hopf": {"N": "order"}, "euler": {"N": "order", "modes": "n"}}
 

@@ -146,7 +146,7 @@ def sample_grid(delta: float, n_layer: int = 200, max_step: float | None = None)
 
 def _check_flavor(flavor: str) -> None:
     if flavor not in (WITH_BL, WITHOUT_BL):
-        raise ConfigurationError(f"unknown norm flavor {flavor!r}")
+        raise ConfigurationError(f"flavor must be one of {(WITH_BL, WITHOUT_BL)}, got {flavor!r}")
 
 
 def _weighted_sup(y, table, ells, params: BLNormParams, flavor: str) -> np.ndarray:
@@ -422,7 +422,7 @@ class FourierMode:
     def __init__(self, alpha: int, expr=None, derivs=None):
         self.alpha = as_integer("alpha", alpha, -MAX_POINTS)
         if (expr is None) == (derivs is None):
-            raise ConfigurationError("provide exactly one of expr / derivs")
+            raise ConfigurationError("expr or derivs must be given, not both")
         if derivs is not None:
             self._jet_fn = _supplied_jet_function(tuple(derivs))
         elif callable(expr) and not _is_sympy(expr):
@@ -883,7 +883,7 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
     must be positive and finite (else ConfigurationError).
     """
     if (rho is None) == (pencil is None):
-        raise ConfigurationError("provide exactly one of rho / pencil")
+        raise ConfigurationError("rho or pencil must be given, not both")
     if rho is not None:
         check_positive(rho=rho)
         width, inner_key = rho, "rho_inner"

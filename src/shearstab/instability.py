@@ -150,7 +150,7 @@ def ode_bootstrap(
     # energy growth constant: the largest eigenvalue of the symmetric part
     mu = float(np.max(np.linalg.eigvalsh(0.5 * (A + A.conj().T))))
     if 2 * (N + 1) * lam.real <= mu:
-        raise ConfigurationError(f"order N too small: need 2(N+1) Re(lambda) > energy constant {mu:.3g}")
+        raise ConfigurationError(f"N = {N} is too small: need 2(N+1) Re(lambda) > energy constant {mu:.3g}")
     t_grid = as_array("t_grid", t_grid, 1)
     if t_grid.size < 2 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ConfigurationError("t_grid must be finite, increasing and nonnegative, with at least 2 points")
@@ -507,8 +507,9 @@ def hopf_majorant(
     are the same contraction of the table shifted by one row with the
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
     characteristics advance together as one vector RK4 over all n_steps,
-    each independently of the others, K is evaluated on all of them by one
-    ``_gen_eval``, and each path ends before its first step out of the
+    each independently of the others, K at each point is the value of G
+    that the step from it computes first (one more evaluation gives the
+    last point), and each path ends before its first step out of the
     window through z = 0 (x < 0).  eta0 and t_max must be
     positive and finite, ``n_characteristics`` and ``n_steps`` positive
     integers, and the (n_steps + 1) x n_characteristics paths at most
@@ -562,22 +563,26 @@ def hopf_majorant(
 
     # characteristics of the ramped field H(t, z) = G(t, phi(t) z):
     # dX/dt = -H/(alpha phi) - X phi'/phi keeps K = H(t, X) nonincreasing.
-    def xdot(t, x):
+    def field(t, x):
+        """(H(t, x), dX/dt at (t, x))."""
         p = phi(t)
-        return -_gen_eval(table, t, p * x) / (alpha * p) - x * dphi / p
+        h = _gen_eval(table, t, p * x)
+        return h, -h / (alpha * p) - x * dphi / p
 
     dt = T_c / n_steps
     times = np.zeros(n_steps + 1)
     X = np.empty((n_steps + 1, n_characteristics))
+    K = np.empty_like(X)
     X[0] = np.linspace(eta0 / n_characteristics, eta0, n_characteristics)
-    for i in range(1, n_steps + 1):
-        t, x = times[i - 1], X[i - 1]
-        k1 = xdot(t, x)
-        k2 = xdot(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = xdot(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = xdot(t + dt, x + dt * k3)
-        times[i], X[i] = t + dt, x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    K = _gen_eval(table, times[:, None], phi(times)[:, None] * X)
+    # K at the start of each step is the H of its first stage
+    for i in range(n_steps):
+        t, x = times[i], X[i]
+        K[i], k1 = field(t, x)
+        k2 = field(t + 0.5 * dt, x + 0.5 * dt * k1)[1]
+        k3 = field(t + 0.5 * dt, x + 0.5 * dt * k2)[1]
+        k4 = field(t + dt, x + dt * k3)[1]
+        times[i + 1], X[i + 1] = t + dt, x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    K[-1] = field(times[-1], X[-1])[0]
     # each path ends before its first step out of the window through z = 0
     inside = ~np.logical_or.accumulate(X < 0.0, axis=0)
     paths = [np.column_stack((times[:n], X[:n, j], K[:n, j])) for j, n in enumerate(inside.sum(axis=0))]
@@ -705,7 +710,8 @@ def euler_series(
     """
     check_record("profile", profile, ShearProfile)
     if profile.domain != TORUS:
-        raise ConfigurationError("euler_series needs a periodic (torus) profile")
+        raise ConfigurationError(f"profile must be periodic (on the torus), "
+                                 f"got the {profile.kind} profile on the {profile.domain}")
     N, Ng = as_integer("N", N, 1), as_integer("modes", modes, 8)
     check_points("modes", Ng**3)
     check_points("N", N * (N - 1) // 2 * Ng**2)

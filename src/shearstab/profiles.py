@@ -67,10 +67,10 @@ def make_profile(kind: str, **params) -> ShearProfile:
     ConfigurationError for a kind not in ``_PARAMS``, a parameter the kind
     does not take, and a z0 that is not one finite real number."""
     if kind not in _PARAMS:
-        raise ConfigurationError(f"unknown profile kind {kind!r}; expected one of {tuple(_PARAMS)}")
+        raise ConfigurationError(f"kind must be one of {tuple(_PARAMS)}, got {kind!r}")
     for name in params:
         if name not in _PARAMS[kind]:
-            raise ConfigurationError(f"{kind} profile takes no parameter {name!r}")
+            raise ConfigurationError(f"{name} is not a parameter of the {kind} profile")
 
     if kind == "poiseuille":
         return ShearProfile(
@@ -92,7 +92,7 @@ def make_profile(kind: str, **params) -> ShearProfile:
 
     if kind == "tanh":
         if "z0" not in params:
-            raise ConfigurationError("tanh profile requires parameter z0")
+            raise ConfigurationError("z0 is required by the tanh profile")
         check_real(z0=params["z0"])
         z0 = float(params["z0"])
         check_finite(z0=z0)

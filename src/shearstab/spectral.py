@@ -6,9 +6,14 @@ The channel [-1, 1] uses the identity map; the half line uses the algebraic
 map y = L (1 + xi) / (1 - xi), whose chain-rule factors vanish at xi = 1 so
 the node at infinity carries zero derivative rows.  A map scale whose
 operators overflow is rejected with the grid.  The boundary rows of the
-stability pencils belong to ``stability``.  Every contour quadrature
-of ``resolvent`` and every sampled norm of ``genfunc`` refines in
-``refine``, given one pass and the criterion that two passes have settled.
+stability pencils belong to ``stability``.  The quadratures of
+``semigroup_apply``, ``duhamel_term`` and ``heat_green`` and the weighted
+sup norms of ``bl_norm`` and ``gen_series`` refine in ``refine``, given one
+pass and the criterion that two passes have settled.  The other sampled
+norms of ``genfunc`` do not: ``laplace_solve_1d``, ``elliptic_gen_estimate``
+and ``divfree_bilinear`` sample one fixed ``sample_grid``, ``strip_norms``
+a fixed 601 x 9 grid.  ``evans_locate`` doubles its boundary in a loop of
+its own.
 Every bracketed root of the package (neutral-curve edges, inflection
 points, the bootstrap's escape time) is found by
 ``brentq``, scipy's Brent iteration in pure Python, so that the stability
@@ -25,6 +30,8 @@ import numpy as np
 
 from .errors import ConfigurationError, QuadratureError, as_integer, check_points, check_positive
 from .profiles import CHANNEL, HALF_LINE
+
+GRID_DOMAINS = (CHANNEL, HALF_LINE)  # the domains of build_grid
 
 
 def cheb_matrix(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +74,8 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
     MAX_POINTS (else ConfigurationError)."""
     N = as_integer("N", N, 2)
     check_points("N", (N + 1) ** 2)
-    if domain not in (CHANNEL, HALF_LINE):
-        raise ConfigurationError(f"unsupported domain {domain!r}")
+    if domain not in GRID_DOMAINS:
+        raise ConfigurationError(f"domain must be one of {GRID_DOMAINS}, got {domain!r}")
     check_positive(map_scale=map_scale)
 
     xi, Dc = cheb_matrix(N)

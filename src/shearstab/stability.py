@@ -63,7 +63,7 @@ from .errors import (
     check_scalar,
 )
 from .profiles import CHANNEL, ShearProfile
-from .spectral import SpectralDiscretization, brentq, build_grid
+from .spectral import GRID_DOMAINS, SpectralDiscretization, brentq, build_grid
 
 RESIDUAL_GATE = 1e-6
 TAIL_GATE = 1e-3
@@ -630,6 +630,8 @@ def neutral_curve(
 ) -> tuple[NeutralBranch, NeutralBranch]:
     """Lower/upper marginal branches alpha(Re) where max Im(c) crosses zero.
 
+    The profile must lie on a domain of ``build_grid``, the channel or the
+    half line (else ConfigurationError naming profile).
     Each Re in the ascending list ``Re_list`` is scanned over ``alpha_window``,
     a finite pair, at ``n_scan`` points, an integer of at least 3 (a band
     needs a point inside it and one each side).
@@ -657,6 +659,9 @@ def neutral_curve(
     or "stable".
     """
     check_record("profile", profile, ShearProfile)
+    if profile.domain not in GRID_DOMAINS:
+        raise ConfigurationError(f"profile must be on one of {GRID_DOMAINS}, "
+                                 f"got the {profile.kind} profile on the {profile.domain}")
     Re_list = as_array("Re_list", Re_list, 1).tolist()
     if sorted(Re_list) != Re_list:
         raise ConfigurationError("Re_list must be sorted ascending")
@@ -699,8 +704,8 @@ def fit_exponents(branch: NeutralBranch, Re_window: tuple[float, float]) -> tupl
 
     Returns (slope, intercept, r2).  ConfigurationError naming branch unless it
     is a NeutralBranch whose points are finite (Re, alpha) pairs, positive
-    where fitted, and naming Re_window unless it is a finite pair holding at
-    least 4 of them.
+    where fitted and of at least 2 distinct Re there, and naming Re_window
+    unless it is a finite pair holding at least 4 of them.
     """
     r_lo, r_hi = as_array("Re_window", Re_window, 1, size=2).tolist()
     check_record("branch", branch, NeutralBranch)
@@ -714,6 +719,9 @@ def fit_exponents(branch: NeutralBranch, Re_window: tuple[float, float]) -> tupl
                                  "a fit needs at least 4")
     if not np.all(pts > 0):
         raise ConfigurationError(f"branch points need Re, alpha > 0, got {pts[np.min(pts, 1) <= 0][0].tolist()}")
+    if np.unique(pts[:, 0]).size < 2:
+        raise ConfigurationError(f"branch points in Re_window [{r_lo:g}, {r_hi:g}] all have Re = {pts[0, 0]:g}; "
+                                 "a slope needs at least 2 distinct Re")
     x, y = np.log(pts).T
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

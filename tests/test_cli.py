@@ -5,6 +5,7 @@ import pytest
 
 from shearstab.cli import main, parse_range
 from shearstab.errors import ConfigurationError
+from shearstab.instability import hopf_series
 
 
 def run_cli(capsys, args):
@@ -207,6 +208,9 @@ class TestInstabilityModes:
         doc = json.loads(out)
         assert doc["majorant"]["residual_ok"] is True
         assert doc["majorant"]["K_monotone_ok"] is True
+        # the majorant's m = 0 column is each term's own sup norm, bit for bit
+        series = hopf_series({1: 0.5, -1: 0.5}, 1.0, 8)
+        assert doc["sup_norms"] == [series.sup_norm(n) for n in range(1, 9)]
 
     def test_euler_summary(self, capsys):
         code, out, _ = run_cli(capsys, ["instability", "--mode", "euler",

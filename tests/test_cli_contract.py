@@ -147,7 +147,7 @@ class TestInputLimits:
          "unrecognized arguments: --seed 3"),
         (["instability", "--mode", "hopf", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["spectrum", "--profile", "poiseuille", "--z0", "1", "--n", "32"],
-         "shearstab: poiseuille profile takes no parameter 'z0'"),
+         "shearstab: z0 is not a parameter of the poiseuille profile"),
     ])
     def test_unread_flag_exit_2(self, capsys, args, message):
         # --seed used to be accepted by every subcommand, and --z0 by every
@@ -274,8 +274,15 @@ class TestInputLimits:
     (["instability", "--mode", "hopf", "--order", "0"], "N must be", "--order"),
     (["instability", "--mode", "bootstrap", "--order", "1"], "N must be", "--order"),
     (["genfunc-check", "--order", "30"], "truncation orders must be", "--order"),
+    # an unknown profile kind, or a profile no grid holds, names the profile flag
+    *(([sub, "--profile", "foo"], "kind must be one of ('poiseuille', 'exponential', 'tanh', 'blasius', "
+       "'kolmogorov'), got 'foo'", "--profile") for sub in ("spectrum", "neutral-curve", "resolvent")),
+    *(([sub, "--profile", "kolmogorov"], "domain must be one of ('channel', 'half_line'), got 'torus'", "--profile")
+      for sub in ("spectrum", "resolvent")),
     # the flag has the argument's name: nothing is added
     (["heat-kernel", "--nu", "nan"], "nu must be positive and finite, got nan", None),
+    (["neutral-curve", "--profile", "kolmogorov", "--re", "100"],
+     "profile must be on one of ('channel', 'half_line'), got the kolmogorov profile on the torus", None),
 ])
 def test_error_names_the_flag_typed(capsys, args, message, flag):
     # the library names its own argument, N or modes; the line ends with

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -538,6 +539,19 @@ class TestHopfMajorant:
             t, x, K = path.T
             ref = [_gen_eval(rep["majorant"], ti, (1.0 + dphi * ti) * xi) for ti, xi in zip(t, x)]
             np.testing.assert_array_equal(K, ref)
+
+    def test_memory_linear_in_points(self):
+        # K is read from the march's own first stages, so no evaluation holds
+        # all (n_steps + 1) x n_characteristics points times the order at once
+        # (an evaluation over all of them after the march peaked at 83.5 MB)
+        series = hopf_series(COS, 1.0, 12)
+        tracemalloc.start()
+        try:
+            hopf_majorant(series, 0.25, 0.05, n_characteristics=400, n_steps=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     def test_fields_match_scalar_double_sum(self, report):
         _, rep = report

@@ -306,6 +306,60 @@ def raised_within(call, seconds):
         proc.join()
 
 
+# a valid ode_bootstrap call but for N = 2, below the order that the energy
+# constant 20 of diag(1, 20) asks for at growth rate 1
+ENERGY_SHORT = dict(A=np.diag([1.0, 20.0]), Q=lambda a, b: a * b, v0=np.array([1.0, 0.0]), growth_rate=1.0,
+                    epsilon=1e-3, N=2, t_grid=np.linspace(0.0, 5.0, 11))
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: make_profile("foo"), "kind", id="make_profile-kind"),
+    pytest.param(lambda: make_profile("poiseuille", z0=1.0), "z0", id="make_profile-z0_not_taken"),
+    pytest.param(lambda: make_profile("tanh"), "z0", id="make_profile-z0_missing"),
+    pytest.param(lambda: build_grid(16, "torus"), "domain", id="build_grid-domain"),
+    pytest.param(lambda: neutral_curve(make_profile("kolmogorov"), [100.0], (0.5, 1.5), 16), "profile",
+                 id="neutral_curve-profile_torus"),
+    pytest.param(lambda: euler_series(POISEUILLE, 2, 16), "profile", id="euler_series-profile_channel"),
+    pytest.param(lambda: ode_bootstrap(**ENERGY_SHORT), "N", id="ode_bootstrap-N_energy"),
+    pytest.param(lambda: FourierMode(1), "expr", id="FourierMode-neither"),
+    pytest.param(lambda: FourierMode(1, expr=lambda y: y, derivs=(lambda y: y,)), "expr", id="FourierMode-both"),
+    pytest.param(lambda: strip_norms(np.cos), "rho", id="strip_norms-neither"),
+    pytest.param(lambda: strip_norms(np.cos, rho=1.0, pencil=(1.0, 1.0)), "rho", id="strip_norms-both"),
+    pytest.param(lambda: bl_norm(lambda y: np.exp(-y), 0, PARAMS, flavor="x"), "flavor", id="bl_norm-flavor"),
+    pytest.param(lambda: gen_series(ELL_MODES, PARAMS, (2, 2), flavor="x"), "flavor", id="gen_series-flavor"),
+])
+def test_message_begins_with_the_argument(call, name):
+    # the rule of errors.py: a rejected argument's message begins with its
+    # name, which the CLI reads to add the flag that set it
+    with pytest.raises(ConfigurationError) as info:
+        call()
+    assert str(info.value).startswith(name + " "), str(info.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ode_bootstrap(**{**BOOT, "v0": np.array([0.0])}, growth_rate=1.0, epsilon=1e-3, N=3),
+                 r"^v0 must be nonzero$", id="ode_bootstrap-v0_zero"),
+    pytest.param(lambda: hopf_series(COS, 1.0, 5).sup_ratio(),
+                 r"^the series of order 5 has not enough nonzero terms for a ratio estimate$", id="sup_ratio-order5"),
+    pytest.param(lambda: evans_det(lambda s: 2 / math.cosh(s) ** 2, 1.0),
+                 r"^A must accept an array of points: A\(\[", id="evans_det-scalar_potential"),
+    pytest.param(lambda: neutral_curve(POISEUILLE, [6000.0], (1.2, 0.8), 16),
+                 r"^alpha_window must be positive and increasing$", id="neutral_curve-decreasing_window"),
+    pytest.param(lambda: fit_exponents(NeutralBranch([(re, a, 1.0) for re, a in BRANCH.points], "lower"), (1e4, 1e6)),
+                 r"^branch points must be \(Re, alpha\) pairs, got shape \(8, 3\)$",
+                 id="fit_exponents-triples"),
+    pytest.param(lambda: fit_exponents(NeutralBranch([(re, -a) for re, a in BRANCH.points], "lower"), (1e4, 1e6)),
+                 r"^branch points need Re, alpha > 0, got \[10000\.0, -0\.39",
+                 id="fit_exponents-negative_alpha"),
+])
+def test_typed_error_in_process(call, message):
+    # paths that the forked calls above do not show to a tracer of this
+    # process (the energy check and FourierMode's are in the test before):
+    # each raises the documented error with its documented message
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
 def test_riccati_infinite_time_is_typed():
     # t = -inf warned and returned NaN, and t = +inf warned where eps < 0
     for t in (-np.inf, np.inf):

@@ -47,14 +47,14 @@ class TestMakeProfile:
         with pytest.raises(ConfigurationError, match="z0 must be finite"):
             make_profile("tanh", z0=z0)
 
-    @pytest.mark.parametrize("kind,params", [
-        ("poiseuille", {"z0": 1.0}),
-        ("tanh", {"z0": 1.0, "z1": 2.0}),
-        ("blasius", {"tolerance": 1e-8}),
+    @pytest.mark.parametrize("kind,params,name", [
+        ("poiseuille", {"z0": 1.0}, "z0"),
+        ("tanh", {"z0": 1.0, "z1": 2.0}, "z1"),
+        ("blasius", {"tolerance": 1e-8}, "tolerance"),
     ])
-    def test_parameter_of_another_kind_raises(self, kind, params):
+    def test_parameter_of_another_kind_raises(self, kind, params, name):
         # the parameter used to be ignored without a word
-        with pytest.raises(ConfigurationError, match=f"{kind} profile takes no parameter"):
+        with pytest.raises(ConfigurationError, match=f"^{name} is not a parameter of the {kind} profile$"):
             make_profile(kind, **params)
 
     @pytest.mark.parametrize("kind,params", [

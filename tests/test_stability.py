@@ -842,3 +842,12 @@ class TestFitExponents:
         br = NeutralBranch([(1e4, 0.5), (2e4, 0.4), (4e4, 0.3)], "lower")
         with pytest.raises(ConfigurationError):
             fit_exponents(br, (1e3, 1e6))
+
+    def test_single_Re_has_no_slope(self):
+        # four points at one Re, as neutral_curve gives for a repeated Re,
+        # returned a slope and r2 = 0 with numpy's RankWarning
+        br = NeutralBranch([(1e5, 0.10), (1e5, 0.12), (1e5, 0.15), (1e5, 0.20)], "lower")
+        with pytest.raises(ConfigurationError,
+                           match=r"^branch points in Re_window \[10000, 1e\+06\] all have Re = 100000; "
+                                 r"a slope needs at least 2 distinct Re$"):
+            fit_exponents(br, (1e4, 1e6))
