@@ -7,8 +7,10 @@ These helpers decide what a valid argument is: counts through
 finite numbers through ``check_finite``, one number through ``check_scalar``,
 one real number through ``check_real``, one positive, finite number through
 ``check_positive``, sizes through ``check_points`` before anything is allocated,
-and records (profiles, grids, parameter sets, series, branches) through
-``check_record``.
+records (profiles, grids, parameter sets, series, branches) through
+``check_record``, lists of objects of one class (the mode lists of
+``genfunc``) through ``as_records`` and callables (functions of y or z, forcings, sources,
+bilinear forms) through ``check_callable``.
 """
 
 import math
@@ -147,3 +149,22 @@ def check_record(name, value, cls):
     record whose fields the caller reads."""
     if not isinstance(value, cls):
         raise ConfigurationError(f"{name} must be a {cls.__name__}, got {value!r:.60}")
+
+
+def as_records(name, value, cls):
+    """``value`` as a list of ``cls`` objects; ConfigurationError naming
+    ``name`` unless it is an iterable, not a string, of nothing else."""
+    try:
+        records = None if isinstance(value, str) else list(value)
+    except TypeError:
+        records = None
+    if records is None or not all(isinstance(r, cls) for r in records):
+        raise ConfigurationError(f"{name} must be a list of {cls.__name__} objects, got {value!r:.60}")
+    return records
+
+
+def check_callable(**values):
+    """ConfigurationError naming the argument unless every value is callable."""
+    for name, value in values.items():
+        if not callable(value):
+            raise ConfigurationError(f"{name} must be a callable, got {value!r:.60}")

@@ -51,6 +51,8 @@ from .errors import (
     RegionError,
     as_array,
     as_integer,
+    as_records,
+    check_callable,
     check_finite,
     check_points,
     check_positive,
@@ -186,6 +188,7 @@ def bl_norm(f, ell: int, params: BLNormParams, flavor: str = WITH_BL) -> float:
     _check_flavor(flavor)
     ell = as_integer("ell", ell, 0)
     check_record("params", params, BLNormParams)
+    check_callable(f=f)
     return float(_refined_sup(lambda y: np.asarray(f(y))[None], [ell], params, flavor)[0])
 
 
@@ -526,7 +529,7 @@ def gen_series(modes, params: BLNormParams, truncation: tuple[int, int], flavor:
     N_alpha, N_ell = _truncation_orders(truncation)
     check_record("params", params, BLNormParams)
     coeffs = np.zeros((N_alpha + 1, N_ell + 1))
-    for m in modes:
+    for m in as_records("modes", modes, FourierMode):
         w = abs(m.alpha)
         if w > N_alpha:
             continue
@@ -656,6 +659,7 @@ def laplace_solve_1d(alpha: int, f, params: BLNormParams, with_bl: bool = True) 
     step = min(0.1, 0.5 / a)
     check_points("alpha", 600 + Y_MAX / step)  # about the grid's points, 600 + 80 |alpha| from |alpha| = 5
     check_record("params", params, BLNormParams)
+    check_callable(f=f)
     if with_bl and abs(params.delta * a**2) > 1.0:
         raise ConfigurationError(f"|delta alpha^2| = {params.delta * a**2:.3g} > 1: "
                                  "boundary-layer estimate outside its admissible range")
@@ -715,7 +719,7 @@ def elliptic_gen_estimate(omega_modes, params: BLNormParams, z2_max: float, trun
     """
     check_positive(z2_max=z2_max)
     N_alpha, N_ell = _truncation_orders(truncation)
-    modes = list(omega_modes)
+    modes = as_records("omega_modes", omega_modes, FourierMode)
     check_record("params", params, BLNormParams)
     for m in modes:
         if abs(params.delta * m.alpha**2) > 1.0:
@@ -802,6 +806,9 @@ def divfree_bilinear(u_modes, v_modes, g_modes, params: BLNormParams,
     """
     N_alpha, N_ell = _truncation_orders(truncation)
     check_record("params", params, BLNormParams)
+    u_modes = as_records("u_modes", u_modes, FourierMode)
+    v_modes = as_records("v_modes", v_modes, FourierMode)
+    g_modes = as_records("g_modes", g_modes, FourierMode)
     yc = sample_grid(params.delta)     # yc[0] = 0 is the wall
     u_by_alpha = {m.alpha: m for m in u_modes}
     for mv in v_modes:
@@ -884,6 +891,9 @@ def strip_norms(f, rho: float | None = None, pencil: tuple[float, float] | None 
     """
     if (rho is None) == (pencil is None):
         raise ConfigurationError("rho or pencil must be given, not both")
+    check_callable(f=f)
+    if g is not None:
+        check_callable(g=g)
     if rho is not None:
         check_positive(rho=rho)
         width, inner_key = rho, "rho_inner"

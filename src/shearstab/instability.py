@@ -44,6 +44,7 @@ from .errors import (
     WindowError,
     as_array,
     as_integer,
+    check_callable,
     check_finite,
     check_points,
     check_positive,
@@ -129,6 +130,7 @@ def ode_bootstrap(
     """
     check_real(epsilon=epsilon)
     check_scalar(growth_rate=growth_rate)
+    check_callable(Q=Q)
     # T1 = -log(eps) / Re(lambda) - sigma is an escape time only for eps < 1
     if not (0 < epsilon < 1):
         raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -321,15 +323,13 @@ def _riccati_formula(epsilon, alpha, phi0, t):
 def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> RiccatiValue:
     """Exact solution phi(t) = eps phi0 e^{eps t} / (eps - alpha phi0 (e^{eps t}-1));
     ConfigurationError unless each of the four is one real number, phi0 > 0 and
-    epsilon != 0, and all four are finite."""
+    epsilon != 0, and all four are finite; naming t where phi(t) overflows."""
     check_positive(phi0=phi0)
     check_real(epsilon=epsilon, alpha=alpha, t=t)
-    if not (np.isfinite(epsilon) and np.isfinite(alpha)) or epsilon == 0:
-        raise ConfigurationError(f"epsilon must be nonzero and finite, alpha finite; got {epsilon!r}, {alpha!r}")
-    if not np.isfinite(t):
-        raise ConfigurationError(f"t must not be NaN or infinite, got {t!r}")
-    t_star = None
-    limit = None
+    check_finite(epsilon=epsilon, alpha=alpha, t=t)
+    if epsilon == 0:
+        raise ConfigurationError(f"epsilon must be nonzero, got {epsilon!r}")
+    t_star = limit = None
     # phi0 > 0: the solution blows up where alpha phi0 > max(0, -eps), which
     # keeps log1p's argument above -1
     if alpha * phi0 > max(0.0, -epsilon):
@@ -338,10 +338,10 @@ def riccati_exact(epsilon: float, alpha: float, phi0: float, t: float) -> Riccat
             return RiccatiValue(float("inf"), True, float(t_star), None)
     elif alpha < 0 < epsilon:
         limit = -epsilon / alpha
-    if alpha == 0:
-        value = phi0 * np.exp(epsilon * t)
-    else:
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = _riccati_formula(epsilon, alpha, phi0, t)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"t = {t!r} is too large: phi(t) is not finite there")
     return RiccatiValue(
         float(value),
         False,
@@ -371,8 +371,8 @@ class HopfSeries:
     u_t + u u_z = alpha u.  ``coeffs[n-1, K+m]`` is the coefficient of
     e^{i m z} in u_n on the modes -K..K, K = N max|m| over the modes of u_1,
     which holds every term exactly; ``terms`` gives the nonzero entries of
-    each row as a dict; grid values use one exp(i m z) matrix on _Z_GRID.
-    ConfigurationError unless alpha is positive and finite and coeffs finite."""
+    each row as a dict; grid values use one exp(i m z) matrix on _Z_GRID, sup
+    norms one cached table.  ConfigurationError unless alpha > 0 and coeffs finite."""
 
     alpha: float
     coeffs: np.ndarray
@@ -404,13 +404,25 @@ class HopfSeries:
         """exp(i m z) on ``_Z_GRID`` (rows) for the table's modes (columns)."""
         return np.exp(1j * np.outer(_Z_GRID, self.modes))
 
+    @cached_property
+    def _sup_table(self) -> np.ndarray:
+        """[k-1, m]: sup_z |d^m u_k| for m <= N-k (zero beyond), one product per term; read-only."""
+        N = self.order
+        ikm = 1j * self.modes[:, None]
+        table = np.zeros((N, N))
+        for k in range(N):
+            dcoef = self.coeffs[k][:, None] * ikm ** np.arange(N - k)
+            table[k, :N - k] = np.max(np.abs(self._exp_grid @ dcoef), axis=0)
+        table.flags.writeable = False
+        return table
+
     def sup_norm(self, n: int) -> float:
-        return float(np.max(np.abs(self._exp_grid @ self.coeffs[n - 1])))
+        return float(self._sup_table[as_integer("n", n, 1, self.order) - 1, 0])
 
     def sup_ratio(self) -> float:
         """Bound R on the sup-norm ratios |u_{n+1}| / |u_n|, n >= 5; the
         series converges for e^{alpha t} < 1/R."""
-        norms = np.max(np.abs(self._exp_grid @ self.coeffs.T), axis=0)
+        norms = self._sup_table[:, 0]
         prev = norms[4:-1]
         ratios = norms[5:][prev > 0] / prev[prev > 0]
         if not ratios.size:
@@ -500,9 +512,9 @@ def hopf_majorant(
     nonincreasing and bounded by M0 = Gen(u_1)(eta0) on the guaranteed
     window t <= alpha eta0 / (6 M0).
 
-    The truncated generator is stored as one N x N upper-left triangular
-    matrix, table[k-1, m] = sup|d^m u_k| (zero for m > N-k), returned as
-    ``report["majorant"]``; the series itself is left unchanged.  G is the
+    The truncated generator is the series' cached, read-only N x N table
+    table[k-1, m] = sup|d^m u_k| (zero for m > N-k), which ``sup_norm`` and
+    ``sup_ratio`` read too, returned as ``report["majorant"]``.  G is the
     contraction t-powers . table . z-powers/m! (``_gen_eval``).  G_t and G_z
     are the same contraction of the table shifted by one row with the
     factor k-1 (t) or by one column (z) (``_gen_tables``).  All
@@ -523,14 +535,7 @@ def hopf_majorant(
     N = series.order
     alpha = series.alpha
 
-    # shared-grid derivative sup norms: table[k-1, m] = sup |d^m u_k| for
-    # m <= N-k (zero beyond), one product with the series' exp(i m z) matrix
-    # per term
-    ikm = 1j * series.modes[:, None]
-    table = np.zeros((N, N))
-    for k in range(N):
-        dcoef = series.coeffs[k][:, None] * ikm ** np.arange(N - k)
-        table[k, :N - k] = np.max(np.abs(series._exp_grid @ dcoef), axis=0)
+    table = series._sup_table
     table_t, table_z = _gen_tables(table)
 
     # an overflow is reported by the checks below, not by numpy's warnings

@@ -49,6 +49,7 @@ from .errors import (
     RegionError,
     as_array,
     as_integer,
+    check_callable,
     check_finite,
     check_points,
     check_positive,
@@ -190,6 +191,7 @@ def duhamel_term(
     finite, nonnegative number and forcing(tau) a vector of the order of A (else ConfigurationError).
     """
     A = _square_matrix(A)
+    check_callable(forcing=forcing)
     check_real(t=t)
     if not 0 <= t < math.inf:
         raise ConfigurationError(f"t must be nonnegative and finite, got {t!r}")

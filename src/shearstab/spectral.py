@@ -69,9 +69,11 @@ class SpectralDiscretization:
 
 
 def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretization:
-    """Build nodes and D1/D2/D4 for the requested domain; N must be an
-    integer of at least 2 whose (N + 1)^2 matrix entries are within
-    MAX_POINTS (else ConfigurationError)."""
+    """Nodes and D1/D2/D4: the domain chooses only the map from the Chebyshev
+    variable xi (its nodes, s = dxi/dy and ds/dxi; the identity on the channel),
+    and one chain rule gives D1 = s Dc, D2 = s^2 Dc^2 + s ds Dc and D4 = D2^2.
+    N must be an integer of at least 2 whose (N + 1)^2 matrix entries are
+    within MAX_POINTS (else ConfigurationError)."""
     N = as_integer("N", N, 2)
     check_points("N", (N + 1) ** 2)
     if domain not in GRID_DOMAINS:
@@ -79,22 +81,17 @@ def build_grid(N: int, domain: str, map_scale: float = 2.0) -> SpectralDiscretiz
     check_positive(map_scale=map_scale)
 
     xi, Dc = cheb_matrix(N)
-    if domain == CHANNEL:
-        D1 = Dc
-        D2 = Dc @ Dc
-        nodes = xi
-    else:
-        L = map_scale
-        # a scale near the float limits overflows here; checked below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nodes = L * (1.0 + xi) / (1.0 - xi)
+    # a scale near the float limits overflows here; checked below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if domain == CHANNEL:
+            nodes, s, ds = xi, np.ones(N + 1), np.zeros(N + 1)
+        else:
+            # y = L(1+xi)/(1-xi)  =>  s = dxi/dy = (1-xi)^2 / (2L), ds/dxi = -(1-xi)/L
+            nodes = map_scale * (1.0 + xi) / (1.0 - xi)
             nodes[0] = np.inf
-            # y = L(1+xi)/(1-xi)  =>  dxi/dy = (1-xi)^2 / (2L)
-            s = (1.0 - xi) ** 2 / (2.0 * L)
-            ds = -(1.0 - xi) / L            # d s / d xi
-            D1 = s[:, None] * Dc
-            D2 = (s**2)[:, None] * (Dc @ Dc) + (s * ds)[:, None] * Dc
-    with np.errstate(over="ignore", invalid="ignore"):
+            s, ds = (1.0 - xi) ** 2 / (2.0 * map_scale), -(1.0 - xi) / map_scale
+        D1 = s[:, None] * Dc
+        D2 = (s**2)[:, None] * (Dc @ Dc) + (s * ds)[:, None] * Dc
         D4 = D2 @ D2
     if not all(np.isfinite(M).all() for M in (D1, D2, D4)):
         raise ConfigurationError(

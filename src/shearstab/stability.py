@@ -57,6 +57,7 @@ from .errors import (
     WindowError,
     as_array,
     as_integer,
+    check_callable,
     check_finite,
     check_positive,
     check_record,
@@ -461,6 +462,7 @@ def rayleigh_resolvent(
     check_positive(alpha=alpha)
     check_scalar(c=c)
     check_finite(c=c)
+    check_callable(source=source)
     A, B, bc_idx, _, _ = _pencil(profile, alpha, grid, 0.0)
     U, _ = _profile_diagonals(profile, grid)
     finite = np.isfinite(grid.nodes)
@@ -632,9 +634,9 @@ def neutral_curve(
 
     The profile must lie on a domain of ``build_grid``, the channel or the
     half line (else ConfigurationError naming profile).
-    Each Re in the ascending list ``Re_list`` is scanned over ``alpha_window``,
-    a finite pair, at ``n_scan`` points, an integer of at least 3 (a band
-    needs a point inside it and one each side).
+    Each Re in ``Re_list``, positive and strictly increasing, is scanned
+    over ``alpha_window``, a finite pair, at ``n_scan`` points, an integer
+    of at least 3 (a band needs a point inside it and one each side).
     A scan point computes eigenvalues only; the raw ones with Im c > 0 get
     eigenvectors by inverse iteration and go through the gates of
     ``os_spectrum`` in descending Im c, and the first accepted one leads.
@@ -662,9 +664,10 @@ def neutral_curve(
     if profile.domain not in GRID_DOMAINS:
         raise ConfigurationError(f"profile must be on one of {GRID_DOMAINS}, "
                                  f"got the {profile.kind} profile on the {profile.domain}")
-    Re_list = as_array("Re_list", Re_list, 1).tolist()
-    if sorted(Re_list) != Re_list:
-        raise ConfigurationError("Re_list must be sorted ascending")
+    Re_list = as_array("Re_list", Re_list, 1)
+    if np.any(Re_list <= 0) or np.any(np.diff(Re_list) <= 0):
+        raise ConfigurationError(f"Re_list must be positive and strictly increasing, got {Re_list.tolist()!r:.60}")
+    Re_list = Re_list.tolist()
     a_lo, a_hi = as_array("alpha_window", alpha_window, 1, size=2).tolist()
     if not (0 < a_lo < a_hi):
         raise ConfigurationError("alpha_window must be positive and increasing")

@@ -237,9 +237,9 @@ class TestInputLimits:
         (["resolvent", "--profile", "exponential", "--n", "32", "--c", "nan+0j"], "c must be finite"),
         (["instability", "--mode", "hopf", "--alpha", "inf"], "alpha must be positive and finite"),
         (["instability", "--mode", "riccati", "--phi0", "inf"], "phi0 must be positive and finite"),
-        (["instability", "--mode", "riccati", "--alpha", "nan"], "epsilon must be nonzero and finite, alpha finite"),
-        (["instability", "--mode", "riccati", "--epsilon", "nan"], "epsilon must be nonzero and finite, alpha finite"),
-        (["instability", "--mode", "riccati", "--t", "nan"], "t must not be NaN"),
+        (["instability", "--mode", "riccati", "--alpha", "nan"], "alpha must be finite, got nan"),
+        (["instability", "--mode", "riccati", "--epsilon", "nan"], "epsilon must be finite, got nan"),
+        (["instability", "--mode", "riccati", "--t", "nan"], "t must be finite, got nan"),
         (["genfunc-check", "--nu", "nan"], "nu must be positive and finite"),
         (["genfunc-check", "--nu", "inf"], "nu must be positive and finite"),
     ])
@@ -283,6 +283,12 @@ class TestInputLimits:
     (["heat-kernel", "--nu", "nan"], "nu must be positive and finite, got nan", None),
     (["neutral-curve", "--profile", "kolmogorov", "--re", "100"],
      "profile must be on one of ('channel', 'half_line'), got the kolmogorov profile on the torus", None),
+    # printed 800,inf,false with numpy's overflow warning and exited 0
+    (["instability", "--mode", "riccati", "--alpha", "0", "--epsilon", "1", "--t", "800"],
+     "t = 800.0 is too large: phi(t) is not finite there", None),
+    # a repeated Re printed the same row twice and exited 0
+    (["neutral-curve", "--profile", "poiseuille", "--re", "8000:8000:2", "--n", "32"],
+     "Re_list must be positive and strictly increasing, got [8000.0, 8000.0]", "--re"),
 ])
 def test_error_names_the_flag_typed(capsys, args, message, flag):
     # the library names its own argument, N or modes; the line ends with

@@ -325,6 +325,13 @@ class TestRiccatiExact:
         assert r.value == pytest.approx(0.01 * np.exp(0.3), rel=1e-14)
         assert r.t_star is None and r.limit is None
 
+    @pytest.mark.parametrize("eps, phi0", [(0.1, 0.01), (1.0, 1.0), (-0.3, 2.0), (2.5, 0.01), (1e-8, 0.01)])
+    def test_linear_case_within_two_ulp(self, eps, phi0):
+        # alpha = 0 takes the one closed form, phi0 / e^{-eps t} where eps t > 0
+        for t in (-2.0, 0.0, 0.3, 5.0, 30.0, 100.0):
+            exact = phi0 * np.exp(eps * t)
+            assert abs(riccati_exact(eps, 0.0, phi0, t).value - exact) <= 2 * np.spacing(exact)
+
     def test_blowup_time(self):
         r = riccati_exact(0.1, 1.0, 0.01, 5.0)
         assert r.t_star == pytest.approx(10.0 * np.log(11.0), rel=1e-14)
@@ -395,8 +402,23 @@ class TestHopfSeries:
         norms = [s.sup_norm(n) for n in range(1, 21)]
         for n in range(5, 20):
             assert norms[n] <= R * norms[n - 1] * (1 + 1e-12)
-        # one product for all norms gives the per-term loop's bound, bit for bit
+        # both read one table, so the bound is the ratios' max bit for bit
         assert R == max(norms[n] / norms[n - 1] for n in range(5, 20))
+
+    def test_sup_norm_is_the_majorant_column(self):
+        # sup_norm made its own product and differed from the majorant's
+        # table by 2 ulp at n = 2 on this series; both read one table now
+        s = hopf_series({2: 1, -1: 0.3j}, 0.3, 4)
+        table = hopf_majorant(s, eta0=0.25, t_max=0.05)["majorant"]
+        for n in range(1, 5):
+            assert s.sup_norm(n) == table[n - 1, 0]
+
+    def test_sup_table_is_read_only(self):
+        s = hopf_series(COS, 1.0, 6)
+        table = hopf_majorant(s, eta0=0.25, t_max=0.05)["majorant"]
+        assert table is s._sup_table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
     def test_partial_sum_residual_order(self):
         # defect of the order-N sum has leading time order e^{(N+1) alpha t}

@@ -67,6 +67,10 @@ def sech2(x):
 RECT = (0.5, 1.5, -0.4, 0.4)
 COS = {1: 0.5, -1: 0.5}
 ELL_MODES = [FourierMode(1, lambda y: exp(-y))]
+# v = -i (1 - e^{-y}) with u = e^{-y} (ELL_MODES): d_y v = -i alpha u and v(0) = 0
+DIV_V_MODES = [FourierMode(1, lambda y: -1j * (1 - exp(-y)))]
+# an x-independent g, so that the products stay within truncation (1, 2)
+DIV_G_MODES = [FourierMode(0, lambda y: exp(-y))]
 PARAMS = BLNormParams(delta=0.05)
 POISEUILLE = make_profile("poiseuille")
 BRANCH = NeutralBranch([(re, re ** -0.1) for re in np.geomspace(1e4, 1e6, 8)], "lower")
@@ -345,6 +349,15 @@ def test_message_begins_with_the_argument(call, name):
                  r"^A must accept an array of points: A\(\[", id="evans_det-scalar_potential"),
     pytest.param(lambda: neutral_curve(POISEUILLE, [6000.0], (1.2, 0.8), 16),
                  r"^alpha_window must be positive and increasing$", id="neutral_curve-decreasing_window"),
+    # a repeated Re was scanned twice and recorded twice on each branch; Re
+    # 0 or below failed inside the scan, naming Re
+    *(pytest.param(lambda Re_list=Re_list: neutral_curve(POISEUILLE, Re_list, (0.8, 1.2), 16),
+                   rf"^Re_list must be positive and strictly increasing, got {re.escape(repr(expected))}$",
+                   id=f"neutral_curve-Re_list{Re_list!r}")
+      for Re_list, expected in (([8000, 8000], [8000.0, 8000.0]), ([0, 100], [0.0, 100.0]), ([-5], [-5.0]))),
+    # sup_norm(0) read the last term's norm, and sup_norm(5) raised IndexError
+    *(pytest.param(lambda n=n: hopf_series(COS, 1.0, 4).sup_norm(n), r"^n must be at least 1 and an integer of at most 4",
+                   id=f"sup_norm-n{n}") for n in (0, 5)),
     pytest.param(lambda: fit_exponents(NeutralBranch([(re, a, 1.0) for re, a in BRANCH.points], "lower"), (1e4, 1e6)),
                  r"^branch points must be \(Re, alpha\) pairs, got shape \(8, 3\)$",
                  id="fit_exponents-triples"),
@@ -363,8 +376,16 @@ def test_typed_error_in_process(call, message):
 def test_riccati_infinite_time_is_typed():
     # t = -inf warned and returned NaN, and t = +inf warned where eps < 0
     for t in (-np.inf, np.inf):
-        with pytest.raises(ConfigurationError, match=f"t must not be NaN or infinite, got {t!r}"):
+        with pytest.raises(ConfigurationError, match=f"^t must be finite, got {t!r}$"):
             riccati_exact(-1.0, 1.0, 0.01, t)
+
+
+def test_riccati_overflow_is_typed():
+    # warned "overflow encountered in exp" and returned inf, not blown up
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=r"^t = 800\.0 is too large: phi\(t\) is not finite there$"):
+            riccati_exact(1.0, 0.0, 1.0, 800.0)
 
 
 def test_overflowing_z2_max_is_reported_not_warned():
@@ -416,9 +437,13 @@ SWEEP = [*NOT_A_NUMBER, *NOT_AN_INTEGER, *COMPLEX, -1.0, 0.0]
 # are left to errors.as_array (one number and the nesting are a valid matrix)
 NOT_AN_ARRAY = [None, "abc", [np.nan, 1.0], ["a", "b"]]
 ARRAY_SWEEP = [*NOT_AN_ARRAY, 1.0, [], [[1.0, 2.0]]]
+# a callable argument's sweep, None and a number, and a mode list's, None, a
+# string and a list of a number: no value is a callable or a list of modes
+CALLABLE_SWEEP = [None, 1.0]
+MODES_SWEEP = [None, "abc", [1.0]]
 # the values each kind of parameter rules out
 RULED_OUT = {"int": NOT_A_NUMBER + NOT_AN_INTEGER + COMPLEX, "float": NOT_A_NUMBER + COMPLEX,
-             "complex": NOT_A_NUMBER, "array": NOT_AN_ARRAY}
+             "complex": NOT_A_NUMBER, "array": NOT_AN_ARRAY, "callable": CALLABLE_SWEEP}
 # records that store their fields as given: their cases need only a typed outcome
 EXEMPT = {"BootstrapResult", "EigenSolution", "RiccatiValue", "ShearProfile", "SpectralDiscretization",
           "NeutralBranch"}
@@ -428,11 +453,14 @@ SERIES = hopf_series(COS, 1.0, 4)
 # and a record of another class, the first of RECORDS that is not its own
 RECORDS = (PARAMS, SERIES, POISEUILLE, GRID, BRANCH)
 RECORD_SWEEP = [None, "abc", 1.0]
+# the callable arguments that also take a sympy expression, which a number is
+EXPRESSIONS = {("FourierMode", "expr")}
 
 # name -> (callable, keyword arguments of one valid call); every keyword
 # whose value is an int, a float or a complex is swept over SWEEP, every
 # one whose value is a mapping or a non-empty numeric array, list or tuple
-# over ARRAY_SWEEP, and every one whose value is a record over RECORD_SWEEP
+# over ARRAY_SWEEP, every one whose value is a record over RECORD_SWEEP,
+# a callable over CALLABLE_SWEEP and a non-empty list of modes over MODES_SWEEP
 TEMPLATES = {
     "BLNormParams": (BLNormParams, dict(delta=0.05)),
     "BLNormParams.from_viscosity": (BLNormParams.from_viscosity, dict(nu=1e-4, gamma0=1.0)),
@@ -446,8 +474,8 @@ TEMPLATES = {
     "strip_norms pencil": (strip_norms, dict(f=lambda z: np.exp(1j * z), pencil=(0.5, 2.0))),
     "GenSeries": (GenSeries, dict(coeffs=np.ones((2, 3)))),
     "gen_series": (gen_series, dict(modes=ELL_MODES, params=PARAMS, truncation=(1, 2))),
-    "divfree_bilinear": (divfree_bilinear, dict(u_modes=[], v_modes=[], g_modes=[], params=PARAMS,
-                                                truncation=(1, 2))),
+    "divfree_bilinear": (divfree_bilinear, dict(u_modes=ELL_MODES, v_modes=DIV_V_MODES, g_modes=DIV_G_MODES,
+                                                params=PARAMS, truncation=(1, 2))),
     "BootstrapResult": (BootstrapResult, dict(t_grid=np.zeros(2), terms=(), C=(), sigma=1.0, sigma0=0.1, T1=1.0,
                                               approx=np.zeros(2), residual=np.zeros(2), residual_slope=1.0,
                                               escape_time=1.0, energy_constant=1.0)),
@@ -491,13 +519,17 @@ def _is_scalar(value):
 
 
 def _is_array(value):
-    # an empty list is no evidence of numbers: the mode lists of divfree_bilinear
+    # an empty list is no evidence of numbers: the subcritical_Re of NeutralBranch
     return isinstance(value, Mapping) or (isinstance(value, (list, tuple, np.ndarray))
                                           and np.size(value) > 0 and np.asarray(value).dtype.kind in "biufc")
 
 
 def _is_record(value):
     return dataclasses.is_dataclass(value) and not isinstance(value, type)
+
+
+def _is_modes(value):
+    return isinstance(value, list) and len(value) > 0 and all(isinstance(m, FourierMode) for m in value)
 
 
 def _record_sweep(valid):
@@ -512,11 +544,12 @@ def _annotated(param):
 def _ruled_out(call, arg, valid):
     """The values of its sweep that the annotation of ``arg`` rules out, by
     the type it names (int, float or complex, or the valid value's type
-    where it names none), or those of an array or mapping; None not where
-    it is the default."""
+    where it names none), or those of an array, a mapping or a callable;
+    None not where it is the default."""
     param = inspect.signature(call).parameters.get(arg)
     annotation = _annotated(param) if param else ""
-    kind = "array" if _is_array(valid) else annotation if annotation in RULED_OUT else type(valid).__name__
+    kind = ("array" if _is_array(valid) else "callable" if callable(valid)
+            else annotation if annotation in RULED_OUT else type(valid).__name__)
     none_is_default = param is not None and param.default is None
     return [v for v in RULED_OUT[kind] if not (v is None and none_is_default)]
 
@@ -527,9 +560,12 @@ def _contract_cases():
         for arg, valid in kwargs.items():
             if _is_record(valid):
                 sweep = ruled_out = _record_sweep(valid)
-            elif _is_scalar(valid) or _is_array(valid):
-                sweep = ARRAY_SWEEP if _is_array(valid) else SWEEP
-                ruled_out = _ruled_out(call, arg, valid)
+            elif _is_modes(valid):
+                sweep = ruled_out = MODES_SWEEP
+            elif _is_scalar(valid) or _is_array(valid) or callable(valid):
+                sweep = ARRAY_SWEEP if _is_array(valid) else CALLABLE_SWEEP if callable(valid) else SWEEP
+                ruled_out = [v for v in _ruled_out(call, arg, valid)
+                             if not ((name, arg) in EXPRESSIONS and _is_scalar(v))]
             else:
                 continue
             # a record is shown by its class: its repr holds addresses

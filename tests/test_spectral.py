@@ -7,7 +7,7 @@ import scipy.optimize
 from shearstab import spectral
 from shearstab.errors import ConfigurationError
 from shearstab.profiles import CHANNEL, HALF_LINE, make_profile
-from shearstab.spectral import brentq, build_grid
+from shearstab.spectral import brentq, build_grid, cheb_matrix
 from shearstab.stability import _boundary_rows
 
 
@@ -65,6 +65,15 @@ class TestDiffMatrices:
         N = g.N
         assert np.max(np.abs(D1 @ np.ones(N + 1))) <= 1e-12 * N**2
         assert np.max(np.abs(D1 @ g.nodes - 1.0)) <= 1e-10 * N**2
+
+    @pytest.mark.parametrize("N", [2, 16, 63])
+    def test_channel_operators_are_chebyshev_powers(self, N):
+        # the chain rule with s = 1, ds = 0 leaves Dc and its powers bit for bit
+        _, Dc = cheb_matrix(N)
+        grid = build_grid(N, CHANNEL)
+        D2 = Dc @ Dc
+        for M, ref in ((grid.D1, Dc), (grid.D2, D2), (grid.D4, D2 @ D2)):
+            assert M.tobytes() == ref.tobytes()
 
     def test_d2_consistency_channel(self):
         g = build_grid(48, CHANNEL)
